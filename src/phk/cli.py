@@ -135,13 +135,16 @@ def _spec(args) -> SampleSpec:
     return SampleSpec(seed=args.seed, count=args.samples)
 
 
-def _emit(doc: dict, args) -> None:
+def _finish(doc: dict, checks: CheckSet, args) -> int:
+    """Record the checks in the document, write it out, return the exit code."""
+    code = checks.finish(doc)
     text = dumps(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return code
 
 
 def cmd_hull(args) -> int:
@@ -152,9 +155,7 @@ def cmd_hull(args) -> int:
     doc["result"] = fmt_closed(hull)
     if isinstance(c, EmptySet):
         checks.add("empty-set-hull-is-space", hull == space(c.dim))
-        code = checks.finish(doc)
-        _emit(doc, args)
-        return code
+        return _finish(doc, checks, args)
     doc["witnesses"] = {
         "supportingRows": list(supporting_rows(c)),
         "supportPoints": [
@@ -178,9 +179,7 @@ def cmd_hull(args) -> int:
             closed_subset_of(other, hull_set)
             and closed_subset_of(hull, closed_as_set(other)),
         )
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_partial_hull(args) -> int:
@@ -199,9 +198,7 @@ def cmd_partial_hull(args) -> int:
     checks.add("contains-full-hull", closed_subset_of(hull, closed_as_set(partial)))
     checks.add("partial-hull-collapse", report["collapse"])
     checks.add("restriction-biconditional", report["restrictionBiconditional"])
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_portable(args) -> int:
@@ -224,9 +221,7 @@ def cmd_portable(args) -> int:
         checks.add("four-conditions-agree", agree)
         if report.failure_pair is not None:
             doc["witnesses"]["failurePair"] = jsonable(report.failure_pair)
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_report(args) -> int:
@@ -246,9 +241,7 @@ def cmd_report(args) -> int:
         == report.hull_adds_nothing
         == report.hull_equals_carrier,
     )
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_phi(args) -> int:
@@ -277,9 +270,7 @@ def cmd_phi(args) -> int:
         at_zero = normal_cone_fitzpatrick(c, x, zero)
         expected = fin(Fraction(0)) if in_portable_hull(c, x) else POS_INF
         checks.add("zero-dual-is-hull-indicator", at_zero == expected)
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_separate(args) -> int:
@@ -305,9 +296,7 @@ def cmd_separate(args) -> int:
         }
         checks.add("certificate-reverifies", verify_certificate(c, x, cert))
     checks.add("separation-iff-outside-hull", (cert is None) == inside_hull)
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_normal_cone(args) -> int:
@@ -329,9 +318,7 @@ def cmd_normal_cone(args) -> int:
         "generators-in-dual-range",
         all(in_range(c, g).member for g in k.generators),
     )
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_sigma(args) -> int:
@@ -354,9 +341,7 @@ def cmd_sigma(args) -> int:
         checks.add("witness-attains", ok)
     doubled = support_value(c, tuple(2 * q for q in xstar))
     checks.add("positive-homogeneity", doubled.value == ev.value.scale(Fraction(2)))
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_psi(args) -> int:
@@ -391,9 +376,7 @@ def cmd_psi(args) -> int:
         )
     if is_monotone(g):
         checks.add("dominates-coupling-when-monotone", ev.value >= fin(dot(x, xstar)))
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_sum_check(args) -> int:
@@ -426,9 +409,7 @@ def cmd_sum_check(args) -> int:
         probe = representability_probe(t, c, GridSpec(step=args.grid))
         doc["witnesses"]["probe"] = jsonable(probe)
         checks.add("probe-did-not-falsify", probe.verdict != "falsified")
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_probe_bp(args) -> int:
@@ -442,9 +423,7 @@ def cmd_probe_bp(args) -> int:
     }
     checks = CheckSet()
     checks.add("boundary-points-are-support-points", report["ok"])
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_check_thm7(args) -> int:
@@ -460,9 +439,7 @@ def cmd_check_thm7(args) -> int:
     checks.add("line-free-implies-portable", report["lineFreeImpliesPortable"])
     checks.add("support-domain-matches-range", report["domainMatchesRange"])
     checks.add("bounded-attains-every-dual", report["boundedAttainsAll"])
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_check_enc(args) -> int:
@@ -480,9 +457,7 @@ def cmd_check_enc(args) -> int:
     checks.add("hull-contains-closure", report["hullContainsClosure"])
     checks.add("cones-preserved-on-samples", report["conesPreservedOnSamples"])
     checks.add("graph-extended-on-samples", report["graphExtendedOnSamples"])
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_check_ncs(args) -> int:
@@ -498,9 +473,7 @@ def cmd_check_ncs(args) -> int:
     checks = CheckSet()
     checks.add("partial-hull-collapse", report["collapse"])
     checks.add("restriction-biconditional", report["restrictionBiconditional"])
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def cmd_selftest(args) -> int:
@@ -514,9 +487,7 @@ def cmd_selftest(args) -> int:
     checks = CheckSet()
     for name, body in report.items():
         checks.add(name, body["ok"])
-    code = checks.finish(doc)
-    _emit(doc, args)
-    return code
+    return _finish(doc, checks, args)
 
 
 def _grid_fraction(raw: str) -> Fraction:

@@ -9,7 +9,6 @@ computation instead of a walk over row subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ScaleLimitError
 from .linalg import Vec, dot
@@ -17,7 +16,7 @@ from .lp import strict_system_feasible
 from .polyhedra import (
     PartiallyOpenPolyhedron,
     VRep,
-    h_to_v,
+    carrier_vrep,
     require_valid,
     system_of,
 )
@@ -41,18 +40,15 @@ def enumerate_faces(c: PartiallyOpenPolyhedron) -> tuple[Face, ...]:
     Capped at dimension 3: the count grows too fast beyond that for the
     exact arithmetic used here.
     """
-    require_valid(c)
+    record = require_valid(c)
     if c.dim > FACE_DIM_CAP:
         raise ScaleLimitError(
             f"face enumeration supports dimension <= {FACE_DIM_CAP}, got {c.dim}"
         )
-    return _faces_cached(c)
-
-
-@lru_cache(maxsize=None)
-def _faces_cached(c: PartiallyOpenPolyhedron) -> tuple[Face, ...]:
+    if record.faces is not None:
+        return record.faces
     rows = c.carrier.rows
-    gen = h_to_v(c.carrier)
+    gen = carrier_vrep(c)
     assert gen.vertices, "a valid set has a nonempty carrier"
 
     def tight(point: Vec, homogeneous: bool) -> frozenset[int]:
@@ -97,7 +93,8 @@ def _faces_cached(c: PartiallyOpenPolyhedron) -> tuple[Face, ...]:
             )
         )
     faces.sort(key=lambda f: (len(f.active), sorted(f.active)))
-    return tuple(faces)
+    record.faces = tuple(faces)
+    return record.faces
 
 
 def proper_faces(c: PartiallyOpenPolyhedron) -> tuple[Face, ...]:

@@ -16,7 +16,7 @@ from .errors import InputError
 from .faces import enumerate_faces
 from .linalg import Vec, dot, vec
 from .normal_cones import in_portable_hull, support_value
-from .polyhedra import EmptySet, PartiallyOpenPolyhedron, require_valid
+from .polyhedra import EmptySet, PartiallyOpenPolyhedron
 from .scalars import ExtValue, NEG_INF, POS_INF, fin, sup_ext
 
 
@@ -81,7 +81,6 @@ def normal_cone_fitzpatrick(
     if isinstance(c, EmptySet):
         vec_check(c.dim, x, xstar)
         return NEG_INF
-    require_valid(c)
     p, d = vec_check(c.dim, x, xstar)
     if not in_portable_hull(c, p):
         return POS_INF
@@ -100,7 +99,6 @@ def normal_cone_fitzpatrick_by_faces(
     if isinstance(c, EmptySet):
         vec_check(c.dim, x, xstar)
         return NEG_INF
-    require_valid(c)
     p, d = vec_check(c.dim, x, xstar)
     rows = c.carrier.rows
     best = NEG_INF

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError
 from .linalg import Vec, dot, vec
@@ -53,50 +52,51 @@ def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvalua
         if len(x) != c.dim:
             raise InputError(f"direction has dimension {len(x)}, expected {c.dim}")
         return SupportEvaluation(NEG_INF, False, None)
-    require_valid(c)
+    record = require_valid(c)
     x = vec(xstar)
     if len(x) != c.dim:
         raise InputError(f"direction has dimension {len(x)}, expected {c.dim}")
-    return _support_cached(c, x)
-
-
-@lru_cache(maxsize=None)
-def _support_cached(c: PartiallyOpenPolyhedron, xstar: Vec) -> SupportEvaluation:
-    out = solve_max(xstar, c.carrier.rows)
+    known = record.support.get(x)
+    if known is not None:
+        return known
+    out = solve_max(x, c.carrier.rows)
     if out.status == "unbounded":
-        return SupportEvaluation(POS_INF, False, None)
-    assert out.status == "optimal", "a valid set is nonempty"
-    level = out.value
-    face = system_of(c) + (
-        (xstar, level, False),
-        (tuple(-q for q in xstar), -level, False),
-    )
-    feasible, witness = strict_system_feasible(face)
-    return SupportEvaluation(fin(level), feasible, witness)
+        ev = SupportEvaluation(POS_INF, False, None)
+    else:
+        assert out.status == "optimal", "a valid set is nonempty"
+        level = out.value
+        face = system_of(c) + (
+            (x, level, False),
+            (tuple(-q for q in x), -level, False),
+        )
+        feasible, witness = strict_system_feasible(face)
+        ev = SupportEvaluation(fin(level), feasible, witness)
+    record.remember_support(x, ev)
+    return ev
 
 
 def supporting_rows(c: PartiallyOpenPolyhedron) -> tuple[int, ...]:
     """Indices of carrier rows whose hyperplane meets the set itself."""
-    require_valid(c)
-    return tuple(i for i, _ in _supporting_data(c))
+    return tuple(i for i, _ in _row_witnesses(c))
 
 
 def supporting_row_witnesses(c: PartiallyOpenPolyhedron) -> tuple[tuple[int, Vec], ...]:
     """(row index, point of the set on that row's hyperplane) pairs."""
-    require_valid(c)
-    return _supporting_data(c)
+    return _row_witnesses(c)
 
 
-@lru_cache(maxsize=None)
-def _supporting_data(c: PartiallyOpenPolyhedron) -> tuple[tuple[int, Vec], ...]:
-    base = system_of(c)
-    found = []
-    for i, (normal, offset) in enumerate(c.carrier.rows):
-        face = base + ((tuple(-q for q in normal), -offset, False),)
-        feasible, witness = strict_system_feasible(face)
-        if feasible:
-            found.append((i, witness))
-    return tuple(found)
+def _row_witnesses(c: PartiallyOpenPolyhedron) -> tuple[tuple[int, Vec], ...]:
+    record = require_valid(c)
+    if record.witnesses is None:
+        base = system_of(c)
+        found = []
+        for i, (normal, offset) in enumerate(c.carrier.rows):
+            face = base + ((tuple(-q for q in normal), -offset, False),)
+            feasible, witness = strict_system_feasible(face)
+            if feasible:
+                found.append((i, witness))
+        record.witnesses = tuple(found)
+    return record.witnesses
 
 
 def in_portable_hull(c: PartiallyOpenPolyhedron | EmptySet, x) -> bool:
@@ -109,12 +109,12 @@ def in_portable_hull(c: PartiallyOpenPolyhedron | EmptySet, x) -> bool:
         if len(p) != c.dim:
             raise InputError(f"point has dimension {len(p)}, expected {c.dim}")
         return True
-    require_valid(c)
+    supported = supporting_rows(c)
     p = vec(x)
     if len(p) != c.dim:
         raise InputError(f"point has dimension {len(p)}, expected {c.dim}")
     rows = c.carrier.rows
-    return all(dot(rows[i][0], p) <= rows[i][1] for i in supporting_rows(c))
+    return all(dot(rows[i][0], p) <= rows[i][1] for i in supported)
 
 
 def normal_cone_at(c: PartiallyOpenPolyhedron, x) -> GeneratedCone:

@@ -26,9 +26,8 @@ an exact nullspace/rowspace restriction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -54,6 +53,11 @@ from .lp import Feasibility, Row, StrictRow, closed_feasible, solve_max, strict_
 from .scalars import rat
 
 DEFAULT_SCALE_CAP = 6
+
+# Support values remembered per set; past the cap the oldest is dropped.  No
+# test or benchmark workload evicts: the most distinct duals any of them asks
+# of one set is 151 (the line-free support check), 26 in the report workload.
+SUPPORT_MEMO_CAP = 1024
 
 
 def scale_cap() -> int:
@@ -83,10 +87,44 @@ class EmptySet:
     dim: int = 1
 
 
+class SetRecord:
+    """Derived data of one set, each field filled on first use."""
+
+    __slots__ = ("validation", "witnesses", "vrep", "faces", "support", "__weakref__")
+
+    def __init__(self) -> None:
+        self.validation: Validation | None = None
+        self.witnesses: tuple | None = None
+        self.vrep: VRep | None = None
+        self.faces: tuple | None = None
+        self.support: dict = {}
+
+    def remember_support(self, xstar: Vec, evaluation) -> None:
+        if len(self.support) >= SUPPORT_MEMO_CAP:
+            del self.support[next(iter(self.support))]
+        self.support[xstar] = evaluation
+
+
 @dataclass(frozen=True, slots=True)
 class PartiallyOpenPolyhedron:
+    """A carrier with some rows made strict, plus its derived data.
+
+    ``_record`` holds what has been computed about this object: its
+    ``Validation``, supporting-row witnesses, the carrier's V-rep, the faces
+    and a support memo of at most ``SUPPORT_MEMO_CAP`` duals.  It takes no
+    part in ``==``, ``hash`` or ``repr``, and is freed with the set.  The two
+    routes to the coupling value stay independent by reading disjoint fields:
+    the face route (``enumerate_faces`` and its callers) reads only ``vrep``
+    and ``faces``; the closed-form route (``support_value``,
+    ``supporting_rows``, ``supporting_row_witnesses`` and their callers)
+    reads only ``support`` and ``witnesses``.
+    """
+
     carrier: ClosedPolyhedron
     strict_rows: frozenset[int]
+    _record: SetRecord = field(
+        default_factory=SetRecord, init=False, repr=False, compare=False, hash=False
+    )
 
     @property
     def dim(self) -> int:
@@ -119,11 +157,19 @@ def space(n: int) -> ClosedPolyhedron:
 
 
 def whole_set(n: int) -> PartiallyOpenPolyhedron:
-    return PartiallyOpenPolyhedron(space(n), frozenset())
+    return _known_valid(PartiallyOpenPolyhedron(space(n), frozenset()))
+
+
+def _known_valid(c: PartiallyOpenPolyhedron) -> PartiallyOpenPolyhedron:
+    c._record.validation = Validation(True, True)
+    return c
 
 
 def closed_as_set(p: ClosedPolyhedron) -> PartiallyOpenPolyhedron:
-    """Wrap a closed polyhedron as a partially open one with no strict rows."""
+    """Wrap a closed polyhedron as a partially open one with no strict rows.
+
+    The result is validated on its first use, like any set not built by
+    ``make_set``."""
     return PartiallyOpenPolyhedron(p, frozenset())
 
 
@@ -209,17 +255,27 @@ def _irredundant(rows: list[StrictRow]) -> tuple[list[StrictRow], list[Row]]:
     return survivors, dropped_strict
 
 
+def _canonical_rows(
+    dim: int, rows: Sequence[tuple[Sequence, object, bool]]
+) -> tuple[list[StrictRow], list[Row]] | None:
+    """Canonical carrier rows with their strict flags, plus the strict rows
+    that merging and redundancy removal dropped; ``None`` when empty."""
+    screened, ok = _screen_rows(dim, rows)
+    if not ok:
+        return None
+    merged, dropped_a = _merge_parallel(screened)
+    if not closed_feasible([(r[0], r[1]) for r in merged], dim).feasible:
+        return None
+    survivors, dropped_b = _irredundant(merged)
+    return survivors, dropped_a + dropped_b
+
+
 def canonicalize(dim: int, rows: Sequence[tuple[Sequence, object]]) -> ClosedPolyhedron | EmptySet:
     """Irredundant canonical form of a weak-row system, or ``EmptySet``."""
-    screened, ok = _screen_rows(dim, [(n, o, False) for n, o in rows])
-    if not ok:
+    got = _canonical_rows(dim, [(n, o, False) for n, o in rows])
+    if got is None:
         return EmptySet(dim)
-    merged, _ = _merge_parallel(screened)
-    closed = [(r[0], r[1]) for r in merged]
-    if not closed_feasible(closed, dim).feasible:
-        return EmptySet(dim)
-    survivors, _ = _irredundant(merged)
-    return ClosedPolyhedron(dim, tuple((r[0], r[1]) for r in survivors))
+    return ClosedPolyhedron(dim, tuple((r[0], r[1]) for r in got[0]))
 
 
 def make_set(
@@ -233,16 +289,12 @@ def make_set(
     still touches the carrier, the set cannot be written as carrier plus
     strict markings and ``InvalidSetError`` is raised.
     """
-    screened, ok = _screen_rows(dim, rows)
-    if not ok:
+    got = _canonical_rows(dim, rows)
+    if got is None:
         return EmptySet(dim)
-    merged, dropped_a = _merge_parallel(screened)
-    closed = [(r[0], r[1]) for r in merged]
-    if not closed_feasible(closed, dim).feasible:
-        return EmptySet(dim)
-    survivors, dropped_b = _irredundant(merged)
+    survivors, dropped = got
     carrier_rows = tuple((r[0], r[1]) for r in survivors)
-    for normal, offset in dropped_a + dropped_b:
+    for normal, offset in dropped:
         face = list(carrier_rows) + [(vneg(normal), -offset)]
         if closed_feasible(face, dim).feasible:
             raise InvalidSetError(
@@ -254,7 +306,9 @@ def make_set(
     if strict:
         if not strict_system_feasible(system_of(cand)).feasible:
             return EmptySet(dim)
-    return cand
+    # The carrier is feasible and irredundant, and the strict region is
+    # nonempty: exactly what ``validate`` would find again.
+    return _known_valid(cand)
 
 
 def validate(c: PartiallyOpenPolyhedron | EmptySet) -> Validation:
@@ -271,20 +325,22 @@ def validate(c: PartiallyOpenPolyhedron | EmptySet) -> Validation:
     return Validation(nonempty, nonempty and canonical)
 
 
-@lru_cache(maxsize=None)
-def _validated(c: PartiallyOpenPolyhedron) -> Validation:
-    return validate(c)
+def require_valid(c: PartiallyOpenPolyhedron | EmptySet) -> SetRecord | None:
+    """The set's record, once its stored validation passes.
 
-
-def require_valid(c: PartiallyOpenPolyhedron | EmptySet) -> None:
-    """Operations reject sets that fail validation."""
+    A set not built by ``make_set`` or ``whole_set`` is validated on first
+    use and the outcome is kept, so an invalid set raises on every use.
+    """
     if isinstance(c, EmptySet):
-        return
-    v = _validated(c)
-    if not (v.nonempty and v.closure_is_carrier):
+        return None
+    record = c._record
+    if record.validation is None:
+        record.validation = validate(c)
+    if not (record.validation.nonempty and record.validation.closure_is_carrier):
         raise InvalidSetError(
             "operation requires a validated set (nonempty, closure equal to carrier)"
         )
+    return record
 
 
 def closed_contains(p: ClosedPolyhedron, x: Sequence) -> bool:
@@ -474,6 +530,14 @@ def v_to_h(v: VRep, dim: int | None = None) -> ClosedPolyhedron | EmptySet:
             out_rows.append((a, beta))
             out_rows.append((vneg(a), -beta))
     return canonicalize(n, out_rows)
+
+
+def carrier_vrep(c: PartiallyOpenPolyhedron) -> VRep:
+    """Generators of the set's carrier, converted once per set."""
+    record = require_valid(c)
+    if record.vrep is None:
+        record.vrep = h_to_v(c.carrier)
+    return record.vrep
 
 
 def is_bounded(p: ClosedPolyhedron) -> bool:

@@ -97,7 +97,6 @@ def portable_hull(c: PartiallyOpenPolyhedron | EmptySet) -> ClosedPolyhedron:
     """Intersection of the supporting half-spaces, in canonical form."""
     if isinstance(c, EmptySet):
         return space(c.dim)
-    require_valid(c)
     rows = [c.carrier.rows[i] for i in supporting_rows(c)]
     out = canonicalize(c.dim, rows)
     assert isinstance(out, ClosedPolyhedron), "the hull contains the set"
@@ -108,7 +107,6 @@ def portable_hull_by_faces(c: PartiallyOpenPolyhedron | EmptySet) -> ClosedPolyh
     """Definitional route: keep rows active on some closed face meeting the set."""
     if isinstance(c, EmptySet):
         return space(c.dim)
-    require_valid(c)
     keep: set[int] = set()
     for face in enumerate_faces(c):
         if face.meets_set:
@@ -170,7 +168,6 @@ def nonsupporting_witness(
     Such a point lies in the hull but not in the set, so it certifies a
     portability failure; ``None`` means every row supports.
     """
-    require_valid(c)
     supported = set(supporting_rows(c))
     for i, (normal, offset) in enumerate(c.carrier.rows):
         if i in supported:
@@ -229,7 +226,6 @@ def portability_report(
     normal-cone graph are checked on a deterministic sample cloud that
     always includes a targeted witness when the set is not portable.
     """
-    require_valid(c)
     spec = spec or SampleSpec()
     hull = portable_hull(c)
     hull_adds_nothing = closed_subset_of(hull, c)
@@ -276,7 +272,6 @@ def hull_extension_report(
     c: PartiallyOpenPolyhedron, spec: SampleSpec | None = None
 ) -> dict:
     """How the portable hull extends the set while preserving its graph."""
-    require_valid(c)
     spec = spec or SampleSpec()
     hull = portable_hull(c)
     hull_set = closed_as_set(hull)
@@ -328,7 +323,6 @@ def partial_hull_report(
     trace iff the normal-cone graphs agree there, which is corroborated on
     samples and refuted constructively when the traces differ.
     """
-    require_valid(c)
     spec = spec or SampleSpec()
     partial = partial_portable_hull(c, s)
     pset = closed_as_set(partial)

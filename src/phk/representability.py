@@ -14,21 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, ScaleLimitError
 from .fitzpatrick import MonotoneGraph, graph, is_monotone, vec_check
 from .linalg import Vec, dot, rref, vec, vadd, smul, zero_vec
 from .lp import LPProblem, Row, lp_solve
 from .normal_cones import normal_cone_at, strictly_inside
 from .polyhedra import (
-    ClosedPolyhedron,
     EmptySet,
     PartiallyOpenPolyhedron,
     contains,
     require_valid,
 )
 from .portability import FinitePointSet, partial_portable_hull, point_set
-from .sampling import bounding_box, rational_grid
+from .sampling import bounding_box, grid_size, rational_grid
 from .scalars import ExtValue, POS_INF, fin
 
 
@@ -53,6 +53,11 @@ class SumMembership:
     cone_part: Vec | None
 
 
+# Largest (point, dual) grid product a probe may sweep.  Each pair costs one
+# exact LP, about a millisecond on a 2-vCPU VM, so a probe stays within minutes.
+PROBE_PAIR_CAP = 100_000
+
+
 @dataclass(frozen=True, slots=True)
 class GridSpec:
     step: Fraction = Fraction(1, 2)
@@ -68,22 +73,30 @@ class ProbeReport:
     pairs_checked: int
 
 
-def _simplex_rows(g: MonotoneGraph, x: Vec, xstar: Vec) -> list[Row]:
-    """Equality-as-two-inequalities encoding of barycentric representation."""
-    k = len(g.pairs)
+def _barycentric_rows(
+    pairs: Sequence[tuple[Vec, Vec]], extra: Sequence[Vec], x: Vec, xstar: Vec
+) -> list[Row]:
+    """Equality-as-two-inequalities encoding of barycentric representation.
+
+    Variables are one nonnegative weight per graph pair, summing to one and
+    reproducing (x, xstar), then one nonnegative multiplier per ``extra``
+    dual vector, which enters the dual side only.
+    """
+    total = len(pairs) + len(extra)
+    zeros = (Fraction(0),) * len(extra)
     rows: list[Row] = []
-    for j in range(k):
-        e = [Fraction(0)] * k
+    for j in range(total):
+        e = [Fraction(0)] * total
         e[j] = Fraction(-1)
         rows.append((tuple(e), Fraction(0)))
-    ones = tuple(Fraction(1) for _ in range(k))
+    ones = (Fraction(1),) * len(pairs) + zeros
     rows.append((ones, Fraction(1)))
     rows.append((tuple(-q for q in ones), Fraction(-1)))
-    for coord in range(g.dim):
-        a_row = tuple(a[coord] for a, _ in g.pairs)
+    for coord in range(len(x)):
+        a_row = tuple(a[coord] for a, _ in pairs) + zeros
         rows.append((a_row, x[coord]))
         rows.append((tuple(-q for q in a_row), -x[coord]))
-        d_row = tuple(astar[coord] for _, astar in g.pairs)
+        d_row = tuple(astar[coord] for _, astar in pairs) + tuple(v[coord] for v in extra)
         rows.append((d_row, xstar[coord]))
         rows.append((tuple(-q for q in d_row), -xstar[coord]))
     return rows
@@ -100,7 +113,7 @@ def rep_value(g: MonotoneGraph, x, xstar) -> PsiEvaluation:
         return PsiEvaluation(POS_INF, None, None)
     couplings = tuple(dot(a, astar) for a, astar in g.pairs)
     out = lp_solve(
-        LPProblem(tuple(-q for q in couplings), tuple(_simplex_rows(g, p, d)))
+        LPProblem(tuple(-q for q in couplings), tuple(_barycentric_rows(g.pairs, (), p, d)))
     )
     if out.status == "infeasible":
         return PsiEvaluation(POS_INF, None, None)
@@ -133,44 +146,6 @@ def graph_domain(g: MonotoneGraph) -> FinitePointSet:
     return point_set(g.dim, [a for a, _ in g.pairs])
 
 
-def _sum_program(
-    tc: MonotoneGraph, hull: ClosedPolyhedron, x: Vec, xstar: Vec
-) -> tuple[tuple[Fraction, ...], list[Row]]:
-    """Joint objective and rows for the operator-sum value.
-
-    Variables are the graph weights followed by one multiplier per hull
-    row; the multipliers price the half-space part at the shifted dual.
-    """
-    k = len(tc.pairs)
-    m = len(hull.rows)
-    total = k + m
-    costs = [dot(a, astar) for a, astar in tc.pairs]
-    costs += [offset for _, offset in hull.rows]
-    rows: list[Row] = []
-    for j in range(total):
-        e = [Fraction(0)] * total
-        e[j] = Fraction(-1)
-        rows.append((tuple(e), Fraction(0)))
-    ones = tuple(Fraction(1) if j < k else Fraction(0) for j in range(total))
-    rows.append((ones, Fraction(1)))
-    rows.append((tuple(-q for q in ones), Fraction(-1)))
-    for coord in range(tc.dim):
-        a_row = tuple(
-            tc.pairs[j][0][coord] if j < k else Fraction(0) for j in range(total)
-        )
-        rows.append((a_row, x[coord]))
-        rows.append((tuple(-q for q in a_row), -x[coord]))
-        d_row = tuple(
-            tc.pairs[j][1][coord]
-            if j < k
-            else hull.rows[j - k][0][coord]
-            for j in range(total)
-        )
-        rows.append((d_row, xstar[coord]))
-        rows.append((tuple(-q for q in d_row), -xstar[coord]))
-    return tuple(Fraction(-c) for c in costs), rows
-
-
 def rep_sum_value(
     t: MonotoneGraph, c: PartiallyOpenPolyhedron, x, xstar
 ) -> PsiEvaluation:
@@ -192,8 +167,11 @@ def rep_sum_value(
     if not tc.pairs:
         return PsiEvaluation(POS_INF, None, None)
     hull = partial_portable_hull(c, graph_domain(t))
-    objective, rows = _sum_program(tc, hull, p, d)
-    out = lp_solve(LPProblem(objective, tuple(rows)))
+    # Graph weights, then one multiplier per hull row pricing the half-space
+    # part at the shifted dual.
+    costs = [dot(a, astar) for a, astar in tc.pairs] + [o for _, o in hull.rows]
+    rows = _barycentric_rows(tc.pairs, [n for n, _ in hull.rows], p, d)
+    out = lp_solve(LPProblem(tuple(-q for q in costs), tuple(rows)))
     if out.status == "infeasible":
         return PsiEvaluation(POS_INF, None, None)
     assert out.status == "optimal", "the sum value is bounded below"
@@ -282,7 +260,6 @@ def sum_graph_membership(
     the restricted graph and a normal-cone part at x; a found split is
     re-verified exactly before being believed.
     """
-    require_valid(c)
     p, d = vec_check(c.dim, x, xstar)
     ev = rep_sum_value(t, c, p, d)
     lhs = ev.value.is_finite and ev.value.finite_value == dot(p, d)
@@ -294,42 +271,13 @@ def sum_graph_membership(
         tc = restrict_graph(t, c)
         gens = normal_cone_at(c, p).generators
         k = len(tc.pairs)
-        g = len(gens)
         if k:
-            total = k + g
             costs = [dot(a, astar) for a, astar in tc.pairs]
             prices = [dot(p, gen) for gen in gens]
-            rows: list[Row] = []
-            for j in range(total):
-                e = [Fraction(0)] * total
-                e[j] = Fraction(-1)
-                rows.append((tuple(e), Fraction(0)))
-            ones = tuple(
-                Fraction(1) if j < k else Fraction(0) for j in range(total)
-            )
-            rows.append((ones, Fraction(1)))
-            rows.append((tuple(-q for q in ones), Fraction(-1)))
-            for coord in range(c.dim):
-                a_row = tuple(
-                    tc.pairs[j][0][coord] if j < k else Fraction(0)
-                    for j in range(total)
-                )
-                rows.append((a_row, p[coord]))
-                rows.append((tuple(-q for q in a_row), -p[coord]))
-                d_row = tuple(
-                    tc.pairs[j][1][coord]
-                    if j < k
-                    else gens[j - k][coord]
-                    for j in range(total)
-                )
-                rows.append((d_row, d[coord]))
-                rows.append((tuple(-q for q in d_row), -d[coord]))
-            price_row = tuple(
-                costs[j] if j < k else prices[j - k] for j in range(total)
-            )
-            rows.append((price_row, dot(p, d)))
+            rows = _barycentric_rows(tc.pairs, gens, p, d)
+            rows.append((tuple(costs + prices), dot(p, d)))
             got = lp_solve(
-                LPProblem(tuple(Fraction(0) for _ in range(total)), tuple(rows))
+                LPProblem((Fraction(0),) * (k + len(gens)), tuple(rows))
             )
             if got.status == "optimal":
                 weights = got.primal
@@ -365,7 +313,8 @@ def representability_probe(
 
     Refuses non-monotone input.  Every restricted graph pair must attain
     equality; a non-pair grid point attaining it falsifies the candidate,
-    and a clean sweep is reported as verified on this grid only.
+    and a clean sweep is reported as verified on this grid only.  Grids
+    whose product exceeds ``PROBE_PAIR_CAP`` are refused before any work.
     """
     require_valid(c)
     if t.dim != c.dim:
@@ -373,6 +322,15 @@ def representability_probe(
     grid = grid or GridSpec()
     if not is_monotone(t):
         return ProbeReport("refused-not-monotone", None, 0, 0, 0)
+    lo, hi = bounding_box(c, margin=Fraction(0))
+    half = Fraction(grid.halfwidth)
+    dlo = tuple(-half for _ in range(c.dim))
+    dhi = tuple(half for _ in range(c.dim))
+    size = grid_size(lo, hi, grid.step) * grid_size(dlo, dhi, grid.step)
+    if size > PROBE_PAIR_CAP:
+        raise ScaleLimitError(
+            f"grid probe would check {size} pairs, above the cap of {PROBE_PAIR_CAP}"
+        )
     tc = restrict_graph(t, c)
     pairs = set(tc.pairs)
     checked = 0
@@ -381,11 +339,7 @@ def representability_probe(
         if not rep_equality(tc, a, astar):
             return ProbeReport("falsified", (a, astar), 0, 0, checked)
 
-    lo, hi = bounding_box(c, margin=Fraction(0))
     xs = [q for q in rational_grid(lo, hi, grid.step) if contains(c, q)]
-    half = Fraction(grid.halfwidth)
-    dlo = tuple(-half for _ in range(c.dim))
-    dhi = tuple(half for _ in range(c.dim))
     ds = rational_grid(dlo, dhi, grid.step)
     for xg in xs:
         for dg in ds:

@@ -17,9 +17,8 @@ from .linalg import Vec, dot, unit_vec, vadd, vsub, smul, zero_vec
 from .polyhedra import (
     PartiallyOpenPolyhedron,
     VRep,
+    carrier_vrep,
     contains,
-    h_to_v,
-    require_valid,
 )
 
 
@@ -49,7 +48,7 @@ def _dedupe(points: list[Vec]) -> list[Vec]:
 
 def _carrier_geometry(c: PartiallyOpenPolyhedron) -> VRep:
     try:
-        return h_to_v(c.carrier)
+        return carrier_vrep(c)
     except ScaleLimitError:
         return VRep((), (), ())
 
@@ -63,7 +62,6 @@ def _inner_point(c: PartiallyOpenPolyhedron) -> Vec:
 def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Deterministic points of the set: a witness, surviving vertices and
     midpoints, then seeded convex combinations (plus recession pokes)."""
-    require_valid(c)
     rng = _rng(spec, "in")
     inner = _inner_point(c)
     geo = _carrier_geometry(c)
@@ -95,7 +93,6 @@ def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
 
 def cloud_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Points in and around the set, membership not guaranteed."""
-    require_valid(c)
     rng = _rng(spec, "cloud")
     geo = _carrier_geometry(c)
     inner = _inner_point(c)
@@ -133,7 +130,6 @@ def graph_pairs(
     """Pairs (x, x*) with x in the set and x* in the cone of active normals."""
     from .normal_cones import normal_cone_at
 
-    require_valid(c)
     rng = _rng(spec, "pairs")
     # Both knobs scale with the requested count so that asking for more
     # samples keeps producing new pairs even when the set has few distinct
@@ -160,7 +156,6 @@ def boundary_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     from .faces import FACE_DIM_CAP, enumerate_faces
     from .normal_cones import supporting_row_witnesses
 
-    require_valid(c)
     rng = _rng(spec, "boundary")
     out: list[Vec] = [w for _, w in supporting_row_witnesses(c)]
     if c.dim <= FACE_DIM_CAP:
@@ -178,6 +173,14 @@ def boundary_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
                 t = Fraction(rng.randint(1, 3), 4)
                 out.append(vadd(smul(1 - t, a), smul(t, b)))
     return _dedupe(out)
+
+
+def grid_size(lo: Vec, hi: Vec, step: Fraction) -> int:
+    """Number of points ``rational_grid`` builds for the box, without building it."""
+    size = 1
+    for a, b in zip(lo, hi):
+        size *= (b - a) // step + 1 if a <= b else 0
+    return size
 
 
 def rational_grid(lo: Vec, hi: Vec, step: Fraction) -> list[Vec]:

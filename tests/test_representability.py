@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from phk.corpus import sum_instances
-from phk.errors import InputError
+from phk import representability
+from phk.errors import InputError, ScaleLimitError
 from phk.fitzpatrick import graph
 from phk.polyhedra import EmptySet, cone_contains, make_set
 from phk.representability import (
@@ -23,6 +24,7 @@ from phk.representability import (
     sum_graph_membership,
 )
 from phk.normal_cones import normal_cone_at
+from phk.sampling import grid_size, rational_grid
 from phk.scalars import POS_INF, fin
 
 F = Fraction
@@ -198,3 +200,26 @@ class TestProbe:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             representability_probe(staircase(), make_set(2, []))
+
+    def test_grid_size_counts_without_building(self):
+        boxes = [
+            ((F(0),), (F(1),), F(1, 2)),
+            ((F(-2), F(0)), (F(2), F(1, 3)), F(1, 3)),
+            ((F(0), F(1)), (F(1), F(0)), F(1)),
+            ((F(-1, 2),) * 3, (F(1),) * 3, F(2, 5)),
+        ]
+        for lo, hi, step in boxes:
+            assert grid_size(lo, hi, step) == len(rational_grid(lo, hi, step))
+
+    def test_oversized_grid_is_refused_before_it_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(representability, "rational_grid", refuse)
+        square = make_set(
+            2, [((1, 0), 1, False), ((0, 1), 1, False), ((-1, 0), 0, False), ((0, -1), 0, False)]
+        )
+        gradient = graph(2, [((0, 0), (0, 0)), ((1, 0), (2, 1)), ((0, 1), (1, 2))])
+        # 1001^2 grid points times 4001^2 duals at halfwidth 2.
+        with pytest.raises(ScaleLimitError, match="16040033010001"):
+            representability_probe(gradient, square, GridSpec(step=F(1, 1000)))

@@ -331,6 +331,23 @@ class TestCli:
         assert code == 1
         assert "dimension" in err
 
+    def test_oversized_grid_exits_one(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sum-check",
+            str(FIXTURES / "gradient_graph_2d.json"),
+            str(FIXTURES / "plane.json"),
+            "--point",
+            '["0","0"]',
+            "--dual",
+            '["0","0"]',
+            "--grid",
+            "1/1000",
+        )
+        assert code == 1
+        assert out == ""
+        assert "grid probe would check 16008001 pairs" in err
+
     def test_empty_set_behaviors(self, capsys):
         code, out, _ = run_cli(capsys, "hull", str(FIXTURES / "empty.json"))
         assert code == 0

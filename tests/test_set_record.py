@@ -1,0 +1,171 @@
+"""The per-set record: validation once, derived data on the set, bounded memo."""
+from __future__ import annotations
+
+import gc
+import json
+import weakref
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from phk import polyhedra
+from phk.corpus import (
+    line_free_closed_sets,
+    partially_open_sets,
+    probe_polyhedra,
+    random_polytopes,
+    sum_instances,
+)
+from phk.errors import InvalidSetError
+from phk.fitzpatrick import normal_cone_fitzpatrick, normal_cone_fitzpatrick_by_faces
+from phk.normal_cones import support_value
+from phk.polyhedra import (
+    SUPPORT_MEMO_CAP,
+    ClosedPolyhedron,
+    PartiallyOpenPolyhedron,
+    closed_as_set,
+    make_set,
+    validate,
+    whole_set,
+)
+from phk.portability import portability_report, portable_hull, portable_hull_by_faces
+from phk.sampling import SampleSpec, dual_vectors, graph_pairs
+from phk.scalars import POS_INF
+from phk.serialize import parse_set
+
+F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def corpus_sets():
+    out = list(random_polytopes(12, seed=301))
+    out += partially_open_sets(12, seed=211)
+    out += partially_open_sets(6, seed=307, force_strict=True)
+    out += line_free_closed_sets(12, seed=601)
+    out += probe_polyhedra(6, seed=17)
+    out += [c for _, c in sum_instances(4, seed=37)]
+    return out
+
+
+def fixture_sets():
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        obj = json.loads(path.read_text())
+        if "pairs" in obj or "points" in obj:
+            continue
+        got = parse_set(obj)
+        if isinstance(got, PartiallyOpenPolyhedron):
+            out.append(got)
+    return out
+
+
+def fresh(c: PartiallyOpenPolyhedron) -> PartiallyOpenPolyhedron:
+    """An equal set with an empty record."""
+    return PartiallyOpenPolyhedron(c.carrier, c.strict_rows)
+
+
+def empty_carrier() -> PartiallyOpenPolyhedron:
+    # x >= 0 and x <= -1: no point at all.
+    rows = (((F(-1),), F(0)), ((F(1),), F(-1)))
+    return PartiallyOpenPolyhedron(ClosedPolyhedron(1, rows), frozenset())
+
+
+def test_constructed_sets_pass_validation():
+    sets = corpus_sets() + fixture_sets() + [whole_set(n) for n in (1, 2, 3)]
+    assert len(sets) > 60
+    for c in sets:
+        assert c._record.validation is not None, c
+        v = validate(c)
+        assert v.nonempty and v.closure_is_carrier, c
+
+
+def test_constructed_sets_are_never_revalidated(monkeypatch):
+    sets = random_polytopes(3, seed=5) + partially_open_sets(3, seed=5, force_strict=True)
+
+    def refuse(c):
+        raise AssertionError("validate ran on a set make_set built")
+
+    monkeypatch.setattr(polyhedra, "validate", refuse)
+    for c in sets:
+        portability_report(c, SampleSpec(seed=1, count=4))
+
+
+def test_hand_built_set_is_validated_once(monkeypatch):
+    c = closed_as_set(ClosedPolyhedron(1, (((F(-1),), F(0)), ((F(1),), F(1)))))
+    calls = []
+    real = polyhedra.validate
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(polyhedra, "validate", counting)
+    assert support_value(c, (F(1),)).value.finite_value == 1
+    assert portable_hull(c) == c.carrier
+    assert len(calls) == 1
+
+
+def test_invalid_hand_built_set_raises_on_every_use():
+    c = empty_carrier()
+    for _ in range(2):
+        with pytest.raises(InvalidSetError):
+            support_value(c, (F(1),))
+        with pytest.raises(InvalidSetError):
+            portable_hull(c)
+    assert c._record.validation == polyhedra.Validation(False, False)
+
+
+def test_record_is_not_part_of_the_value():
+    c = make_set(1, [((-1,), 0, True), ((1,), 1, False)])
+    support_value(c, (F(1),))
+    other = fresh(c)
+    assert c._record.support and not other._record.support
+    assert c == other and hash(c) == hash(other)
+    assert repr(c) == repr(other) and "_record" not in repr(c)
+
+
+def test_support_memo_is_bounded():
+    c = make_set(1, [((-1,), 0, False)])  # x >= 0: one LP per positive dual
+    seen = 0
+    for k in range(1, 20001):
+        ev = support_value(c, (F(k, 3),))
+        seen = max(seen, len(c._record.support))
+        assert ev.value == POS_INF
+    assert seen == SUPPORT_MEMO_CAP
+    assert len(c._record.support) <= SUPPORT_MEMO_CAP
+    # The newest dual is kept, the oldest dropped.
+    assert (F(20000, 3),) in c._record.support
+    assert (F(1, 3),) not in c._record.support
+
+
+def test_dropped_set_frees_its_record():
+    c = make_set(2, [((1, 0), 1, True), ((0, 1), 1, False), ((-1, -1), 0, False)])
+    portability_report(c, SampleSpec(seed=2, count=4))
+    portable_hull_by_faces(c)
+    record = weakref.ref(c._record)
+    assert record().support and record().faces and record().vrep
+    del c
+    gc.collect()
+    assert record() is None
+
+
+def test_routes_agree_on_fresh_sets():
+    sets = partially_open_sets(8, seed=211) + random_polytopes(4, seed=301)
+    spec = SampleSpec(seed=3, count=6)
+    for c in sets:
+        points = [x for x, _ in graph_pairs(c, spec)]
+        pairs = graph_pairs(c, spec) + [
+            (x, d) for x in points[:3] for d in dual_vectors(c.dim, c, spec)[:6]
+        ]
+        closed_form, by_faces = fresh(c), fresh(c)
+        for x, xstar in pairs:
+            assert normal_cone_fitzpatrick(closed_form, x, xstar) == (
+                normal_cone_fitzpatrick_by_faces(by_faces, x, xstar)
+            ), (c, x, xstar)
+        assert portable_hull(closed_form) == portable_hull_by_faces(by_faces)
+        # Each route filled only its own fields of the record.
+        assert closed_form._record.support and closed_form._record.witnesses is not None
+        assert closed_form._record.faces is None and closed_form._record.vrep is None
+        assert by_faces._record.faces and by_faces._record.vrep is not None
+        assert by_faces._record.support == {} and by_faces._record.witnesses is None
