@@ -6,13 +6,19 @@ single JSON document: ``{"verb", "inputs", "result", "witnesses",
 verified during the run; a falsified identity moves to
 ``witnesses.falsified`` and flips the exit code to 2.  Input problems exit
 with 1.  Identical inputs and options produce byte-identical output.
+
+Each verb is one ``Verb`` entry of ``VERBS``: its inputs, in load order, and
+the function computing its result.  ``cmd_verb`` runs any of them and
+``build_parser`` reads the same table.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import InputError
 from .faces import FACE_DIM_CAP
@@ -33,6 +39,7 @@ from .normal_cones import (
 )
 from .polyhedra import (
     EmptySet,
+    _canonical_as_set,
     closed_as_set,
     closed_subset_of,
     cone_contains,
@@ -55,7 +62,6 @@ from .portability import (
 from .representability import (
     GridSpec,
     rep_value,
-    rep_sum_value,
     rep_sum_value_by_enumeration,
     representability_probe,
     sum_graph_membership,
@@ -65,9 +71,6 @@ from .scalars import POS_INF, fin, rat
 from .selftest import run_selftest
 from .serialize import (
     dumps,
-    fmt_closed,
-    fmt_set,
-    fmt_vector,
     jsonable,
     parse_graph,
     parse_points,
@@ -106,66 +109,59 @@ def _load(path: str):
         ) from exc
 
 
-def _load_set(path: str):
-    return parse_set(_load(path))
-
-
-def _load_probe(path: str):
-    obj = _load(path)
-    if isinstance(obj, dict) and "points" in obj:
-        return parse_points(obj)
-    return parse_set(obj)
-
-
-def _nonempty(c, what: str):
-    if isinstance(c, EmptySet):
-        raise InputError(f"{what} must not be the empty set")
-    return c
-
-
-def _point_arg(raw: str, dim: int, what: str):
-    try:
-        values = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{what} must be a JSON vector: {exc.msg}") from exc
-    return parse_vector(values, dim)
+def _parse(name: str, raw, inputs: dict):
+    """One verb input, parsed from its argument; ``inputs`` holds the ones
+    read before it, whose set (else graph) fixes a vector's dimension."""
+    if name in ("point", "dual"):
+        try:
+            values = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"--{name} must be a JSON vector: {exc.msg}") from exc
+        return parse_vector(values, inputs.get("set", inputs.get("graph")).dim)
+    if name == "set":
+        return parse_set(_load(raw))
+    if name == "graph":
+        return parse_graph(_load(raw))
+    if name == "probe":
+        obj = _load(raw)
+        if isinstance(obj, dict) and "points" in obj:
+            return parse_points(obj)
+        return parse_set(obj)
+    return raw
 
 
 def _spec(args) -> SampleSpec:
     return SampleSpec(seed=args.seed, count=args.samples)
 
 
-def _finish(doc: dict, checks: CheckSet, args) -> int:
-    """Record the checks in the document, write it out, return the exit code."""
-    code = checks.finish(doc)
-    text = dumps(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+def _conditions(report) -> set[bool]:
+    """The distinct verdicts of the four portability conditions."""
+    return {
+        report.maximal_on_samples,
+        report.coupling_identity_on_samples,
+        report.hull_adds_nothing,
+        report.hull_equals_carrier,
+    }
 
 
-def cmd_hull(args) -> int:
-    c = _load_set(args.set)
-    doc = {"verb": "hull", "inputs": {"set": fmt_set(c)}, "witnesses": {}}
-    checks = CheckSet()
+# Each compute function takes the parsed inputs, the parsed arguments and the
+# ``CheckSet`` to fill, and returns the document's result and witnesses.
+
+
+def _hull(inputs, args, checks):
+    c = inputs["set"]
     hull = portable_hull(c)
-    doc["result"] = fmt_closed(hull)
     if isinstance(c, EmptySet):
         checks.add("empty-set-hull-is-space", hull == space(c.dim))
-        return _finish(doc, checks, args)
-    doc["witnesses"] = {
+        return hull, {}
+    witnesses = {
         "supportingRows": list(supporting_rows(c)),
         "supportPoints": [
-            {"row": i, "point": fmt_vector(w)} for i, w in supporting_row_witnesses(c)
+            {"row": i, "point": w} for i, w in supporting_row_witnesses(c)
         ],
     }
-    checks.add(
-        "hull-contains-closure", closed_subset_of(c.carrier, closed_as_set(hull))
-    )
-    hull_set = closed_as_set(hull)
+    hull_set = _canonical_as_set(hull)
+    checks.add("hull-contains-closure", closed_subset_of(c.carrier, hull_set))
     again = portable_hull(hull_set)
     checks.add(
         "hull-idempotent",
@@ -179,87 +175,43 @@ def cmd_hull(args) -> int:
             closed_subset_of(other, hull_set)
             and closed_subset_of(hull, closed_as_set(other)),
         )
-    return _finish(doc, checks, args)
+    return hull, witnesses
 
 
-def cmd_partial_hull(args) -> int:
-    c = _nonempty(_load_set(args.set), "the base set")
-    s = _load_probe(args.probe)
-    doc = {
-        "verb": "partial-hull",
-        "inputs": {"probe": jsonable(s), "set": fmt_set(c)},
-        "witnesses": {"keptRows": list(partial_supporting_rows(c, s))},
-    }
-    checks = CheckSet()
+def _partial_hull(inputs, args, checks):
+    c, s = inputs["set"], inputs["probe"]
+    witnesses = {"keptRows": list(partial_supporting_rows(c, s))}
     hull = portable_hull(c)
     report = partial_hull_report(c, s, _spec(args))
     partial = report["partialHull"]
-    doc["result"] = fmt_closed(partial)
     checks.add("contains-full-hull", closed_subset_of(hull, closed_as_set(partial)))
     checks.add("partial-hull-collapse", report["collapse"])
     checks.add("restriction-biconditional", report["restrictionBiconditional"])
-    return _finish(doc, checks, args)
+    return partial, witnesses
 
 
-def cmd_portable(args) -> int:
-    c = _load_set(args.set)
-    doc = {"verb": "portable", "inputs": {"set": fmt_set(c)}, "witnesses": {}}
-    checks = CheckSet()
+def _portable(inputs, args, checks):
+    c = inputs["set"]
     verdict = is_portable(c)
-    doc["result"] = verdict
     if isinstance(c, EmptySet):
         checks.add("empty-set-not-portable", verdict is False)
-    else:
-        report = portability_report(c, _spec(args))
-        agree = (
-            report.maximal_on_samples
-            == report.coupling_identity_on_samples
-            == report.hull_adds_nothing
-            == report.hull_equals_carrier
-            == verdict
-        )
-        checks.add("four-conditions-agree", agree)
-        if report.failure_pair is not None:
-            doc["witnesses"]["failurePair"] = jsonable(report.failure_pair)
-    return _finish(doc, checks, args)
-
-
-def cmd_report(args) -> int:
-    c = _nonempty(_load_set(args.set), "the set")
+        return verdict, {}
     report = portability_report(c, _spec(args))
-    doc = {
-        "verb": "report",
-        "inputs": {"set": fmt_set(c)},
-        "result": jsonable(report),
-        "witnesses": {},
-    }
-    checks = CheckSet()
-    checks.add(
-        "four-conditions-agree",
-        report.maximal_on_samples
-        == report.coupling_identity_on_samples
-        == report.hull_adds_nothing
-        == report.hull_equals_carrier,
-    )
-    return _finish(doc, checks, args)
+    checks.add("four-conditions-agree", _conditions(report) == {verdict})
+    if report.failure_pair is None:
+        return verdict, {}
+    return verdict, {"failurePair": report.failure_pair}
 
 
-def cmd_phi(args) -> int:
-    c = _load_set(args.set)
-    x = _point_arg(args.point, c.dim, "--point")
-    xstar = _point_arg(args.dual, c.dim, "--dual")
+def _report(inputs, args, checks):
+    report = portability_report(inputs["set"], _spec(args))
+    checks.add("four-conditions-agree", len(_conditions(report)) == 1)
+    return report, {}
+
+
+def _phi(inputs, args, checks):
+    c, x, xstar = inputs["set"], inputs["point"], inputs["dual"]
     value = normal_cone_fitzpatrick(c, x, xstar)
-    doc = {
-        "verb": "phi",
-        "inputs": {
-            "dual": fmt_vector(xstar),
-            "point": fmt_vector(x),
-            "set": fmt_set(c),
-        },
-        "result": {"value": str(value)},
-        "witnesses": {},
-    }
-    checks = CheckSet()
     if not isinstance(c, EmptySet):
         if c.dim <= FACE_DIM_CAP:
             checks.add(
@@ -270,46 +222,31 @@ def cmd_phi(args) -> int:
         at_zero = normal_cone_fitzpatrick(c, x, zero)
         expected = fin(Fraction(0)) if in_portable_hull(c, x) else POS_INF
         checks.add("zero-dual-is-hull-indicator", at_zero == expected)
-    return _finish(doc, checks, args)
+    return {"value": value}, {}
 
 
-def cmd_separate(args) -> int:
-    c = _nonempty(_load_set(args.set), "the set")
-    x = _point_arg(args.point, c.dim, "--point")
+def _separate(inputs, args, checks):
+    c, x = inputs["set"], inputs["point"]
     cert = separation_certificate(c, x)
-    doc = {
-        "verb": "separate",
-        "inputs": {"point": fmt_vector(x), "set": fmt_set(c)},
-        "witnesses": {},
-    }
-    checks = CheckSet()
     inside_hull = in_portable_hull(c, x)
     if cert is None:
-        doc["result"] = {"inPortableHull": True, "separating": False}
+        result = {"inPortableHull": True, "separating": False}
     else:
-        doc["result"] = {
+        result = {
             "inPortableHull": False,
-            "margin": str(cert.margin),
-            "normal": fmt_vector(cert.normal),
+            "margin": cert.margin,
+            "normal": cert.normal,
             "separating": True,
-            "supportPoint": fmt_vector(cert.support_point),
+            "supportPoint": cert.support_point,
         }
         checks.add("certificate-reverifies", verify_certificate(c, x, cert))
     checks.add("separation-iff-outside-hull", (cert is None) == inside_hull)
-    return _finish(doc, checks, args)
+    return result, {}
 
 
-def cmd_normal_cone(args) -> int:
-    c = _nonempty(_load_set(args.set), "the set")
-    x = _point_arg(args.point, c.dim, "--point")
+def _normal_cone(inputs, args, checks):
+    c, x = inputs["set"], inputs["point"]
     k = normal_cone_at(c, x)
-    doc = {
-        "verb": "normal-cone",
-        "inputs": {"point": fmt_vector(x), "set": fmt_set(c)},
-        "result": jsonable(k),
-        "witnesses": {},
-    }
-    checks = CheckSet()
     checks.add(
         "generators-attain-support",
         all(in_normal_cone(c, x, g) for g in k.generators),
@@ -318,20 +255,12 @@ def cmd_normal_cone(args) -> int:
         "generators-in-dual-range",
         all(in_range(c, g).member for g in k.generators),
     )
-    return _finish(doc, checks, args)
+    return k, {}
 
 
-def cmd_sigma(args) -> int:
-    c = _load_set(args.set)
-    xstar = _point_arg(args.dual, c.dim, "--dual")
+def _sigma(inputs, args, checks):
+    c, xstar = inputs["set"], inputs["dual"]
     ev = support_value(c, xstar)
-    doc = {
-        "verb": "sigma",
-        "inputs": {"dual": fmt_vector(xstar), "set": fmt_set(c)},
-        "result": jsonable(ev),
-        "witnesses": {},
-    }
-    checks = CheckSet()
     if ev.attained_in_set:
         ok = (
             ev.value.is_finite
@@ -341,25 +270,12 @@ def cmd_sigma(args) -> int:
         checks.add("witness-attains", ok)
     doubled = support_value(c, tuple(2 * q for q in xstar))
     checks.add("positive-homogeneity", doubled.value == ev.value.scale(Fraction(2)))
-    return _finish(doc, checks, args)
+    return ev, {}
 
 
-def cmd_psi(args) -> int:
-    g = parse_graph(_load(args.graph))
-    x = _point_arg(args.point, g.dim, "--point")
-    xstar = _point_arg(args.dual, g.dim, "--dual")
+def _psi(inputs, args, checks):
+    g, x, xstar = inputs["graph"], inputs["point"], inputs["dual"]
     ev = rep_value(g, x, xstar)
-    doc = {
-        "verb": "psi",
-        "inputs": {
-            "dual": fmt_vector(xstar),
-            "graph": jsonable(g),
-            "point": fmt_vector(x),
-        },
-        "result": jsonable(ev),
-        "witnesses": {},
-    }
-    checks = CheckSet()
     if ev.value.is_finite:
         lam = ev.coefficients
         xs = tuple(
@@ -376,27 +292,12 @@ def cmd_psi(args) -> int:
         )
     if is_monotone(g):
         checks.add("dominates-coupling-when-monotone", ev.value >= fin(dot(x, xstar)))
-    return _finish(doc, checks, args)
+    return ev, {}
 
 
-def cmd_sum_check(args) -> int:
-    t = parse_graph(_load(args.graph))
-    c = _nonempty(_load_set(args.set), "the set")
-    x = _point_arg(args.point, c.dim, "--point")
-    xstar = _point_arg(args.dual, c.dim, "--dual")
+def _sum_check(inputs, args, checks):
+    t, c, x, xstar = (inputs[k] for k in ("graph", "set", "point", "dual"))
     m = sum_graph_membership(t, c, x, xstar)
-    doc = {
-        "verb": "sum-check",
-        "inputs": {
-            "dual": fmt_vector(xstar),
-            "graph": jsonable(t),
-            "point": fmt_vector(x),
-            "set": fmt_set(c),
-        },
-        "result": jsonable(m),
-        "witnesses": {},
-    }
-    checks = CheckSet()
     checks.add("membership-two-routes-agree", m.agrees)
     enum_value = rep_sum_value_by_enumeration(t, c, x, xstar)
     checks.add("joint-lp-matches-enumeration", m.value == enum_value)
@@ -405,89 +306,158 @@ def cmd_sum_check(args) -> int:
             "decomposition-in-normal-cone",
             cone_contains(normal_cone_at(c, x), m.cone_part),
         )
-    if args.grid is not None:
-        probe = representability_probe(t, c, GridSpec(step=args.grid))
-        doc["witnesses"]["probe"] = jsonable(probe)
-        checks.add("probe-did-not-falsify", probe.verdict != "falsified")
-    return _finish(doc, checks, args)
+    if args.grid is None:
+        return m, {}
+    probe = representability_probe(t, c, GridSpec(step=args.grid))
+    checks.add("probe-did-not-falsify", probe.verdict != "falsified")
+    return m, {"probe": probe}
 
 
-def cmd_probe_bp(args) -> int:
-    c = _nonempty(_load_set(args.set), "the set")
-    report = boundary_support_report(c, _spec(args))
-    doc = {
-        "verb": "probe-bp",
-        "inputs": {"set": fmt_set(c)},
-        "result": jsonable(report),
-        "witnesses": {},
-    }
-    checks = CheckSet()
-    checks.add("boundary-points-are-support-points", report["ok"])
-    return _finish(doc, checks, args)
+def _checked_report(report: Callable, verdicts: dict[str, str]) -> Callable:
+    """Compute function of a verb whose result is one report dict: each
+    named check takes the verdict stored under its key."""
+
+    def compute(inputs, args, checks):
+        out = report(*inputs.values(), _spec(args))
+        for name, key in verdicts.items():
+            checks.add(name, out[key])
+        return out, {}
+
+    return compute
 
 
-def cmd_check_thm7(args) -> int:
-    c = _nonempty(_load_set(args.set), "the set")
-    report = line_free_report(c, _spec(args))
-    doc = {
-        "verb": "check-thm7",
-        "inputs": {"set": fmt_set(c)},
-        "result": jsonable(report),
-        "witnesses": {},
-    }
-    checks = CheckSet()
-    checks.add("line-free-implies-portable", report["lineFreeImpliesPortable"])
-    checks.add("support-domain-matches-range", report["domainMatchesRange"])
-    checks.add("bounded-attains-every-dual", report["boundedAttainsAll"])
-    return _finish(doc, checks, args)
-
-
-def cmd_check_enc(args) -> int:
-    c = _nonempty(_load_set(args.set), "the set")
-    report = hull_extension_report(c, _spec(args))
-    doc = {
-        "verb": "check-enc",
-        "inputs": {"set": fmt_set(c)},
-        "result": jsonable(report),
-        "witnesses": {},
-    }
-    checks = CheckSet()
-    checks.add("hull-idempotent", report["idempotent"])
-    checks.add("hull-portable", report["hullPortable"])
-    checks.add("hull-contains-closure", report["hullContainsClosure"])
-    checks.add("cones-preserved-on-samples", report["conesPreservedOnSamples"])
-    checks.add("graph-extended-on-samples", report["graphExtendedOnSamples"])
-    return _finish(doc, checks, args)
-
-
-def cmd_check_ncs(args) -> int:
-    c = _nonempty(_load_set(args.set), "the set")
-    s = _load_probe(args.probe)
-    report = partial_hull_report(c, s, _spec(args))
-    doc = {
-        "verb": "check-ncs",
-        "inputs": {"probe": jsonable(s), "set": fmt_set(c)},
-        "result": jsonable(report),
-        "witnesses": {},
-    }
-    checks = CheckSet()
-    checks.add("partial-hull-collapse", report["collapse"])
-    checks.add("restriction-biconditional", report["restrictionBiconditional"])
-    return _finish(doc, checks, args)
-
-
-def cmd_selftest(args) -> int:
-    ok, report = run_selftest(seed=args.seed, samples=args.samples)
-    doc = {
-        "verb": "selftest",
-        "inputs": {"samples": args.samples, "seed": args.seed},
-        "result": jsonable(report),
-        "witnesses": {},
-    }
-    checks = CheckSet()
+def _selftest(inputs, args, checks):
+    _, report = run_selftest(seed=inputs["seed"], samples=inputs["samples"])
     for name, body in report.items():
         checks.add(name, body["ok"])
-    return _finish(doc, checks, args)
+    return report, {}
+
+
+@dataclass(frozen=True)
+class Verb:
+    """One CLI verb.
+
+    ``inputs`` are parsed in this order and echoed under ``"inputs"``;
+    ``options`` are further arguments the compute function reads.  A verb
+    with ``refuses_empty`` set refuses an empty ``set`` input, naming it so.
+    """
+
+    help: str
+    compute: Callable
+    inputs: tuple[str, ...]
+    refuses_empty: str | None = None
+    options: tuple[str, ...] = ()
+
+
+# The report functions are called through their module globals, so a wrapper
+# installed on them after import (tracing) sees these calls too.
+VERBS = {
+    "hull": Verb("portable hull of a set", _hull, ("set",)),
+    "partial-hull": Verb(
+        "hull restricted to a probe set", _partial_hull, ("set", "probe"), "the base set"
+    ),
+    "portable": Verb("is the set portable?", _portable, ("set",)),
+    "report": Verb("four-condition portability report", _report, ("set",), "the set"),
+    "phi": Verb(
+        "normal-cone coupling value at (point, dual)", _phi, ("set", "point", "dual")
+    ),
+    "separate": Verb(
+        "supporting half-space separation", _separate, ("set", "point"), "the set"
+    ),
+    "normal-cone": Verb(
+        "normal cone at a point of the set", _normal_cone, ("set", "point"), "the set"
+    ),
+    "sigma": Verb("support function value with attainment", _sigma, ("set", "dual")),
+    "psi": Verb(
+        "convexified coupling of a finite graph", _psi, ("graph", "point", "dual")
+    ),
+    "sum-check": Verb(
+        "graph membership for graph + normal cones",
+        _sum_check,
+        ("graph", "set", "point", "dual"),
+        "the set",
+        ("grid",),
+    ),
+    "probe-bp": Verb(
+        "boundary support-point density probe",
+        _checked_report(
+            lambda c, spec: boundary_support_report(c, spec),
+            {"boundary-points-are-support-points": "ok"},
+        ),
+        ("set",),
+        "the set",
+    ),
+    "check-thm7": Verb(
+        "line-free/portability and range checks",
+        _checked_report(
+            lambda c, spec: line_free_report(c, spec),
+            {
+                "line-free-implies-portable": "lineFreeImpliesPortable",
+                "support-domain-matches-range": "domainMatchesRange",
+                "bounded-attains-every-dual": "boundedAttainsAll",
+            },
+        ),
+        ("set",),
+        "the set",
+    ),
+    "check-enc": Verb(
+        "hull extension and idempotence checks",
+        _checked_report(
+            lambda c, spec: hull_extension_report(c, spec),
+            {
+                "hull-idempotent": "idempotent",
+                "hull-portable": "hullPortable",
+                "hull-contains-closure": "hullContainsClosure",
+                "cones-preserved-on-samples": "conesPreservedOnSamples",
+                "graph-extended-on-samples": "graphExtendedOnSamples",
+            },
+        ),
+        ("set",),
+        "the set",
+    ),
+    "check-ncs": Verb(
+        "partial hull restriction checks",
+        _checked_report(
+            lambda c, s, spec: partial_hull_report(c, s, spec),
+            {
+                "partial-hull-collapse": "collapse",
+                "restriction-biconditional": "restrictionBiconditional",
+            },
+        ),
+        ("set", "probe"),
+        "the set",
+    ),
+    "selftest": Verb("run the condensed invariant suite", _selftest, ("seed", "samples")),
+}
+
+
+def cmd_verb(args) -> int:
+    """Run ``args.verb``: parse its inputs, compute, write the document.
+
+    Returns the exit code: 0, or 2 when a check was falsified.
+    """
+    verb = VERBS[args.verb]
+    inputs: dict = {}
+    for name in verb.inputs:
+        inputs[name] = _parse(name, getattr(args, name), inputs)
+        if name == "set" and verb.refuses_empty and isinstance(inputs[name], EmptySet):
+            raise InputError(f"{verb.refuses_empty} must not be the empty set")
+    checks = CheckSet()
+    result, witnesses = verb.compute(inputs, args, checks)
+    doc = {
+        "verb": args.verb,
+        "inputs": jsonable(inputs),
+        "result": result,
+        "witnesses": witnesses,
+    }
+    code = checks.finish(doc)
+    text = dumps(doc)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def _grid_fraction(raw: str) -> Fraction:
@@ -498,6 +468,25 @@ def _grid_fraction(raw: str) -> Fraction:
     if q <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
     return q
+
+
+# The argument behind each input or option name; ``seed`` and ``samples``
+# are common to every verb.
+ARGUMENTS = {
+    "set": (("set",), {"help": "set description JSON file"}),
+    "probe": (("probe",), {"help": "probe set: polyhedron or {points: [..]} JSON file"}),
+    "graph": (("graph",), {"help": "monotone graph JSON file"}),
+    "point": (("--point",), {"required": True, "help": 'JSON vector, e.g. "[\\"1/2\\"]"'}),
+    "dual": (("--dual",), {"required": True, "help": "JSON vector"}),
+    "grid": (
+        ("--grid",),
+        {
+            "type": _grid_fraction,
+            "default": None,
+            "help": "also run the grid probe with this rational step",
+        },
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,74 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", help="write the JSON document here instead of stdout")
     sub = top.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, parents=(common,), **kwargs):
-        p = sub.add_parser(name, parents=list(parents), **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("hull", cmd_hull, help="portable hull of a set")
-    p.add_argument("set", help="set description JSON file")
-
-    p = add("partial-hull", cmd_partial_hull, help="hull restricted to a probe set")
-    p.add_argument("set")
-    p.add_argument("probe", help="probe set: polyhedron or {points: [..]} JSON file")
-
-    p = add("portable", cmd_portable, help="is the set portable?")
-    p.add_argument("set")
-
-    p = add("report", cmd_report, help="four-condition portability report")
-    p.add_argument("set")
-
-    p = add("phi", cmd_phi, help="normal-cone coupling value at (point, dual)")
-    p.add_argument("set")
-    p.add_argument("--point", required=True, help='JSON vector, e.g. "[\\"1/2\\"]"')
-    p.add_argument("--dual", required=True, help="JSON vector")
-
-    p = add("separate", cmd_separate, help="supporting half-space separation")
-    p.add_argument("set")
-    p.add_argument("--point", required=True)
-
-    p = add("normal-cone", cmd_normal_cone, help="normal cone at a point of the set")
-    p.add_argument("set")
-    p.add_argument("--point", required=True)
-
-    p = add("sigma", cmd_sigma, help="support function value with attainment")
-    p.add_argument("set")
-    p.add_argument("--dual", required=True)
-
-    p = add("psi", cmd_psi, help="convexified coupling of a finite graph")
-    p.add_argument("graph")
-    p.add_argument("--point", required=True)
-    p.add_argument("--dual", required=True)
-
-    p = add("sum-check", cmd_sum_check, help="graph membership for graph + normal cones")
-    p.add_argument("graph")
-    p.add_argument("set")
-    p.add_argument("--point", required=True)
-    p.add_argument("--dual", required=True)
-    p.add_argument(
-        "--grid",
-        type=_grid_fraction,
-        default=None,
-        help="also run the grid probe with this rational step",
-    )
-
-    p = add("probe-bp", cmd_probe_bp, help="boundary support-point density probe")
-    p.add_argument("set")
-
-    p = add("check-thm7", cmd_check_thm7, help="line-free/portability and range checks")
-    p.add_argument("set")
-
-    p = add("check-enc", cmd_check_enc, help="hull extension and idempotence checks")
-    p.add_argument("set")
-
-    p = add("check-ncs", cmd_check_ncs, help="partial hull restriction checks")
-    p.add_argument("set")
-    p.add_argument("probe")
-
-    p = add("selftest", cmd_selftest, help="run the condensed invariant suite")
-
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, parents=[common], help=verb.help)
+        for arg in verb.inputs + verb.options:
+            if arg in ARGUMENTS:
+                flags, kwargs = ARGUMENTS[arg]
+                p.add_argument(*flags, **kwargs)
     return top
 
 
@@ -588,7 +515,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return cmd_verb(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

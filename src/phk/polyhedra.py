@@ -173,6 +173,12 @@ def closed_as_set(p: ClosedPolyhedron) -> PartiallyOpenPolyhedron:
     return PartiallyOpenPolyhedron(p, frozenset())
 
 
+def _canonical_as_set(p: ClosedPolyhedron) -> PartiallyOpenPolyhedron:
+    """``closed_as_set`` for ``canonicalize`` output, which is nonempty and
+    canonical: exactly what ``validate`` would find, so it is not run."""
+    return _known_valid(closed_as_set(p))
+
+
 def system_of(c: PartiallyOpenPolyhedron) -> tuple[StrictRow, ...]:
     return tuple(
         (normal, offset, i in c.strict_rows)

@@ -32,6 +32,7 @@ from .polyhedra import (
     EmptySet,
     PartiallyOpenPolyhedron,
     canonicalize,
+    _canonical_as_set,
     closed_as_set,
     closed_contains,
     closed_subset_of,
@@ -274,7 +275,7 @@ def hull_extension_report(
     """How the portable hull extends the set while preserving its graph."""
     spec = spec or SampleSpec()
     hull = portable_hull(c)
-    hull_set = closed_as_set(hull)
+    hull_set = _canonical_as_set(hull)
     again = portable_hull(hull_set)
     idempotent = closed_subset_of(again, hull_set) and closed_subset_of(
         hull, closed_as_set(again)
@@ -325,7 +326,7 @@ def partial_hull_report(
     """
     spec = spec or SampleSpec()
     partial = partial_portable_hull(c, s)
-    pset = closed_as_set(partial)
+    pset = _canonical_as_set(partial)
 
     again_partial = partial_portable_hull(pset, s)
     again_full = portable_hull(pset)

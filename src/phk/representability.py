@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .errors import InputError, ScaleLimitError
@@ -56,6 +57,12 @@ class SumMembership:
 # Largest (point, dual) grid product a probe may sweep.  Each pair costs one
 # exact LP, about a millisecond on a 2-vCPU VM, so a probe stays within minutes.
 PROBE_PAIR_CAP = 100_000
+
+# Most column subsets the enumeration oracle may walk.  Each costs one exact
+# row reduction, about 0.2 ms in 2-D on a 2-vCPU VM, so a walk stays under
+# half a minute.  The largest walk in the tests is 32 subsets; the benchmark's
+# sum inputs allow at most 120 (3 pairs and 4 box rows against 5 equations).
+ENUMERATION_SUBSET_CAP = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +198,8 @@ def rep_sum_value_by_enumeration(
     Any attained minimum of a bounded program over a pointed feasible
     region sits at a basic solution, whose support picks linearly
     independent columns; checking every independent column subset of the
-    equality system is therefore complete, if slow.
+    equality system is therefore complete, if slow.  Walks of more than
+    ``ENUMERATION_SUBSET_CAP`` subsets are refused before any work.
     """
     require_valid(c)
     p, d = vec_check(c.dim, x, xstar)
@@ -228,8 +236,14 @@ def rep_sum_value_by_enumeration(
     costs = [dot(a, astar) for a, astar in tc.pairs]
     costs += [offset for _, offset in hull.rows]
 
-    best: ExtValue = POS_INF
     neq = len(e_rows)
+    subsets = sum(comb(total, size) for size in range(min(total, neq) + 1))
+    if subsets > ENUMERATION_SUBSET_CAP:
+        raise ScaleLimitError(
+            f"enumeration would walk {subsets} column subsets, "
+            f"above the cap of {ENUMERATION_SUBSET_CAP}"
+        )
+    best: ExtValue = POS_INF
     for size in range(0, min(total, neq) + 1):
         for cols in combinations(range(total), size):
             aug = [[e_rows[i][j] for j in cols] + [h[i]] for i in range(neq)]

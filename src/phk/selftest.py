@@ -11,7 +11,6 @@ from fractions import Fraction
 from .corpus import (
     line_free_closed_sets,
     lp_corpus,
-    monotone_graph_corpus,
     partially_open_sets,
     probe_point_sets,
     probe_polyhedra,
@@ -37,8 +36,6 @@ from .polyhedra import (
 from .portability import (
     boundary_support_report,
     hull_extension_report,
-    is_portable,
-    line_free_report,
     partial_hull_report,
     portability_report,
     separation_certificate,
@@ -53,113 +50,75 @@ from .sampling import SampleSpec, cloud_points, dual_vectors
 from .serialize import jsonable
 
 
-def _section(name, ok, checked, witness=None):
-    return name, {"ok": ok, "checked": checked, "witness": witness}
-
-
-def _lp_section(seed, samples):
-    ok, checked, witness = True, 0, None
-    for p in lp_corpus(samples, seed):
-        checked += 1
+def _lp(seed, samples):
+    for p in lp_corpus(max(10, samples * 3), seed):
         out = lp_solve(p)
         good = verify_outcome(p, out)
         status, value = fm_maximize(p.objective, p.rows)
         good = good and status == out.status
         if status == "optimal":
             good = good and value == out.value
-        if not good and witness is None:
-            ok, witness = False, jsonable({"objective": p.objective})
-        ok = ok and good
-    return _section("lpAgainstElimination", ok, checked, witness)
+        yield good, {"objective": p.objective}
 
 
-def _strict_section(seed, samples):
-    ok, checked, witness = True, 0, None
-    for p in lp_corpus(samples, seed + 1):
+def _strict(seed, samples):
+    for p in lp_corpus(max(10, samples * 3), seed + 1):
         if not p.rows:
             continue
-        checked += 1
-        rows = tuple(
-            (n, o, i % 2 == 0) for i, (n, o) in enumerate(p.rows)
-        )
+        rows = tuple((n, o, i % 2 == 0) for i, (n, o) in enumerate(p.rows))
         got = strict_system_feasible(rows)
         if got.feasible != fm_feasible(rows):
-            ok = False
-            witness = witness or jsonable({"rows": [list(n) + [o] for n, o, _ in rows]})
-        if got.feasible:
-            w = got.witness
-            for n, o, strict in rows:
-                fine = dot(n, w) < o if strict else dot(n, w) <= o
-                if not fine:
-                    ok = False
-                    witness = witness or jsonable({"witness": w})
-    return _section("strictFeasibility", ok, checked, witness)
+            yield False, {"rows": [list(n) + [o] for n, o, _ in rows]}
+            continue
+        w = got.witness
+        fine = not got.feasible or all(
+            dot(n, w) < o if strict else dot(n, w) <= o for n, o, strict in rows
+        )
+        yield fine, {"witness": w}
 
 
-def _conversion_section(seed, samples):
-    ok, checked, witness = True, 0, None
+def _conversion(seed, samples):
     sets = random_polytopes(samples, seed + 2) + line_free_closed_sets(
         samples, seed + 3
     )
     for c in sets:
-        checked += 1
         g = h_to_v(c.carrier)
         back = v_to_h(g)
         good = closed_subset_of(back, closed_as_set(c.carrier)) and closed_subset_of(
             c.carrier, closed_as_set(back)
         )
         good = good and all(closed_contains(c.carrier, v) for v in g.vertices)
-        if not good:
-            ok = False
-            witness = witness or jsonable(c)
-    return _section("conversionRoundTrip", ok, checked, witness)
+        yield good, c
 
 
-def _support_section(seed, samples):
-    ok, checked, witness = True, 0, None
+def _support(seed, samples):
     for c in partially_open_sets(samples, seed + 4):
-        spec = SampleSpec(seed=seed, count=6)
-        for xstar in dual_vectors(c.dim, c, spec):
-            checked += 1
+        for xstar in dual_vectors(c.dim, c, SampleSpec(seed=seed, count=6)):
             ev = support_value(c, xstar)
-            good = True
-            if ev.attained_in_set:
-                good = (
-                    ev.value.is_finite
-                    and contains(c, ev.witness)
-                    and dot(xstar, ev.witness) == ev.value.finite_value
-                )
-            if not good:
-                ok = False
-                witness = witness or jsonable({"set": c, "dual": xstar})
-    return _section("supportAttainment", ok, checked, witness)
+            good = not ev.attained_in_set or (
+                ev.value.is_finite
+                and contains(c, ev.witness)
+                and dot(xstar, ev.witness) == ev.value.finite_value
+            )
+            yield good, {"set": c, "dual": xstar}
 
 
-def _fitzpatrick_section(seed, samples):
-    ok, checked, witness = True, 0, None
+def _fitzpatrick(seed, samples):
     for c in partially_open_sets(max(2, samples // 2), seed + 5, dims=(1, 2)):
         spec = SampleSpec(seed=seed, count=4)
         duals = dual_vectors(c.dim, c, spec)[:6]
         for x in cloud_points(c, spec)[:8]:
             for xstar in duals:
-                checked += 1
                 a = normal_cone_fitzpatrick(c, x, xstar)
                 b = normal_cone_fitzpatrick_by_faces(c, x, xstar)
-                if a != b:
-                    ok = False
-                    witness = witness or jsonable(
-                        {"set": c, "x": x, "xstar": xstar}
-                    )
-    return _section("fitzpatrickTwoRoutes", ok, checked, witness)
+                yield a == b, {"set": c, "x": x, "xstar": xstar}
 
 
-def _conditions_section(seed, samples):
-    ok, checked, witness = True, 0, None
+def _conditions(seed, samples):
     sets = partially_open_sets(samples, seed + 6) + partially_open_sets(
         samples, seed + 7, force_strict=True
     )
     for c in sets:
-        checked += 1
         r = portability_report(c, SampleSpec(seed=seed, count=6))
         verdicts = {
             r.maximal_on_samples,
@@ -167,94 +126,81 @@ def _conditions_section(seed, samples):
             r.hull_adds_nothing,
             r.hull_equals_carrier,
         }
-        if len(verdicts) != 1:
-            ok = False
-            witness = witness or jsonable(c)
-    return _section("portabilityConditions", ok, checked, witness)
+        yield len(verdicts) == 1, c
 
 
-def _separation_section(seed, samples):
-    ok, checked, witness = True, 0, None
+def _separation(seed, samples):
     for c in partially_open_sets(samples, seed + 8):
-        spec = SampleSpec(seed=seed, count=6)
-        for x in cloud_points(c, spec):
+        for x in cloud_points(c, SampleSpec(seed=seed, count=6)):
             if contains(c, x):
                 continue
-            checked += 1
             cert = separation_certificate(c, x)
-            inside_hull = in_portable_hull(c, x)
-            good = (cert is None) == inside_hull
+            good = (cert is None) == in_portable_hull(c, x)
             if cert is not None:
                 good = good and verify_certificate(c, x, cert)
-            if not good:
-                ok = False
-                witness = witness or jsonable({"set": c, "x": x})
-    return _section("separationBiconditional", ok, checked, witness)
+            yield good, {"set": c, "x": x}
 
 
-def _collapse_section(seed, samples):
-    ok, checked, witness = True, 0, None
+def _collapse(seed, samples):
     sets = partially_open_sets(samples, seed + 9)
     probes_p = probe_point_sets(samples, seed + 10)
     probes_s = probe_polyhedra(samples, seed + 11)
     for i, c in enumerate(sets):
-        checked += 1
         ext = hull_extension_report(c, SampleSpec(seed=seed, count=4))
         good = ext["ok"]
         probe = probes_p[i] if i % 2 == 0 else probes_s[i]
         if probe.dim == c.dim:
             rep = partial_hull_report(c, probe, SampleSpec(seed=seed, count=4))
             good = good and rep["ok"]
-        if not good:
-            ok = False
-            witness = witness or jsonable(c)
-    return _section("hullCollapse", ok, checked, witness)
+        yield good, c
 
 
-def _sum_section(seed, samples):
-    ok, checked, witness = True, 0, None
+def _sum(seed, samples):
     for t, c in sum_instances(max(2, samples // 2), seed + 12):
-        spec = SampleSpec(seed=seed, count=3)
         probes = [(a, astar) for a, astar in t.pairs]
         zero = tuple(Fraction(0) for _ in range(t.dim))
         probes.append((t.pairs[0][0], zero))
         for x, xstar in probes:
-            checked += 1
             v = rep_sum_value(t, c, x, xstar)
             o = rep_sum_value_by_enumeration(t, c, x, xstar)
-            good = v.value == o
             m = sum_graph_membership(t, c, x, xstar)
-            good = good and m.agrees
-            if not good:
-                ok = False
-                witness = witness or jsonable({"graph": t, "set": c, "x": x})
-    return _section("sumRule", ok, checked, witness)
+            yield v.value == o and m.agrees, {"graph": t, "set": c, "x": x}
 
 
-def _boundary_section(seed, samples):
-    ok, checked, witness = True, 0, None
+def _boundary(seed, samples):
     for c in partially_open_sets(samples, seed + 13):
-        checked += 1
         rep = boundary_support_report(c, SampleSpec(seed=seed, count=4))
-        if not rep["ok"]:
-            ok = False
-            witness = witness or jsonable(c)
-    return _section("boundarySupport", ok, checked, witness)
+        yield rep["ok"], c
+
+
+# Report name and instance generator of each section, in report order.  A
+# generator yields ``(good, witness data)`` per instance it examines.
+SECTIONS = (
+    ("lpAgainstElimination", _lp),
+    ("strictFeasibility", _strict),
+    ("conversionRoundTrip", _conversion),
+    ("supportAttainment", _support),
+    ("fitzpatrickTwoRoutes", _fitzpatrick),
+    ("portabilityConditions", _conditions),
+    ("separationBiconditional", _separation),
+    ("hullCollapse", _collapse),
+    ("sumRule", _sum),
+    ("boundarySupport", _boundary),
+)
 
 
 def run_selftest(seed: int = 0, samples: int = 6) -> tuple[bool, dict]:
-    """Run every section; returns overall verdict and the section reports."""
-    sections = [
-        _lp_section(seed, max(10, samples * 3)),
-        _strict_section(seed, max(10, samples * 3)),
-        _conversion_section(seed, samples),
-        _support_section(seed, samples),
-        _fitzpatrick_section(seed, samples),
-        _conditions_section(seed, samples),
-        _separation_section(seed, samples),
-        _collapse_section(seed, samples),
-        _sum_section(seed, samples),
-        _boundary_section(seed, samples),
-    ]
-    report = {name: body for name, body in sections}
+    """Run every section; returns overall verdict and the section reports.
+
+    A section reports how many instances it checked and, when one fails,
+    the first failing instance as its witness.
+    """
+    report = {}
+    for name, section in SECTIONS:
+        ok, checked, witness = True, 0, None
+        for good, data in section(seed, samples):
+            checked += 1
+            if ok and not good:
+                ok, witness = False, jsonable(data)
+        report[name] = {"ok": ok, "checked": checked, "witness": witness}
     return all(body["ok"] for body in report.values()), report

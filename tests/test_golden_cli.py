@@ -2,13 +2,17 @@
 
 ``golden_cli.json`` maps each argv (joined by spaces, run from the repository
 root) to the exit code and stdout that the CLI printed when the goldens were
-recorded.  A refactor must reproduce those bytes exactly.  To record them
-again after a deliberate output change, run from the repository root:
+recorded.  ``golden_cli_extra.json`` does the same, stderr included, for two
+``selftest`` runs and for every way the CLI refuses its input.
+``cli_surface.json`` pins each verb's positionals and options.  A refactor
+must reproduce all of them exactly.  To record them again after a deliberate
+change, run from the repository root:
 
     PYTHONPATH=src python3 tests/test_golden_cli.py
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -22,6 +26,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
+GOLDEN_EXTRA = Path(__file__).resolve().parent / "golden_cli_extra.json"
+SURFACE = Path(__file__).resolve().parent / "cli_surface.json"
 
 SETS_1D = ("closed_interval", "half_open_interval")
 SETS_2D = (
@@ -104,24 +110,115 @@ def cases() -> list[list[str]]:
     return out
 
 
+def extra_cases() -> list[list[str]]:
+    """Two ``selftest`` runs and one call per input-rejection path."""
+    e = _f("empty")
+    square, interval, half_open = _f("unit_square"), _f("closed_interval"), _f("half_open_interval")
+    stair, gradient, points = _f("staircase_graph"), _f("gradient_graph_2d"), _f("lower_left_points")
+    missing, truncated = _f("missing"), "tests/data/truncated_set.json"
+    p1, p2 = ["--point", '["1"]'], ["--point", '["1","1"]']
+    d1, d2 = ["--dual", '["1"]'], ["--dual", '["1","1"]']
+    return [
+        ["selftest", "--seed", "0", "--samples", "2"],
+        ["selftest", "--seed", "1", "--samples", "3"],
+        # an empty set where the verb needs a nonempty one
+        ["report", e],
+        ["probe-bp", e],
+        ["check-thm7", e],
+        ["check-enc", e],
+        ["separate", e, *p2],
+        ["normal-cone", e, *p2],
+        ["sum-check", gradient, e, *p2, *d2],
+        ["partial-hull", e, points],
+        ["check-ncs", e, points],
+        # the empty set is refused before the next input is read
+        ["partial-hull", e, missing],
+        ["separate", e, *p1],
+        # --point / --dual of the wrong dimension, in load order
+        ["phi", square, *p1, *d2],
+        ["phi", square, *p2, *d1],
+        ["phi", square, *p1, *d1],
+        ["phi", e, *p1, *d2],
+        ["separate", interval, *p2],
+        ["normal-cone", square, *p1],
+        ["sigma", interval, *d2],
+        ["psi", stair, *p2, *d1],
+        ["psi", stair, *p1, *d2],
+        ["sum-check", stair, interval, *p2, *d1],
+        ["sum-check", stair, interval, *p1, *d2],
+        ["phi", interval, "--point", "[]", *d1],
+        # --point / --dual that are not JSON vectors
+        ["phi", square, "--point", "abc", *d2],
+        ["sigma", interval, "--dual", "[1/2]"],
+        ["psi", stair, *p1, "--dual", "nope"],
+        ["separate", half_open, "--point", '{"x": 1}'],
+        # graph/set and probe/set dimension mismatches
+        ["sum-check", gradient, interval, *p1, *d1],
+        ["sum-check", stair, square, *p2, *d2],
+        ["partial-hull", interval, points],
+        ["partial-hull", square, interval],
+        ["check-ncs", square, half_open],
+        # missing files, malformed JSON, a file of the wrong kind
+        ["hull", missing],
+        ["partial-hull", square, missing],
+        ["psi", missing, *p1, *d1],
+        ["sum-check", missing, e, *p2, *d2],
+        ["hull", truncated],
+        ["check-ncs", square, truncated],
+        ["psi", truncated, *p1, *d1],
+        ["hull", stair],
+        ["psi", square, *p2, *d2],
+        ["partial-hull", square, stair],
+        # an output file that cannot be written
+        ["hull", square, "--out", "tests/data/no_such_dir/out.json"],
+    ]
+
+
 def run(argv: list[str]) -> dict:
-    """Exit code and stdout of one in-process CLI call from the repo root."""
+    """Exit code, stdout and stderr of one in-process CLI call from the repo root."""
     from phk.cli import main
 
-    stdout = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(list(argv))
     finally:
         os.chdir(cwd)
-    return {"code": code, "stdout": stdout.getvalue()}
+    return {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+def surface() -> dict:
+    """Per verb, in order: positional names, and each option's strings,
+    ``required``, ``default`` and type name."""
+    from phk.cli import build_parser
+
+    verbs = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    out = {}
+    for verb, parser in verbs.choices.items():
+        actions = parser._actions
+        out[verb] = {
+            "positionals": [a.dest for a in actions if not a.option_strings],
+            "options": [
+                [a.option_strings, a.required, a.default, getattr(a.type, "__name__", a.type)]
+                for a in actions
+                if a.option_strings
+            ],
+        }
+    return out
 
 
 @cache
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@cache
+def _golden_extra() -> dict:
+    return json.loads(GOLDEN_EXTRA.read_text(encoding="utf-8"))
 
 
 def test_goldens_cover_every_case():
@@ -131,7 +228,21 @@ def test_goldens_cover_every_case():
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_cli_stdout_matches_golden(argv):
     expected = _golden()[" ".join(argv)]
-    assert run(argv) == expected
+    got = run(argv)
+    assert {"code": got["code"], "stdout": got["stdout"]} == expected
+
+
+def test_extra_goldens_cover_every_case():
+    assert sorted(_golden_extra()) == sorted(" ".join(argv) for argv in extra_cases())
+
+
+@pytest.mark.parametrize("argv", extra_cases(), ids=" ".join)
+def test_selftest_and_rejections_match_golden(argv):
+    assert run(argv) == _golden_extra()[" ".join(argv)]
+
+
+def test_cli_surface_is_unchanged():
+    assert json.loads(json.dumps(surface())) == json.loads(SURFACE.read_text(encoding="utf-8"))
 
 
 # A few verbs run in fresh interpreters under two hash seeds.
@@ -156,7 +267,13 @@ def test_stdout_does_not_depend_on_hash_seed(argv):
     assert outs[0] == outs[1] == _golden()[" ".join(argv)]["stdout"]
 
 
+def _write(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(doc)} entries to {path}", file=sys.stderr)
+
+
 if __name__ == "__main__":
-    docs = {" ".join(argv): run(argv) for argv in cases()}
-    GOLDEN.write_text(json.dumps(docs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(docs)} cases to {GOLDEN}", file=sys.stderr)
+    stdout_only = ({"code": d["code"], "stdout": d["stdout"]} for d in map(run, cases()))
+    _write(GOLDEN, dict(zip((" ".join(argv) for argv in cases()), stdout_only)))
+    _write(GOLDEN_EXTRA, {" ".join(argv): run(argv) for argv in extra_cases()})
+    _write(SURFACE, surface())

@@ -1,13 +1,17 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's examples run and print what their comments say."""
 from __future__ import annotations
 
+import json
 import re
+import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
 import phk
+from phk.cli import VERBS
 from phk.polyhedra import ClosedPolyhedron
 from phk.scalars import fin
+from test_golden_cli import run
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -61,3 +65,59 @@ def test_named_library_functions_exist():
     assert len(names) >= 10
     missing = [n for n in names if not hasattr(phk, n)]
     assert not missing
+
+
+def _command_line_section() -> str:
+    return README.split("## Command line", 1)[1].split("\n### ", 1)[0]
+
+
+def test_verb_table_matches_the_cli():
+    words = {"set": "SET", "probe": "PROBE", "graph": "GRAPH", "point": "--point P", "dual": "--dual D"}
+    expected = [
+        " ".join([name] + [words[i] for i in verb.inputs if i in words])
+        for name, verb in VERBS.items()
+    ]
+    table = re.findall(r"^\| `([^`]+)` \|", _command_line_section(), re.M)
+    assert table == expected
+
+
+def _shell_examples() -> list[tuple[list[str], str]]:
+    """(argv, comment and output excerpt) of each ``$ phk`` example."""
+    block = re.search(r"```sh\n(.*?)```", _command_line_section(), re.S).group(1)
+    examples: list[tuple[list[str], str]] = []
+    lines = iter(block.splitlines())
+    for line in lines:
+        if line.startswith("$ phk "):
+            while line.endswith("\\"):
+                line = line[:-1] + next(lines)
+            command, _, comment = line[2:].partition("#")
+            examples.append((shlex.split(command)[1:], comment))
+        elif line and examples:
+            argv, text = examples[-1]
+            examples[-1] = (argv, text + "\n" + line.lstrip("# "))
+    return examples
+
+
+# A value named in a comment: ``key "1"``, ``key ["1"]`` or ``"key": true``.
+NAMED_VALUE = re.compile(r'(\w+)"?:? ("[^"]*"|\[[^\]]*\]|true|false)')
+
+
+def test_command_line_examples_run_as_shown():
+    examples = _shell_examples()
+    assert len(examples) == 8
+    named = 0
+    for argv, text in examples:
+        got = run(argv)
+        assert got["code"] == 0, argv
+        doc = json.loads(got["stdout"])
+        if text.lstrip().startswith("{"):
+            # an output excerpt: every key it shows matches the document
+            excerpt = json.loads(text.replace("\n...", ""))
+            assert excerpt == {k: doc[k] for k in excerpt}, argv
+            named += len(excerpt)
+            continue
+        for key, value in NAMED_VALUE.findall(text):
+            shown = doc["result"] if key == "result" else doc["result"][key]
+            assert shown == json.loads(value), (argv, key)
+            named += 1
+    assert named == 13

@@ -4,6 +4,7 @@ Where a value is marked [DERIVED] it was worked out by hand from the
 barycentric-weight definition before running the code.
 """
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -223,3 +224,20 @@ class TestProbe:
         # 1001^2 grid points times 4001^2 duals at halfwidth 2.
         with pytest.raises(ScaleLimitError, match="16040033010001"):
             representability_probe(gradient, square, GridSpec(step=F(1, 1000)))
+
+    def test_oversized_enumeration_is_refused_before_the_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumeration walked")
+
+        monkeypatch.setattr(representability, "rref", refuse)
+        square = make_set(
+            2, [((1, 0), 1, False), ((0, 1), 1, False), ((-1, 0), 0, False), ((0, -1), 0, False)]
+        )
+        points = [(F(i, 9), F(j, 5)) for i in range(10) for j in range(6)]
+        diagonal = graph(2, [(p, p) for p in points])
+        # 60 pair columns and 4 row columns against 5 equations.
+        subsets = sum(comb(64, size) for size in range(6))
+        assert subsets > representability.ENUMERATION_SUBSET_CAP
+        half = (F(1, 2), F(1, 2))
+        with pytest.raises(ScaleLimitError, match=f"walk {subsets} column subsets"):
+            rep_sum_value_by_enumeration(diagonal, square, half, half)

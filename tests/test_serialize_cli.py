@@ -446,3 +446,17 @@ def test_selftest_runs_green():
     for name, data in sections.items():
         assert data["ok"], name
         assert data["checked"] > 0
+
+
+def test_selftest_reports_the_first_failing_instance(monkeypatch):
+    from phk import selftest
+
+    def section(seed, samples):
+        yield True, {"x": Fraction(1)}
+        yield False, {"x": Fraction(2)}
+        yield False, {"x": Fraction(3)}
+
+    monkeypatch.setattr(selftest, "SECTIONS", (("fake", section),))
+    ok, sections = selftest.run_selftest(seed=0, samples=1)
+    assert not ok
+    assert sections == {"fake": {"ok": False, "checked": 3, "witness": {"x": "2"}}}

@@ -91,6 +91,30 @@ def test_constructed_sets_are_never_revalidated(monkeypatch):
         portability_report(c, SampleSpec(seed=1, count=4))
 
 
+def test_hull_sets_are_not_revalidated(monkeypatch, capsys):
+    """Hulls come from ``canonicalize``; wrapping one as a set skips validation."""
+    from phk.cli import main
+
+    calls = []
+    real = polyhedra.validate
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(polyhedra, "validate", counting)
+    half_open = str(FIXTURES / "half_open_interval.json")
+    for argv in (
+        ["hull", half_open],
+        ["check-enc", half_open],
+        ["partial-hull", half_open, half_open],
+        ["check-ncs", half_open, half_open],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_hand_built_set_is_validated_once(monkeypatch):
     c = closed_as_set(ClosedPolyhedron(1, (((F(-1),), F(0)), ((F(1),), F(1)))))
     calls = []
