@@ -13,6 +13,8 @@ against an elimination oracle, a closed form against a face enumeration —
 and the command-line tool re-verifies those identities on each run.
 """
 
+import importlib
+
 from .errors import InputError, InvalidSetError, ScaleLimitError
 from .faces import Face, enumerate_faces, proper_faces
 from .fitzpatrick import (
@@ -104,9 +106,18 @@ from .representability import (
 )
 from .sampling import SampleSpec
 from .scalars import NEG_INF, POS_INF, ExtValue, fin, rat, rat_str
-from .selftest import run_selftest
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``selftest`` and the seeded ``corpus`` it runs load on first use, so a
+    # cold CLI call does not import them.
+    if name in ("selftest", "corpus"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "run_selftest":
+        return __getattr__("selftest").run_selftest
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ClosedPolyhedron",

@@ -68,7 +68,6 @@ from .representability import (
 )
 from .sampling import SampleSpec
 from .scalars import POS_INF, fin, rat
-from .selftest import run_selftest
 from .serialize import (
     dumps,
     jsonable,
@@ -327,6 +326,8 @@ def _checked_report(report: Callable, verdicts: dict[str, str]) -> Callable:
 
 
 def _selftest(inputs, args, checks):
+    from .selftest import run_selftest  # only this verb needs the seeded corpora
+
     _, report = run_selftest(seed=inputs["seed"], samples=inputs["samples"])
     for name, body in report.items():
         checks.add(name, body["ok"])

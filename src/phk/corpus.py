@@ -9,9 +9,8 @@ import random
 from fractions import Fraction
 
 from .fitzpatrick import MonotoneGraph, graph
-from .linalg import Vec
 from .lp import LPProblem, problem
-from .polyhedra import EmptySet, PartiallyOpenPolyhedron, make_set
+from .polyhedra import PartiallyOpenPolyhedron, make_set
 from .portability import FinitePointSet, point_set
 
 

@@ -10,7 +10,6 @@ over the closed faces of the carrier, used to cross-check the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 from .faces import enumerate_faces

@@ -18,14 +18,24 @@ which makes every run deterministic.
 Free variables are encoded by splitting ``x = u - v`` with ``u, v >= 0``; a
 slack turns each row into an equation, and a full set of artificial variables
 provides the phase-1 basis.  The artificial block doubles as an explicit
-basis inverse, which is where the exact dual multipliers come from.
+basis inverse, which is where the exact dual multipliers come from: they are
+the artificial columns of the reduced-cost row.
+
+The tableau is fraction-free.  Each row, and the reduced-cost row, is a list
+of ``int`` over one positive ``int`` denominator, and a pivot works on whole
+rows, dividing each new row by the gcd of its entries and its denominator
+(integer pivoting in the manner of Bareiss and of Avis's lrs).  The ratio
+test compares by cross-multiplication.  Pivot choices depend only on the
+values, so they are the ones a ``Fraction`` tableau would make; results
+become ``Fraction`` only in the returned ``LPOutcome``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .linalg import Vec, dot, is_zero_vec, primitive, vec, zero_vec
@@ -82,63 +92,82 @@ class Feasibility:
         return self.feasible
 
 
-def _pivot(tab: list[list[Fraction]], red: list[Fraction], basis: list[int], i: int, j: int) -> None:
+def _lcm(ds: Iterable[int]) -> int:
+    out = 1
+    for d in ds:
+        if out % d:
+            out = out // gcd(out, d) * d
+    return out
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide an integer row and its positive denominator by their gcd."""
+    g = den
+    for x in row:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return row, den
+    return [x // g for x in row], den // g
+
+
+def _pivot(tab: list[list[int]], dens: list[int], basis: list[int], i: int, j: int) -> None:
+    """Pivot on ``(i, j)``; ``tab[-1]``/``dens[-1]`` is the reduced-cost row."""
     row = tab[i]
-    pv = row[j]
-    inv = 1 / pv
-    tab[i] = row = [x * inv for x in row]
-    for r in range(len(tab)):
-        if r != i:
-            f = tab[r][j]
-            if f:
-                tab[r] = [a - f * b for a, b in zip(tab[r], row)]
-    f = red[j]
-    if f:
-        red[:] = [a - f * b for a, b in zip(red, row)]
+    p = row[j]
+    if p < 0:
+        row, p = [-x for x in row], -p
+    tab[i], dens[i] = row, p = _reduced(row, p)
+    for r, other in enumerate(tab):
+        f = other[j]
+        if f and r != i:
+            tab[r], dens[r] = _reduced([a * p - f * b for a, b in zip(other, row)], dens[r] * p)
     basis[i] = j
 
 
-def _reduced_costs(tab: list[list[Fraction]], basis: list[int], costs: list[Fraction]) -> list[Fraction]:
-    width = len(tab[0]) if tab else 0
-    red = list(costs) + [Fraction(0)] * (width - len(costs))
-    for i, b in enumerate(basis):
-        cb = costs[b] if b < len(costs) else Fraction(0)
-        if cb:
-            red = [a - cb * t for a, t in zip(red, tab[i])]
-    return red
+def _reduced_costs(
+    tab: list[list[int]], dens: list[int], basis: list[int], costs: list[Fraction]
+) -> tuple[list[int], int]:
+    """``costs - c_B B^-1 A`` over the constraint rows ``tab[:len(basis)]``,
+    summed over one common denominator; the last entry is ``-c_B x_B``."""
+    width = len(tab[0])
+    scale = _lcm(c.denominator for c in costs)
+    whole = [c.numerator * (scale // c.denominator) for c in costs] + [0] * (width - len(costs))
+    weighted = [(whole[b], tab[i], dens[i]) for i, b in enumerate(basis) if whole[b]]
+    common = _lcm(d for _, _, d in weighted)
+    red = [c * common for c in whole]
+    for c, row, d in weighted:
+        f = c * (common // d)
+        red = [a - f * t for a, t in zip(red, row)]
+    return _reduced(red, scale * common)
 
 
-def _run_simplex(
-    tab: list[list[Fraction]],
-    red: list[Fraction],
-    basis: list[int],
-    eligible_end: int,
-) -> int | None:
+def _run_simplex(tab: list[list[int]], dens: list[int], basis: list[int], eligible_end: int) -> int | None:
     """Iterate Bland pivots to optimality.
 
     Columns ``0 .. eligible_end-1`` may enter.  Returns None on optimality, or
     the entering column index when the problem is unbounded in that column.
     """
     while True:
+        red = tab[-1]
         enter = next((j for j in range(eligible_end) if red[j] < 0), None)
         if enter is None:
             return None
-        best_ratio: Fraction | None = None
+        # A row's denominator cancels in its ratio rhs / coef, so ratios are
+        # compared by cross-multiplying the numerators.
         leave = -1
-        leave_var = -1
-        for i, row in enumerate(tab):
+        for i in range(len(basis)):
+            row = tab[i]
             coef = row[enter]
             if coef > 0:
-                ratio = row[-1] / coef
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < leave_var
+                rhs = row[-1]
+                if leave < 0 or rhs * best_coef < best_rhs * coef or (
+                    rhs * best_coef == best_rhs * coef and basis[i] < basis[leave]
                 ):
-                    best_ratio = ratio
-                    leave = i
-                    leave_var = basis[i]
+                    leave, best_rhs, best_coef = i, rhs, coef
         if leave < 0:
             return enter
-        _pivot(tab, red, basis, leave, enter)
+        _pivot(tab, dens, basis, leave, enter)
 
 
 def lp_solve(p: LPProblem) -> LPOutcome:
@@ -153,68 +182,66 @@ def lp_solve(p: LPProblem) -> LPOutcome:
             return LPOutcome("optimal", value=Fraction(0), primal=zero_vec(n), dual=())
         return LPOutcome("unbounded", ray=primitive(obj))
 
-    # Standard form: columns are (u | v | s), one artificial per row.
+    # Standard form: columns are (u | v | s), one artificial per row.  Each
+    # row is a list of ints over one positive denominator.
     nstruct = 2 * n + m
-    signs = [Fraction(1) if off >= 0 else Fraction(-1) for _, off in p.rows]
-    tab: list[list[Fraction]] = []
+    signs = [1 if off >= 0 else -1 for _, off in p.rows]
+    tab: list[list[int]] = []
+    dens: list[int] = []
     for i, (normal, offset) in enumerate(p.rows):
         d = signs[i]
-        row = [d * a for a in normal]
-        row += [-d * a for a in normal]
-        row += [d if k == i else Fraction(0) for k in range(m)]
-        row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        row.append(d * offset)
+        den = _lcm(a.denominator for a in normal + (offset,))
+        whole = [d * a.numerator * (den // a.denominator) for a in normal]
+        row = whole + [-a for a in whole]
+        row += [d * den if k == i else 0 for k in range(m)]
+        row += [den if k == i else 0 for k in range(m)]
+        row.append(d * offset.numerator * (den // offset.denominator))
         tab.append(row)
+        dens.append(den)
     basis = [nstruct + i for i in range(m)]
 
-    # Phase 1: minimize the sum of artificials.
-    costs1 = [Fraction(0)] * nstruct + [Fraction(1)] * m
-    red = _reduced_costs(tab, basis, costs1)
-    hit = _run_simplex(tab, red, basis, nstruct + m)
+    # Phase 1: minimize the sum of artificials.  The reduced-cost row rides
+    # along as the last row of the tableau.
+    red, red_den = _reduced_costs(tab, dens, basis, [Fraction(0)] * nstruct + [Fraction(1)] * m)
+    tab.append(red)
+    dens.append(red_den)
+    hit = _run_simplex(tab, dens, basis, nstruct + m)
     assert hit is None, "phase-1 objective is bounded below by zero"
-    infeas = sum((tab[i][-1] for i in range(len(tab)) if basis[i] >= nstruct), Fraction(0))
-    if infeas > 0:
-        pi = [
-            sum((tab[i][nstruct + j] for i in range(len(tab)) if basis[i] >= nstruct), Fraction(0))
-            for j in range(m)
-        ]
-        farkas = tuple(-signs[j] * pi[j] for j in range(m))
+    red, red_den = tab[-1], dens[-1]
+    if red[-1] < 0:
+        # The artificial columns of the reduced costs are 1 - pi.
+        farkas = tuple(-signs[j] * (red_den - red[nstruct + j]) for j in range(m))
         return LPOutcome("infeasible", farkas=primitive(farkas))
 
-    # Expel artificials still basic at level zero; drop dependent rows.
-    for i in range(len(tab) - 1, -1, -1):
+    # Expel artificials still basic at level zero.  The slack columns keep
+    # every row independent, so each such row has a nonzero structural entry.
+    for i in range(m - 1, -1, -1):
         if basis[i] >= nstruct:
-            j = next((c for c in range(nstruct) if tab[i][c] != 0), None)
-            if j is None:
-                del tab[i]
-                del basis[i]
-            else:
-                _pivot(tab, red, basis, i, j)
+            _pivot(tab, dens, basis, i, next(c for c in range(nstruct) if tab[i][c]))
 
     # Phase 2: minimize -objective over the structural columns.
     costs2 = [Fraction(0)] * nstruct
     for t in range(n):
         costs2[t] = -obj[t]
         costs2[n + t] = obj[t]
-    red = _reduced_costs(tab, basis, costs2)
-    hit = _run_simplex(tab, red, basis, nstruct)
+    tab[-1], dens[-1] = _reduced_costs(tab, dens, basis, costs2)
+    hit = _run_simplex(tab, dens, basis, nstruct)
     if hit is not None:
-        zray = [Fraction(0)] * nstruct
-        zray[hit] = Fraction(1)
+        common = _lcm(dens[:-1])
+        zray = [0] * nstruct
+        zray[hit] = common
         for i, b in enumerate(basis):
-            zray[b] = -tab[i][hit]
+            zray[b] = -tab[i][hit] * (common // dens[i])
         ray = primitive(tuple(zray[t] - zray[n + t] for t in range(n)))
         return LPOutcome("unbounded", ray=ray)
 
     zval = [Fraction(0)] * nstruct
     for i, b in enumerate(basis):
-        zval[b] = tab[i][-1]
+        zval[b] = Fraction(tab[i][-1], dens[i])
     x = tuple(zval[t] - zval[n + t] for t in range(n))
-    pi = [
-        sum((costs2[basis[i]] * tab[i][nstruct + j] for i in range(len(tab))), Fraction(0))
-        for j in range(m)
-    ]
-    dual = tuple(-signs[j] * pi[j] for j in range(m))
+    # The artificial columns of the reduced costs are -pi.
+    red, red_den = tab[-1], dens[-1]
+    dual = tuple(Fraction(signs[j] * red[nstruct + j], red_den) for j in range(m))
     return LPOutcome("optimal", value=dot(obj, x), primal=x, dual=dual)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import Vec, dot, vec
-from .lp import closed_feasible, solve_max, strict_system_feasible
+from .lp import solve_max, strict_system_feasible
 from .polyhedra import (
     EmptySet,
     GeneratedCone,

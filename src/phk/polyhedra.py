@@ -36,10 +36,8 @@ from .linalg import (
     Vec,
     dot,
     is_zero_vec,
-    linear_rank,
     nullspace_basis,
     primitive,
-    primitive_signed,
     rowspace_basis,
     smul,
     solve_square,
@@ -49,7 +47,7 @@ from .linalg import (
     vneg,
     zero_vec,
 )
-from .lp import Feasibility, Row, StrictRow, closed_feasible, solve_max, strict_system_feasible
+from .lp import Row, StrictRow, closed_feasible, solve_max, strict_system_feasible
 from .scalars import rat
 
 DEFAULT_SCALE_CAP = 6

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .faces import FACE_DIM_CAP, enumerate_faces
+from .faces import enumerate_faces
 from .fitzpatrick import (
     monotonically_related,
     normal_cone_fitzpatrick,
@@ -20,7 +20,6 @@ from .linalg import Vec, dot, vec
 from .lp import closed_feasible, strict_system_feasible
 from .normal_cones import (
     in_normal_cone,
-    in_portable_hull,
     in_range,
     normal_cone_at,
     support_value,
@@ -52,7 +51,7 @@ from .sampling import (
     graph_pairs,
     points_in,
 )
-from .scalars import POS_INF, fin
+from .scalars import POS_INF
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,8 +18,8 @@ from math import comb
 from typing import Sequence
 
 from .errors import InputError, ScaleLimitError
-from .fitzpatrick import MonotoneGraph, graph, is_monotone, vec_check
-from .linalg import Vec, dot, rref, vec, vadd, smul, zero_vec
+from .fitzpatrick import MonotoneGraph, is_monotone, vec_check
+from .linalg import Vec, dot, rref, vadd, smul, zero_vec
 from .lp import LPProblem, Row, lp_solve
 from .normal_cones import normal_cone_at, strictly_inside
 from .polyhedra import (

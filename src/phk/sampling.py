@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import ScaleLimitError
-from .linalg import Vec, dot, unit_vec, vadd, vsub, smul, zero_vec
+from .linalg import Vec, unit_vec, vadd, vsub, smul, zero_vec
 from .polyhedra import (
     PartiallyOpenPolyhedron,
     VRep,

@@ -1,0 +1,73 @@
+"""What importing phk costs.
+
+Every name a module under ``src/phk`` imports is used in that module.  The
+check is a plain ``ast`` scan: a name bound by ``import`` or ``from ...
+import`` must be loaded somewhere in the module or listed in its ``__all__``.
+``__init__.py`` is exempt, since its imports are the package's re-exports.
+
+A cold CLI call does not import the seeded corpora, which only the
+``selftest`` verb needs.
+"""
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "phk"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(set(imported) - used)
+
+
+def test_the_scan_sees_unused_names():
+    src = "from __future__ import annotations\nimport os, sys\nfrom math import gcd as g, lcm\n" \
+          "__all__ = ['lcm']\nprint(sys.argv)\n"
+    assert unused_imports(src) == ["g", "os"]
+
+
+def test_modules_are_found():
+    assert len(MODULES) >= 15
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_selftest_and_corpus_unloaded():
+    code = "import sys, phk.cli; print([m for m in ('phk.selftest', 'phk.corpus') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert got.stdout.strip() == "[]"
+
+
+def test_run_selftest_is_served_on_first_use():
+    import phk
+    from phk.selftest import run_selftest
+
+    assert phk.run_selftest is run_selftest
+    assert phk.selftest.run_selftest is run_selftest
+    assert phk.corpus.random_polytopes
+    assert "run_selftest" in phk.__all__
+    with pytest.raises(AttributeError):
+        phk.no_such_name

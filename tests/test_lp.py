@@ -115,7 +115,9 @@ def test_strict_matches_closed_when_no_strict_rows():
 
 # -- random agreement with the elimination oracle ---------------------------
 
-coef = st.integers(min_value=-4, max_value=4)
+# Rational coefficients with denominators 1 to 6, so the tableau's row
+# denominators are exercised, not only integer data.
+coef = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=6))
 
 
 @st.composite
@@ -126,7 +128,15 @@ def lp_instances(draw):
     rows = []
     for _ in range(m):
         normal = [draw(coef) for _ in range(n)]
-        rows.append((vec(normal), Fraction(draw(coef))))
+        rows.append((vec(normal), draw(coef)))
+    # Degenerate shapes: a zero row, a duplicated row, a positively scaled row.
+    plant = draw(st.sampled_from(("none", "zero", "duplicate", "scaled")))
+    if plant == "zero":
+        rows.append((vec([0] * n), draw(coef)))
+    elif rows and plant != "none":
+        normal, offset = draw(st.sampled_from(rows))
+        t = Fraction(1) if plant == "duplicate" else draw(coef.filter(lambda q: q > 0))
+        rows.insert(draw(st.integers(0, len(rows))), (tuple(t * a for a in normal), t * offset))
     return LPProblem(obj, tuple(rows))
 
 
@@ -147,7 +157,7 @@ def strict_systems(draw):
     rows = []
     for _ in range(m):
         normal = [draw(coef) for _ in range(n)]
-        rows.append((vec(normal), Fraction(draw(coef)), draw(st.booleans())))
+        rows.append((vec(normal), draw(coef), draw(st.booleans())))
     return rows
 
 
@@ -160,3 +170,85 @@ def test_strict_feasibility_agrees_with_elimination(rows):
         for normal, offset, strict in rows:
             v = dot(normal, mine.witness)
             assert v < offset if strict else v <= offset
+
+
+# -- a third exact oracle: sympy's simplex -----------------------------------
+
+
+def sympy_maximize(p: LPProblem) -> tuple[str, Fraction | None] | None:
+    """Status and optimal value of ``p`` by ``sympy.solvers.simplex.lpmax``.
+
+    Returns None when sympy calls ``p`` optimal at a point that breaks one of
+    its rows: sympy 1.14 does so on some infeasible systems, such as
+    ``SYMPY_MISREAD`` below, so that answer is set aside rather than trusted.
+    """
+    simplex = pytest.importorskip("sympy.solvers.simplex")
+    import sympy
+
+    xs = sympy.symbols(f"x0:{p.dim}")
+
+    def linear(coefs):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x for c, x in zip(coefs, xs)), sympy.S.Zero)
+
+    rows = [linear(a) <= sympy.Rational(b.numerator, b.denominator) for a, b in p.rows]
+    try:
+        value, at = simplex.lpmax(linear(p.objective), rows)
+    except simplex.InfeasibleLPError:
+        return "infeasible", None
+    except simplex.UnboundedLPError:
+        return "unbounded", None
+    point = [Fraction(int(q.p), int(q.q)) for q in (sympy.S(at.get(x, 0)) for x in xs)]
+    if any(dot(a, point) > b for a, b in p.rows):
+        return None
+    return "optimal", Fraction(int(value.p), int(value.q))
+
+
+# Infeasible: the two rows on x1 pin it at -14/5, where the first row and
+# the third cannot both hold.  sympy 1.14's lpmax answers 127/30 at
+# (-3/2, 1/5), which breaks the second row.
+SYMPY_MISREAD = problem(
+    [-3, "-4/3"],
+    [(["3/2", "5/2"], "-7/4"), ([0, 1], "-14/5"), ([1, "-1/2"], "-8/5"),
+     (["-3/2", "-1/2"], "43/20"), ([0, -1], "14/5")],
+)
+
+
+def _third_opinion(p: LPProblem) -> tuple[str, Fraction | None]:
+    """sympy's answer, or the elimination oracle's where sympy's own point
+    refutes it."""
+    theirs = sympy_maximize(p)
+    if theirs is None:
+        status, value = fm_maximize(p.objective, p.rows)
+        theirs = (status, value if status == "optimal" else None)
+    return theirs
+
+
+@given(lp_instances())
+def test_simplex_agrees_with_sympy(p):
+    out = lp_solve(p)
+    assert verify_outcome(p, out)
+    assert (out.status, out.value) == _third_opinion(p)
+
+
+def test_sympy_oracle_on_beale_and_degenerate_rows():
+    beale = problem(
+        ["3/4", -20, "1/2", -6],
+        [(["1/4", -8, -1, 9], 0), (["1/2", -12, "-1/2", 3], 0), ([0, 0, 1, 0], 1)]
+        + [([-1 if k == i else 0 for k in range(4)], 0) for i in range(4)],
+    )
+    square = problem(
+        [1, 1],
+        [([1, 0], 1), ([1, 0], 1), (["2", 0], 2), ([0, 0], 0), ([0, 1], 1), ([-1, -1], 0)],
+    )
+    for p in (beale, square):
+        out = lp_solve(p)
+        assert verify_outcome(p, out)
+        assert (out.status, out.value) == sympy_maximize(p)
+    assert lp_solve(beale).value == Fraction(5, 4)
+
+
+def test_a_sympy_point_that_breaks_a_row_is_set_aside():
+    out = lp_solve(SYMPY_MISREAD)
+    assert out.status == "infeasible" and verify_outcome(SYMPY_MISREAD, out)
+    assert sympy_maximize(SYMPY_MISREAD) in (None, ("infeasible", None))
+    assert _third_opinion(SYMPY_MISREAD) == ("infeasible", None)
