@@ -31,13 +31,8 @@ def graph(dim: int, pairs) -> MonotoneGraph:
     """Build a graph with deduplicated, deterministically ordered pairs."""
     if dim < 1:
         raise InputError(f"dimension must be positive, got {dim}")
-    out = []
-    for a, astar in pairs:
-        p, d = vec(a), vec(astar)
-        if len(p) != dim or len(d) != dim:
-            raise InputError("graph pair dimension mismatch")
-        out.append((p, d))
-    return MonotoneGraph(dim, tuple(sorted(set(out))))
+    out = {(vec(a, dim), vec(astar, dim)) for a, astar in pairs}
+    return MonotoneGraph(dim, tuple(sorted(out)))
 
 
 def is_monotone(g: MonotoneGraph) -> bool:
@@ -59,10 +54,7 @@ def fitzpatrick_value(g: MonotoneGraph, x, xstar) -> ExtValue:
 
     This is the exact pointwise maximum; the empty graph gives -inf.
     """
-    p = vec(x)
-    d = vec(xstar)
-    if len(p) != g.dim or len(d) != g.dim:
-        raise InputError("dimension mismatch")
+    p, d = vec_check(g.dim, x, xstar)
     values = []
     for a, astar in g.pairs:
         values.append(fin(dot(p, astar) - dot(a, astar) + dot(a, d)))
@@ -133,8 +125,4 @@ def graph_related(g: MonotoneGraph, x, xstar) -> bool:
 
 
 def vec_check(dim: int, x, xstar) -> tuple[Vec, Vec]:
-    p = vec(x)
-    d = vec(xstar)
-    if len(p) != dim or len(d) != dim:
-        raise InputError(f"expected a pair of {dim}-vectors")
-    return p, d
+    return vec(x, dim), vec(xstar, dim)

@@ -2,8 +2,8 @@
 
 Vectors are tuples of Fraction; matrices are sequences of such tuples.  The
 routines here are deliberately small and deterministic: reduced row echelon
-form with leftmost-pivot selection, exact rank, nullspace and rowspace bases,
-square solves, and primitive integer scaling used to canonicalize rays.
+form with leftmost-pivot selection, nullspace and rowspace bases, square
+solves, and primitive integer scaling used to canonicalize rays.
 """
 
 from __future__ import annotations
@@ -19,8 +19,12 @@ Vec = tuple[Fraction, ...]
 Matrix = tuple[Vec, ...]
 
 
-def vec(xs: Iterable[RationalLike]) -> Vec:
-    return tuple(rat(x) for x in xs)
+def vec(xs: Iterable[RationalLike], dim: int | None = None) -> Vec:
+    """Coerce to a tuple of Fractions, checking the length when ``dim`` is given."""
+    out = tuple(rat(x) for x in xs)
+    if dim is not None and len(out) != dim:
+        raise InputError(f"vector has dimension {len(out)}, expected {dim}")
+    return out
 
 
 def zero_vec(n: int) -> Vec:
@@ -82,14 +86,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def linear_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the linear span of the given vectors (exact elimination)."""
-    if not vectors:
-        raise InputError("rank of an empty vector list is undefined")
-    reduced, _ = rref(vectors)
-    return len(reduced)
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[Vec]:
@@ -159,7 +155,3 @@ def primitive_signed(v: Vec) -> Vec:
         if x != 0:
             return p if x > 0 else vneg(p)
     return p
-
-
-def lex_key(v: Vec) -> tuple:
-    return tuple(v)

@@ -61,13 +61,8 @@ def problem(objective: Sequence, rows: Sequence[tuple[Sequence, object]]) -> LPP
     obj = vec(objective)
     if not obj:
         raise InputError("LP dimension must be at least 1")
-    rs = []
-    for normal, offset in rows:
-        nv = vec(normal)
-        if len(nv) != len(obj):
-            raise InputError(f"row dimension {len(nv)} != objective dimension {len(obj)}")
-        rs.append((nv, rat(offset)))  # type: ignore[arg-type]
-    return LPProblem(obj, tuple(rs))
+    rs = tuple((vec(n, len(obj)), rat(o)) for n, o in rows)  # type: ignore[arg-type]
+    return LPProblem(obj, rs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,9 +82,6 @@ class Feasibility:
 
     def __iter__(self):
         return iter((self.feasible, self.witness))
-
-    def __bool__(self) -> bool:
-        return self.feasible
 
 
 def _lcm(ds: Iterable[int]) -> int:

@@ -47,15 +47,10 @@ def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvalua
     the flag records whether some maximizer survives the strict rows, and
     the witness is such a point when one exists.
     """
+    x = vec(xstar, c.dim)
     if isinstance(c, EmptySet):
-        x = vec(xstar)
-        if len(x) != c.dim:
-            raise InputError(f"direction has dimension {len(x)}, expected {c.dim}")
         return SupportEvaluation(NEG_INF, False, None)
     record = require_valid(c)
-    x = vec(xstar)
-    if len(x) != c.dim:
-        raise InputError(f"direction has dimension {len(x)}, expected {c.dim}")
     known = record.support.get(x)
     if known is not None:
         return known
@@ -104,15 +99,10 @@ def in_portable_hull(c: PartiallyOpenPolyhedron | EmptySet, x) -> bool:
 
     For the empty set that intersection is the whole space.
     """
+    p = vec(x, c.dim)
     if isinstance(c, EmptySet):
-        p = vec(x)
-        if len(p) != c.dim:
-            raise InputError(f"point has dimension {len(p)}, expected {c.dim}")
         return True
     supported = supporting_rows(c)
-    p = vec(x)
-    if len(p) != c.dim:
-        raise InputError(f"point has dimension {len(p)}, expected {c.dim}")
     rows = c.carrier.rows
     return all(dot(rows[i][0], p) <= rows[i][1] for i in supported)
 
@@ -132,10 +122,8 @@ def normal_cone_at(c: PartiallyOpenPolyhedron, x) -> GeneratedCone:
 def in_normal_cone(c: PartiallyOpenPolyhedron, x, xstar) -> bool:
     """Graph membership: x in the set and <xstar, x> equals the support value."""
     require_valid(c)
-    p = vec(x)
-    d = vec(xstar)
-    if len(p) != c.dim or len(d) != c.dim:
-        raise InputError("dimension mismatch")
+    p = vec(x, c.dim)
+    d = vec(xstar, c.dim)
     if not contains(c, p):
         return False
     return support_value(c, d).value == fin(dot(p, d))
@@ -160,9 +148,7 @@ def interior_point_of_carrier(c: PartiallyOpenPolyhedron) -> Vec | None:
 
 
 def strictly_inside(c: PartiallyOpenPolyhedron, x) -> bool:
-    p = vec(x)
-    if len(p) != c.dim:
-        raise InputError(f"point has dimension {len(p)}, expected {c.dim}")
+    p = vec(x, c.dim)
     return all(dot(normal, p) < offset for normal, offset in c.carrier.rows)
 
 

@@ -16,19 +16,19 @@ while their hyperplane still touches the carrier are refused, because no
 carrier-plus-strict-rows value describes that set.
 
 Generator form (``VRep``) lists vertices, extreme rays, and a lineality
-basis.  Conversion in both directions is exact and capped at dimension 6 by
-default (override with the ``PHK_MAX_DIM`` environment variable): vertices
-are enumerated as feasible rank-n active sets, extreme rays as rank-(n-1)
-active subsets of the recession cone, with lineality split off first through
-an exact nullspace/rowspace restriction.
+basis.  Conversion in both directions is exact: vertices are enumerated as
+feasible rank-n active sets, extreme rays as rank-(n-1) active subsets of the
+recession cone, with lineality split off first through an exact
+nullspace/rowspace restriction.  A walk over more than
+``CONVERSION_SUBSET_CAP`` row subsets is refused before it starts.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvalidSetError, ScaleLimitError
@@ -50,25 +50,16 @@ from .linalg import (
 from .lp import Row, StrictRow, closed_feasible, solve_max, strict_system_feasible
 from .scalars import rat
 
-DEFAULT_SCALE_CAP = 6
-
 # Support values remembered per set; past the cap the oldest is dropped.  No
 # test or benchmark workload evicts: the most distinct duals any of them asks
 # of one set is 151 (the line-free support check), 26 in the report workload.
 SUPPORT_MEMO_CAP = 1024
 
-
-def scale_cap() -> int:
-    raw = os.environ.get("PHK_MAX_DIM")
-    if raw is None:
-        return DEFAULT_SCALE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"PHK_MAX_DIM must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InputError("PHK_MAX_DIM must be at least 1")
-    return cap
+# Most row subsets one generator conversion walk may visit.  Each costs one
+# exact row reduction and a check against every row, about 0.1-0.3 ms in 2-D
+# and 0.5 ms for an 8-D box on a 2-vCPU VM, so a walk stays under a minute.
+# A 7-D box walks 6,435 subsets in all.
+CONVERSION_SUBSET_CAP = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,10 +214,8 @@ def _screen_rows(
     when a zero-normal row is unsatisfiable (the system is empty)."""
     out: list[StrictRow] = []
     for normal, offset, strict in rows:
-        nv = vec(normal)
+        nv = vec(normal, dim)
         off = rat(offset)  # type: ignore[arg-type]
-        if len(nv) != dim:
-            raise InputError(f"row dimension {len(nv)} != ambient dimension {dim}")
         if is_zero_vec(nv):
             if off < 0 or (strict and off == 0):
                 return [], False
@@ -348,18 +337,14 @@ def require_valid(c: PartiallyOpenPolyhedron | EmptySet) -> SetRecord | None:
 
 
 def closed_contains(p: ClosedPolyhedron, x: Sequence) -> bool:
-    xv = vec(x)
-    if len(xv) != p.dim:
-        raise InputError("point dimension does not match the polyhedron")
+    xv = vec(x, p.dim)
     return all(dot(normal, xv) <= offset for normal, offset in p.rows)
 
 
 def contains(c: PartiallyOpenPolyhedron | EmptySet, x: Sequence) -> bool:
     if isinstance(c, EmptySet):
         return False
-    xv = vec(x)
-    if len(xv) != c.dim:
-        raise InputError("point dimension does not match the set")
+    xv = vec(x, c.dim)
     for i, (normal, offset) in enumerate(c.carrier.rows):
         v = dot(normal, xv)
         if i in c.strict_rows:
@@ -412,6 +397,15 @@ def lineality_space(p: ClosedPolyhedron) -> tuple[Vec, ...]:
 # -- generator form ---------------------------------------------------------
 
 
+def _check_walk(rows: int, size: int) -> None:
+    subsets = comb(rows, size)
+    if subsets > CONVERSION_SUBSET_CAP:
+        raise ScaleLimitError(
+            f"generator conversion would walk {subsets} row subsets, "
+            f"above the cap of {CONVERSION_SUBSET_CAP}"
+        )
+
+
 def cone_generators(m_rows: Sequence[Vec], k: int) -> tuple[list[Vec], list[Vec]]:
     """Lineality basis and extreme rays of the cone {y : M y <= 0}."""
     lin = nullspace_basis(m_rows, k)
@@ -428,6 +422,7 @@ def cone_generators(m_rows: Sequence[Vec], k: int) -> tuple[list[Vec], list[Vec]
         return [], []
     rays: set[Vec] = set()
     idx = range(len(m_rows))
+    _check_walk(len(m_rows), k - 1)
     for sub in combinations(idx, k - 1):
         chosen = [m_rows[i] for i in sub]
         null = nullspace_basis(chosen, k)
@@ -454,6 +449,7 @@ def _pointed_vertices(normals: Sequence[Vec], offsets: Sequence[Fraction], k: in
         return [()]
     verts: set[Vec] = set()
     idx = range(len(normals))
+    _check_walk(len(normals), k)
     for sub in combinations(idx, k):
         sol = solve_square([normals[i] for i in sub], [offsets[i] for i in sub])
         if sol is None:
@@ -489,11 +485,6 @@ def h_to_v(p: ClosedPolyhedron | EmptySet) -> VRep:
     """Vertices, extreme rays, and lineality of a closed polyhedron."""
     if isinstance(p, EmptySet):
         return VRep((), (), ())
-    cap = scale_cap()
-    if p.dim > cap:
-        raise ScaleLimitError(
-            f"generator conversion is capped at dimension {cap} (PHK_MAX_DIM)"
-        )
     if not closed_feasible(p.rows, p.dim).feasible:
         return VRep((), (), ())
     return _generators(p)
@@ -504,11 +495,6 @@ def v_to_h(v: VRep, dim: int | None = None) -> ClosedPolyhedron | EmptySet:
     if not v.vertices:
         return EmptySet(dim if dim is not None else 1)
     n = len(v.vertices[0])
-    cap = scale_cap()
-    if n > cap:
-        raise ScaleLimitError(
-            f"generator conversion is capped at dimension {cap} (PHK_MAX_DIM)"
-        )
     # Valid inequalities (a, beta) with a . x <= beta on the whole set form a
     # cone in dimension n+1; its generators are the facets and implicit
     # equalities of the set.
@@ -555,9 +541,7 @@ def is_bounded(p: ClosedPolyhedron) -> bool:
 def cone(dim: int, generators: Iterable[Sequence]) -> GeneratedCone:
     gens = []
     for g in generators:
-        gv = vec(g)
-        if len(gv) != dim:
-            raise InputError("generator dimension mismatch")
+        gv = vec(g, dim)
         if not is_zero_vec(gv):
             gens.append(gv)
     return GeneratedCone(dim, tuple(gens))
@@ -565,9 +549,7 @@ def cone(dim: int, generators: Iterable[Sequence]) -> GeneratedCone:
 
 def cone_contains(k: GeneratedCone, x: Sequence) -> bool:
     """Exact membership of a vector in a finitely generated cone."""
-    xv = vec(x)
-    if len(xv) != k.dim:
-        raise InputError("vector dimension does not match the cone")
+    xv = vec(x, k.dim)
     if is_zero_vec(xv):
         return True
     if not k.generators:

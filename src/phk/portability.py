@@ -63,13 +63,7 @@ class FinitePointSet:
 def point_set(dim: int, points) -> FinitePointSet:
     if dim < 1:
         raise InputError(f"dimension must be positive, got {dim}")
-    out = []
-    for p in points:
-        q = vec(p)
-        if len(q) != dim:
-            raise InputError("point dimension mismatch")
-        out.append(q)
-    return FinitePointSet(dim, tuple(sorted(set(out))))
+    return FinitePointSet(dim, tuple(sorted({vec(p, dim) for p in points})))
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,9 +183,7 @@ def separation_certificate(
     separates, i.e. x already lies in the portable hull.
     """
     require_valid(c)
-    p = vec(x)
-    if len(p) != c.dim:
-        raise InputError(f"point has dimension {len(p)}, expected {c.dim}")
+    p = vec(x, c.dim)
     if contains(c, p):
         raise InputError("separation requested for a point of the set")
     for i, witness in supporting_row_witnesses(c):

@@ -153,14 +153,14 @@ def graph_domain(g: MonotoneGraph) -> FinitePointSet:
     return point_set(g.dim, [a for a, _ in g.pairs])
 
 
-def rep_sum_value(
-    t: MonotoneGraph, c: PartiallyOpenPolyhedron, x, xstar
-) -> PsiEvaluation:
-    """Convexified coupling of the graph summed with the set's normal cones.
+def _sum_program(t: MonotoneGraph, c: PartiallyOpenPolyhedron, x, xstar):
+    """What both routes to the sum value start from.
 
-    Requires a graph domain point strictly inside the carrier; the value is
-    a single joint LP whose half-space part runs over the partial hull of
-    the set probed at the graph's domain points.
+    Checks the input, then returns the pair ``(p, d)``, the graph restricted
+    to the set, the partial hull of the set probed at the graph's domain
+    points, and the costs of the joint program: graph weights first, then
+    one multiplier per hull row pricing the half-space part at the shifted
+    dual.  ``None`` when no graph pair lies in the set.
     """
     require_valid(c)
     if t.dim != c.dim:
@@ -172,11 +172,25 @@ def rep_sum_value(
         )
     tc = restrict_graph(t, c)
     if not tc.pairs:
-        return PsiEvaluation(POS_INF, None, None)
+        return None
     hull = partial_portable_hull(c, graph_domain(t))
-    # Graph weights, then one multiplier per hull row pricing the half-space
-    # part at the shifted dual.
     costs = [dot(a, astar) for a, astar in tc.pairs] + [o for _, o in hull.rows]
+    return p, d, tc, hull, costs
+
+
+def rep_sum_value(
+    t: MonotoneGraph, c: PartiallyOpenPolyhedron, x, xstar
+) -> PsiEvaluation:
+    """Convexified coupling of the graph summed with the set's normal cones.
+
+    Requires a graph domain point strictly inside the carrier; the value is
+    a single joint LP whose half-space part runs over the partial hull of
+    the set probed at the graph's domain points.
+    """
+    program = _sum_program(t, c, x, xstar)
+    if program is None:
+        return PsiEvaluation(POS_INF, None, None)
+    p, d, tc, hull, costs = program
     rows = _barycentric_rows(tc.pairs, [n for n, _ in hull.rows], p, d)
     out = lp_solve(LPProblem(tuple(-q for q in costs), tuple(rows)))
     if out.status == "infeasible":
@@ -201,16 +215,10 @@ def rep_sum_value_by_enumeration(
     equality system is therefore complete, if slow.  Walks of more than
     ``ENUMERATION_SUBSET_CAP`` subsets are refused before any work.
     """
-    require_valid(c)
-    p, d = vec_check(c.dim, x, xstar)
-    if not any(strictly_inside(c, a) for a, _ in t.pairs):
-        raise InputError(
-            "the graph needs a domain point strictly inside the set's carrier"
-        )
-    tc = restrict_graph(t, c)
-    if not tc.pairs:
+    program = _sum_program(t, c, x, xstar)
+    if program is None:
         return POS_INF
-    hull = partial_portable_hull(c, graph_domain(t))
+    p, d, tc, hull, costs = program
     k = len(tc.pairs)
     m = len(hull.rows)
     total = k + m
@@ -233,8 +241,6 @@ def rep_sum_value_by_enumeration(
             ]
         )
         h.append(d[coord])
-    costs = [dot(a, astar) for a, astar in tc.pairs]
-    costs += [offset for _, offset in hull.rows]
 
     neq = len(e_rows)
     subsets = sum(comb(total, size) for size in range(min(total, neq) + 1))

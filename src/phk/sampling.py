@@ -13,7 +13,9 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import ScaleLimitError
+from .faces import FACE_DIM_CAP, enumerate_faces
 from .linalg import Vec, unit_vec, vadd, vsub, smul, zero_vec
+from .normal_cones import normal_cone_at, set_member_witness, supporting_row_witnesses
 from .polyhedra import (
     PartiallyOpenPolyhedron,
     VRep,
@@ -53,17 +55,11 @@ def _carrier_geometry(c: PartiallyOpenPolyhedron) -> VRep:
         return VRep((), (), ())
 
 
-def _inner_point(c: PartiallyOpenPolyhedron) -> Vec:
-    from .normal_cones import set_member_witness
-
-    return set_member_witness(c)
-
-
 def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Deterministic points of the set: a witness, surviving vertices and
     midpoints, then seeded convex combinations (plus recession pokes)."""
     rng = _rng(spec, "in")
-    inner = _inner_point(c)
+    inner = set_member_witness(c)
     geo = _carrier_geometry(c)
     features = [inner]
     features += [v for v in geo.vertices if contains(c, v)]
@@ -95,8 +91,8 @@ def cloud_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Points in and around the set, membership not guaranteed."""
     rng = _rng(spec, "cloud")
     geo = _carrier_geometry(c)
-    inner = _inner_point(c)
-    out = list(points_in(c, spec))
+    out = points_in(c, spec)
+    inner = out[0]  # the witness point ``points_in`` lists first
     for v in geo.vertices:
         out.append(vadd(v, vsub(v, inner)))
         for j in range(c.dim):
@@ -128,8 +124,6 @@ def graph_pairs(
     c: PartiallyOpenPolyhedron, spec: SampleSpec
 ) -> list[tuple[Vec, Vec]]:
     """Pairs (x, x*) with x in the set and x* in the cone of active normals."""
-    from .normal_cones import normal_cone_at
-
     rng = _rng(spec, "pairs")
     # Both knobs scale with the requested count so that asking for more
     # samples keeps producing new pairs even when the set has few distinct
@@ -153,9 +147,6 @@ def graph_pairs(
 
 def boundary_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Points of the set lying on at least one carrier hyperplane."""
-    from .faces import FACE_DIM_CAP, enumerate_faces
-    from .normal_cones import supporting_row_witnesses
-
     rng = _rng(spec, "boundary")
     out: list[Vec] = [w for _, w in supporting_row_witnesses(c)]
     if c.dim <= FACE_DIM_CAP:

@@ -7,18 +7,17 @@ fixes the arithmetic conventions used throughout this package:
 
     (+inf) + (-inf) = +inf
     sup over an empty collection = -inf
-    inf over an empty collection = +inf
 
 The first convention makes indicator-plus-support sums absorb correctly, the
-other two make suprema over empty graphs and minima over infeasible programs
-come out right without special cases at the call sites.
+second makes suprema over empty graphs come out right without special cases
+at the call sites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import InputError
 
@@ -72,14 +71,6 @@ class ExtValue:
     @property
     def is_finite(self) -> bool:
         return self.kind == _FIN
-
-    @property
-    def is_pos_inf(self) -> bool:
-        return self.kind == _POS
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return self.kind == _NEG
 
     @property
     def finite_value(self) -> Fraction:
@@ -159,18 +150,3 @@ def sup_ext(values: Iterable[ExtValue | RationalLike]) -> ExtValue:
         if c > best:
             best = c
     return best
-
-
-def inf_ext(values: Iterable[ExtValue | RationalLike]) -> ExtValue:
-    """Infimum with inf(emptyset) = +inf."""
-    best = POS_INF
-    for v in values:
-        c = _coerce(v)
-        if c < best:
-            best = c
-    return best
-
-
-def ext_values(*xs: ExtValue | RationalLike) -> Iterator[ExtValue]:
-    for x in xs:
-        yield _coerce(x)

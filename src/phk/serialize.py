@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .fitzpatrick import MonotoneGraph, graph
-from .linalg import Vec
+from .linalg import Vec, vec
 from .polyhedra import (
     ClosedPolyhedron,
     EmptySet,
@@ -39,12 +39,17 @@ def parse_rational(value) -> Fraction:
 def parse_vector(value, dim: int | None = None) -> Vec:
     if not isinstance(value, (list, tuple)):
         raise InputError(f"expected a vector, got {value!r}")
-    out = tuple(parse_rational(q) for q in value)
-    if dim is not None and len(out) != dim:
-        raise InputError(f"vector has dimension {len(out)}, expected {dim}")
+    out = vec([parse_rational(q) for q in value], dim)
     if not out:
         raise InputError("vectors must have at least one coordinate")
     return out
+
+
+def _parse_dim(value, what: str) -> int:
+    """A dimension read from JSON: an ``int`` of at least 1, never a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{what} must be a positive integer")
+    return value
 
 
 def parse_set(obj) -> PartiallyOpenPolyhedron | EmptySet:
@@ -52,20 +57,12 @@ def parse_set(obj) -> PartiallyOpenPolyhedron | EmptySet:
     if not isinstance(obj, dict):
         raise InputError("a set description must be a JSON object")
     if obj.get("empty"):
-        dim = obj.get("dim", 1)
-        if not isinstance(dim, int) or dim < 1:
-            raise InputError("empty-set dimension must be a positive integer")
-        return EmptySet(dim)
+        return EmptySet(_parse_dim(obj.get("dim", 1), "empty-set dimension"))
     if "space" in obj:
-        dim = obj["space"]
-        if not isinstance(dim, int) or dim < 1:
-            raise InputError("space dimension must be a positive integer")
-        return whole_set(dim)
+        return whole_set(_parse_dim(obj["space"], "space dimension"))
     if "dim" not in obj or "rows" not in obj:
         raise InputError('a set description needs "dim" and "rows"')
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError("dimension must be a positive integer")
+    dim = _parse_dim(obj["dim"], "dimension")
     rows = []
     if not isinstance(obj["rows"], list):
         raise InputError('"rows" must be a list')
@@ -88,6 +85,8 @@ def parse_points(obj) -> FinitePointSet:
     if not isinstance(pts, list) or not pts:
         raise InputError('"points" must be a nonempty list')
     dim = obj.get("dim")
+    if dim is not None:
+        _parse_dim(dim, "point-set dimension")
     first = parse_vector(pts[0], dim)
     return point_set(len(first), [parse_vector(p, len(first)) for p in pts])
 
@@ -95,9 +94,7 @@ def parse_points(obj) -> FinitePointSet:
 def parse_graph(obj) -> MonotoneGraph:
     if not isinstance(obj, dict) or "pairs" not in obj or "dim" not in obj:
         raise InputError('a graph needs "dim" and "pairs"')
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError("graph dimension must be a positive integer")
+    dim = _parse_dim(obj["dim"], "graph dimension")
     pairs = []
     if not isinstance(obj["pairs"], list):
         raise InputError('"pairs" must be a list')

@@ -1,9 +1,12 @@
-"""What importing phk costs.
+"""What importing phk costs, and what nothing needs.
 
 Every name a module under ``src/phk`` imports is used in that module.  The
 check is a plain ``ast`` scan: a name bound by ``import`` or ``from ...
 import`` must be loaded somewhere in the module or listed in its ``__all__``.
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
+The same kind of scan finds definitions that nothing loads, and reads of the
+process environment, which would let a setting outside the input change an
+answer.
 
 A cold CLI call does not import the seeded corpora, which only the
 ``selftest`` verb needs.
@@ -20,6 +23,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "phk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,6 +56,60 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(source: str) -> list[str]:
+    """Top-level functions and classes, and the methods of those classes;
+    dunder methods are called by the language and are left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            out += [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+    return [n for n in out if not (n.startswith("__") and n.endswith("__"))]
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name read as a variable or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_the_scan_sees_unloaded_definitions():
+    src = "class A:\n    def m(self): pass\n    def __len__(self): return 0\n" \
+          "def f(): pass\ndef g(): return A().m()\n"
+    assert defined_names(src) == ["m", "A", "f", "g"]
+    assert {"A", "m"} <= loaded_names(src) and "f" not in loaded_names(src)
+
+
+def test_every_definition_is_loaded_somewhere():
+    import phk
+
+    used = set(phk.__all__)
+    for path in sorted(SRC.glob("*.py")) + TESTS:
+        used |= loaded_names(path.read_text(encoding="utf-8"))
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in defined_names(path.read_text(encoding="utf-8"))
+        if name not in used
+    ]
+    assert unused == []
+
+
+def test_no_module_reads_the_environment():
+    readers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if {"environ", "getenv"} & loaded_names(path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []
 
 
 def test_cli_import_leaves_selftest_and_corpus_unloaded():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from phk.errors import InputError
 from phk.linalg import (
     dot,
-    linear_rank,
     nullspace_basis,
     primitive,
     primitive_signed,
@@ -23,22 +22,11 @@ small = st.integers(min_value=-6, max_value=6)
 vectors3 = st.tuples(small, small, small).map(lambda t: vec(t))
 
 
-def test_linear_rank_examples():
-    assert linear_rank([vec([1, 1]), vec([2, 2])]) == 1
-    assert linear_rank([vec([0, 0])]) == 0
-    assert linear_rank([vec([1, 0]), vec([0, 1])]) == 2
-
-
-def test_linear_rank_empty_is_an_error():
-    with pytest.raises(InputError):
-        linear_rank([])
-
-
-@given(st.lists(vectors3, min_size=1, max_size=5))
-def test_rank_bounded_and_duplication_invariant(rows):
-    r = linear_rank(rows)
-    assert 0 <= r <= 3
-    assert linear_rank(rows + rows) == r
+def test_vec_checks_the_dimension_when_asked():
+    assert vec([1, "1/2"], 2) == (Fraction(1), Fraction(1, 2))
+    with pytest.raises(InputError, match="vector has dimension 3, expected 2"):
+        vec([1, 2, 3], 2)
+    assert vec([1, 2, 3]) == vec([1, 2, 3], 3)
 
 
 def test_nullspace_orthogonal_to_rows():

@@ -1,0 +1,95 @@
+"""Metamorphic properties: answers that must move predictably with the input.
+
+Over seeded corpus sets (mixed, strict and line-free), rewriting the rows of
+a set leaves ``make_set`` unchanged; permuting coordinates carries the
+portable hull, the portability verdict and the support values along; and
+translating by ``t`` shifts the support value by ``<x*, t>`` while leaving
+attainment, the verdict and the existence of a separating half-space alone.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from phk.corpus import line_free_closed_sets, partially_open_sets
+from phk.linalg import dot, vadd
+from phk.normal_cones import support_value
+from phk.polyhedra import closed_as_set, closed_subset_of, contains, make_set
+from phk.portability import is_portable, portable_hull, separation_certificate
+from phk.sampling import SampleSpec, cloud_points, dual_vectors
+
+SETS = (
+    partially_open_sets(27, seed=61)
+    + partially_open_sets(27, seed=62, force_strict=True)
+    + line_free_closed_sets(27, seed=63)
+)
+SPEC = SampleSpec(seed=0, count=4)
+
+
+def rows_of(c):
+    return [(n, o, i in c.strict_rows) for i, (n, o) in enumerate(c.carrier.rows)]
+
+
+def rng_for(idx: int, salt: str) -> random.Random:
+    return random.Random(f"metamorphic:{idx}:{salt}")
+
+
+def test_the_corpus_mixes_kinds():
+    assert len(SETS) == 81
+    assert any(c.strict_rows for c in SETS) and any(not c.strict_rows for c in SETS)
+    assert {c.dim for c in SETS} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("idx", range(len(SETS)))
+def test_make_set_ignores_row_order_duplicates_and_scale(idx):
+    c = SETS[idx]
+    rng = rng_for(idx, "rows")
+    rows = rows_of(c)
+    rows += rng.sample(rows, rng.randint(1, len(rows)))
+    rng.shuffle(rows)
+    scaled = []
+    for n, o, strict in rows:
+        t = Fraction(rng.randint(1, 7), rng.randint(1, 5))
+        scaled.append((tuple(t * q for q in n), t * o, strict))
+    assert make_set(c.dim, scaled) == c
+
+
+@pytest.mark.parametrize("idx", range(len(SETS)))
+def test_coordinate_permutation(idx):
+    c = SETS[idx]
+    perm = list(range(c.dim))
+    rng_for(idx, "perm").shuffle(perm)
+
+    def move(v):
+        return tuple(v[j] for j in perm)
+
+    moved = make_set(c.dim, [(move(n), o, s) for n, o, s in rows_of(c)])
+    hull = portable_hull(c)
+    carried = make_set(c.dim, [(move(n), o, False) for n, o in hull.rows])
+    moved_hull = portable_hull(moved)
+    assert closed_subset_of(carried.carrier, closed_as_set(moved_hull))
+    assert closed_subset_of(moved_hull, carried)
+    assert is_portable(moved) == is_portable(c)
+    for xstar in dual_vectors(c.dim, c, SPEC):
+        a, b = support_value(c, xstar), support_value(moved, move(xstar))
+        assert (a.value, a.attained_in_set) == (b.value, b.attained_in_set), xstar
+
+
+@pytest.mark.parametrize("idx", range(len(SETS)))
+def test_translation(idx):
+    c = SETS[idx]
+    rng = rng_for(idx, "shift")
+    t = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(c.dim))
+    shifted = make_set(c.dim, [(n, o + dot(n, t), s) for n, o, s in rows_of(c)])
+    assert is_portable(shifted) == is_portable(c)
+    for xstar in dual_vectors(c.dim, c, SPEC):
+        a, b = support_value(c, xstar), support_value(shifted, xstar)
+        assert b.value == a.value + dot(xstar, t), xstar
+        assert b.attained_in_set == a.attained_in_set, xstar
+    outside = [x for x in cloud_points(c, SPEC) if not contains(c, x)]
+    for x in outside:
+        here = separation_certificate(c, x) is not None
+        there = separation_certificate(shifted, vadd(x, t)) is not None
+        assert here == there, x

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from phk.errors import InputError, InvalidSetError, ScaleLimitError
-from phk.linalg import dot, vec
+from phk import polyhedra
+from phk.linalg import dot, vec, vneg
 from phk.polyhedra import (
     ClosedPolyhedron,
     EmptySet,
@@ -208,15 +211,42 @@ def test_h_to_v_slab_mixes_lineality_and_rays():
         assert closed_contains(slab, v)
 
 
-def test_scale_cap_guard(monkeypatch):
-    big = space(7)
-    with pytest.raises(ScaleLimitError):
-        h_to_v(big)
-    monkeypatch.setenv("PHK_MAX_DIM", "8")
-    assert len(h_to_v(big).lineality) == 7
-    monkeypatch.setenv("PHK_MAX_DIM", "zero")
-    with pytest.raises(InputError):
-        h_to_v(big)
+def test_seven_dimensional_sets_convert():
+    units = tuple(tuple(Fraction(int(i == j)) for i in range(7)) for j in range(7))
+    assert h_to_v(space(7)) == VRep((vec([0] * 7),), (), units)
+    simplex = closed(7, [(vneg(u), 0) for u in units] + [([1] * 7, 1)])
+    g = h_to_v(simplex)
+    assert g.vertices == tuple(sorted((vec([0] * 7),) + units))
+    assert not g.rays and not g.lineality
+    assert v_to_h(g) == simplex
+
+
+def forbid_the_walk(monkeypatch):
+    """Make every row-subset walk in ``polyhedra`` fail on its first step."""
+
+    def walk(*args):
+        raise AssertionError("the subset walk started")
+
+    monkeypatch.setattr(polyhedra, "combinations", walk)
+
+
+def test_conversion_budget_counts_vertex_subsets(monkeypatch):
+    # 40 normals spanning R^6, each row holding the origin: C(40, 6) vertex
+    # candidates, then C(40, 5) ray candidates.
+    normals = sorted(product((-1, 0, 1), repeat=6), key=lambda n: sum(map(abs, n)))[1:41]
+    p = ClosedPolyhedron(6, tuple((vec(n), Fraction(1)) for n in normals))
+    forbid_the_walk(monkeypatch)
+    with pytest.raises(ScaleLimitError, match="walk 3838380 row subsets"):
+        h_to_v(p)
+    assert comb(40, 6) == 3838380 > polyhedra.CONVERSION_SUBSET_CAP
+
+
+def test_conversion_budget_counts_facet_subsets(monkeypatch):
+    cube = VRep(tuple(vec(v) for v in product((0, 1), repeat=6)), (), ())
+    forbid_the_walk(monkeypatch)
+    with pytest.raises(ScaleLimitError, match="walk 74974368 row subsets"):
+        v_to_h(cube)
+    assert comb(64, 6) == 74974368
 
 
 def test_v_to_h_round_trip_square():

@@ -1,6 +1,7 @@
 """The README's examples run and print what their comments say."""
 from __future__ import annotations
 
+import importlib
 import json
 import re
 import shlex
@@ -121,3 +122,11 @@ def test_command_line_examples_run_as_shown():
             assert shown == json.loads(value), (argv, key)
             named += 1
     assert named == 13
+
+
+def test_quoted_constants_have_their_values():
+    quoted = re.findall(r"`phk\.(\w+)\.([A-Z_]+)` = (\d+)", README)
+    assert len(quoted) >= 4
+    for module, name, value in quoted:
+        got = getattr(importlib.import_module(f"phk.{module}"), name)
+        assert got == int(value), (module, name)

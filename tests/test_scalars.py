@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phk.errors import InputError
-from phk.scalars import NEG_INF, POS_INF, ExtValue, fin, inf_ext, rat, rat_str, sup_ext
+from phk.scalars import NEG_INF, POS_INF, ExtValue, fin, rat, rat_str, sup_ext
 
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -60,11 +60,9 @@ def test_infinity_sum_convention():
     assert fin(2) + fin("1/2") == fin("5/2")
 
 
-def test_empty_sup_and_inf_conventions():
+def test_empty_sup_convention():
     assert sup_ext([]) == NEG_INF
-    assert inf_ext([]) == POS_INF
     assert sup_ext([fin(1), fin(3), fin(2)]) == fin(3)
-    assert inf_ext([fin(1), POS_INF]) == fin(1)
     assert sup_ext([NEG_INF, fin(-2)]) == fin(-2)
 
 

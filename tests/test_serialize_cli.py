@@ -94,6 +94,36 @@ class TestParsing:
             parse_points({"dim": 1, "points": "zzz"})
 
 
+# Each JSON shape with a dimension field, as (parser, document builder, CLI
+# call with the document's path in place of ``{}``).
+SQUARE = str(FIXTURES / "unit_square.json")
+DIM_SHAPES = {
+    "set": (parse_set, lambda v: {"dim": v, "rows": [{"normal": [1], "offset": 1}]}, ["hull", "{}"]),
+    "space": (parse_set, lambda v: {"space": v}, ["hull", "{}"]),
+    "empty": (parse_set, lambda v: {"empty": True, "dim": v}, ["hull", "{}"]),
+    "graph": (
+        parse_graph,
+        lambda v: {"dim": v, "pairs": [{"a": [0], "astar": [0]}]},
+        ["psi", "{}", "--point", "[0]", "--dual", "[0]"],
+    ),
+    "points": (parse_points, lambda v: {"dim": v, "points": [[1, 2]]}, ["partial-hull", SQUARE, "{}"]),
+}
+
+
+@pytest.mark.parametrize("value", [True, "2", 2.0, 0], ids=repr)
+@pytest.mark.parametrize("shape", sorted(DIM_SHAPES))
+def test_json_dimensions_are_positive_ints(shape, value, capsys, tmp_path):
+    parser, build, argv = DIM_SHAPES[shape]
+    doc = build(value)
+    with pytest.raises(InputError, match="dimension must be a positive integer"):
+        parser(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *[str(path) if a == "{}" else a for a in argv])
+    assert (code, out) == (1, "")
+    assert "dimension must be a positive integer" in err
+
+
 class TestFormatting:
     def test_round_trip_fixture_files(self):
         for path in sorted(FIXTURES.glob("*.json")):
