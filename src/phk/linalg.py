@@ -3,7 +3,9 @@
 Vectors are tuples of Fraction; matrices are sequences of such tuples.  The
 routines here are deliberately small and deterministic: reduced row echelon
 form with leftmost-pivot selection, nullspace and rowspace bases, square
-solves, and primitive integer scaling used to canonicalize rays.
+solves, and primitive integer scaling used to canonicalize rays.  ``dot``
+works on numerators and denominators as plain ints and builds one
+``Fraction`` per call, not one per term.
 """
 
 from __future__ import annotations
@@ -36,9 +38,20 @@ def unit_vec(n: int, i: int) -> Vec:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """Exact inner product: integer products of numerators summed over one
+    running denominator, reduced once into a single ``Fraction``."""
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        n = a.numerator * b.numerator
+        if n:
+            d = a.denominator * b.denominator
+            if den % d:
+                grow = d // gcd(den, d)
+                num, den = num * grow, den * grow
+            num += n * (den // d)
+    return Fraction(num, den)
 
 
 def vadd(u: Vec, v: Vec) -> Vec:

@@ -19,6 +19,8 @@ from .polyhedra import (
     PartiallyOpenPolyhedron,
     contains,
     require_valid,
+    row_signs,
+    signs_inside,
     system_of,
 )
 from .scalars import ExtValue, NEG_INF, POS_INF, fin
@@ -103,19 +105,17 @@ def in_portable_hull(c: PartiallyOpenPolyhedron | EmptySet, x) -> bool:
     if isinstance(c, EmptySet):
         return True
     supported = supporting_rows(c)
-    rows = c.carrier.rows
-    return all(dot(rows[i][0], p) <= rows[i][1] for i in supported)
+    signs = row_signs(c, p)
+    return all(signs[i] <= 0 for i in supported)
 
 
 def normal_cone_at(c: PartiallyOpenPolyhedron, x) -> GeneratedCone:
     """Cone generated by the normals of the rows active at a point of the set."""
     require_valid(c)
-    p = vec(x)
-    if not contains(c, p):
+    signs = row_signs(c, vec(x, c.dim))
+    if not signs_inside(c, signs):
         raise InputError("normal cone requested at a point outside the set")
-    active = tuple(
-        normal for normal, offset in c.carrier.rows if dot(normal, p) == offset
-    )
+    active = tuple(normal for (normal, _), s in zip(c.carrier.rows, signs) if s == 0)
     return GeneratedCone(c.dim, active)
 
 
@@ -148,8 +148,7 @@ def interior_point_of_carrier(c: PartiallyOpenPolyhedron) -> Vec | None:
 
 
 def strictly_inside(c: PartiallyOpenPolyhedron, x) -> bool:
-    p = vec(x, c.dim)
-    return all(dot(normal, p) < offset for normal, offset in c.carrier.rows)
+    return all(s < 0 for s in row_signs(c, vec(x, c.dim)))
 
 
 def set_member_witness(c: PartiallyOpenPolyhedron) -> Vec:

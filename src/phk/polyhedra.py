@@ -21,6 +21,12 @@ feasible rank-n active sets, extreme rays as rank-(n-1) active subsets of the
 recession cone, with lineality split off first through an exact
 nullspace/rowspace restriction.  A walk over more than
 ``CONVERSION_SUBSET_CAP`` row subsets is refused before it starts.
+
+Membership runs on integers: ``row_signs`` compares a point, cleared of its
+denominators once, with the carrier rows scaled to integers once per set,
+and returns only the sign of ``normal . x - offset`` per row.  ``contains``
+and the closed-form route's row checks read those signs; the face route,
+the LP certificate check and Fourier-Motzkin elimination keep ``dot``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvalidSetError, ScaleLimitError
@@ -77,9 +83,17 @@ class EmptySet:
 
 
 class SetRecord:
-    """Derived data of one set, each field filled on first use."""
+    """Derived data of one set, each field filled on first use.
 
-    __slots__ = ("validation", "witnesses", "vrep", "faces", "support", "__weakref__")
+    Shared: ``validation``.  Closed-form route: ``support`` (the memo of
+    support evaluations), ``witnesses`` (supporting-row witnesses) and
+    ``integer_rows`` (the carrier rows scaled to integers, read by
+    ``row_signs``).  Face route: ``vrep`` and ``faces``.
+    """
+
+    __slots__ = (
+        "validation", "witnesses", "vrep", "faces", "support", "integer_rows", "__weakref__"
+    )
 
     def __init__(self) -> None:
         self.validation: Validation | None = None
@@ -87,6 +101,7 @@ class SetRecord:
         self.vrep: VRep | None = None
         self.faces: tuple | None = None
         self.support: dict = {}
+        self.integer_rows: tuple[tuple[tuple[int, ...], int], ...] | None = None
 
     def remember_support(self, xstar: Vec, evaluation) -> None:
         if len(self.support) >= SUPPORT_MEMO_CAP:
@@ -99,14 +114,15 @@ class PartiallyOpenPolyhedron:
     """A carrier with some rows made strict, plus its derived data.
 
     ``_record`` holds what has been computed about this object: its
-    ``Validation``, supporting-row witnesses, the carrier's V-rep, the faces
-    and a support memo of at most ``SUPPORT_MEMO_CAP`` duals.  It takes no
-    part in ``==``, ``hash`` or ``repr``, and is freed with the set.  The two
-    routes to the coupling value stay independent by reading disjoint fields:
-    the face route (``enumerate_faces`` and its callers) reads only ``vrep``
-    and ``faces``; the closed-form route (``support_value``,
-    ``supporting_rows``, ``supporting_row_witnesses`` and their callers)
-    reads only ``support`` and ``witnesses``.
+    ``Validation``, supporting-row witnesses, the carrier's V-rep, the faces,
+    a support memo of at most ``SUPPORT_MEMO_CAP`` duals and the carrier
+    rows scaled to integers.  It takes no part in ``==``, ``hash`` or
+    ``repr``, and is freed with the set.  The two routes to the coupling
+    value stay independent by reading disjoint fields: the face route
+    (``enumerate_faces`` and its callers) reads only ``vrep`` and ``faces``;
+    the closed-form route (``support_value``, ``supporting_rows``,
+    ``supporting_row_witnesses``, ``row_signs`` and their callers) reads only
+    ``support``, ``witnesses`` and ``integer_rows``.
     """
 
     carrier: ClosedPolyhedron
@@ -341,18 +357,46 @@ def closed_contains(p: ClosedPolyhedron, x: Sequence) -> bool:
     return all(dot(normal, xv) <= offset for normal, offset in p.rows)
 
 
+def row_signs(c: PartiallyOpenPolyhedron, x: Vec) -> tuple[int, ...]:
+    """Sign of ``normal . x - offset`` for each carrier row, as -1, 0 or 1.
+
+    Each row is scaled once per set by the lcm of its denominators, and the
+    point by the lcm of its own, so the comparison runs on plain ints.  The
+    caller checks the point's dimension.
+    """
+    record = c._record
+    rows = record.integer_rows
+    if rows is None:
+        rows = record.integer_rows = tuple(
+            _integer_row(normal, offset) for normal, offset in c.carrier.rows
+        )
+    den = lcm(*(q.denominator for q in x))
+    xs = [q.numerator * (den // q.denominator) for q in x]
+    signs = []
+    for normal, offset in rows:
+        v = sum(a * b for a, b in zip(normal, xs)) - offset * den
+        signs.append((v > 0) - (v < 0))
+    return tuple(signs)
+
+
+def _integer_row(normal: Vec, offset: Fraction) -> tuple[tuple[int, ...], int]:
+    scale = lcm(offset.denominator, *(q.denominator for q in normal))
+    return (
+        tuple(q.numerator * (scale // q.denominator) for q in normal),
+        offset.numerator * (scale // offset.denominator),
+    )
+
+
+def signs_inside(c: PartiallyOpenPolyhedron, signs: Sequence[int]) -> bool:
+    """Do these ``row_signs`` put the point in the set?"""
+    strict = c.strict_rows
+    return all(s < 0 if i in strict else s <= 0 for i, s in enumerate(signs))
+
+
 def contains(c: PartiallyOpenPolyhedron | EmptySet, x: Sequence) -> bool:
     if isinstance(c, EmptySet):
         return False
-    xv = vec(x, c.dim)
-    for i, (normal, offset) in enumerate(c.carrier.rows):
-        v = dot(normal, xv)
-        if i in c.strict_rows:
-            if v >= offset:
-                return False
-        elif v > offset:
-            return False
-    return True
+    return signs_inside(c, row_signs(c, vec(x, c.dim)))
 
 
 def closed_subset_of(

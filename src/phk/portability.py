@@ -40,6 +40,8 @@ from .polyhedra import (
     is_bounded,
     lineality_space,
     require_valid,
+    row_signs,
+    signs_inside,
     space,
     system_of,
 )
@@ -121,10 +123,10 @@ def partial_supporting_rows(
     if isinstance(s, EmptySet):
         return ()
     if isinstance(s, FinitePointSet):
+        signs = [row_signs(c, p) for p in s.points]
+        members = [sg for sg in signs if signs_inside(c, sg)]
         return tuple(
-            i
-            for i, (normal, offset) in enumerate(c.carrier.rows)
-            if any(contains(c, p) and dot(normal, p) == offset for p in s.points)
+            i for i in range(len(c.carrier.rows)) if any(sg[i] == 0 for sg in members)
         )
     require_valid(s)
     base = system_of(c) + system_of(s)

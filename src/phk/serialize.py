@@ -52,16 +52,29 @@ def _parse_dim(value, what: str) -> int:
     return value
 
 
+def _only_keys(obj: dict, allowed: set[str], what: str) -> None:
+    extra = sorted(set(obj) - allowed)
+    if extra:
+        raise InputError(f"{what} has unknown keys: {', '.join(map(repr, extra))}")
+
+
 def parse_set(obj) -> PartiallyOpenPolyhedron | EmptySet:
-    """Accepts {"empty": true}, {"space": n}, or {"dim", "rows": [...]}."""
+    """Accepts {"empty": true} (with at most "dim"), {"space": n}, or
+    {"dim", "rows": [...]} with rows of "normal", "offset" and "strict";
+    any other key or shape is refused."""
     if not isinstance(obj, dict):
         raise InputError("a set description must be a JSON object")
-    if obj.get("empty"):
+    if "empty" in obj:
+        if obj["empty"] is not True or not obj.keys() <= {"empty", "dim"}:
+            raise InputError('an empty set is {"empty": true}, with at most "dim" beside it')
         return EmptySet(_parse_dim(obj.get("dim", 1), "empty-set dimension"))
     if "space" in obj:
+        if obj.keys() != {"space"}:
+            raise InputError('a whole space is {"space": n}, with no other key')
         return whole_set(_parse_dim(obj["space"], "space dimension"))
     if "dim" not in obj or "rows" not in obj:
         raise InputError('a set description needs "dim" and "rows"')
+    _only_keys(obj, {"dim", "rows"}, "a set description")
     dim = _parse_dim(obj["dim"], "dimension")
     rows = []
     if not isinstance(obj["rows"], list):
@@ -69,6 +82,7 @@ def parse_set(obj) -> PartiallyOpenPolyhedron | EmptySet:
     for row in obj["rows"]:
         if not isinstance(row, dict) or "normal" not in row or "offset" not in row:
             raise InputError('each row needs "normal" and "offset"')
+        _only_keys(row, {"normal", "offset", "strict"}, "a row")
         strict = row.get("strict", False)
         if not isinstance(strict, bool):
             raise InputError('"strict" must be a boolean')

@@ -267,6 +267,18 @@ def test_stdout_does_not_depend_on_hash_seed(argv):
     assert outs[0] == outs[1] == _golden()[" ".join(argv)]["stdout"]
 
 
+def test_goldens_replay_under_optimize_flag():
+    """``replay_goldens.py`` under ``python -O``: no answer rests on an assert."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    got = subprocess.run(
+        [sys.executable, "-O", str(ROOT / "tests" / "replay_goldens.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    total = len(cases()) + len(extra_cases())
+    assert (got.returncode, got.stderr) == (0, "")
+    assert got.stdout == f"{total} of {total} goldens match (assertions off)\n"
+
+
 def _write(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(doc)} entries to {path}", file=sys.stderr)

@@ -72,3 +72,36 @@ def test_primitive_preserves_direction(v):
         assert (a == 0) == (b == 0)
         if a != 0:
             assert (a > 0) == (b > 0)
+
+
+# Ints, zeros and fractions with denominators 1-12, negative entries included.
+scalars = st.one_of(
+    st.integers(-40, 40),
+    st.just(0),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+)
+vector_pairs = st.integers(0, 7).flatmap(
+    lambda n: st.tuples(
+        st.lists(scalars, min_size=n, max_size=n), st.lists(scalars, min_size=n, max_size=n)
+    )
+)
+
+
+@given(vector_pairs)
+def test_dot_matches_the_naive_fraction_sum(pair):
+    u, v = pair
+    got = dot(u, v)
+    assert type(got) is Fraction
+    assert got == sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def test_dot_of_empty_vectors_is_zero():
+    assert dot((), ()) == 0 and type(dot((), ())) is Fraction
+
+
+@given(st.lists(scalars, max_size=5), st.lists(scalars, max_size=5))
+def test_dot_refuses_a_length_mismatch(u, v):
+    if len(u) == len(v):
+        v = v + [Fraction(1)]
+    with pytest.raises(InputError, match="dimension mismatch"):
+        dot(u, v)

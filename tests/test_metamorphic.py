@@ -4,7 +4,9 @@ Over seeded corpus sets (mixed, strict and line-free), rewriting the rows of
 a set leaves ``make_set`` unchanged; permuting coordinates carries the
 portable hull, the portability verdict and the support values along; and
 translating by ``t`` shifts the support value by ``<x*, t>`` while leaving
-attainment, the verdict and the existence of a separating half-space alone.
+attainment, the verdict and the existence of a separating half-space alone;
+and an integer change of variables ``x = U y`` with ``det U = +-1`` maps
+membership, support values, attainment, the verdict and the hull's rows.
 """
 from __future__ import annotations
 
@@ -93,3 +95,58 @@ def test_translation(idx):
         here = separation_certificate(c, x) is not None
         there = separation_certificate(shifted, vadd(x, t)) is not None
         assert here == there, x
+
+
+def unimodular(dim: int, rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
+    """An integer matrix U with det +-1 and its integer inverse, built from
+    column additions, swaps and sign flips."""
+    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    inv = [row[:] for row in u]
+    for _ in range(3 * dim):
+        i, j = rng.sample(range(dim), 2) if dim > 1 else (0, 0)
+        op = rng.choice(("add", "add", "swap", "flip")) if dim > 1 else "flip"
+        if op == "add":
+            # U <- U (I + k e_j e_i^T), U^-1 <- (I - k e_j e_i^T) U^-1.
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            for row in u:
+                row[i] += k * row[j]
+            inv[j] = [a - k * b for a, b in zip(inv[j], inv[i])]
+        elif op == "swap":
+            for row in u:
+                row[i], row[j] = row[j], row[i]
+            inv[i], inv[j] = inv[j], inv[i]
+        else:
+            for row in u:
+                row[i] = -row[i]
+            inv[i] = [-a for a in inv[i]]
+    return u, inv
+
+
+def apply(m, v):
+    return tuple(sum((a * q for a, q in zip(row, v)), Fraction(0)) for row in m)
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+@pytest.mark.parametrize("idx", range(len(SETS)))
+def test_unimodular_change_of_variables(idx):
+    c = SETS[idx]
+    u, inv = unimodular(c.dim, rng_for(idx, "unimodular"))
+    # The columns of U U^-1 are those of the identity.
+    assert [list(apply(u, col)) for col in transpose(inv)] == [
+        [int(i == j) for j in range(c.dim)] for i in range(c.dim)
+    ]
+    ut = transpose(u)
+    # C' = {y : (U^T n) . y <= offset}, the rows of A U, so that C = U C'.
+    mapped = make_set(c.dim, [(apply(ut, n), o, s) for n, o, s in rows_of(c)])
+    assert len(mapped.carrier.rows) == len(c.carrier.rows)
+    for x in cloud_points(c, SPEC):
+        assert contains(mapped, apply(inv, x)) == contains(c, x), x
+    for xstar in dual_vectors(c.dim, c, SPEC):
+        a, b = support_value(c, xstar), support_value(mapped, apply(ut, xstar))
+        assert (a.value, a.attained_in_set) == (b.value, b.attained_in_set), xstar
+    assert is_portable(mapped) == is_portable(c)
+    hull_rows = {(apply(ut, n), o) for n, o in portable_hull(c).rows}
+    assert set(portable_hull(mapped).rows) == hull_rows

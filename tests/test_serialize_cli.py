@@ -94,6 +94,41 @@ class TestParsing:
             parse_points({"dim": 1, "points": "zzz"})
 
 
+# Set documents that name the empty set, the whole space or a row system
+# wrongly: a non-``true`` "empty", keys beside "empty" or "space", unknown
+# keys on the set or on a row.
+LOOSE_SETS = {
+    "empty-no": {"empty": "no", "dim": 2},
+    "empty-false": {"empty": False, "dim": 1, "rows": []},
+    "empty-one": {"empty": 1},
+    "empty-with-rows": {"empty": True, "dim": 1, "rows": []},
+    "space-with-dim": {"space": 2, "dim": 2},
+    "space-with-rows": {"space": 1, "rows": [{"normal": [1], "offset": 0}]},
+    "extra-key": {"dim": 1, "rows": [{"normal": [1], "offset": 1}], "extra": 5},
+    "row-extra-key": {"dim": 1, "rows": [{"normal": [1], "offset": 1, "strct": True}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOSE_SETS))
+def test_loose_set_documents_are_refused(name, capsys, tmp_path):
+    doc = LOOSE_SETS[name]
+    with pytest.raises(InputError):
+        parse_set(doc)
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "hull", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+def test_exact_set_shapes_still_parse():
+    assert parse_set({"empty": True}) == EmptySet(1)
+    assert parse_set({"empty": True, "dim": 3}) == EmptySet(3)
+    assert parse_set({"space": 2}).carrier.rows == ()
+    c = parse_set({"dim": 1, "rows": [{"normal": [1], "offset": 1, "strict": False}]})
+    assert c.carrier.rows == (((F(1),), F(1)),) and not c.strict_rows
+
+
 # Each JSON shape with a dimension field, as (parser, document builder, CLI
 # call with the document's path in place of ``{}``).
 SQUARE = str(FIXTURES / "unit_square.json")

@@ -190,6 +190,8 @@ def test_routes_agree_on_fresh_sets():
         assert portable_hull(closed_form) == portable_hull_by_faces(by_faces)
         # Each route filled only its own fields of the record.
         assert closed_form._record.support and closed_form._record.witnesses is not None
+        assert closed_form._record.integer_rows is not None
         assert closed_form._record.faces is None and closed_form._record.vrep is None
         assert by_faces._record.faces and by_faces._record.vrep is not None
         assert by_faces._record.support == {} and by_faces._record.witnesses is None
+        assert by_faces._record.integer_rows is None
