@@ -29,6 +29,7 @@ from .fitzpatrick import (
 )
 from .fme import fm_feasible, fm_maximize
 from .lp import (
+    EqualityLP,
     Feasibility,
     LPOutcome,
     LPProblem,
@@ -122,6 +123,7 @@ def __getattr__(name: str):
 __all__ = [
     "ClosedPolyhedron",
     "EmptySet",
+    "EqualityLP",
     "ExtValue",
     "Face",
     "Feasibility",

@@ -1,25 +1,28 @@
 """Exact linear programming over the rationals.
 
-``lp_solve`` maximizes a rational linear objective over a system of weak
-inequality rows ``normal . x <= offset`` with free variables, and always
+``lp_solve`` maximizes a rational linear objective over weak rows
+``normal . x <= offset`` with free variables (``LPProblem``), or over equality
+rows ``normal . w = offset`` with ``w >= 0`` (``EqualityLP``), and always
 returns a certificate that can be re-verified exactly:
 
-* ``optimal``   carries the primal point, the optimal value, and dual
-                multipliers with ``A^T lambda = c``, ``lambda >= 0`` and
-                ``lambda . b = value`` (strong duality, exact);
-* ``unbounded`` carries a ray ``d`` with ``A d <= 0`` and ``c . d > 0``;
-* ``infeasible`` carries Farkas multipliers ``lambda >= 0`` with
-                ``lambda^T A = 0`` and ``lambda . b < 0``.
+* ``optimal``   carries the primal point, the value, and duals ``y`` with
+                ``b . y = value`` and ``A^T y = c, y >= 0`` (weak rows) or
+                ``A^T y >= c`` (equality rows);
+* ``unbounded`` carries a ray ``d``, ``c . d > 0``, with ``A d <= 0`` or
+                ``A d = 0, d >= 0``;
+* ``infeasible`` carries Farkas multipliers ``y``, ``b . y < 0``, with
+                ``A^T y = 0, y >= 0`` or ``A^T y >= 0``.
 
 The pivot rule is Bland's anti-cycling rule (lowest eligible column index
 enters; ties in the ratio test break toward the lowest basic variable index),
 which makes every run deterministic.
 
-Free variables are encoded by splitting ``x = u - v`` with ``u, v >= 0``; a
-slack turns each row into an equation, and a full set of artificial variables
-provides the phase-1 basis.  The artificial block doubles as an explicit
-basis inverse, which is where the exact dual multipliers come from: they are
-the artificial columns of the reduced-cost row.
+Both forms run one two-phase body.  Weak rows split ``x = u - v`` with
+``u, v >= 0`` and get a slack each; equality rows enter as they are.  A full
+set of artificial variables provides the phase-1 basis and doubles as an
+explicit basis inverse: the exact duals are its columns of the reduced-cost
+row.  Equality rows may depend on one another; an artificial left basic at
+zero in a row with no nonzero structural entry stays there for good.
 
 The tableau is fraction-free.  Each row, and the reduced-cost row, is a list
 of ``int`` over one positive ``int`` denominator, and a pivot works on whole
@@ -48,6 +51,18 @@ StrictRow = tuple[Vec, Fraction, bool]
 @dataclass(frozen=True, slots=True)
 class LPProblem:
     """Maximize ``objective . x`` subject to ``normal . x <= offset`` per row."""
+
+    objective: Vec
+    rows: tuple[Row, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.objective)
+
+
+@dataclass(frozen=True, slots=True)
+class EqualityLP:
+    """Maximize ``objective . w`` subject to ``normal . w = offset`` per row, ``w >= 0``."""
 
     objective: Vec
     rows: tuple[Row, ...]
@@ -162,30 +177,35 @@ def _run_simplex(tab: list[list[int]], dens: list[int], basis: list[int], eligib
         _pivot(tab, dens, basis, leave, enter)
 
 
-def lp_solve(p: LPProblem) -> LPOutcome:
+def lp_solve(p: LPProblem | EqualityLP) -> LPOutcome:
     n = p.dim
     if n < 1:
         raise InputError("LP dimension must be at least 1")
     m = len(p.rows)
     obj = p.objective
+    free = isinstance(p, LPProblem)
 
     if m == 0:
-        if is_zero_vec(obj):
+        ray = obj if free else tuple(c if c > 0 else Fraction(0) for c in obj)
+        if is_zero_vec(ray):
             return LPOutcome("optimal", value=Fraction(0), primal=zero_vec(n), dual=())
-        return LPOutcome("unbounded", ray=primitive(obj))
+        return LPOutcome("unbounded", ray=primitive(ray))
 
-    # Standard form: columns are (u | v | s), one artificial per row.  Each
-    # row is a list of ints over one positive denominator.
-    nstruct = 2 * n + m
+    # Standard form: columns (u | v | s) for weak rows or as given for equality
+    # rows, one artificial per row; each row is ints over one denominator.
+    nstruct = 2 * n + m if free else n
     signs = [1 if off >= 0 else -1 for _, off in p.rows]
     tab: list[list[int]] = []
     dens: list[int] = []
     for i, (normal, offset) in enumerate(p.rows):
+        if len(normal) != n:
+            raise InputError(f"LP row {i} has {len(normal)} entries, the objective {n}")
         d = signs[i]
         den = _lcm(a.denominator for a in normal + (offset,))
-        whole = [d * a.numerator * (den // a.denominator) for a in normal]
-        row = whole + [-a for a in whole]
-        row += [d * den if k == i else 0 for k in range(m)]
+        row = [d * a.numerator * (den // a.denominator) for a in normal]
+        if free:
+            row += [-a for a in row]
+            row += [d * den if k == i else 0 for k in range(m)]
         row += [den if k == i else 0 for k in range(m)]
         row.append(d * offset.numerator * (den // offset.denominator))
         tab.append(row)
@@ -205,32 +225,31 @@ def lp_solve(p: LPProblem) -> LPOutcome:
         farkas = tuple(-signs[j] * (red_den - red[nstruct + j]) for j in range(m))
         return LPOutcome("infeasible", farkas=primitive(farkas))
 
-    # Expel artificials still basic at level zero.  The slack columns keep
-    # every row independent, so each such row has a nonzero structural entry.
+    # Expel artificials still basic at level zero through a nonzero structural
+    # entry.  A dependent row has none; its artificial stays basic at zero.
     for i in range(m - 1, -1, -1):
-        if basis[i] >= nstruct:
+        if basis[i] >= nstruct and any(tab[i][:nstruct]):
             _pivot(tab, dens, basis, i, next(c for c in range(nstruct) if tab[i][c]))
 
     # Phase 2: minimize -objective over the structural columns.
-    costs2 = [Fraction(0)] * nstruct
-    for t in range(n):
-        costs2[t] = -obj[t]
-        costs2[n + t] = obj[t]
+    costs2 = [-c for c in obj]
+    if free:
+        costs2 += list(obj) + [Fraction(0)] * m
     tab[-1], dens[-1] = _reduced_costs(tab, dens, basis, costs2)
     hit = _run_simplex(tab, dens, basis, nstruct)
     if hit is not None:
         common = _lcm(dens[:-1])
-        zray = [0] * nstruct
+        zray = [0] * (nstruct + m)
         zray[hit] = common
         for i, b in enumerate(basis):
             zray[b] = -tab[i][hit] * (common // dens[i])
-        ray = primitive(tuple(zray[t] - zray[n + t] for t in range(n)))
-        return LPOutcome("unbounded", ray=ray)
+        ray = tuple(zray[t] - zray[n + t] for t in range(n)) if free else tuple(zray[:n])
+        return LPOutcome("unbounded", ray=primitive(ray))
 
-    zval = [Fraction(0)] * nstruct
+    zval = [Fraction(0)] * (nstruct + m)
     for i, b in enumerate(basis):
         zval[b] = Fraction(tab[i][-1], dens[i])
-    x = tuple(zval[t] - zval[n + t] for t in range(n))
+    x = tuple(zval[t] - zval[n + t] for t in range(n)) if free else tuple(zval[:n])
     # The artificial columns of the reduced costs are -pi.
     red, red_den = tab[-1], dens[-1]
     dual = tuple(Fraction(signs[j] * red[nstruct + j], red_den) for j in range(m))

@@ -47,13 +47,12 @@ from .linalg import (
     rowspace_basis,
     smul,
     solve_square,
-    unit_vec,
     vadd,
     vec,
     vneg,
     zero_vec,
 )
-from .lp import Row, StrictRow, closed_feasible, solve_max, strict_system_feasible
+from .lp import EqualityLP, Row, StrictRow, closed_feasible, lp_solve, solve_max, strict_system_feasible
 from .scalars import rat
 
 # Support values remembered per set; past the cap the oldest is dropped.  No
@@ -594,17 +593,10 @@ def cone(dim: int, generators: Iterable[Sequence]) -> GeneratedCone:
 def cone_contains(k: GeneratedCone, x: Sequence) -> bool:
     """Exact membership of a vector in a finitely generated cone."""
     xv = vec(x, k.dim)
-    if is_zero_vec(xv):
-        return True
-    if not k.generators:
-        return False
-    g = len(k.generators)
-    rows: list[Row] = [(vneg(unit_vec(g, j)), Fraction(0)) for j in range(g)]
-    for t in range(k.dim):
-        coeffs = tuple(k.generators[j][t] for j in range(g))
-        rows.append((coeffs, xv[t]))
-        rows.append((vneg(coeffs), -xv[t]))
-    return closed_feasible(rows, g).feasible
+    if not k.generators or is_zero_vec(xv):
+        return is_zero_vec(xv)
+    rows = tuple((tuple(gen[t] for gen in k.generators), xv[t]) for t in range(k.dim))
+    return lp_solve(EqualityLP(zero_vec(len(k.generators)), rows)).status == "optimal"
 
 
 def cones_equal(a: GeneratedCone, b: GeneratedCone) -> bool:

@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import InputError, ScaleLimitError
 from .fitzpatrick import MonotoneGraph, is_monotone, vec_check
 from .linalg import Vec, dot, rref, vadd, smul, zero_vec
-from .lp import LPProblem, Row, lp_solve
+from .lp import EqualityLP, Row, lp_solve
 from .normal_cones import normal_cone_at, strictly_inside
 from .polyhedra import (
     EmptySet,
@@ -83,29 +83,20 @@ class ProbeReport:
 def _barycentric_rows(
     pairs: Sequence[tuple[Vec, Vec]], extra: Sequence[Vec], x: Vec, xstar: Vec
 ) -> list[Row]:
-    """Equality-as-two-inequalities encoding of barycentric representation.
+    """Equality rows of barycentric representation, over nonnegative columns.
 
-    Variables are one nonnegative weight per graph pair, summing to one and
-    reproducing (x, xstar), then one nonnegative multiplier per ``extra``
-    dual vector, which enters the dual side only.
+    Columns are one weight per graph pair, then one multiplier per ``extra``
+    dual vector, which enters the dual side only.  The rows are 1 + 2n
+    equations: the weights sum to one, then they reproduce x coordinate by
+    coordinate, then the weights and multipliers reproduce xstar.
     """
-    total = len(pairs) + len(extra)
     zeros = (Fraction(0),) * len(extra)
-    rows: list[Row] = []
-    for j in range(total):
-        e = [Fraction(0)] * total
-        e[j] = Fraction(-1)
-        rows.append((tuple(e), Fraction(0)))
-    ones = (Fraction(1),) * len(pairs) + zeros
-    rows.append((ones, Fraction(1)))
-    rows.append((tuple(-q for q in ones), Fraction(-1)))
+    rows: list[Row] = [((Fraction(1),) * len(pairs) + zeros, Fraction(1))]
     for coord in range(len(x)):
-        a_row = tuple(a[coord] for a, _ in pairs) + zeros
-        rows.append((a_row, x[coord]))
-        rows.append((tuple(-q for q in a_row), -x[coord]))
+        rows.append((tuple(a[coord] for a, _ in pairs) + zeros, x[coord]))
+    for coord in range(len(x)):
         d_row = tuple(astar[coord] for _, astar in pairs) + tuple(v[coord] for v in extra)
         rows.append((d_row, xstar[coord]))
-        rows.append((tuple(-q for q in d_row), -xstar[coord]))
     return rows
 
 
@@ -118,10 +109,8 @@ def rep_value(g: MonotoneGraph, x, xstar) -> PsiEvaluation:
     p, d = vec_check(g.dim, x, xstar)
     if not g.pairs:
         return PsiEvaluation(POS_INF, None, None)
-    couplings = tuple(dot(a, astar) for a, astar in g.pairs)
-    out = lp_solve(
-        LPProblem(tuple(-q for q in couplings), tuple(_barycentric_rows(g.pairs, (), p, d)))
-    )
+    costs = tuple(-dot(a, astar) for a, astar in g.pairs)
+    out = lp_solve(EqualityLP(costs, tuple(_barycentric_rows(g.pairs, (), p, d))))
     if out.status == "infeasible":
         return PsiEvaluation(POS_INF, None, None)
     assert out.status == "optimal", "weights live in a bounded simplex"
@@ -192,12 +181,11 @@ def rep_sum_value(
         return PsiEvaluation(POS_INF, None, None)
     p, d, tc, hull, costs = program
     rows = _barycentric_rows(tc.pairs, [n for n, _ in hull.rows], p, d)
-    out = lp_solve(LPProblem(tuple(-q for q in costs), tuple(rows)))
+    out = lp_solve(EqualityLP(tuple(-q for q in costs), tuple(rows)))
     if out.status == "infeasible":
         return PsiEvaluation(POS_INF, None, None)
     assert out.status == "optimal", "the sum value is bounded below"
-    k = len(tc.pairs)
-    lam = out.primal[:k]
+    lam = out.primal[: len(tc.pairs)]
     shift = d
     for w, (_, astar) in zip(lam, tc.pairs):
         shift = tuple(s - w * q for s, q in zip(shift, astar))
@@ -292,17 +280,15 @@ def sum_graph_membership(
         gens = normal_cone_at(c, p).generators
         k = len(tc.pairs)
         if k:
-            costs = [dot(a, astar) for a, astar in tc.pairs]
-            prices = [dot(p, gen) for gen in gens]
-            rows = _barycentric_rows(tc.pairs, gens, p, d)
-            rows.append((tuple(costs + prices), dot(p, d)))
-            got = lp_solve(
-                LPProblem((Fraction(0),) * (k + len(gens)), tuple(rows))
-            )
+            # Costs plus prices stay within <p, d>; the last column is that
+            # bound's slack, a zero extra vector absent from the other rows.
+            bound = [dot(a, astar) for a, astar in tc.pairs] + [dot(p, gen) for gen in gens]
+            rows = _barycentric_rows(tc.pairs, (*gens, zero_vec(c.dim)), p, d)
+            rows.append((tuple(bound) + (Fraction(1),), dot(p, d)))
+            got = lp_solve(EqualityLP(zero_vec(k + len(gens) + 1), tuple(rows)))
             if got.status == "optimal":
-                weights = got.primal
                 np = zero_vec(c.dim)
-                for w, gen in zip(weights[k:], gens):
+                for w, gen in zip(got.primal[k:], gens):
                     np = vadd(np, smul(w, gen))
                 tp = tuple(q - r for q, r in zip(d, np))
                 check = rep_value(tc, p, tp)

@@ -3,20 +3,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phk.errors import InputError
 from phk.fme import fm_feasible, fm_maximize
-from phk.linalg import dot, vec
+from phk.linalg import dot, vec, zero_vec
 from phk.lp import (
+    EqualityLP,
     LPProblem,
     closed_feasible,
     lp_solve,
     problem,
+    solve_max,
     strict_system_feasible,
     verify_outcome,
 )
+from phk.polyhedra import cone, cone_contains
 
 
 def rows_of(*rs):
@@ -86,6 +89,19 @@ def test_dimension_guard():
         problem([1], [([1, 2], 0)])
 
 
+def test_row_length_must_match_the_objective():
+    with pytest.raises(InputError):
+        solve_max([1, 0], [((1,), 1)])
+    with pytest.raises(InputError):
+        solve_max([1], [((1, 0), 1)])
+    with pytest.raises(InputError):
+        closed_feasible([((1, 1), 1)], 1)
+    with pytest.raises(InputError):
+        lp_solve(EqualityLP(vec([1, 0]), rows_of(([1], 1))))
+    with pytest.raises(InputError):
+        lp_solve(EqualityLP(vec([1]), rows_of(([1, 0], 1))))
+
+
 def test_strict_feasibility_examples():
     f = strict_system_feasible([(vec([1]), Fraction(0), True), (vec([-1]), Fraction(1), True)])
     assert f.feasible and f.witness is not None
@@ -148,6 +164,107 @@ def test_simplex_agrees_with_elimination(p):
     assert out.status == status
     if status == "optimal":
         assert out.value == value
+
+
+# -- the equality form against its inequality encoding ----------------------
+
+
+def inequality_form(p: EqualityLP) -> LPProblem:
+    """The same program written as weak rows over free variables: ``-e_j``
+    rows for ``w >= 0`` and a ``+-`` pair per equation."""
+    k = p.dim
+    rows = [(tuple(Fraction(-1 if i == j else 0) for i in range(k)), Fraction(0)) for j in range(k)]
+    for normal, offset in p.rows:
+        rows += [(normal, offset), (tuple(-a for a in normal), -offset)]
+    return LPProblem(p.objective, tuple(rows))
+
+
+def equality_certificate_holds(p: EqualityLP, out) -> bool:
+    """Optimal: A w = b, w >= 0, A^T y >= c, b.y = value.  Unbounded:
+    A d = 0, d >= 0, c.d > 0.  Infeasible: A^T y >= 0, b.y < 0."""
+    columns = [tuple(normal[j] for normal, _ in p.rows) for j in range(p.dim)]
+    offsets = tuple(offset for _, offset in p.rows)
+    if out.status == "optimal":
+        w, y = out.primal, out.dual
+        return (
+            all(dot(normal, w) == offset for normal, offset in p.rows)
+            and all(q >= 0 for q in w)
+            and dot(p.objective, w) == out.value
+            and len(y) == len(p.rows)
+            and all(dot(col, y) >= c for col, c in zip(columns, p.objective))
+            and dot(offsets, y) == out.value
+        )
+    if out.status == "unbounded":
+        d = out.ray
+        return (
+            all(dot(normal, d) == 0 for normal, _ in p.rows)
+            and all(q >= 0 for q in d)
+            and dot(p.objective, d) > 0
+        )
+    y = out.farkas
+    return (
+        len(y) == len(p.rows)
+        and all(dot(col, y) >= 0 for col in columns)
+        and dot(offsets, y) < 0
+    )
+
+
+@st.composite
+def equality_instances(draw):
+    k = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=4))
+    obj = vec([draw(coef) for _ in range(k)])
+    normals = [vec([draw(coef) for _ in range(k)]) for _ in range(m)]
+    if draw(st.booleans()):  # right-hand sides from a point w0 >= 0: feasible
+        w0 = [abs(draw(coef)) for _ in range(k)]
+        rows = [(a, dot(a, w0)) for a in normals]
+    else:
+        rows = [(a, draw(coef)) for a in normals]
+    # Dependent shapes: a zero row (consistent or not), a duplicated row, a
+    # row scaled by a nonzero factor of either sign.
+    plant = draw(st.sampled_from(("none", "zero", "zero-rhs", "duplicate", "scaled")))
+    if plant == "zero":
+        rows.append((zero_vec(k), Fraction(0)))
+    elif plant == "zero-rhs":
+        rows.insert(draw(st.integers(0, len(rows))), (zero_vec(k), draw(coef.filter(bool))))
+    elif rows and plant != "none":
+        normal, offset = draw(st.sampled_from(rows))
+        t = Fraction(1) if plant == "duplicate" else draw(coef.filter(bool))
+        rows.insert(draw(st.integers(0, len(rows))), (tuple(t * a for a in normal), t * offset))
+    return EqualityLP(obj, tuple(rows))
+
+
+@settings(max_examples=300)
+@given(equality_instances())
+def test_equality_form_agrees_with_its_inequality_encoding(p):
+    out = lp_solve(p)
+    assert equality_certificate_holds(p, out)
+    ref = inequality_form(p)
+    old = lp_solve(ref)
+    assert verify_outcome(ref, old)
+    assert (out.status, out.value) == (old.status, old.value)
+    status, value = fm_maximize(ref.objective, ref.rows)
+    assert out.status == status
+    if status == "optimal":
+        assert out.value == value
+
+
+def test_dependent_row_keeps_its_artificial_basic_at_zero():
+    # One generator in 2-D: both coordinate rows read w = 2, so after phase 1
+    # one artificial is basic at zero in a row with no structural entry.
+    p = EqualityLP(vec([0]), rows_of(([1], 2), ([1], 2)))
+    out = lp_solve(p)
+    assert out.status == "optimal" and out.primal == vec([2])
+    assert equality_certificate_holds(p, out)
+    line = cone(2, [(1, 1)])
+    assert cone_contains(line, (2, 2)) and not cone_contains(line, (2, 3))
+
+
+def test_equality_form_without_rows():
+    out = lp_solve(EqualityLP(vec([-1, 0]), ()))
+    assert out.status == "optimal" and out.value == 0 and out.primal == vec([0, 0])
+    grow = lp_solve(EqualityLP(vec([-1, "1/2", 3]), ()))
+    assert grow.status == "unbounded" and grow.ray == vec([0, 1, 6])
 
 
 @st.composite
