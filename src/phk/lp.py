@@ -201,7 +201,7 @@ def lp_solve(p: LPProblem | EqualityLP) -> LPOutcome:
         if len(normal) != n:
             raise InputError(f"LP row {i} has {len(normal)} entries, the objective {n}")
         d = signs[i]
-        den = _lcm(a.denominator for a in normal + (offset,))
+        den = _lcm(a.denominator for a in (*normal, offset))
         row = [d * a.numerator * (den // a.denominator) for a in normal]
         if free:
             row += [-a for a in row]

@@ -12,11 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .faces import enumerate_faces
-from .fitzpatrick import (
-    monotonically_related,
-    normal_cone_fitzpatrick,
-)
-from .linalg import Vec, dot, vec
+from .linalg import Vec, dot, vec, zero_vec
 from .lp import closed_feasible, strict_system_feasible
 from .normal_cones import (
     in_normal_cone,
@@ -47,13 +43,13 @@ from .polyhedra import (
 )
 from .sampling import (
     SampleSpec,
+    _cloud_from,
+    _pairs_from,
     boundary_points,
-    cloud_points,
     dual_vectors,
-    graph_pairs,
     points_in,
 )
-from .scalars import POS_INF
+from .scalars import POS_INF, fin
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,35 +215,48 @@ def portability_report(
     Two conditions are exact (the hull comparisons); the two about the
     normal-cone graph are checked on a deterministic sample cloud that
     always includes a targeted witness when the set is not portable.
+
+    The set is sampled once: the graph pairs and the cloud grow from one
+    ``points_in`` list.  Each pair (x, x*) is read from one ``row_signs``
+    vector of x and one support lookup at x*.  The signs place x in the
+    hull (supporting rows) and in the set (every row).  The coupling is
+    sigma(x*) on the hull and +inf off it; sigma + iota_C is sigma(x*) on
+    the set and +inf off it.  The pair is related when the coupling is at
+    most <x, x*>, and in the graph when x is in the set and
+    sigma(x*) = <x, x*>.
     """
     spec = spec or SampleSpec()
     hull = portable_hull(c)
     hull_adds_nothing = closed_subset_of(hull, c)
     hull_equals_carrier = closed_subset_of(hull, closed_as_set(c.carrier)) and closed_subset_of(c.carrier, closed_as_set(hull))
 
-    pairs = list(graph_pairs(c, spec))
-    for x in cloud_points(c, spec):
-        pairs.append((x, tuple(Fraction(0) for _ in range(c.dim))))
+    inside = points_in(c, spec)
+    zero = zero_vec(c.dim)
+    pairs = _pairs_from(c, spec, inside)
+    pairs += [(x, zero) for x in _cloud_from(c, spec, inside)]
     witness = nonsupporting_witness(c)
     if witness is not None:
-        zero = tuple(Fraction(0) for _ in range(c.dim))
         pairs.insert(0, (witness[1], zero))
 
+    supported = supporting_rows(c)
     identity_ok = True
     maximal_ok = True
     failure = None
     related = 0
-    checked = 0
     for x, xstar in pairs:
-        checked += 1
-        lhs = normal_cone_fitzpatrick(c, x, xstar)
-        rhs = support_value(c, xstar).value if contains(c, x) else POS_INF
+        signs = row_signs(c, x)
+        in_hull = all(signs[i] <= 0 for i in supported)
+        in_set = signs_inside(c, signs)
+        # Off the hull both sides are +inf and no support lookup is needed.
+        lhs = support_value(c, xstar).value if in_hull else POS_INF
+        rhs = lhs if in_set else POS_INF
         if lhs != rhs:
             identity_ok = False
             failure = failure or (x, xstar)
-        if monotonically_related(c, x, xstar):
+        pairing = fin(dot(x, xstar))
+        if lhs <= pairing:
             related += 1
-            if not in_normal_cone(c, x, xstar):
+            if not (in_set and lhs == pairing):
                 maximal_ok = False
                 failure = failure or (x, xstar)
     return PortabilityReport(
@@ -257,7 +266,7 @@ def portability_report(
         hull_equals_carrier=hull_equals_carrier,
         hull=hull,
         related_pairs_checked=related,
-        identity_pairs_checked=checked,
+        identity_pairs_checked=len(pairs),
         failure_pair=failure,
     )
 
@@ -280,13 +289,14 @@ def hull_extension_report(
     extended = True
     cones_checked = 0
     pair_witness = None
-    for x in points_in(c, spec):
+    inside = points_in(c, spec)
+    for x in inside:
         cones_checked += 1
         if not cones_equal(normal_cone_at(c, x), normal_cone_at(hull_set, x)):
             preserved = False
             pair_witness = pair_witness or x
     pairs_checked = 0
-    for x, xstar in graph_pairs(c, spec):
+    for x, xstar in _pairs_from(c, spec, inside):
         pairs_checked += 1
         if not in_normal_cone(hull_set, x, xstar):
             extended = False

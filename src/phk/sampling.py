@@ -89,9 +89,14 @@ def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
 
 def cloud_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Points in and around the set, membership not guaranteed."""
+    return _cloud_from(c, spec, points_in(c, spec))
+
+
+def _cloud_from(c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[Vec]) -> list[Vec]:
+    """``cloud_points`` around an already sampled ``points_in`` list (not mutated)."""
     rng = _rng(spec, "cloud")
     geo = _carrier_geometry(c)
-    out = points_in(c, spec)
+    out = list(inside)
     inner = out[0]  # the witness point ``points_in`` lists first
     for v in geo.vertices:
         out.append(vadd(v, vsub(v, inner)))
@@ -124,6 +129,13 @@ def graph_pairs(
     c: PartiallyOpenPolyhedron, spec: SampleSpec
 ) -> list[tuple[Vec, Vec]]:
     """Pairs (x, x*) with x in the set and x* in the cone of active normals."""
+    return _pairs_from(c, spec, points_in(c, spec))
+
+
+def _pairs_from(
+    c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[Vec]
+) -> list[tuple[Vec, Vec]]:
+    """``graph_pairs`` over an already sampled ``points_in`` list."""
     rng = _rng(spec, "pairs")
     # Both knobs scale with the requested count so that asking for more
     # samples keeps producing new pairs even when the set has few distinct
@@ -131,7 +143,7 @@ def graph_pairs(
     combos = max(1, spec.count // 8)
     span = max(3, spec.count // 4)
     pairs: list[tuple[Vec, Vec]] = []
-    for x in points_in(c, spec):
+    for x in inside:
         gens = normal_cone_at(c, x).generators
         pairs.append((x, zero_vec(c.dim)))
         for g in gens:

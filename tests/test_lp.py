@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phk.errors import InputError
-from phk.fme import fm_feasible, fm_maximize
+from phk.errors import InputError, ScaleLimitError
+from phk.fme import ELIMINATION_ROW_CAP, fm_feasible, fm_maximize
 from phk.linalg import dot, vec, zero_vec
 from phk.lp import (
     EqualityLP,
@@ -100,6 +101,20 @@ def test_row_length_must_match_the_objective():
         lp_solve(EqualityLP(vec([1, 0]), rows_of(([1], 1))))
     with pytest.raises(InputError):
         lp_solve(EqualityLP(vec([1]), rows_of(([1, 0], 1))))
+
+
+def test_rows_may_hold_list_normals():
+    rows = [([Fraction(1)], Fraction(1))]
+    out = solve_max([1], rows)
+    assert out.status == "optimal" and out.value == 1 and out.primal == vec([1])
+    assert verify_outcome(LPProblem(vec([1]), tuple(rows)), out)
+    rows = [([1, 1], 1)]
+    got = closed_feasible(rows, 2)
+    assert got.feasible and dot([1, 1], got.witness) <= 1
+    p = LPProblem(zero_vec(2), tuple(rows))
+    out = lp_solve(p)
+    assert out.status == "optimal" and out.value == 0 and out.primal == got.witness
+    assert verify_outcome(p, out)
 
 
 def test_strict_feasibility_examples():
@@ -247,6 +262,28 @@ def test_equality_form_agrees_with_its_inequality_encoding(p):
     assert out.status == status
     if status == "optimal":
         assert out.value == value
+
+
+def test_elimination_refuses_a_four_column_encoding_at_once():
+    # Dense equations over four columns: the fourth elimination step would
+    # build over 20 million rows, where the simplex answers at once.
+    p = EqualityLP(
+        vec([1, -1, 2, 1]),
+        rows_of(
+            ([1, 2, 3, 4], 10),
+            ([4, 3, 2, 1], 10),
+            ([1, -1, 1, -1], 0),
+            ([2, 1, -1, -2], 0),
+            ([1, 1, -2, 1], 1),
+        ),
+    )
+    out = lp_solve(p)
+    assert (out.status, out.value) == ("optimal", 3)
+    ref = inequality_form(p)
+    start = perf_counter()
+    with pytest.raises(ScaleLimitError, match=f"above the cap of {ELIMINATION_ROW_CAP}"):
+        fm_maximize(ref.objective, ref.rows)
+    assert perf_counter() - start < 1.0
 
 
 def test_dependent_row_keeps_its_artificial_basic_at_zero():
