@@ -47,6 +47,7 @@ from .normal_cones import (
     in_portable_hull,
     in_range,
     normal_cone_at,
+    support_level,
     support_value,
     supporting_rows,
 )
@@ -205,6 +206,7 @@ __all__ = [
     "space",
     "strict_system_feasible",
     "sum_graph_membership",
+    "support_level",
     "support_value",
     "supporting_rows",
     "v_to_h",

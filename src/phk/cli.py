@@ -33,6 +33,7 @@ from .normal_cones import (
     in_portable_hull,
     in_range,
     normal_cone_at,
+    support_level,
     support_value,
     supporting_row_witnesses,
     supporting_rows,
@@ -267,8 +268,8 @@ def _sigma(inputs, args, checks):
             and dot(xstar, ev.witness) == ev.value.finite_value
         )
         checks.add("witness-attains", ok)
-    doubled = support_value(c, tuple(2 * q for q in xstar))
-    checks.add("positive-homogeneity", doubled.value == ev.value.scale(Fraction(2)))
+    doubled = support_level(c, tuple(2 * q for q in xstar))
+    checks.add("positive-homogeneity", doubled == ev.value.scale(Fraction(2)))
     return ev, {}
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .faces import enumerate_faces
 from .linalg import Vec, dot, vec
-from .normal_cones import in_portable_hull, support_value
+from .normal_cones import in_portable_hull, support_level
 from .polyhedra import EmptySet, PartiallyOpenPolyhedron
 from .scalars import ExtValue, NEG_INF, POS_INF, fin, sup_ext
 
@@ -75,7 +75,7 @@ def normal_cone_fitzpatrick(
     p, d = vec_check(c.dim, x, xstar)
     if not in_portable_hull(c, p):
         return POS_INF
-    return support_value(c, d).value
+    return support_level(c, d)
 
 
 def normal_cone_fitzpatrick_by_faces(

@@ -3,7 +3,10 @@
 Everything here is exact.  The support function of a partially open
 polyhedron equals the support function of its carrier, but whether the
 supremum is *attained inside the set* depends on the strict rows, so the
-evaluation carries an attainment flag and, when attained, a witness point.
+full evaluation carries an attainment flag and, when attained, a witness
+point.  Attainment costs a second LP and is computed on request:
+``support_level`` returns the value alone, ``support_value`` adds the
+attainment data.  Both read and fill the set's one support memo.
 """
 from __future__ import annotations
 
@@ -41,33 +44,55 @@ class RangeMembership:
     witness: Vec | None
 
 
+def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
+    """sup of <xstar, x> over the set, without the attainment data.
+
+    One support LP on a memo miss, none on a hit; the value equals
+    ``support_value(c, xstar).value``.
+    """
+    x = vec(xstar, c.dim)
+    if isinstance(c, EmptySet):
+        return NEG_INF
+    record = require_valid(c)
+    known = record.support.get(x)
+    if known is None:
+        out = solve_max(x, c.carrier.rows)
+        if out.status == "unbounded":
+            known = POS_INF
+        else:
+            assert out.status == "optimal", "a valid set is nonempty"
+            known = fin(out.value)
+        record.remember_support(x, known)
+    return known.value if isinstance(known, SupportEvaluation) else known
+
+
 def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvaluation:
-    """sup of <xstar, x> over the set, as an ExtValue.
+    """sup of <xstar, x> over the set, as an ExtValue, with attainment data.
 
     The empty set gives -inf.  An unbounded direction gives +inf (never
     attained).  A finite value is attained on the carrier by construction;
     the flag records whether some maximizer survives the strict rows, and
-    the witness is such a point when one exists.
+    the witness is such a point when one exists.  A value already in the
+    memo is reused, so only the attainment LP runs.
     """
     x = vec(xstar, c.dim)
     if isinstance(c, EmptySet):
         return SupportEvaluation(NEG_INF, False, None)
     record = require_valid(c)
     known = record.support.get(x)
-    if known is not None:
+    if isinstance(known, SupportEvaluation):
         return known
-    out = solve_max(x, c.carrier.rows)
-    if out.status == "unbounded":
-        ev = SupportEvaluation(POS_INF, False, None)
-    else:
-        assert out.status == "optimal", "a valid set is nonempty"
-        level = out.value
+    value = support_level(c, x)
+    if value.is_finite:
+        level = value.finite_value
         face = system_of(c) + (
             (x, level, False),
             (tuple(-q for q in x), -level, False),
         )
         feasible, witness = strict_system_feasible(face)
-        ev = SupportEvaluation(fin(level), feasible, witness)
+        ev = SupportEvaluation(value, feasible, witness)
+    else:
+        ev = SupportEvaluation(value, False, None)
     record.remember_support(x, ev)
     return ev
 
@@ -126,7 +151,7 @@ def in_normal_cone(c: PartiallyOpenPolyhedron, x, xstar) -> bool:
     d = vec(xstar, c.dim)
     if not contains(c, p):
         return False
-    return support_value(c, d).value == fin(dot(p, d))
+    return support_level(c, d) == fin(dot(p, d))
 
 
 def in_range(c: PartiallyOpenPolyhedron, xstar) -> RangeMembership:

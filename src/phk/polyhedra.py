@@ -85,9 +85,10 @@ class SetRecord:
     """Derived data of one set, each field filled on first use.
 
     Shared: ``validation``.  Closed-form route: ``support`` (the memo of
-    support evaluations), ``witnesses`` (supporting-row witnesses) and
-    ``integer_rows`` (the carrier rows scaled to integers, read by
-    ``row_signs``).  Face route: ``vrep`` and ``faces``.
+    support values by dual: the ``ExtValue``, replaced in place by the full
+    ``SupportEvaluation`` once attainment is asked for), ``witnesses``
+    (supporting-row witnesses) and ``integer_rows`` (the carrier rows scaled
+    to integers, read by ``row_signs``).  Face route: ``vrep`` and ``faces``.
     """
 
     __slots__ = (
@@ -102,10 +103,11 @@ class SetRecord:
         self.support: dict = {}
         self.integer_rows: tuple[tuple[tuple[int, ...], int], ...] | None = None
 
-    def remember_support(self, xstar: Vec, evaluation) -> None:
-        if len(self.support) >= SUPPORT_MEMO_CAP:
+    def remember_support(self, xstar: Vec, entry) -> None:
+        """Store an entry; a new dual at the cap evicts the oldest one."""
+        if xstar not in self.support and len(self.support) >= SUPPORT_MEMO_CAP:
             del self.support[next(iter(self.support))]
-        self.support[xstar] = evaluation
+        self.support[xstar] = entry
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +121,10 @@ class PartiallyOpenPolyhedron:
     ``repr``, and is freed with the set.  The two routes to the coupling
     value stay independent by reading disjoint fields: the face route
     (``enumerate_faces`` and its callers) reads only ``vrep`` and ``faces``;
-    the closed-form route (``support_value``, ``supporting_rows``,
-    ``supporting_row_witnesses``, ``row_signs`` and their callers) reads only
-    ``support``, ``witnesses`` and ``integer_rows``.
+    the closed-form route (``support_level``, ``support_value``,
+    ``supporting_rows``, ``supporting_row_witnesses``, ``row_signs`` and
+    their callers) reads only ``support``, ``witnesses`` and
+    ``integer_rows``.
     """
 
     carrier: ClosedPolyhedron
@@ -178,8 +181,9 @@ def closed_as_set(p: ClosedPolyhedron) -> PartiallyOpenPolyhedron:
 
 
 def _canonical_as_set(p: ClosedPolyhedron) -> PartiallyOpenPolyhedron:
-    """``closed_as_set`` for ``canonicalize`` output, which is nonempty and
-    canonical: exactly what ``validate`` would find, so it is not run."""
+    """``closed_as_set`` for ``canonicalize`` or ``portable_hull`` output,
+    which is nonempty and canonical: exactly what ``validate`` would find,
+    so it is not run."""
     return _known_valid(closed_as_set(p))
 
 

@@ -18,6 +18,7 @@ from .normal_cones import (
     in_normal_cone,
     in_range,
     normal_cone_at,
+    support_level,
     support_value,
     supporting_row_witnesses,
     supporting_rows,
@@ -86,13 +87,17 @@ class PortabilityReport:
 
 
 def portable_hull(c: PartiallyOpenPolyhedron | EmptySet) -> ClosedPolyhedron:
-    """Intersection of the supporting half-spaces, in canonical form."""
+    """Intersection of the supporting half-spaces, in canonical form.
+
+    A valid set's carrier is canonical, and any subset of its rows is too:
+    still sorted, primitive and free of parallel pairs, and still
+    irredundant, since a point that violates row i alone keeps doing so
+    when other rows are dropped.  So the supporting rows are already what
+    ``canonicalize`` would return.
+    """
     if isinstance(c, EmptySet):
         return space(c.dim)
-    rows = [c.carrier.rows[i] for i in supporting_rows(c)]
-    out = canonicalize(c.dim, rows)
-    assert isinstance(out, ClosedPolyhedron), "the hull contains the set"
-    return out
+    return ClosedPolyhedron(c.dim, tuple(c.carrier.rows[i] for i in supporting_rows(c)))
 
 
 def portable_hull_by_faces(c: PartiallyOpenPolyhedron | EmptySet) -> ClosedPolyhedron:
@@ -201,10 +206,10 @@ def verify_certificate(
         return False
     if not in_normal_cone(c, w, cert.normal):
         return False
-    sigma = support_value(c, cert.normal)
-    if not sigma.value.is_finite:
+    sigma = support_level(c, cert.normal)
+    if not sigma.is_finite:
         return False
-    return cert.margin == dot(cert.normal, p) - sigma.value.finite_value and cert.margin > 0
+    return cert.margin == dot(cert.normal, p) - sigma.finite_value and cert.margin > 0
 
 
 def portability_report(
@@ -248,7 +253,7 @@ def portability_report(
         in_hull = all(signs[i] <= 0 for i in supported)
         in_set = signs_inside(c, signs)
         # Off the hull both sides are +inf and no support lookup is needed.
-        lhs = support_value(c, xstar).value if in_hull else POS_INF
+        lhs = support_level(c, xstar) if in_hull else POS_INF
         rhs = lhs if in_set else POS_INF
         if lhs != rhs:
             identity_ok = False

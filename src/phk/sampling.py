@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .errors import ScaleLimitError
 from .faces import FACE_DIM_CAP, enumerate_faces
@@ -69,15 +70,21 @@ def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
             features.append(mid)
     out = list(features)
     base = _dedupe(features)
+    # Each combination is sum(w * f) / (den * total) per coordinate, over
+    # the features scaled to integers by one common denominator.
+    den = lcm(*(q.denominator for f in base for q in f))
+    scaled = [[q.numerator * (den // q.denominator) for q in f] for f in base]
     for _ in range(spec.count):
-        weights = [Fraction(rng.randint(0, 4)) for _ in base]
+        weights = [rng.randint(0, 4) for _ in base]
         total = sum(weights)
         if total == 0:
             continue
-        p = zero_vec(c.dim)
-        for w, f in zip(weights, base):
-            p = vadd(p, smul(w / total, f))
-        out.append(p)
+        out.append(
+            tuple(
+                Fraction(sum(w * f[j] for w, f in zip(weights, scaled)), den * total)
+                for j in range(c.dim)
+            )
+        )
     for r in geo.rays:
         step = Fraction(rng.randint(1, 3), rng.choice((1, 2)))
         out.append(vadd(inner, smul(step, r)))

@@ -6,7 +6,13 @@ one public predicate per condition: the closed-form coupling
 ``normal_cone_fitzpatrick``, ``contains`` with ``support_value``,
 ``monotonically_related`` and ``in_normal_cone``, over ``graph_pairs``,
 ``cloud_points`` and the nonsupporting witness.  Every field must agree,
-the failure pair included.
+the failure pair included.  The reference runs on a fresh copy of the set,
+so it solves its own LPs instead of reading the report's memo.
+
+The report's shortcuts are pinned against the longer routes they skip: the
+hull against ``canonicalize`` of the supporting rows, the one-pass convex
+combinations of ``points_in`` against term-by-term ``vadd``/``smul``, and
+the value-only support lookups against ``support_value`` on a fresh set.
 """
 from __future__ import annotations
 
@@ -14,14 +20,30 @@ import random
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from phk import sampling
+from phk import normal_cones, sampling
 from phk.corpus import line_free_closed_sets, partially_open_sets
 from phk.fitzpatrick import monotonically_related, normal_cone_fitzpatrick
-from phk.normal_cones import in_normal_cone, support_value
-from phk.polyhedra import closed_as_set, closed_subset_of, contains, make_set
+from phk.linalg import smul, vadd, vsub, zero_vec
+from phk.normal_cones import (
+    SupportEvaluation,
+    in_normal_cone,
+    set_member_witness,
+    support_level,
+    support_value,
+    supporting_rows,
+)
+from phk.polyhedra import (
+    PartiallyOpenPolyhedron,
+    canonicalize,
+    closed_as_set,
+    closed_subset_of,
+    contains,
+    make_set,
+)
 from phk.portability import (
     PortabilityReport,
     hull_extension_report,
@@ -29,10 +51,15 @@ from phk.portability import (
     portability_report,
     portable_hull,
 )
-from phk.sampling import SampleSpec, cloud_points, graph_pairs
-from phk.scalars import POS_INF
+from phk.sampling import SampleSpec, cloud_points, graph_pairs, points_in
+from phk.scalars import POS_INF, ExtValue
 
 F = Fraction
+
+
+def fresh(c: PartiallyOpenPolyhedron) -> PartiallyOpenPolyhedron:
+    """An equal set with an empty record."""
+    return PartiallyOpenPolyhedron(c.carrier, c.strict_rows)
 
 
 def reference_report(c, spec: SampleSpec) -> PortabilityReport:
@@ -127,7 +154,7 @@ CASES = (
 def test_report_matches_the_predicate_rebuild(kind, c, count):
     spec = SampleSpec(seed=5, count=count)
     got = portability_report(c, spec)
-    want = reference_report(c, spec)
+    want = reference_report(fresh(c), spec)
     for field in fields(PortabilityReport):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
     assert got.related_pairs_checked > 0
@@ -159,5 +186,108 @@ def test_each_report_samples_the_set_once(monkeypatch):
     hull_extension_report(c, spec)
     assert len(handed) == 2
     # The graph pairs and the cloud grow from the list without changing it.
-    fresh = real(c, spec)
-    assert handed == [fresh, fresh]
+    again = real(c, spec)
+    assert handed == [again, again]
+
+
+SHORTCUT_SETS = (
+    [c for _, c in CASES]
+    + partially_open_sets(12, seed=211)
+    + line_free_closed_sets(12, seed=601)
+)
+
+
+@pytest.mark.parametrize("c", SHORTCUT_SETS)
+def test_hull_is_the_canonical_form_of_the_supporting_rows(c):
+    rows = [c.carrier.rows[i] for i in supporting_rows(c)]
+    assert portable_hull(c) == canonicalize(c.dim, rows)
+
+
+def term_by_term_points_in(c, spec: SampleSpec) -> list:
+    """``points_in`` with each convex combination summed one ``smul`` term
+    at a time over ``Fraction`` weights: the reference for the one-pass
+    integer combinations."""
+    rng = sampling._rng(spec, "in")
+    inner = set_member_witness(c)
+    geo = sampling._carrier_geometry(c)
+    features = [inner]
+    features += [v for v in geo.vertices if contains(c, v)]
+    for a, b in combinations(geo.vertices, 2):
+        mid = smul(F(1, 2), vadd(a, b))
+        if contains(c, mid):
+            features.append(mid)
+    out = list(features)
+    base = sampling._dedupe(features)
+    for _ in range(spec.count):
+        weights = [F(rng.randint(0, 4)) for _ in base]
+        total = sum(weights)
+        if total == 0:
+            continue
+        p = zero_vec(c.dim)
+        for w, f in zip(weights, base):
+            p = vadd(p, smul(w / total, f))
+        out.append(p)
+    for r in geo.rays:
+        step = F(rng.randint(1, 3), rng.choice((1, 2)))
+        out.append(vadd(inner, smul(step, r)))
+    for l in geo.lineality:
+        out.append(vadd(inner, l))
+        out.append(vsub(inner, l))
+    return sampling._dedupe(out)
+
+
+@pytest.mark.parametrize("count", (8, 40))
+@pytest.mark.parametrize("c", SHORTCUT_SETS)
+def test_points_in_matches_term_by_term_combinations(c, count):
+    spec = SampleSpec(seed=5, count=count)
+    got, want = points_in(c, spec), term_by_term_points_in(c, spec)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_shortcut_sets_have_rays_and_lines():
+    geos = [sampling._carrier_geometry(c) for c in SHORTCUT_SETS]
+    assert any(g.rays for g in geos) and any(g.lineality for g in geos)
+
+
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_report_memo_holds_values_that_support_value_completes(kind, c, monkeypatch):
+    c = fresh(c)
+    portability_report(c, SampleSpec(seed=5, count=8))
+    looked = dict(c._record.support)
+    assert looked and all(isinstance(v, ExtValue) for v in looked.values())
+    other = fresh(c)
+    want = {x: support_value(other, x) for x in looked}
+
+    calls = {"solve_max": 0, "strict_system_feasible": 0}
+    for name in calls:
+        real = getattr(normal_cones, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(normal_cones, name, counted)
+    finite = 0
+    for x, value in looked.items():
+        before = dict(calls)
+        ev = support_value(c, x)
+        assert ev == want[x] and ev.value == value
+        finite += value.is_finite
+        assert calls["solve_max"] == before["solve_max"]
+        assert calls["strict_system_feasible"] == before["strict_system_feasible"] + value.is_finite
+        assert isinstance(c._record.support[x], SupportEvaluation)
+        # Once complete, neither lookup solves anything.
+        before = dict(calls)
+        assert support_value(c, x) == ev and support_level(c, x) == ev.value
+        assert calls == before
+    assert finite > 0
+
+    # A value-only lookup on a fresh set solves the support LP alone, once.
+    third = fresh(c)
+    before = dict(calls)
+    for x in looked:
+        assert support_level(third, x) == looked[x] == support_level(third, x)
+    assert calls["solve_max"] == before["solve_max"] + len(looked)
+    assert calls["strict_system_feasible"] == before["strict_system_feasible"]

@@ -31,6 +31,10 @@ EXPECTED = {
         "value 0, attained_in_set=False",
         lambda v: v.value == fin(F(0)) and v.attained_in_set is False,
     ),
+    "support_level(half_open, (F(-1),))": (
+        "the value 0 alone, one LP fewer",
+        lambda v: v == fin(F(0)),
+    ),
     "normal_cone_at(half_open, (F(1),)).generators": ("((1,),)", lambda v: v == ((1,),)),
 }
 

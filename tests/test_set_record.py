@@ -19,7 +19,7 @@ from phk.corpus import (
 )
 from phk.errors import InvalidSetError
 from phk.fitzpatrick import normal_cone_fitzpatrick, normal_cone_fitzpatrick_by_faces
-from phk.normal_cones import support_value
+from phk.normal_cones import support_level, support_value
 from phk.polyhedra import (
     SUPPORT_MEMO_CAP,
     ClosedPolyhedron,
@@ -31,7 +31,7 @@ from phk.polyhedra import (
 )
 from phk.portability import portability_report, portable_hull, portable_hull_by_faces
 from phk.sampling import SampleSpec, dual_vectors, graph_pairs
-from phk.scalars import POS_INF
+from phk.scalars import POS_INF, fin
 from phk.serialize import parse_set
 
 F = Fraction
@@ -161,6 +161,21 @@ def test_support_memo_is_bounded():
     # The newest dual is kept, the oldest dropped.
     assert (F(20000, 3),) in c._record.support
     assert (F(1, 3),) not in c._record.support
+
+
+def test_completing_a_remembered_value_keeps_a_full_memo():
+    c = make_set(1, [((-1,), 0, False), ((1,), 1, False)])  # 0 <= x <= 1
+    duals = [(F(k, 3),) for k in range(1, SUPPORT_MEMO_CAP + 1)]
+    for d in duals:
+        assert support_level(c, d) == fin(d[0])
+    assert len(c._record.support) == SUPPORT_MEMO_CAP
+    # The oldest value gains its attainment data in place: nothing is evicted.
+    ev = support_value(c, duals[0])
+    assert ev.attained_in_set and ev.witness == (F(1),)
+    assert list(c._record.support) == duals
+    assert c._record.support[duals[0]] == ev
+    c._record.remember_support(duals[1], fin(duals[1][0]))
+    assert list(c._record.support) == duals
 
 
 def test_dropped_set_frees_its_record():
