@@ -42,6 +42,7 @@ from .polyhedra import (
     EmptySet,
     _canonical_as_set,
     closed_as_set,
+    closed_equal,
     closed_subset_of,
     cone_contains,
     contains,
@@ -107,6 +108,8 @@ def _load(path: str):
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # a number past int()'s digit limit; drop its hint
+        raise InputError(f"unreadable JSON in {path}: {str(exc).split(';')[0]}") from exc
 
 
 def _parse(name: str, raw, inputs: dict):
@@ -117,6 +120,8 @@ def _parse(name: str, raw, inputs: dict):
             values = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise InputError(f"--{name} must be a JSON vector: {exc.msg}") from exc
+        except ValueError as exc:  # a number past int()'s digit limit
+            raise InputError(f"--{name} is unreadable: {str(exc).split(';')[0]}") from exc
         return parse_vector(values, inputs.get("set", inputs.get("graph")).dim)
     if name == "set":
         return parse_set(_load(raw))
@@ -163,18 +168,10 @@ def _hull(inputs, args, checks):
     hull_set = _canonical_as_set(hull)
     checks.add("hull-contains-closure", closed_subset_of(c.carrier, hull_set))
     again = portable_hull(hull_set)
-    checks.add(
-        "hull-idempotent",
-        closed_subset_of(again, hull_set)
-        and closed_subset_of(hull, closed_as_set(again)),
-    )
+    checks.add("hull-idempotent", closed_equal(again, hull))
     if c.dim <= FACE_DIM_CAP:
         other = portable_hull_by_faces(c)
-        checks.add(
-            "hull-matches-face-route",
-            closed_subset_of(other, hull_set)
-            and closed_subset_of(hull, closed_as_set(other)),
-        )
+        checks.add("hull-matches-face-route", closed_equal(other, hull))
     return hull, witnesses
 
 

@@ -25,23 +25,24 @@ row.  Equality rows may depend on one another; an artificial left basic at
 zero in a row with no nonzero structural entry stays there for good.
 
 The tableau is fraction-free.  Each row, and the reduced-cost row, is a list
-of ``int`` over one positive ``int`` denominator, and a pivot works on whole
-rows, dividing each new row by the gcd of its entries and its denominator
-(integer pivoting in the manner of Bareiss and of Avis's lrs).  The ratio
-test compares by cross-multiplication.  Pivot choices depend only on the
-values, so they are the ones a ``Fraction`` tableau would make; results
-become ``Fraction`` only in the returned ``LPOutcome``.
+of ``int`` over one positive ``int`` denominator (``linalg.scaled``), and a
+pivot works on whole rows, dividing each new row by the gcd of its entries
+and its denominator (integer pivoting in the manner of Bareiss and of
+Avis's lrs).  The ratio test compares by cross-multiplication.  Pivot
+choices depend only on the values, so they are the ones a ``Fraction``
+tableau would make; results become ``Fraction`` only in the returned
+``LPOutcome``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 from .errors import InputError
-from .linalg import Vec, dot, is_zero_vec, primitive, vec, zero_vec
+from .linalg import Vec, dot, is_zero_vec, primitive, scaled, vec, zero_vec
 from .scalars import rat
 
 Row = tuple[Vec, Fraction]
@@ -99,14 +100,6 @@ class Feasibility:
         return iter((self.feasible, self.witness))
 
 
-def _lcm(ds: Iterable[int]) -> int:
-    out = 1
-    for d in ds:
-        if out % d:
-            out = out // gcd(out, d) * d
-    return out
-
-
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
     """Divide an integer row and its positive denominator by their gcd."""
     g = den
@@ -137,11 +130,10 @@ def _reduced_costs(
 ) -> tuple[list[int], int]:
     """``costs - c_B B^-1 A`` over the constraint rows ``tab[:len(basis)]``,
     summed over one common denominator; the last entry is ``-c_B x_B``."""
-    width = len(tab[0])
-    scale = _lcm(c.denominator for c in costs)
-    whole = [c.numerator * (scale // c.denominator) for c in costs] + [0] * (width - len(costs))
+    whole, scale = scaled(costs)
+    whole += [0] * (len(tab[0]) - len(costs))
     weighted = [(whole[b], tab[i], dens[i]) for i, b in enumerate(basis) if whole[b]]
-    common = _lcm(d for _, _, d in weighted)
+    common = lcm(*[d for _, _, d in weighted])
     red = [c * common for c in whole]
     for c, row, d in weighted:
         f = c * (common // d)
@@ -201,13 +193,13 @@ def lp_solve(p: LPProblem | EqualityLP) -> LPOutcome:
         if len(normal) != n:
             raise InputError(f"LP row {i} has {len(normal)} entries, the objective {n}")
         d = signs[i]
-        den = _lcm(a.denominator for a in (*normal, offset))
-        row = [d * a.numerator * (den // a.denominator) for a in normal]
+        ints, den = scaled((*normal, offset))
+        *row, rhs = (d * a for a in ints)
         if free:
             row += [-a for a in row]
             row += [d * den if k == i else 0 for k in range(m)]
         row += [den if k == i else 0 for k in range(m)]
-        row.append(d * offset.numerator * (den // offset.denominator))
+        row.append(rhs)
         tab.append(row)
         dens.append(den)
     basis = [nstruct + i for i in range(m)]
@@ -238,7 +230,7 @@ def lp_solve(p: LPProblem | EqualityLP) -> LPOutcome:
     tab[-1], dens[-1] = _reduced_costs(tab, dens, basis, costs2)
     hit = _run_simplex(tab, dens, basis, nstruct)
     if hit is not None:
-        common = _lcm(dens[:-1])
+        common = lcm(*dens[:-1])
         zray = [0] * (nstruct + m)
         zray[hit] = common
         for i, b in enumerate(basis):

@@ -99,15 +99,11 @@ def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvalua
 
 def supporting_rows(c: PartiallyOpenPolyhedron) -> tuple[int, ...]:
     """Indices of carrier rows whose hyperplane meets the set itself."""
-    return tuple(i for i, _ in _row_witnesses(c))
+    return tuple(i for i, _ in supporting_row_witnesses(c))
 
 
 def supporting_row_witnesses(c: PartiallyOpenPolyhedron) -> tuple[tuple[int, Vec], ...]:
     """(row index, point of the set on that row's hyperplane) pairs."""
-    return _row_witnesses(c)
-
-
-def _row_witnesses(c: PartiallyOpenPolyhedron) -> tuple[tuple[int, Vec], ...]:
     record = require_valid(c)
     if record.witnesses is None:
         base = system_of(c)

@@ -23,8 +23,9 @@ nullspace/rowspace restriction.  A walk over more than
 ``CONVERSION_SUBSET_CAP`` row subsets is refused before it starts.
 
 Membership runs on integers: ``row_signs`` compares a point, cleared of its
-denominators once, with the carrier rows scaled to integers once per set,
-and returns only the sign of ``normal . x - offset`` per row.  ``contains``
+denominators once by ``linalg.scaled``, with the carrier rows scaled to
+integers once per set (each row flat, its offset last), and returns only
+the sign of ``normal . x - offset`` per row.  ``contains``
 and the closed-form route's row checks read those signs; the face route,
 the LP certificate check and Fourier-Motzkin elimination keep ``dot``.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvalidSetError, ScaleLimitError
@@ -45,6 +46,7 @@ from .linalg import (
     nullspace_basis,
     primitive,
     rowspace_basis,
+    scaled,
     smul,
     solve_square,
     vadd,
@@ -88,7 +90,8 @@ class SetRecord:
     support values by dual: the ``ExtValue``, replaced in place by the full
     ``SupportEvaluation`` once attainment is asked for), ``witnesses``
     (supporting-row witnesses) and ``integer_rows`` (the carrier rows scaled
-    to integers, read by ``row_signs``).  Face route: ``vrep`` and ``faces``.
+    to integers, one flat row ``(*normal, offset)`` each, read by
+    ``row_signs``).  Face route: ``vrep`` and ``faces``.
     """
 
     __slots__ = (
@@ -101,7 +104,7 @@ class SetRecord:
         self.vrep: VRep | None = None
         self.faces: tuple | None = None
         self.support: dict = {}
-        self.integer_rows: tuple[tuple[tuple[int, ...], int], ...] | None = None
+        self.integer_rows: tuple[list[int], ...] | None = None
 
     def remember_support(self, xstar: Vec, entry) -> None:
         """Store an entry; a new dual at the cap evicts the oldest one."""
@@ -363,31 +366,24 @@ def closed_contains(p: ClosedPolyhedron, x: Sequence) -> bool:
 def row_signs(c: PartiallyOpenPolyhedron, x: Vec) -> tuple[int, ...]:
     """Sign of ``normal . x - offset`` for each carrier row, as -1, 0 or 1.
 
-    Each row is scaled once per set by the lcm of its denominators, and the
-    point by the lcm of its own, so the comparison runs on plain ints.  The
-    caller checks the point's dimension.
+    Each carrier row ``(*normal, offset)`` is scaled to integers once per
+    set, and the point once per call, both by ``scaled``; the point gets
+    ``-den`` appended, so one integer dot product per row gives the sign.
+    The caller checks the point's dimension.
     """
     record = c._record
     rows = record.integer_rows
     if rows is None:
         rows = record.integer_rows = tuple(
-            _integer_row(normal, offset) for normal, offset in c.carrier.rows
+            scaled((*normal, offset))[0] for normal, offset in c.carrier.rows
         )
-    den = lcm(*(q.denominator for q in x))
-    xs = [q.numerator * (den // q.denominator) for q in x]
+    xs, den = scaled(x)
+    xs.append(-den)
     signs = []
-    for normal, offset in rows:
-        v = sum(a * b for a, b in zip(normal, xs)) - offset * den
+    for row in rows:
+        v = sum(a * b for a, b in zip(row, xs))
         signs.append((v > 0) - (v < 0))
     return tuple(signs)
-
-
-def _integer_row(normal: Vec, offset: Fraction) -> tuple[tuple[int, ...], int]:
-    scale = lcm(offset.denominator, *(q.denominator for q in normal))
-    return (
-        tuple(q.numerator * (scale // q.denominator) for q in normal),
-        offset.numerator * (scale // offset.denominator),
-    )
 
 
 def signs_inside(c: PartiallyOpenPolyhedron, signs: Sequence[int]) -> bool:
@@ -431,6 +427,12 @@ def closed_subset_of(
         elif out.value > offset:
             return False
     return True
+
+
+def closed_equal(p: ClosedPolyhedron, q: ClosedPolyhedron) -> bool:
+    """Do two closed polyhedra hold the same points?  Containment both ways,
+    ``p`` in ``q`` first."""
+    return closed_subset_of(p, closed_as_set(q)) and closed_subset_of(q, closed_as_set(p))
 
 
 def lineality_space(p: ClosedPolyhedron) -> tuple[Vec, ...]:

@@ -29,7 +29,7 @@ from .polyhedra import (
     PartiallyOpenPolyhedron,
     canonicalize,
     _canonical_as_set,
-    closed_as_set,
+    closed_equal,
     closed_contains,
     closed_subset_of,
     cones_equal,
@@ -233,7 +233,7 @@ def portability_report(
     spec = spec or SampleSpec()
     hull = portable_hull(c)
     hull_adds_nothing = closed_subset_of(hull, c)
-    hull_equals_carrier = closed_subset_of(hull, closed_as_set(c.carrier)) and closed_subset_of(c.carrier, closed_as_set(hull))
+    hull_equals_carrier = closed_equal(hull, c.carrier)
 
     inside = points_in(c, spec)
     zero = zero_vec(c.dim)
@@ -284,9 +284,7 @@ def hull_extension_report(
     hull = portable_hull(c)
     hull_set = _canonical_as_set(hull)
     again = portable_hull(hull_set)
-    idempotent = closed_subset_of(again, hull_set) and closed_subset_of(
-        hull, closed_as_set(again)
-    )
+    idempotent = closed_equal(again, hull)
     portable = is_portable(hull_set)
     contains_set = closed_subset_of(c.carrier, hull_set)
 
@@ -338,12 +336,7 @@ def partial_hull_report(
 
     again_partial = partial_portable_hull(pset, s)
     again_full = portable_hull(pset)
-    collapse = (
-        closed_subset_of(again_partial, pset)
-        and closed_subset_of(partial, closed_as_set(again_partial))
-        and closed_subset_of(again_full, pset)
-        and closed_subset_of(partial, closed_as_set(again_full))
-    )
+    collapse = closed_equal(again_partial, partial) and closed_equal(again_full, partial)
 
     # Trace comparison on the probe set: the partial hull contains the set,
     # so the traces differ exactly when some probe point lies in the hull

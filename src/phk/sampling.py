@@ -11,11 +11,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 
 from .errors import ScaleLimitError
 from .faces import FACE_DIM_CAP, enumerate_faces
-from .linalg import Vec, unit_vec, vadd, vsub, smul, zero_vec
+from .linalg import Vec, scaled, unit_vec, vadd, vsub, smul, zero_vec
 from .normal_cones import normal_cone_at, set_member_witness, supporting_row_witnesses
 from .polyhedra import (
     PartiallyOpenPolyhedron,
@@ -72,8 +71,8 @@ def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     base = _dedupe(features)
     # Each combination is sum(w * f) / (den * total) per coordinate, over
     # the features scaled to integers by one common denominator.
-    den = lcm(*(q.denominator for f in base for q in f))
-    scaled = [[q.numerator * (den // q.denominator) for q in f] for f in base]
+    flat, den = scaled([q for f in base for q in f])
+    ints = [flat[i : i + c.dim] for i in range(0, len(flat), c.dim)]
     for _ in range(spec.count):
         weights = [rng.randint(0, 4) for _ in base]
         total = sum(weights)
@@ -81,7 +80,7 @@ def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
             continue
         out.append(
             tuple(
-                Fraction(sum(w * f[j] for w, f in zip(weights, scaled)), den * total)
+                Fraction(sum(w * f[j] for w, f in zip(weights, ints)), den * total)
                 for j in range(c.dim)
             )
         )

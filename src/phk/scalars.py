@@ -15,11 +15,13 @@ at the call sites.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 from typing import Iterable, Union
 
-from .errors import InputError
+from .errors import InputError, ScaleLimitError
 
 RationalLike = Union[int, str, Fraction]
 
@@ -43,10 +45,25 @@ def rat(x: RationalLike) -> Fraction:
 
 
 def rat_str(q: Fraction) -> str:
-    """Canonical string form: ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical string form: ``"p/q"``, or ``"p"`` when the denominator is 1.
+    Past Python's int-to-str digit limit: ``ScaleLimitError`` with the count."""
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        digits = max(_digits(q.numerator), _digits(q.denominator))
+        raise ScaleLimitError(
+            f"a value with {digits} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits for writing an integer"
+        ) from None
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of ``abs(n)``: a float estimate, corrected at powers of ten."""
+    n = abs(n) or 1
+    d = int(log10(n)) + 1
+    return d - (10 ** (d - 1) > n) + (10**d <= n)
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,9 +26,8 @@ from .linalg import dot
 from .lp import lp_solve, strict_system_feasible, verify_outcome
 from .normal_cones import in_portable_hull, support_value
 from .polyhedra import (
-    closed_as_set,
     closed_contains,
-    closed_subset_of,
+    closed_equal,
     contains,
     h_to_v,
     v_to_h,
@@ -84,9 +83,7 @@ def _conversion(seed, samples):
     for c in sets:
         g = h_to_v(c.carrier)
         back = v_to_h(g)
-        good = closed_subset_of(back, closed_as_set(c.carrier)) and closed_subset_of(
-            c.carrier, closed_as_set(back)
-        )
+        good = closed_equal(back, c.carrier)
         good = good and all(closed_contains(c.carrier, v) for v in g.vertices)
         yield good, c
 

@@ -4,9 +4,10 @@ Every name a module under ``src/phk`` imports is used in that module.  The
 check is a plain ``ast`` scan: a name bound by ``import`` or ``from ...
 import`` must be loaded somewhere in the module or listed in its ``__all__``.
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
-The same kind of scan finds definitions that nothing loads, and reads of the
+The same kind of scan finds definitions that nothing loads, reads of the
 process environment, which would let a setting outside the input change an
-answer.
+answer, and reads of a rational's numerator or denominator outside
+``linalg`` and ``scalars``: clearing denominators is ``linalg.scaled``'s job.
 
 A cold CLI call does not import the seeded corpora, which only the
 ``selftest`` verb needs.
@@ -108,6 +109,29 @@ def test_no_module_reads_the_environment():
         path.name
         for path in sorted(SRC.glob("*.py"))
         if {"environ", "getenv"} & loaded_names(path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []
+
+
+def fraction_part_reads(source: str) -> list[int]:
+    """Lines that read ``.numerator`` or ``.denominator``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+    ]
+
+
+def test_the_scan_sees_fraction_part_reads():
+    assert fraction_part_reads("a = q.numerator\nb = 1\nc = f(q).denominator * 2\n") == [1, 3]
+
+
+def test_only_linalg_and_scalars_take_rationals_apart():
+    readers = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        if path.name not in ("linalg.py", "scalars.py")
+        for line in fraction_part_reads(path.read_text(encoding="utf-8"))
     ]
     assert readers == []
 

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phk.errors import InputError
@@ -13,6 +14,8 @@ from phk.linalg import (
     primitive,
     primitive_signed,
     rowspace_basis,
+    rref,
+    scaled,
     solve_square,
     vec,
 )
@@ -105,3 +108,79 @@ def test_dot_refuses_a_length_mismatch(u, v):
         v = v + [Fraction(1)]
     with pytest.raises(InputError, match="dimension mismatch"):
         dot(u, v)
+
+
+@given(st.lists(scalars, max_size=7))
+def test_scaled_writes_integers_over_the_least_common_denominator(v):
+    ints, den = scaled(v)
+    assert den > 0 and all(type(x) is int for x in ints)
+    assert [Fraction(x, den) for x in ints] == list(v)
+    # den is the least common denominator exactly when no factor k > 1
+    # divides den and every integer (den / k would then do).
+    assert gcd(den, *ints) == 1
+
+
+def test_scaled_of_the_empty_vector():
+    assert scaled(()) == ([], 1)
+
+
+def fraction_rref(rows):
+    """The ``Fraction`` elimination ``rref`` replaced, kept as a reference."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _with_copies(rows, picks):
+    """Rows plus zero rows and repeated (or scaled) copies of earlier rows."""
+    out = [[Fraction(x) for x in r] for r in rows]
+    for kind, i, t in picks:
+        if kind == "zero":
+            out.append([Fraction(0)] * len(rows[0]))
+        else:
+            out.append([Fraction(t) * x for x in out[i % len(out)]])
+    return out
+
+
+matrices = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=1, max_size=5),
+        st.lists(
+            st.tuples(st.sampled_from(["zero", "copy"]), st.integers(0, 9), st.integers(-3, 3)),
+            max_size=4,
+        ),
+    ).map(lambda t: _with_copies(*t))
+)
+
+
+@settings(max_examples=300)
+@given(matrices)
+def test_integer_rref_matches_the_fraction_reference(rows):
+    got = rref(rows)
+    assert got == fraction_rref(rows)
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+
+
+def test_rref_on_more_rows_than_columns_and_no_rows():
+    rows = [vec(r) for r in (["1/2", 1], [1, 2], [0, 0], ["1/3", "-1/5"], [2, 4])]
+    assert rref(rows) == fraction_rref(rows) == ([[1, 0], [0, 1]], [0, 1])
+    assert rref([]) == ([], [])

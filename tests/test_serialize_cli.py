@@ -121,6 +121,27 @@ def test_loose_set_documents_are_refused(name, capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_numbers_too_long_for_int_str_end_in_one_error_line(capsys, tmp_path):
+    # Python refuses int <-> str conversions past 4300 digits.  A support
+    # value b^2 of 6001 digits cannot be written, and a 5000-digit JSON
+    # number cannot be read, from a file or from --dual.
+    b = "1" * 3001
+    box = {"dim": 1, "rows": [{"normal": [-1], "offset": 0}, {"normal": [1], "offset": b}]}
+    long_offset = '{"dim": 1, "rows": [{"normal": [1], "offset": %s}]}' % ("7" * 5000)
+    (tmp_path / "box.json").write_text(json.dumps(box))
+    (tmp_path / "long.json").write_text(long_offset)
+    cases = {
+        ("sigma", str(tmp_path / "box.json"), "--dual", json.dumps([b])): "6001 digits",
+        ("hull", str(tmp_path / "long.json")): "5000 digits",
+        ("sigma", str(tmp_path / "box.json"), "--dual", "[%s]" % ("7" * 5000)): "5000 digits",
+    }
+    for argv, digits in cases.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert digits in err and "Traceback" not in err
+
+
 def test_exact_set_shapes_still_parse():
     assert parse_set({"empty": True}) == EmptySet(1)
     assert parse_set({"empty": True, "dim": 3}) == EmptySet(3)
