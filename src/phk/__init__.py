@@ -35,6 +35,7 @@ from .lp import (
     LPProblem,
     closed_feasible,
     lp_solve,
+    max_value,
     problem,
     solve_max,
     strict_system_feasible,
@@ -178,6 +179,7 @@ __all__ = [
     "lineality_space",
     "lp_solve",
     "make_set",
+    "max_value",
     "monotonically_related",
     "nonsupporting_witness",
     "normal_cone_at",

@@ -24,6 +24,18 @@ explicit basis inverse: the exact duals are its columns of the reduced-cost
 row.  Equality rows may depend on one another; an artificial left basic at
 zero in a row with no nonzero structural entry stays there for good.
 
+``EqualityLP`` has three uses: the barycentric programs, cone membership,
+and ``max_value``, which answers a maximum whose point nobody reads.  Over
+a *nonempty* system ``A x <= b`` in n variables and m rows, LP duality
+(Schrijver, *Theory of Linear and Integer Programming*, 1986, section 7.4)
+gives ``sup c . x = min b . y`` subject to ``A^T y = c``, ``y >= 0``: the
+dual is infeasible exactly when the primal is unbounded, and a feasible
+primal leaves it bounded.  Both optima are the same rational, so the value
+is exact; the tableau has n rows and m + n columns instead of m rows and
+2n + 2m columns.  Nonemptiness is the caller's to ensure: over an empty
+system the dual may be infeasible too, which would read as unbounded.
+``solve_max`` keeps the primal form for callers that read the point.
+
 The tableau is fraction-free.  Each row, and the reduced-cost row, is a list
 of ``int`` over one positive ``int`` denominator (``linalg.scaled``), and a
 pivot works on whole rows, dividing each new row by the gcd of its entries
@@ -334,3 +346,26 @@ def solve_max(objective: Sequence, rows: Sequence[Row]) -> LPOutcome:
     """Convenience wrapper: maximize over weak rows already in internal form."""
     obj = vec(objective)
     return lp_solve(LPProblem(obj, tuple(rows)))
+
+
+def max_value(objective: Vec, rows: Sequence[Row]) -> Fraction | None:
+    """sup of ``objective . x`` over a nonempty weak-row system, or None when
+    the system is unbounded in that direction; rows in internal form.
+
+    Solves the dual ``min b . y`` subject to ``A^T y = objective``, ``y >= 0``
+    as an ``EqualityLP``: one equation per coordinate, one column per row.
+    The caller guarantees that the rows are feasible; then the dual is never
+    unbounded, and it is infeasible exactly when the primal is unbounded.
+    """
+    n = len(objective)
+    if not rows:
+        return None if any(objective) else Fraction(0)
+    for i, (normal, _) in enumerate(rows):
+        if len(normal) != n:
+            raise InputError(f"LP row {i} has {len(normal)} entries, the objective {n}")
+    columns = tuple((tuple(normal[t] for normal, _ in rows), c) for t, c in enumerate(objective))
+    out = lp_solve(EqualityLP(tuple(-offset for _, offset in rows), columns))
+    if out.status == "infeasible":
+        return None
+    assert out.status == "optimal", "the dual of a feasible system is bounded"
+    return -out.value

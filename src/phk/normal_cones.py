@@ -6,7 +6,9 @@ supremum is *attained inside the set* depends on the strict rows, so the
 full evaluation carries an attainment flag and, when attained, a witness
 point.  Attainment costs a second LP and is computed on request:
 ``support_level`` returns the value alone, ``support_value`` adds the
-attainment data.  Both read and fill the set's one support memo.
+attainment data.  Both read and fill the set's one support memo.  The value
+LP reads no point, so ``support_level`` solves it as its n-row dual through
+``lp.max_value``; a valid set is nonempty, which that dual needs to be exact.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import Vec, dot, vec
-from .lp import solve_max, strict_system_feasible
+from .lp import max_value, strict_system_feasible
 from .polyhedra import (
     EmptySet,
     GeneratedCone,
@@ -56,12 +58,9 @@ def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
     record = require_valid(c)
     known = record.support.get(x)
     if known is None:
-        out = solve_max(x, c.carrier.rows)
-        if out.status == "unbounded":
-            known = POS_INF
-        else:
-            assert out.status == "optimal", "a valid set is nonempty"
-            known = fin(out.value)
+        # A valid set is nonempty, as ``max_value`` requires.
+        top = max_value(x, c.carrier.rows)
+        known = POS_INF if top is None else fin(top)
         record.remember_support(x, known)
     return known.value if isinstance(known, SupportEvaluation) else known
 

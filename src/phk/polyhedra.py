@@ -54,7 +54,7 @@ from .linalg import (
     vneg,
     zero_vec,
 )
-from .lp import EqualityLP, Row, StrictRow, closed_feasible, lp_solve, solve_max, strict_system_feasible
+from .lp import EqualityLP, Row, StrictRow, closed_feasible, lp_solve, max_value, strict_system_feasible
 from .scalars import rat
 
 # Support values remembered per set; past the cap the oldest is dropped.  No
@@ -252,6 +252,9 @@ def _irredundant(rows: list[StrictRow]) -> tuple[list[StrictRow], list[Row]]:
 
     Each row is tested against all other currently surviving rows; removal
     preserves the set at every step and the final system is irredundant.
+    The test reads only the maximum of the row's normal over the others, so
+    it is ``lp.max_value``'s dual program; the rows are feasible
+    (``_canonical_rows`` checks first), and so is every subset of them.
     """
     survivors = list(rows)
     dropped_strict: list[Row] = []
@@ -260,8 +263,8 @@ def _irredundant(rows: list[StrictRow]) -> tuple[list[StrictRow], list[Row]]:
         normal, offset, strict = survivors[i]
         others = [(r[0], r[1]) for j, r in enumerate(survivors) if j != i]
         if others:
-            out = solve_max(normal, others)
-            if out.status == "optimal" and out.value is not None and out.value <= offset:
+            top = max_value(normal, others)
+            if top is not None and top <= offset:
                 if strict:
                     dropped_strict.append((normal, offset))
                 survivors.pop(i)
@@ -406,7 +409,9 @@ def closed_subset_of(
     Per row the criterion is a support-value comparison: weak rows need
     ``sup <= offset``, strict rows need ``sup < offset`` (a nonempty closed
     polyhedron attains its finite support values, so the strict comparison is
-    exactly containment in the open halfspace).
+    exactly containment in the open halfspace).  Each sup is read as a value
+    alone, from ``lp.max_value``'s n-row dual, once ``closed_feasible`` has
+    found ``p`` nonempty as that dual requires.
     """
     if isinstance(p, EmptySet):
         return True
@@ -417,14 +422,13 @@ def closed_subset_of(
     if not closed_feasible(p.rows, p.dim).feasible:
         return True
     for i, (normal, offset) in enumerate(c.carrier.rows):
-        out = solve_max(normal, p.rows)
-        if out.status == "unbounded":
+        top = max_value(normal, p.rows)
+        if top is None:
             return False
-        assert out.status == "optimal" and out.value is not None
         if i in c.strict_rows:
-            if out.value >= offset:
+            if top >= offset:
                 return False
-        elif out.value > offset:
+        elif top > offset:
             return False
     return True
 

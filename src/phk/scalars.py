@@ -15,6 +15,7 @@ at the call sites.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,9 @@ _POS = 1
 
 
 def rat(x: RationalLike) -> Fraction:
-    """Coerce an int, ``"p/q"`` string, or Fraction to an exact Fraction."""
+    """Coerce an int, ``"p/q"`` string, or Fraction to an exact Fraction.
+    A literal with an integer past Python's int-from-str digit limit:
+    ``ScaleLimitError`` with its digit count, the literal not echoed."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -40,6 +43,13 @@ def rat(x: RationalLike) -> Fraction:
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
+            limit = sys.get_int_max_str_digits()
+            digits = max((len(run) for run in re.findall(r"\d+", x.replace("_", ""))), default=0)
+            if limit and digits > limit:
+                raise ScaleLimitError(
+                    f"a literal with {digits} digits exceeds the limit of "
+                    f"{limit} digits for reading an integer"
+                ) from None
             raise InputError(f"not a rational literal: {x!r}") from exc
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
 

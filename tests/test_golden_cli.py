@@ -116,6 +116,7 @@ def extra_cases() -> list[list[str]]:
     square, interval, half_open = _f("unit_square"), _f("closed_interval"), _f("half_open_interval")
     stair, gradient, points = _f("staircase_graph"), _f("gradient_graph_2d"), _f("lower_left_points")
     missing, truncated = _f("missing"), "tests/data/truncated_set.json"
+    huge = "tests/data/huge_offset_set.json"
     p1, p2 = ["--point", '["1"]'], ["--point", '["1","1"]']
     d1, d2 = ["--dual", '["1"]'], ["--dual", '["1","1"]']
     return [
@@ -169,6 +170,8 @@ def extra_cases() -> list[list[str]]:
         ["hull", stair],
         ["psi", square, *p2, *d2],
         ["partial-hull", square, stair],
+        # a row offset past the int-from-str digit limit
+        ["hull", huge],
         # an output file that cannot be written
         ["hull", square, "--out", "tests/data/no_such_dir/out.json"],
     ]

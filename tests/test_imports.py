@@ -8,6 +8,9 @@ The same kind of scan finds definitions that nothing loads, reads of the
 process environment, which would let a setting outside the input change an
 answer, and reads of a rational's numerator or denominator outside
 ``linalg`` and ``scalars``: clearing denominators is ``linalg.scaled``'s job.
+Outside ``lp`` no module calls ``solve_max``: a maximum whose point nobody
+reads is ``lp.max_value``'s job, which solves the n-row dual instead of the
+m-row primal tableau.
 
 A cold CLI call does not import the seeded corpora, which only the
 ``selftest`` verb needs.
@@ -134,6 +137,33 @@ def test_only_linalg_and_scalars_take_rationals_apart():
         for line in fraction_part_reads(path.read_text(encoding="utf-8"))
     ]
     assert readers == []
+
+
+def called_names(source: str) -> set[str]:
+    """Names called as ``f(...)`` or as ``module.f(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                names.add(node.func.attr)
+    return names
+
+
+def test_the_scan_sees_calls():
+    src = "from .lp import solve_max\ng = solve_max\nlp.solve_max(c, rows)\nh(solve_max)\n"
+    assert called_names(src) == {"solve_max", "h"}
+    assert "solve_max" not in called_names("from .lp import solve_max\n__all__ = ['solve_max']\n")
+
+
+def test_only_lp_solves_the_primal_for_a_value():
+    callers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "lp.py" and "solve_max" in called_names(path.read_text(encoding="utf-8"))
+    ]
+    assert callers == []
 
 
 def test_cli_import_leaves_selftest_and_corpus_unloaded():

@@ -15,6 +15,7 @@ from phk.lp import (
     LPProblem,
     closed_feasible,
     lp_solve,
+    max_value,
     problem,
     solve_max,
     strict_system_feasible,
@@ -95,6 +96,8 @@ def test_row_length_must_match_the_objective():
         solve_max([1, 0], [((1,), 1)])
     with pytest.raises(InputError):
         solve_max([1], [((1, 0), 1)])
+    with pytest.raises(InputError):
+        max_value(vec([1, 0]), [((1,), 1)])
     with pytest.raises(InputError):
         closed_feasible([((1, 1), 1)], 1)
     with pytest.raises(InputError):
@@ -179,6 +182,42 @@ def test_simplex_agrees_with_elimination(p):
     assert out.status == status
     if status == "optimal":
         assert out.value == value
+
+
+# -- value-only maxima through the dual equality program --------------------
+
+
+def weakly_feasible(p: LPProblem) -> bool:
+    return not p.rows or fm_feasible([(normal, offset, False) for normal, offset in p.rows])
+
+
+@given(lp_instances().filter(weakly_feasible))
+def test_max_value_agrees_with_elimination_and_the_primal(p):
+    top = max_value(p.objective, p.rows)
+    status, value = fm_maximize(p.objective, p.rows)
+    assert (top is None) == (status == "unbounded")
+    assert top == value
+    out = lp_solve(p)
+    assert (out.status, out.value) == (status, value)
+
+
+def test_max_value_fixed_cases():
+    assert max_value(zero_vec(2), ()) == 0
+    assert max_value(vec([1, 0]), ()) is None
+    box = rows_of(([1, 0], 1), ([0, 1], 3), ([-1, -1], 0))
+    assert max_value(zero_vec(2), box) == 0
+    assert max_value(vec([1, 1]), box) == 4
+    assert max_value(vec([-1, 0]), box) == 3
+    # A slab |x| <= 1 in the plane holds the line along the second axis.
+    slab = rows_of(([1, 0], 1), ([-1, 0], 1))
+    assert max_value(vec([0, 1]), slab) is None
+    assert max_value(vec([1, 1]), slab) is None
+    assert max_value(vec([-2, 0]), slab) == 2
+    assert max_value(vec([0, 0]), slab) == 0
+    # Duplicated and scaled rows leave the dual with dependent columns.
+    again = rows_of(([1, 0], 1), ([1, 0], 1), ([2, 0], 2), (["1/3", 0], "1/3"), ([0, 1], 3), ([-1, -1], 0))
+    assert max_value(vec([1, 1]), again) == 4 == solve_max(vec([1, 1]), again).value
+    assert max_value(vec(["1/2", "-1/3"]), again) == solve_max(vec(["1/2", "-1/3"]), again).value
 
 
 # -- the equality form against its inequality encoding ----------------------

@@ -260,7 +260,7 @@ def test_report_memo_holds_values_that_support_value_completes(kind, c, monkeypa
     other = fresh(c)
     want = {x: support_value(other, x) for x in looked}
 
-    calls = {"solve_max": 0, "strict_system_feasible": 0}
+    calls = {"max_value": 0, "strict_system_feasible": 0}
     for name in calls:
         real = getattr(normal_cones, name)
 
@@ -275,7 +275,7 @@ def test_report_memo_holds_values_that_support_value_completes(kind, c, monkeypa
         ev = support_value(c, x)
         assert ev == want[x] and ev.value == value
         finite += value.is_finite
-        assert calls["solve_max"] == before["solve_max"]
+        assert calls["max_value"] == before["max_value"]
         assert calls["strict_system_feasible"] == before["strict_system_feasible"] + value.is_finite
         assert isinstance(c._record.support[x], SupportEvaluation)
         # Once complete, neither lookup solves anything.
@@ -289,5 +289,5 @@ def test_report_memo_holds_values_that_support_value_completes(kind, c, monkeypa
     before = dict(calls)
     for x in looked:
         assert support_level(third, x) == looked[x] == support_level(third, x)
-    assert calls["solve_max"] == before["solve_max"] + len(looked)
+    assert calls["max_value"] == before["max_value"] + len(looked)
     assert calls["strict_system_feasible"] == before["strict_system_feasible"]

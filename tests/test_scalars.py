@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phk.errors import InputError
+from phk.errors import InputError, ScaleLimitError
 from phk.scalars import NEG_INF, POS_INF, ExtValue, fin, rat, rat_str, sup_ext
 
 
@@ -27,6 +28,22 @@ def test_rat_rejects_garbage():
         rat("1/0")
     with pytest.raises(InputError):
         rat(1.5)  # type: ignore[arg-type]
+
+
+def test_rat_refuses_a_literal_past_the_digit_limit_by_its_size():
+    limit = sys.get_int_max_str_digits()
+    for literal in ("1" * 5000, "-3/" + "7" * 5000, "1" * 5000 + ".5"):
+        with pytest.raises(ScaleLimitError) as got:
+            rat(literal)
+        message = str(got.value)
+        assert message == (
+            f"a literal with 5000 digits exceeds the limit of {limit} digits for reading an integer"
+        )
+        assert "1" * 50 not in message and "7" * 50 not in message
+    # At the limit the literal still reads, and garbage keeps its message.
+    assert rat("9" * limit) == 10**limit - 1
+    with pytest.raises(InputError, match="not a rational literal: '1/2/3'"):
+        rat("1/2/3")
 
 
 @given(rationals)
