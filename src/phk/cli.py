@@ -462,8 +462,8 @@ def cmd_verb(args) -> int:
 def _grid_fraction(raw: str) -> Fraction:
     try:
         q = rat(raw)
-    except InputError:
-        raise argparse.ArgumentTypeError(f"not a rational step: {raw!r}")
+    except InputError as exc:  # rat's message quotes a long literal by its size
+        raise argparse.ArgumentTypeError(str(exc))
     if q <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
     return q

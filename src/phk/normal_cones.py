@@ -105,15 +105,21 @@ def supporting_row_witnesses(c: PartiallyOpenPolyhedron) -> tuple[tuple[int, Vec
     """(row index, point of the set on that row's hyperplane) pairs."""
     record = require_valid(c)
     if record.witnesses is None:
-        base = system_of(c)
-        found = []
-        for i, (normal, offset) in enumerate(c.carrier.rows):
-            face = base + ((tuple(-q for q in normal), -offset, False),)
-            feasible, witness = strict_system_feasible(face)
-            if feasible:
-                found.append((i, witness))
-        record.witnesses = tuple(found)
+        record.witnesses = _hyperplanes_meeting(c, system_of(c))
     return record.witnesses
+
+
+def _hyperplanes_meeting(c: PartiallyOpenPolyhedron, system) -> tuple[tuple[int, Vec], ...]:
+    """(row index, point) for each carrier row whose hyperplane meets the
+    strict ``system``: one feasibility LP per row, in row order."""
+    found = []
+    for i, (normal, offset) in enumerate(c.carrier.rows):
+        feasible, witness = strict_system_feasible(
+            system + ((tuple(-q for q in normal), -offset, False),)
+        )
+        if feasible:
+            found.append((i, witness))
+    return tuple(found)
 
 
 def in_portable_hull(c: PartiallyOpenPolyhedron | EmptySet, x) -> bool:

@@ -22,12 +22,12 @@ from .normal_cones import (
     support_value,
     supporting_row_witnesses,
     supporting_rows,
+    _hyperplanes_meeting,
 )
 from .polyhedra import (
     ClosedPolyhedron,
     EmptySet,
     PartiallyOpenPolyhedron,
-    canonicalize,
     _canonical_as_set,
     closed_equal,
     closed_contains,
@@ -92,8 +92,9 @@ def portable_hull(c: PartiallyOpenPolyhedron | EmptySet) -> ClosedPolyhedron:
     A valid set's carrier is canonical, and any subset of its rows is too:
     still sorted, primitive and free of parallel pairs, and still
     irredundant, since a point that violates row i alone keeps doing so
-    when other rows are dropped.  So the supporting rows are already what
-    ``canonicalize`` would return.
+    when other rows are dropped.  So the kept rows, in carrier order, are
+    already what ``canonicalize`` would return.  The other hulls below are
+    row subsets of the carrier too.
     """
     if isinstance(c, EmptySet):
         return space(c.dim)
@@ -101,16 +102,15 @@ def portable_hull(c: PartiallyOpenPolyhedron | EmptySet) -> ClosedPolyhedron:
 
 
 def portable_hull_by_faces(c: PartiallyOpenPolyhedron | EmptySet) -> ClosedPolyhedron:
-    """Definitional route: keep rows active on some closed face meeting the set."""
+    """Definitional route: keep rows active on some closed face meeting the
+    set; canonical as kept, by the argument in ``portable_hull``."""
     if isinstance(c, EmptySet):
         return space(c.dim)
     keep: set[int] = set()
     for face in enumerate_faces(c):
         if face.meets_set:
             keep |= face.active
-    out = canonicalize(c.dim, [c.carrier.rows[i] for i in sorted(keep)])
-    assert isinstance(out, ClosedPolyhedron)
-    return out
+    return ClosedPolyhedron(c.dim, tuple(c.carrier.rows[i] for i in sorted(keep)))
 
 
 def partial_supporting_rows(
@@ -130,24 +130,17 @@ def partial_supporting_rows(
             i for i in range(len(c.carrier.rows)) if any(sg[i] == 0 for sg in members)
         )
     require_valid(s)
-    base = system_of(c) + system_of(s)
-    kept = []
-    for i, (normal, offset) in enumerate(c.carrier.rows):
-        face = base + ((tuple(-q for q in normal), -offset, False),)
-        if strict_system_feasible(face).feasible:
-            kept.append(i)
-    return tuple(kept)
+    return tuple(i for i, _ in _hyperplanes_meeting(c, system_of(c) + system_of(s)))
 
 
 def partial_portable_hull(
     c: PartiallyOpenPolyhedron,
     s: PartiallyOpenPolyhedron | FinitePointSet | EmptySet,
 ) -> ClosedPolyhedron:
-    """Intersection of the half-spaces kept by ``partial_supporting_rows``."""
-    keep = [c.carrier.rows[i] for i in partial_supporting_rows(c, s)]
-    out = canonicalize(c.dim, keep)
-    assert isinstance(out, ClosedPolyhedron), "the partial hull contains the set"
-    return out
+    """Intersection of the half-spaces kept by ``partial_supporting_rows``;
+    canonical as kept, by the argument in ``portable_hull``."""
+    kept = partial_supporting_rows(c, s)
+    return ClosedPolyhedron(c.dim, tuple(c.carrier.rows[i] for i in kept))
 
 
 def is_portable(c: PartiallyOpenPolyhedron | EmptySet) -> bool:

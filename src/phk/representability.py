@@ -4,10 +4,11 @@ The central object is the least convex lower-semicontinuous function that
 agrees with the coupling on a finite graph.  On the graph's convex hull it
 is a finite minimum over barycentric weights, which is a small exact LP;
 off the hull it is +inf.  For a graph summed with a polyhedral normal-cone
-operator the same value is computed by a joint program over weights and
-row multipliers, and independently by brute-force enumeration of the basic
-solutions of that program, so the two routes can be played against each
-other in tests.
+operator the value is a joint program over weights and row multipliers.
+Both routes to it share that program's one equality system and differ only
+in the solver: the simplex of ``lp_solve``, or a brute-force walk over the
+basic solutions that uses nothing from ``lp``.  So the two can be played
+against each other in tests.
 """
 from __future__ import annotations
 
@@ -143,13 +144,16 @@ def graph_domain(g: MonotoneGraph) -> FinitePointSet:
 
 
 def _sum_program(t: MonotoneGraph, c: PartiallyOpenPolyhedron, x, xstar):
-    """What both routes to the sum value start from.
+    """The joint program that both routes to the sum value solve.
 
-    Checks the input, then returns the pair ``(p, d)``, the graph restricted
-    to the set, the partial hull of the set probed at the graph's domain
-    points, and the costs of the joint program: graph weights first, then
-    one multiplier per hull row pricing the half-space part at the shifted
-    dual.  ``None`` when no graph pair lies in the set.
+    Checks the input, then returns the dual ``d``, the graph restricted to
+    the set, and the program's costs and equality rows over nonnegative
+    columns: graph weights first, then one multiplier per row of the
+    partial hull of the set probed at the graph's domain points, which
+    prices the half-space part at the shifted dual.  The rows are
+    ``_barycentric_rows`` with the hull normals as extra dual vectors.  The
+    routes differ only in the solver: ``lp_solve``, or a walk over basic
+    solutions.  ``None`` when no graph pair lies in the set.
     """
     require_valid(c)
     if t.dim != c.dim:
@@ -164,7 +168,8 @@ def _sum_program(t: MonotoneGraph, c: PartiallyOpenPolyhedron, x, xstar):
         return None
     hull = partial_portable_hull(c, graph_domain(t))
     costs = [dot(a, astar) for a, astar in tc.pairs] + [o for _, o in hull.rows]
-    return p, d, tc, hull, costs
+    rows = _barycentric_rows(tc.pairs, [n for n, _ in hull.rows], p, d)
+    return d, tc, costs, rows
 
 
 def rep_sum_value(
@@ -179,8 +184,7 @@ def rep_sum_value(
     program = _sum_program(t, c, x, xstar)
     if program is None:
         return PsiEvaluation(POS_INF, None, None)
-    p, d, tc, hull, costs = program
-    rows = _barycentric_rows(tc.pairs, [n for n, _ in hull.rows], p, d)
+    d, tc, costs, rows = program
     out = lp_solve(EqualityLP(tuple(-q for q in costs), tuple(rows)))
     if out.status == "infeasible":
         return PsiEvaluation(POS_INF, None, None)
@@ -206,31 +210,9 @@ def rep_sum_value_by_enumeration(
     program = _sum_program(t, c, x, xstar)
     if program is None:
         return POS_INF
-    p, d, tc, hull, costs = program
-    k = len(tc.pairs)
-    m = len(hull.rows)
-    total = k + m
-    n = c.dim
-    # Equality system E w = h over nonnegative w.
-    e_rows: list[list[Fraction]] = []
-    h: list[Fraction] = []
-    e_rows.append([Fraction(1) if j < k else Fraction(0) for j in range(total)])
-    h.append(Fraction(1))
-    for coord in range(n):
-        e_rows.append(
-            [tc.pairs[j][0][coord] if j < k else Fraction(0) for j in range(total)]
-        )
-        h.append(p[coord])
-    for coord in range(n):
-        e_rows.append(
-            [
-                tc.pairs[j][1][coord] if j < k else hull.rows[j - k][0][coord]
-                for j in range(total)
-            ]
-        )
-        h.append(d[coord])
-
-    neq = len(e_rows)
+    _, _, costs, rows = program
+    total = len(costs)
+    neq = len(rows)
     subsets = sum(comb(total, size) for size in range(min(total, neq) + 1))
     if subsets > ENUMERATION_SUBSET_CAP:
         raise ScaleLimitError(
@@ -240,7 +222,7 @@ def rep_sum_value_by_enumeration(
     best: ExtValue = POS_INF
     for size in range(0, min(total, neq) + 1):
         for cols in combinations(range(total), size):
-            aug = [[e_rows[i][j] for j in cols] + [h[i]] for i in range(neq)]
+            aug = [[a[j] for j in cols] + [b] for a, b in rows]
             reduced, pivots = rref(aug)
             if size in pivots:
                 continue  # inconsistent

@@ -34,7 +34,9 @@ _POS = 1
 def rat(x: RationalLike) -> Fraction:
     """Coerce an int, ``"p/q"`` string, or Fraction to an exact Fraction.
     A literal with an integer past Python's int-from-str digit limit:
-    ``ScaleLimitError`` with its digit count, the literal not echoed."""
+    ``ScaleLimitError`` with its digit count, the literal not echoed.  Any
+    other unreadable literal is echoed, past 40 characters only its start
+    and its length."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -50,7 +52,8 @@ def rat(x: RationalLike) -> Fraction:
                     f"a literal with {digits} digits exceeds the limit of "
                     f"{limit} digits for reading an integer"
                 ) from None
-            raise InputError(f"not a rational literal: {x!r}") from exc
+            shown = repr(x) if len(x) <= 40 else f"{x[:40]!r}... ({len(x)} characters)"
+            raise InputError(f"not a rational literal: {shown}") from exc
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
 
 

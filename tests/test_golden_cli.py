@@ -117,6 +117,8 @@ def extra_cases() -> list[list[str]]:
     stair, gradient, points = _f("staircase_graph"), _f("gradient_graph_2d"), _f("lower_left_points")
     missing, truncated = _f("missing"), "tests/data/truncated_set.json"
     huge = "tests/data/huge_offset_set.json"
+    # {0 <= x <= b} with b of 3001 digits, and a set with a 5000-digit JSON number
+    bound, number = "tests/data/huge_bound_interval.json", "tests/data/huge_number_set.json"
     p1, p2 = ["--point", '["1"]'], ["--point", '["1","1"]']
     d1, d2 = ["--dual", '["1"]'], ["--dual", '["1","1"]']
     return [
@@ -172,6 +174,10 @@ def extra_cases() -> list[list[str]]:
         ["partial-hull", square, stair],
         # a row offset past the int-from-str digit limit
         ["hull", huge],
+        # a support value past the int-to-str digit limit, and a JSON
+        # number past the int-from-str one
+        ["sigma", bound, "--dual", json.dumps(["1" * 3001])],
+        ["hull", number],
         # an output file that cannot be written
         ["hull", square, "--out", "tests/data/no_such_dir/out.json"],
     ]

@@ -1,13 +1,24 @@
 """Hulls, portability verdicts, separation certificates, and reports."""
+import json
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 
-from phk.corpus import partially_open_sets, random_polytopes
+from phk.corpus import (
+    line_free_closed_sets,
+    partially_open_sets,
+    probe_point_sets,
+    probe_polyhedra,
+    random_polytopes,
+)
 from phk.errors import InputError
 from phk.polyhedra import (
     ClosedPolyhedron,
     EmptySet,
+    PartiallyOpenPolyhedron,
+    canonicalize,
     closed_as_set,
     closed_contains,
     closed_subset_of,
@@ -15,6 +26,7 @@ from phk.polyhedra import (
     make_set,
     space,
 )
+from phk.normal_cones import supporting_row_witnesses
 from phk.portability import (
     boundary_support_report,
     hull_extension_report,
@@ -32,6 +44,7 @@ from phk.portability import (
     verify_certificate,
 )
 from phk.sampling import SampleSpec, cloud_points
+from phk.serialize import parse_points, parse_set
 
 F = Fraction
 
@@ -100,6 +113,68 @@ class TestPortableHull:
             for x in cloud_points(c, SampleSpec(seed=1, count=8)):
                 if contains(c, x):
                     assert closed_contains(h, x)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@cache
+def _fixtures():
+    """Every fixture that is a set or a point set, parsed as the CLI does."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "points" in doc:
+            out.append(parse_points(doc))
+        elif "pairs" not in doc:
+            out.append(parse_set(doc))
+    return tuple(out)
+
+
+@cache
+def _premise_sets():
+    sets = (
+        random_polytopes(9, seed=71)
+        + partially_open_sets(9, seed=72)
+        + partially_open_sets(6, seed=73, force_strict=True)
+        + line_free_closed_sets(9, seed=74)
+        + list(_fixtures())
+    )
+    return tuple(c for c in sets if isinstance(c, PartiallyOpenPolyhedron))
+
+
+def _premise_probes(c):
+    """Corpus and fixture probes of the set's dimension, the empty set, and
+    the set's own supporting-row witnesses, which keep rows."""
+    own = point_set(c.dim, [w for _, w in supporting_row_witnesses(c)])
+    others = probe_point_sets(6, seed=75) + probe_polyhedra(6, seed=76) + list(_fixtures())
+    return [EmptySet(c.dim), own] + [s for s in others if s.dim == c.dim]
+
+
+class TestHullsAreCarrierRowSubsets:
+    """The hulls keep carrier rows without canonicalizing them; that is
+    sound only if the kept rows are already canonical."""
+
+    def test_hulls_equal_their_canonical_form(self):
+        checked = 0
+        for c in _premise_sets():
+            hulls = [portable_hull(c), portable_hull_by_faces(c)]
+            hulls += [partial_portable_hull(c, s) for s in _premise_probes(c)]
+            for h in hulls:
+                assert h == canonicalize(c.dim, h.rows)
+                checked += 1
+        assert checked >= 300
+
+    def test_a_point_set_partial_hull_solves_no_lp(self, forbid_lp):
+        # Finding the witnesses validates each set, so the hulls below start
+        # from validated sets and only the hull itself could solve an LP.
+        probes = [
+            (c, point_set(c.dim, [w for _, w in supporting_row_witnesses(c)]))
+            for c in _premise_sets()
+        ]
+        forbid_lp()
+        kept = sum(len(partial_portable_hull(c, s).rows) for c, s in probes)
+        assert kept > 0
 
 
 class TestIsPortable:

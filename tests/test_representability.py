@@ -135,6 +135,16 @@ class TestSumValue:
                 brute = rep_sum_value_by_enumeration(t, c, x, xstar)
                 assert lp == brute, (x, xstar)
 
+    def test_enumeration_route_solves_no_lp(self, forbid_lp):
+        # The oracle shares the joint program's rows, not its solver.
+        # The staircase's domain meets both ends of the interval, so its
+        # partial hull keeps both rows.
+        instances = [(staircase(), closed_interval())] + sum_instances(4, seed=31)
+        want = [rep_sum_value(t, c, *t.pairs[0]).value for t, c in instances]
+        forbid_lp()
+        got = [rep_sum_value_by_enumeration(t, c, *t.pairs[0]) for t, c in instances]
+        assert got == want
+
 
 class TestSumMembership:
     def test_pinned_split(self):

@@ -46,6 +46,12 @@ def test_rat_refuses_a_literal_past_the_digit_limit_by_its_size():
         rat("1/2/3")
 
 
+def test_rat_quotes_only_the_start_of_a_long_unreadable_literal():
+    assert str(pytest.raises(InputError, rat, "x" * 40).value) == f"not a rational literal: {'x' * 40!r}"
+    message = str(pytest.raises(InputError, rat, "y" * 41).value)
+    assert message == f"not a rational literal: {'y' * 40!r}... (41 characters)"
+
+
 @given(rationals)
 def test_rat_str_round_trips(x):
     assert rat(rat_str(x)) == x

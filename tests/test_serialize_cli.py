@@ -142,6 +142,35 @@ def test_numbers_too_long_for_int_str_end_in_one_error_line(capsys, tmp_path):
         assert digits in err and "Traceback" not in err
 
 
+def test_a_long_unreadable_literal_is_quoted_by_its_start(capsys):
+    code, out, err = run_cli(
+        capsys, "sigma", str(FIXTURES / "closed_interval.json"), "--dual", json.dumps(["x" * 5000])
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err == f"error: not a rational literal: {'x' * 40!r}... (5000 characters)\n"
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ("1" * 5000, "a literal with 5000 digits exceeds the limit of"),
+        ("x" * 5000, f"not a rational literal: {'x' * 40!r}... (5000 characters)"),
+    ],
+)
+def test_a_long_grid_step_is_refused_by_its_size(capsys, step, message):
+    argv = (
+        "sum-check", str(FIXTURES / "staircase_graph.json"), str(FIXTURES / "closed_interval.json"),
+        "--point", '["1"]', "--dual", '["1"]', "--grid", step,
+    )
+    with pytest.raises(SystemExit) as got:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert got.value.code == 2  # argparse owns argument errors
+    assert f"argument --grid: {message}" in err
+    assert step[:50] not in err and len(err.encode()) < 400
+
+
 def test_exact_set_shapes_still_parse():
     assert parse_set({"empty": True}) == EmptySet(1)
     assert parse_set({"empty": True, "dim": 3}) == EmptySet(3)
