@@ -139,16 +139,6 @@ def _spec(args) -> SampleSpec:
     return SampleSpec(seed=args.seed, count=args.samples)
 
 
-def _conditions(report) -> set[bool]:
-    """The distinct verdicts of the four portability conditions."""
-    return {
-        report.maximal_on_samples,
-        report.coupling_identity_on_samples,
-        report.hull_adds_nothing,
-        report.hull_equals_carrier,
-    }
-
-
 # Each compute function takes the parsed inputs, the parsed arguments and the
 # ``CheckSet`` to fill, and returns the document's result and witnesses.
 
@@ -189,12 +179,13 @@ def _partial_hull(inputs, args, checks):
 
 def _portable(inputs, args, checks):
     c = inputs["set"]
-    verdict = is_portable(c)
     if isinstance(c, EmptySet):
+        verdict = is_portable(c)
         checks.add("empty-set-not-portable", verdict is False)
         return verdict, {}
     report = portability_report(c, _spec(args))
-    checks.add("four-conditions-agree", _conditions(report) == {verdict})
+    verdict = report.hull_adds_nothing
+    checks.add("four-conditions-agree", report.verdicts() == {verdict})
     if report.failure_pair is None:
         return verdict, {}
     return verdict, {"failurePair": report.failure_pair}
@@ -202,7 +193,7 @@ def _portable(inputs, args, checks):
 
 def _report(inputs, args, checks):
     report = portability_report(inputs["set"], _spec(args))
-    checks.add("four-conditions-agree", len(_conditions(report)) == 1)
+    checks.add("four-conditions-agree", len(report.verdicts()) == 1)
     return report, {}
 
 

@@ -29,13 +29,12 @@ from .polyhedra import (
     EmptySet,
     PartiallyOpenPolyhedron,
     _canonical_as_set,
+    carrier_vrep,
     closed_equal,
     closed_contains,
     closed_subset_of,
     cones_equal,
     contains,
-    is_bounded,
-    lineality_space,
     require_valid,
     row_signs,
     signs_inside,
@@ -84,6 +83,16 @@ class PortabilityReport:
     related_pairs_checked: int
     identity_pairs_checked: int
     failure_pair: tuple[Vec, Vec] | None
+
+    def verdicts(self) -> set[bool]:
+        """The distinct verdicts of the four portability conditions: one
+        when they agree, as the paper's equivalence says they must."""
+        return {
+            self.maximal_on_samples,
+            self.coupling_identity_on_samples,
+            self.hull_adds_nothing,
+            self.hull_equals_carrier,
+        }
 
 
 def portable_hull(c: PartiallyOpenPolyhedron | EmptySet) -> ClosedPolyhedron:
@@ -410,10 +419,10 @@ def line_free_report(
     if c.strict_rows:
         raise InputError("these checks apply to closed sets only")
     spec = spec or SampleSpec()
-    p = c.carrier
-    line_free = lineality_space(p) == ()
+    g = carrier_vrep(c)
+    line_free = not g.lineality
     portable = is_portable(c)
-    bounded = is_bounded(p)
+    bounded = line_free and not g.rays
 
     agree = True
     witness = None

@@ -10,7 +10,9 @@ fixes the arithmetic conventions used throughout this package:
 
 The first convention makes indicator-plus-support sums absorb correctly, the
 second makes suprema over empty graphs come out right without special cases
-at the call sites.
+at the call sites.  The order is the one ``dataclass(order=True)`` generates
+from the fields ``(kind, num)``, so it compares ``ExtValue``s only; coerce a
+bare rational with :func:`fin` first.
 """
 
 from __future__ import annotations
@@ -79,22 +81,20 @@ def _digits(n: int) -> int:
     return d - (10 ** (d - 1) > n) + (10**d <= n)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class ExtValue:
     """A rational extended with -inf and +inf.
 
     Instances are immutable; build them through :func:`fin`, or use the module
-    constants ``NEG_INF`` / ``POS_INF``.
+    constants ``NEG_INF`` / ``POS_INF``.  The order compares the tuple
+    ``(kind, num)``: the infinities keep ``num=None``, and their ``kind``
+    differs from every finite value's, so the comparison never reaches
+    ``None``.  Comparisons are between ``ExtValue``s only.  Addition, which
+    also takes a bare rational, keeps (+inf) + (-inf) = +inf.
     """
 
     kind: int
     num: Fraction | None = None
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def finite(q: RationalLike) -> "ExtValue":
-        return ExtValue(_FIN, rat(q))
 
     # -- predicates --------------------------------------------------------
 
@@ -132,23 +132,6 @@ class ExtValue:
         assert self.num is not None
         return ExtValue(_FIN, self.num * f)
 
-    # -- order -------------------------------------------------------------
-
-    def _key(self) -> tuple[int, Fraction]:
-        return (self.kind, self.num if self.num is not None else Fraction(0))
-
-    def __lt__(self, other: "ExtValue | RationalLike") -> bool:
-        return self._key() < _coerce(other)._key()
-
-    def __le__(self, other: "ExtValue | RationalLike") -> bool:
-        return self._key() <= _coerce(other)._key()
-
-    def __gt__(self, other: "ExtValue | RationalLike") -> bool:
-        return self._key() > _coerce(other)._key()
-
-    def __ge__(self, other: "ExtValue | RationalLike") -> bool:
-        return self._key() >= _coerce(other)._key()
-
     def __str__(self) -> str:
         if self.kind == _POS:
             return "+inf"
@@ -163,13 +146,11 @@ POS_INF = ExtValue(_POS)
 
 
 def fin(q: RationalLike) -> ExtValue:
-    return ExtValue.finite(q)
+    return ExtValue(_FIN, rat(q))
 
 
 def _coerce(x: "ExtValue | RationalLike") -> ExtValue:
-    if isinstance(x, ExtValue):
-        return x
-    return ExtValue(_FIN, rat(x))
+    return x if isinstance(x, ExtValue) else fin(x)
 
 
 def sup_ext(values: Iterable[ExtValue | RationalLike]) -> ExtValue:

@@ -117,13 +117,7 @@ def _conditions(seed, samples):
     )
     for c in sets:
         r = portability_report(c, SampleSpec(seed=seed, count=6))
-        verdicts = {
-            r.maximal_on_samples,
-            r.coupling_identity_on_samples,
-            r.hull_adds_nothing,
-            r.hull_equals_carrier,
-        }
-        yield len(verdicts) == 1, c
+        yield len(r.verdicts()) == 1, c
 
 
 def _separation(seed, samples):

@@ -16,9 +16,7 @@ from .linalg import Vec, vec
 from .polyhedra import (
     ClosedPolyhedron,
     EmptySet,
-    GeneratedCone,
     PartiallyOpenPolyhedron,
-    VRep,
     make_set,
     whole_set,
 )
@@ -138,16 +136,11 @@ def fmt_closed(p: ClosedPolyhedron | EmptySet) -> dict:
 
 def fmt_set(c: PartiallyOpenPolyhedron | EmptySet) -> dict:
     if isinstance(c, EmptySet):
-        return {"dim": c.dim, "empty": True}
-    if not c.carrier.rows:
-        return {"space": c.dim}
-    rows = []
-    for i, (n, o) in enumerate(c.carrier.rows):
-        row = {"normal": fmt_vector(n), "offset": rat_str(o)}
-        if i in c.strict_rows:
-            row["strict"] = True
-        rows.append(row)
-    return {"dim": c.dim, "rows": rows}
+        return fmt_closed(c)
+    doc = fmt_closed(c.carrier)
+    for i in c.strict_rows:
+        doc["rows"][i]["strict"] = True
+    return doc
 
 
 def fmt_graph(g: MonotoneGraph) -> dict:
@@ -157,22 +150,6 @@ def fmt_graph(g: MonotoneGraph) -> dict:
             {"a": fmt_vector(a), "astar": fmt_vector(astar)} for a, astar in g.pairs
         ],
     }
-
-
-def fmt_points(s: FinitePointSet) -> dict:
-    return {"dim": s.dim, "points": [fmt_vector(p) for p in s.points]}
-
-
-def fmt_vrep(v: VRep) -> dict:
-    return {
-        "vertices": [fmt_vector(q) for q in v.vertices],
-        "rays": [fmt_vector(q) for q in v.rays],
-        "lineality": [fmt_vector(q) for q in v.lineality],
-    }
-
-
-def fmt_cone(k: GeneratedCone) -> dict:
-    return {"dim": k.dim, "generators": [fmt_vector(g) for g in k.generators]}
 
 
 def _camel(name: str) -> str:
@@ -194,12 +171,6 @@ def jsonable(x):
         return fmt_set(x)
     if isinstance(x, MonotoneGraph):
         return fmt_graph(x)
-    if isinstance(x, FinitePointSet):
-        return fmt_points(x)
-    if isinstance(x, VRep):
-        return fmt_vrep(x)
-    if isinstance(x, GeneratedCone):
-        return fmt_cone(x)
     if is_dataclass(x) and not isinstance(x, type):
         return {
             _camel(f.name): jsonable(getattr(x, f.name)) for f in fields(x)

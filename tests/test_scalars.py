@@ -93,6 +93,27 @@ def test_total_order():
     assert NEG_INF < fin(-(10**9)) < fin(0) < fin(10**9) < POS_INF
     assert fin(1) <= fin(1)
     assert not POS_INF < POS_INF
+    # The generated order compares ExtValues only.
+    with pytest.raises(TypeError):
+        _ = fin(1) < 2
+
+
+extvalues = st.one_of(st.just(NEG_INF), st.just(POS_INF), rationals.map(fin))
+
+
+def _reference_key(v: ExtValue) -> tuple[int, Fraction]:
+    return (v.kind, v.num if v.is_finite else Fraction(0))
+
+
+@given(extvalues, extvalues)
+def test_generated_order_matches_the_reference_key(a, b):
+    ka, kb = _reference_key(a), _reference_key(b)
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
+    assert (a == b) == (ka == kb)
+    assert sup_ext([a, b]) == max(a, b) == sup_ext([b, a])
 
 
 def test_scale_is_positively_homogeneous():
@@ -123,5 +144,5 @@ def test_addition_matches_fraction_addition_when_finite(a, b):
 
 
 def test_structural_equality_of_extvalues():
-    assert fin("1/2") == ExtValue.finite(Fraction(2, 4))
+    assert fin("1/2") == ExtValue(0, Fraction(2, 4))
     assert len({POS_INF, POS_INF, fin(3), fin(3)}) == 2

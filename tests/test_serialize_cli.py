@@ -8,7 +8,15 @@ import pytest
 from phk.cli import CheckSet, main
 from phk.errors import InputError
 from phk.fitzpatrick import graph
-from phk.polyhedra import ClosedPolyhedron, EmptySet, PartiallyOpenPolyhedron, make_set
+from phk.polyhedra import (
+    ClosedPolyhedron,
+    EmptySet,
+    PartiallyOpenPolyhedron,
+    cone,
+    h_to_v,
+    make_set,
+    whole_set,
+)
 from phk.portability import point_set
 from phk.representability import sum_graph_membership
 from phk.serialize import (
@@ -234,6 +242,37 @@ class TestFormatting:
         doc = fmt_set(c)
         flags = [row.get("strict", False) for row in doc["rows"]]
         assert flags == [True, False]
+
+    def test_jsonable_writes_each_value_form(self):
+        square = parse_set(json.loads((FIXTURES / "unit_square.json").read_text()))
+        half_plane = make_set(2, [((-1, 0), 0, False)])
+        assert jsonable(h_to_v(square.carrier)) == {
+            "vertices": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],
+            "rays": [],
+            "lineality": [],
+        }
+        assert jsonable(h_to_v(half_plane.carrier)) == {
+            "vertices": [["0", "0"]],
+            "rays": [["1", "0"]],
+            "lineality": [["0", "1"]],
+        }
+        assert jsonable(cone(2, [(1, 0), (0, F(1, 2))])) == {
+            "dim": 2,
+            "generators": [["1", "0"], ["0", "1/2"]],
+        }
+        assert jsonable(point_set(2, [(1, F(1, 2)), (0, 0)])) == {
+            "dim": 2,
+            "points": [["0", "0"], ["1", "1/2"]],
+        }
+        assert jsonable(make_set(1, [((-1,), 0, True), ((1,), 1, False)])) == {
+            "dim": 1,
+            "rows": [
+                {"normal": ["-1"], "offset": "0", "strict": True},
+                {"normal": ["1"], "offset": "1"},
+            ],
+        }
+        assert jsonable(whole_set(2)) == {"space": 2}
+        assert jsonable(EmptySet(3)) == {"dim": 3, "empty": True}
 
     def test_jsonable_camel_case(self):
         t = graph(
@@ -528,6 +567,17 @@ class TestCli:
         assert code == 0
         doc = json.loads(out)
         assert doc["result"]["value"] == "1/4"
+
+    def test_psi_reads_a_graph_that_is_not_monotone(self, capsys, tmp_path):
+        path = tmp_path / "crossing.json"
+        path.write_text(
+            json.dumps({"dim": 1, "pairs": [{"a": [0], "astar": [1]}, {"a": [1], "astar": [0]}]})
+        )
+        code, out, _ = run_cli(capsys, "psi", str(path), "--point", '["1/2"]', "--dual", '["1/2"]')
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["result"]["value"] == "0"
+        assert doc["paperChecks"] == ["weights-reproduce-pair"]
 
     def test_portable_verb(self, capsys):
         code, out, _ = run_cli(
