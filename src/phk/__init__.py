@@ -30,7 +30,6 @@ from .fitzpatrick import (
 from .fme import fm_feasible, fm_maximize
 from .lp import (
     EqualityLP,
-    Feasibility,
     LPOutcome,
     LPProblem,
     closed_feasible,
@@ -42,7 +41,6 @@ from .lp import (
     verify_outcome,
 )
 from .normal_cones import (
-    RangeMembership,
     SupportEvaluation,
     in_normal_cone,
     in_portable_hull,
@@ -128,7 +126,6 @@ __all__ = [
     "EqualityLP",
     "ExtValue",
     "Face",
-    "Feasibility",
     "FinitePointSet",
     "GeneratedCone",
     "GridSpec",
@@ -143,7 +140,6 @@ __all__ = [
     "PortabilityReport",
     "ProbeReport",
     "PsiEvaluation",
-    "RangeMembership",
     "SampleSpec",
     "ScaleLimitError",
     "SeparationCertificate",

@@ -241,7 +241,7 @@ def _normal_cone(inputs, args, checks):
     )
     checks.add(
         "generators-in-dual-range",
-        all(in_range(c, g).member for g in k.generators),
+        all(in_range(c, g) for g in k.generators),
     )
     return k, {}
 
@@ -426,6 +426,8 @@ def cmd_verb(args) -> int:
 
     Returns the exit code: 0, or 2 when a check was falsified.
     """
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     verb = VERBS[args.verb]
     inputs: dict = {}
     for name in verb.inputs:

@@ -80,15 +80,12 @@ def enumerate_faces(c: PartiallyOpenPolyhedron) -> tuple[Face, ...]:
         eqs = tuple(
             (tuple(-q for q in rows[i][0]), -rows[i][1], False) for i in sorted(active)
         )
-        if base + eqs:
-            meets, witness = strict_system_feasible(base + eqs)
-        else:
-            meets, witness = True, gen.vertices[0]
+        witness = strict_system_feasible(base + eqs) if base + eqs else gen.vertices[0]
         faces.append(
             Face(
                 active=active,
                 generators=VRep(vs, rs, gen.lineality),
-                meets_set=meets,
+                meets_set=witness is not None,
                 rep_point=witness,
             )
         )

@@ -24,17 +24,24 @@ explicit basis inverse: the exact duals are its columns of the reduced-cost
 row.  Equality rows may depend on one another; an artificial left basic at
 zero in a row with no nonzero structural entry stays there for good.
 
-``EqualityLP`` has three uses: the barycentric programs, cone membership,
-and ``max_value``, which answers a maximum whose point nobody reads.  Over
-a *nonempty* system ``A x <= b`` in n variables and m rows, LP duality
-(Schrijver, *Theory of Linear and Integer Programming*, 1986, section 7.4)
-gives ``sup c . x = min b . y`` subject to ``A^T y = c``, ``y >= 0``: the
-dual is infeasible exactly when the primal is unbounded, and a feasible
-primal leaves it bounded.  Both optima are the same rational, so the value
+``EqualityLP`` serves the barycentric programs and ``max_value``, which
+answers a maximum whose point nobody reads.  Over a *nonempty* system
+``A x <= b`` in n variables and m rows, LP duality (Schrijver, *Theory of
+Linear and Integer Programming*, 1986, section 7.4) gives
+``sup c . x = min b . y`` subject to ``A^T y = c``, ``y >= 0``: the dual is
+infeasible exactly when the primal is unbounded, and a feasible primal
+leaves it bounded.  Both optima are the same rational, so the value
 is exact; the tableau has n rows and m + n columns instead of m rows and
 2n + 2m columns.  Nonemptiness is the caller's to ensure: over an empty
 system the dual may be infeasible too, which would read as unbounded.
 ``solve_max`` keeps the primal form for callers that read the point.
+Cone membership goes through ``max_value`` too (Farkas): x lies in the cone
+of g_1, ..., g_k exactly when ``x . z`` is bounded above on the polar cone
+``{z : g_i . z <= 0}``, a system that holds 0.
+
+The two feasibility helpers, ``closed_feasible`` for weak rows and
+``strict_system_feasible`` for mixed strict and weak rows, return a point
+of the system, or ``None`` when it is empty.
 
 The tableau is fraction-free.  Each row, and the reduced-cost row, is a list
 of ``int`` over one positive ``int`` denominator (``linalg.scaled``), and a
@@ -101,15 +108,6 @@ class LPOutcome:
     dual: Vec | None = None
     ray: Vec | None = None
     farkas: Vec | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class Feasibility:
-    feasible: bool
-    witness: Vec | None = None
-
-    def __iter__(self):
-        return iter((self.feasible, self.witness))
 
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
@@ -301,8 +299,8 @@ def verify_outcome(p: LPProblem, o: LPOutcome) -> bool:
     return False
 
 
-def strict_system_feasible(rows: Sequence[StrictRow]) -> Feasibility:
-    """Decide feasibility of a mixed strict/weak system, with witness.
+def strict_system_feasible(rows: Sequence[StrictRow]) -> Vec | None:
+    """A point of a mixed strict/weak system, or None when it is empty.
 
     Auxiliary program: maximize a margin ``t`` with ``t <= 1``, requiring
     ``normal . x + t <= offset`` on strict rows and ``normal . x <= offset``
@@ -322,24 +320,21 @@ def strict_system_feasible(rows: Sequence[StrictRow]) -> Feasibility:
     aux = LPProblem(zero_vec(n) + (Fraction(1),), tuple(aux_rows))
     out = lp_solve(aux)
     if out.status == "infeasible":
-        return Feasibility(False, None)
+        return None
     assert out.status == "optimal", "auxiliary margin objective is capped at 1"
     assert out.value is not None and out.primal is not None
-    if out.value <= 0:
-        return Feasibility(False, None)
-    return Feasibility(True, out.primal[:n])
+    return out.primal[:n] if out.value > 0 else None
 
 
-def closed_feasible(rows: Sequence[Row], dim: int) -> Feasibility:
-    """Feasibility of a weak-inequality system (witness included)."""
+def closed_feasible(rows: Sequence[Row], dim: int) -> Vec | None:
+    """A point of a weak-inequality system, or None when it is empty."""
     if dim < 1:
         raise InputError("dimension must be at least 1")
     if not rows:
-        return Feasibility(True, zero_vec(dim))
-    out = lp_solve(LPProblem(zero_vec(dim), tuple(rows)))
-    if out.status == "optimal":
-        return Feasibility(True, out.primal)
-    return Feasibility(False, None)
+        return zero_vec(dim)
+    # A zero objective is never unbounded: the outcome has a point exactly
+    # when the system is feasible.
+    return lp_solve(LPProblem(zero_vec(dim), tuple(rows))).primal
 
 
 def solve_max(objective: Sequence, rows: Sequence[Row]) -> LPOutcome:

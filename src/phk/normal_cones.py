@@ -40,12 +40,6 @@ class SupportEvaluation:
     witness: Vec | None
 
 
-@dataclass(frozen=True, slots=True)
-class RangeMembership:
-    member: bool
-    witness: Vec | None
-
-
 def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
     """sup of <xstar, x> over the set, without the attainment data.
 
@@ -88,8 +82,8 @@ def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvalua
             (x, level, False),
             (tuple(-q for q in x), -level, False),
         )
-        feasible, witness = strict_system_feasible(face)
-        ev = SupportEvaluation(value, feasible, witness)
+        witness = strict_system_feasible(face)
+        ev = SupportEvaluation(value, witness is not None, witness)
     else:
         ev = SupportEvaluation(value, False, None)
     record.remember_support(x, ev)
@@ -114,10 +108,10 @@ def _hyperplanes_meeting(c: PartiallyOpenPolyhedron, system) -> tuple[tuple[int,
     strict ``system``: one feasibility LP per row, in row order."""
     found = []
     for i, (normal, offset) in enumerate(c.carrier.rows):
-        feasible, witness = strict_system_feasible(
+        witness = strict_system_feasible(
             system + ((tuple(-q for q in normal), -offset, False),)
         )
-        if feasible:
+        if witness is not None:
             found.append((i, witness))
     return tuple(found)
 
@@ -155,12 +149,10 @@ def in_normal_cone(c: PartiallyOpenPolyhedron, x, xstar) -> bool:
     return support_level(c, d) == fin(dot(p, d))
 
 
-def in_range(c: PartiallyOpenPolyhedron, xstar) -> RangeMembership:
-    """Is some point of the set a maximizer of <xstar, .>?"""
-    ev = support_value(c, xstar)
-    if ev.value.is_finite and ev.attained_in_set:
-        return RangeMembership(True, ev.witness)
-    return RangeMembership(False, None)
+def in_range(c: PartiallyOpenPolyhedron, xstar) -> bool:
+    """Is some point of the set a maximizer of <xstar, .>?  The maximizer
+    itself is ``support_value(c, xstar).witness``."""
+    return support_value(c, xstar).attained_in_set
 
 
 def interior_point_of_carrier(c: PartiallyOpenPolyhedron) -> Vec | None:
@@ -169,8 +161,7 @@ def interior_point_of_carrier(c: PartiallyOpenPolyhedron) -> Vec | None:
     rows = tuple((normal, offset, True) for normal, offset in c.carrier.rows)
     if not rows:
         return tuple(Fraction(0) for _ in range(c.dim))
-    feasible, witness = strict_system_feasible(rows)
-    return witness if feasible else None
+    return strict_system_feasible(rows)
 
 
 def strictly_inside(c: PartiallyOpenPolyhedron, x) -> bool:
@@ -180,10 +171,8 @@ def strictly_inside(c: PartiallyOpenPolyhedron, x) -> bool:
 def set_member_witness(c: PartiallyOpenPolyhedron) -> Vec:
     """Some point of a valid (hence nonempty) set."""
     require_valid(c)
-    feasible, witness = (
-        strict_system_feasible(system_of(c))
-        if c.carrier.rows
-        else (True, tuple(Fraction(0) for _ in range(c.dim)))
-    )
-    assert feasible, "validated sets are nonempty"
+    if not c.carrier.rows:
+        return tuple(Fraction(0) for _ in range(c.dim))
+    witness = strict_system_feasible(system_of(c))
+    assert witness is not None, "validated sets are nonempty"
     return witness

@@ -54,7 +54,7 @@ from .linalg import (
     vneg,
     zero_vec,
 )
-from .lp import EqualityLP, Row, StrictRow, closed_feasible, lp_solve, max_value, strict_system_feasible
+from .lp import Row, StrictRow, closed_feasible, max_value, strict_system_feasible
 from .scalars import rat
 
 # Support values remembered per set; past the cap the oldest is dropped.  No
@@ -282,7 +282,7 @@ def _canonical_rows(
     if not ok:
         return None
     merged, dropped_a = _merge_parallel(screened)
-    if not closed_feasible([(r[0], r[1]) for r in merged], dim).feasible:
+    if closed_feasible([(r[0], r[1]) for r in merged], dim) is None:
         return None
     survivors, dropped_b = _irredundant(merged)
     return survivors, dropped_a + dropped_b
@@ -314,16 +314,15 @@ def make_set(
     carrier_rows = tuple((r[0], r[1]) for r in survivors)
     for normal, offset in dropped:
         face = list(carrier_rows) + [(vneg(normal), -offset)]
-        if closed_feasible(face, dim).feasible:
+        if closed_feasible(face, dim) is not None:
             raise InvalidSetError(
                 "strict row was redundant for the carrier but its hyperplane "
                 "touches the set; not representable as carrier + strict rows"
             )
     strict = frozenset(i for i, r in enumerate(survivors) if r[2])
     cand = PartiallyOpenPolyhedron(ClosedPolyhedron(dim, carrier_rows), strict)
-    if strict:
-        if not strict_system_feasible(system_of(cand)).feasible:
-            return EmptySet(dim)
+    if strict and strict_system_feasible(system_of(cand)) is None:
+        return EmptySet(dim)
     # The carrier is feasible and irredundant, and the strict region is
     # nonempty: exactly what ``validate`` would find again.
     return _known_valid(cand)
@@ -338,7 +337,7 @@ def validate(c: PartiallyOpenPolyhedron | EmptySet) -> Validation:
     rows = system_of(c)
     if not rows:
         return Validation(True, True)
-    nonempty = strict_system_feasible(rows).feasible
+    nonempty = strict_system_feasible(rows) is not None
     canonical = canonicalize(c.dim, c.carrier.rows) == c.carrier
     return Validation(nonempty, nonempty and canonical)
 
@@ -411,16 +410,17 @@ def closed_subset_of(
     polyhedron attains its finite support values, so the strict comparison is
     exactly containment in the open halfspace).  Each sup is read as a value
     alone, from ``lp.max_value``'s n-row dual, once ``closed_feasible`` has
-    found ``p`` nonempty as that dual requires.
+    found ``p`` nonempty as that dual requires.  Sets of different
+    dimensions are refused, empty ones included.
     """
-    if isinstance(p, EmptySet):
-        return True
-    if isinstance(c, EmptySet):
-        return not closed_feasible(p.rows, p.dim).feasible
     if p.dim != c.dim:
         raise InputError("dimension mismatch between the two sets")
-    if not closed_feasible(p.rows, p.dim).feasible:
+    if isinstance(p, EmptySet):
         return True
+    if closed_feasible(p.rows, p.dim) is None:
+        return True
+    if isinstance(c, EmptySet):
+        return False
     for i, (normal, offset) in enumerate(c.carrier.rows):
         top = max_value(normal, p.rows)
         if top is None:
@@ -441,7 +441,7 @@ def closed_equal(p: ClosedPolyhedron, q: ClosedPolyhedron) -> bool:
 
 def lineality_space(p: ClosedPolyhedron) -> tuple[Vec, ...]:
     """Basis of the lineality space {d : normal . d = 0 for every row}."""
-    if not closed_feasible(p.rows, p.dim).feasible:
+    if closed_feasible(p.rows, p.dim) is None:
         raise InputError("lineality space of the empty set is undefined")
     normals = [normal for normal, _ in p.rows]
     return tuple(nullspace_basis(normals, p.dim))
@@ -536,9 +536,7 @@ def _generators(p: ClosedPolyhedron) -> VRep:
 
 def h_to_v(p: ClosedPolyhedron | EmptySet) -> VRep:
     """Vertices, extreme rays, and lineality of a closed polyhedron."""
-    if isinstance(p, EmptySet):
-        return VRep((), (), ())
-    if not closed_feasible(p.rows, p.dim).feasible:
+    if isinstance(p, EmptySet) or closed_feasible(p.rows, p.dim) is None:
         return VRep((), (), ())
     return _generators(p)
 
@@ -603,10 +601,10 @@ def cone(dim: int, generators: Iterable[Sequence]) -> GeneratedCone:
 def cone_contains(k: GeneratedCone, x: Sequence) -> bool:
     """Exact membership of a vector in a finitely generated cone."""
     xv = vec(x, k.dim)
-    if not k.generators or is_zero_vec(xv):
-        return is_zero_vec(xv)
-    rows = tuple((tuple(gen[t] for gen in k.generators), xv[t]) for t in range(k.dim))
-    return lp_solve(EqualityLP(zero_vec(len(k.generators)), rows)).status == "optimal"
+    if is_zero_vec(xv):
+        return True
+    # Farkas: x is in the cone iff x . z is bounded on the polar cone.
+    return max_value(xv, tuple((g, Fraction(0)) for g in k.generators)) is not None
 
 
 def cones_equal(a: GeneratedCone, b: GeneratedCone) -> bool:

@@ -173,9 +173,9 @@ def nonsupporting_witness(
             continue
         rows = list(c.carrier.rows)
         rows.append((tuple(-q for q in normal), -offset))
-        got = closed_feasible(tuple(rows), c.dim)
-        assert got.feasible, "carrier rows are irredundant, every face is nonempty"
-        return i, got.witness
+        witness = closed_feasible(tuple(rows), c.dim)
+        assert witness is not None, "carrier rows are irredundant, every face is nonempty"
+        return i, witness
     return None
 
 
@@ -215,7 +215,7 @@ def verify_certificate(
 
 
 def portability_report(
-    c: PartiallyOpenPolyhedron, spec: SampleSpec | None = None
+    c: PartiallyOpenPolyhedron, spec: SampleSpec = SampleSpec()
 ) -> PortabilityReport:
     """Check the four equivalent portability conditions on one set.
 
@@ -232,7 +232,6 @@ def portability_report(
     most <x, x*>, and in the graph when x is in the set and
     sigma(x*) = <x, x*>.
     """
-    spec = spec or SampleSpec()
     hull = portable_hull(c)
     hull_adds_nothing = closed_subset_of(hull, c)
     hull_equals_carrier = closed_equal(hull, c.carrier)
@@ -279,10 +278,9 @@ def portability_report(
 
 
 def hull_extension_report(
-    c: PartiallyOpenPolyhedron, spec: SampleSpec | None = None
+    c: PartiallyOpenPolyhedron, spec: SampleSpec = SampleSpec()
 ) -> dict:
     """How the portable hull extends the set while preserving its graph."""
-    spec = spec or SampleSpec()
     hull = portable_hull(c)
     hull_set = _canonical_as_set(hull)
     again = portable_hull(hull_set)
@@ -323,7 +321,7 @@ def hull_extension_report(
 def partial_hull_report(
     c: PartiallyOpenPolyhedron,
     s: PartiallyOpenPolyhedron | FinitePointSet | EmptySet,
-    spec: SampleSpec | None = None,
+    spec: SampleSpec = SampleSpec(),
 ) -> dict:
     """Restriction-to-probe-set checks for the partial hull.
 
@@ -332,7 +330,6 @@ def partial_hull_report(
     trace iff the normal-cone graphs agree there, which is corroborated on
     samples and refuted constructively when the traces differ.
     """
-    spec = spec or SampleSpec()
     partial = partial_portable_hull(c, s)
     pset = _canonical_as_set(partial)
 
@@ -343,17 +340,13 @@ def partial_hull_report(
     # Trace comparison on the probe set: the partial hull contains the set,
     # so the traces differ exactly when some probe point lies in the hull
     # but outside the set.
-    trace_equal = True
     trace_witness: Vec | None = None
-    if isinstance(s, EmptySet):
-        pass
-    elif isinstance(s, FinitePointSet):
+    if isinstance(s, FinitePointSet):
         for p in s.points:
             if closed_contains(partial, p) and not contains(c, p):
-                trace_equal = False
                 trace_witness = p
                 break
-    else:
+    elif isinstance(s, PartiallyOpenPolyhedron):
         for i, (normal, offset) in enumerate(c.carrier.rows):
             # Weak rows are violated strictly, strict rows weakly.
             negated = (tuple(-q for q in normal), -offset, i not in c.strict_rows)
@@ -362,11 +355,10 @@ def partial_hull_report(
                 + tuple((n, o, False) for n, o in partial.rows)
                 + (negated,)
             )
-            got = strict_system_feasible(system)
-            if got.feasible:
-                trace_equal = False
-                trace_witness = got.witness
+            trace_witness = strict_system_feasible(system)
+            if trace_witness is not None:
                 break
+    trace_equal = trace_witness is None
 
     cones_agree = True
     cone_witness = None
@@ -377,8 +369,8 @@ def partial_hull_report(
     elif isinstance(s, PartiallyOpenPolyhedron):
         joint = system_of(c) + system_of(s)
         got = strict_system_feasible(joint) if joint else None
-        if got is not None and got.feasible:
-            sample_points.append(got.witness)
+        if got is not None:
+            sample_points.append(got)
         for p in points_in(c, spec):
             if contains(s, p):
                 sample_points.append(p)
@@ -407,7 +399,7 @@ def partial_hull_report(
 
 
 def line_free_report(
-    c: PartiallyOpenPolyhedron, spec: SampleSpec | None = None
+    c: PartiallyOpenPolyhedron, spec: SampleSpec = SampleSpec()
 ) -> dict:
     """Closed-set checks tying portability to the absence of lines.
 
@@ -418,7 +410,6 @@ def line_free_report(
     require_valid(c)
     if c.strict_rows:
         raise InputError("these checks apply to closed sets only")
-    spec = spec or SampleSpec()
     g = carrier_vrep(c)
     line_free = not g.lineality
     portable = is_portable(c)
@@ -428,10 +419,10 @@ def line_free_report(
     witness = None
     duals_checked = 0
     attained_all = True
-    for xstar in dual_vectors(c.dim, c, spec):
+    for xstar in dual_vectors(c, spec):
         duals_checked += 1
         ev = support_value(c, xstar)
-        member = in_range(c, xstar).member
+        member = in_range(c, xstar)
         if ev.value.is_finite != member:
             # A closed set attains every finite support value.
             agree = False
@@ -454,11 +445,10 @@ def line_free_report(
 
 
 def boundary_support_report(
-    c: PartiallyOpenPolyhedron, spec: SampleSpec | None = None
+    c: PartiallyOpenPolyhedron, spec: SampleSpec = SampleSpec()
 ) -> dict:
     """Probe: every sampled boundary point of the set is a support point."""
     require_valid(c)
-    spec = spec or SampleSpec()
     if not c.carrier.rows:
         return {
             "sampled": 0,

@@ -310,7 +310,7 @@ def representability_probe(
     grid = grid or GridSpec()
     if not is_monotone(t):
         return ProbeReport("refused-not-monotone", None, 0, 0, 0)
-    lo, hi = bounding_box(c, margin=Fraction(0))
+    lo, hi = bounding_box(c)
     half = Fraction(grid.halfwidth)
     dlo = tuple(-half for _ in range(c.dim))
     dhi = tuple(half for _ in range(c.dim))

@@ -34,8 +34,8 @@ def _rng(spec: SampleSpec, salt: str) -> random.Random:
     return random.Random(f"{spec.seed}:{salt}")
 
 
-def _rational(rng: random.Random, span: int = 3) -> Fraction:
-    return Fraction(rng.randint(-span * 4, span * 4), rng.choice((1, 2, 3, 4)))
+def _rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
 
 
 def _dedupe(points: list[Vec]) -> list[Vec]:
@@ -114,20 +114,19 @@ def _cloud_from(c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[Vec])
     return _dedupe(out)
 
 
-def dual_vectors(dim: int, c: PartiallyOpenPolyhedron | None, spec: SampleSpec) -> list[Vec]:
+def dual_vectors(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Dual directions: zero, units, row normals, their sums, seeded extras."""
     rng = _rng(spec, "dual")
-    out: list[Vec] = [zero_vec(dim)]
-    for j in range(dim):
-        out.append(unit_vec(dim, j))
-        out.append(smul(Fraction(-1), unit_vec(dim, j)))
-    if c is not None:
-        normals = [normal for normal, _ in c.carrier.rows]
-        out += normals
-        for a, b in combinations(normals, 2):
-            out.append(vadd(a, b))
+    out: list[Vec] = [zero_vec(c.dim)]
+    for j in range(c.dim):
+        out.append(unit_vec(c.dim, j))
+        out.append(smul(Fraction(-1), unit_vec(c.dim, j)))
+    normals = [normal for normal, _ in c.carrier.rows]
+    out += normals
+    for a, b in combinations(normals, 2):
+        out.append(vadd(a, b))
     for _ in range(spec.count):
-        out.append(tuple(_rational(rng) for _ in range(dim)))
+        out.append(tuple(_rational(rng) for _ in range(c.dim)))
     return _dedupe(out)
 
 
@@ -205,10 +204,9 @@ def rational_grid(lo: Vec, hi: Vec, step: Fraction) -> list[Vec]:
     return [tuple(p) for p in product(*axes)]
 
 
-def bounding_box(c: PartiallyOpenPolyhedron, margin: Fraction = Fraction(1)) -> tuple[Vec, Vec]:
-    """A box around the carrier's vertices (rays ignored), padded by margin."""
-    geo = _carrier_geometry(c)
-    vs = geo.vertices or (zero_vec(c.dim),)
-    lo = tuple(min(v[j] for v in vs) - margin for j in range(c.dim))
-    hi = tuple(max(v[j] for v in vs) + margin for j in range(c.dim))
+def bounding_box(c: PartiallyOpenPolyhedron) -> tuple[Vec, Vec]:
+    """The smallest box around the carrier's vertices (rays ignored)."""
+    vs = _carrier_geometry(c).vertices or (zero_vec(c.dim),)
+    lo = tuple(min(v[j] for v in vs) for j in range(c.dim))
+    hi = tuple(max(v[j] for v in vs) for j in range(c.dim))
     return lo, hi

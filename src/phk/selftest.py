@@ -65,12 +65,11 @@ def _strict(seed, samples):
         if not p.rows:
             continue
         rows = tuple((n, o, i % 2 == 0) for i, (n, o) in enumerate(p.rows))
-        got = strict_system_feasible(rows)
-        if got.feasible != fm_feasible(rows):
+        w = strict_system_feasible(rows)
+        if (w is not None) != fm_feasible(rows):
             yield False, {"rows": [list(n) + [o] for n, o, _ in rows]}
             continue
-        w = got.witness
-        fine = not got.feasible or all(
+        fine = w is None or all(
             dot(n, w) < o if strict else dot(n, w) <= o for n, o, strict in rows
         )
         yield fine, {"witness": w}
@@ -90,7 +89,7 @@ def _conversion(seed, samples):
 
 def _support(seed, samples):
     for c in partially_open_sets(samples, seed + 4):
-        for xstar in dual_vectors(c.dim, c, SampleSpec(seed=seed, count=6)):
+        for xstar in dual_vectors(c, SampleSpec(seed=seed, count=6)):
             ev = support_value(c, xstar)
             good = not ev.attained_in_set or (
                 ev.value.is_finite
@@ -103,7 +102,7 @@ def _support(seed, samples):
 def _fitzpatrick(seed, samples):
     for c in partially_open_sets(max(2, samples // 2), seed + 5, dims=(1, 2)):
         spec = SampleSpec(seed=seed, count=4)
-        duals = dual_vectors(c.dim, c, spec)[:6]
+        duals = dual_vectors(c, spec)[:6]
         for x in cloud_points(c, spec)[:8]:
             for xstar in duals:
                 a = normal_cone_fitzpatrick(c, x, xstar)

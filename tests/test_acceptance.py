@@ -136,7 +136,7 @@ def test_acceptance_2_coupling_value_two_routes():
         while True:
             spec = SampleSpec(seed=7, count=count)
             xs = cloud_points(c, spec)
-            ds = dual_vectors(c.dim, c, spec)
+            ds = dual_vectors(c, spec)
             if len(xs) * len(ds) >= 200:
                 break
             count += 10
@@ -296,7 +296,7 @@ def test_acceptance_6_line_free_support_attainment():
             continue
         if not is_portable(c):
             failures.append(("not-portable", idx))
-        duals = dual_vectors(c.dim, c, SampleSpec(seed=13, count=40))
+        duals = dual_vectors(c, SampleSpec(seed=13, count=40))
         # In dimension one the generator produces few distinct directions;
         # integer multiples are new sample vectors in the same ray classes.
         base = [d for d in duals if any(q != 0 for q in d)]
@@ -313,7 +313,7 @@ def test_acceptance_6_line_free_support_attainment():
         bounded = is_bounded(c.carrier)
         for xstar in duals:
             finite = support_value(c, xstar).value.is_finite
-            member = in_range(c, xstar).member
+            member = in_range(c, xstar)
             if finite != member:
                 failures.append(("domain-range-mismatch", idx, xstar))
                 break

@@ -180,6 +180,9 @@ def extra_cases() -> list[list[str]]:
         ["hull", number],
         # an output file that cannot be written
         ["hull", square, "--out", "tests/data/no_such_dir/out.json"],
+        # a sample count below 1, refused before any input is read
+        ["selftest", "--samples", "0"],
+        ["report", square, "--samples", "-1"],
     ]
 
 

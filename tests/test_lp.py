@@ -113,25 +113,25 @@ def test_rows_may_hold_list_normals():
     assert verify_outcome(LPProblem(vec([1]), tuple(rows)), out)
     rows = [([1, 1], 1)]
     got = closed_feasible(rows, 2)
-    assert got.feasible and dot([1, 1], got.witness) <= 1
+    assert got is not None and dot([1, 1], got) <= 1
     p = LPProblem(zero_vec(2), tuple(rows))
     out = lp_solve(p)
-    assert out.status == "optimal" and out.value == 0 and out.primal == got.witness
+    assert out.status == "optimal" and out.value == 0 and out.primal == got
     assert verify_outcome(p, out)
 
 
 def test_strict_feasibility_examples():
     f = strict_system_feasible([(vec([1]), Fraction(0), True), (vec([-1]), Fraction(1), True)])
-    assert f.feasible and f.witness is not None
-    (w,) = f.witness
+    assert f is not None
+    (w,) = f
     assert w < 0 and -w < 1
 
     g = strict_system_feasible([(vec([1]), Fraction(0), True), (vec([-1]), Fraction(0), False)])
-    assert not g.feasible and g.witness is None
+    assert g is None
 
     h = strict_system_feasible([(vec([-1]), Fraction(0), True), (vec([1]), Fraction(1), False)])
-    assert h.feasible and h.witness is not None
-    (w,) = h.witness
+    assert h is not None
+    (w,) = h
     assert 0 < w <= 1
 
 
@@ -142,9 +142,9 @@ def test_strict_feasibility_empty_system_is_an_error():
 
 def test_strict_matches_closed_when_no_strict_rows():
     rows = [(vec([1, 1]), Fraction(1), False), (vec([-1, 0]), Fraction(0), False)]
-    assert strict_system_feasible(rows).feasible == closed_feasible(
-        [(n, o) for n, o, _ in rows], 2
-    ).feasible
+    strict = strict_system_feasible(rows)
+    closed = closed_feasible([(n, o) for n, o, _ in rows], 2)
+    assert (strict is None) == (closed is None)
 
 
 # -- random agreement with the elimination oracle ---------------------------
@@ -357,11 +357,10 @@ def strict_systems(draw):
 @given(strict_systems())
 def test_strict_feasibility_agrees_with_elimination(rows):
     mine = strict_system_feasible(rows)
-    assert mine.feasible == fm_feasible(rows)
-    if mine.feasible:
-        assert mine.witness is not None
+    assert (mine is not None) == fm_feasible(rows)
+    if mine is not None:
         for normal, offset, strict in rows:
-            v = dot(normal, mine.witness)
+            v = dot(normal, mine)
             assert v < offset if strict else v <= offset
 
 

@@ -74,7 +74,7 @@ def test_coordinate_permutation(idx):
     assert closed_subset_of(carried.carrier, closed_as_set(moved_hull))
     assert closed_subset_of(moved_hull, carried)
     assert is_portable(moved) == is_portable(c)
-    for xstar in dual_vectors(c.dim, c, SPEC):
+    for xstar in dual_vectors(c, SPEC):
         a, b = support_value(c, xstar), support_value(moved, move(xstar))
         assert (a.value, a.attained_in_set) == (b.value, b.attained_in_set), xstar
 
@@ -86,7 +86,7 @@ def test_translation(idx):
     t = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(c.dim))
     shifted = make_set(c.dim, [(n, o + dot(n, t), s) for n, o, s in rows_of(c)])
     assert is_portable(shifted) == is_portable(c)
-    for xstar in dual_vectors(c.dim, c, SPEC):
+    for xstar in dual_vectors(c, SPEC):
         a, b = support_value(c, xstar), support_value(shifted, xstar)
         assert b.value == a.value + dot(xstar, t), xstar
         assert b.attained_in_set == a.attained_in_set, xstar
@@ -144,7 +144,7 @@ def test_unimodular_change_of_variables(idx):
     assert len(mapped.carrier.rows) == len(c.carrier.rows)
     for x in cloud_points(c, SPEC):
         assert contains(mapped, apply(inv, x)) == contains(c, x), x
-    for xstar in dual_vectors(c.dim, c, SPEC):
+    for xstar in dual_vectors(c, SPEC):
         a, b = support_value(c, xstar), support_value(mapped, apply(ut, xstar))
         assert (a.value, a.attained_in_set) == (b.value, b.attained_in_set), xstar
     assert is_portable(mapped) == is_portable(c)

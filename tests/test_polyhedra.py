@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phk.errors import InputError, InvalidSetError, ScaleLimitError
+from phk.fme import fm_feasible
 from phk import polyhedra
 from phk.linalg import dot, vec, vneg
 from phk.polyhedra import (
@@ -158,6 +159,14 @@ def test_closed_subset_of_examples():
     assert not closed_subset_of(box.carrier, half_open)  # 0 is in the carrier only
     assert closed_subset_of(EmptySet(1), half_open)
     assert closed_subset_of(closed(1, [(["1"], "1/2"), (["-1"], "-1/4")]), half_open)
+
+
+def test_closed_subset_of_refuses_a_dimension_mismatch_with_an_empty_set():
+    square = closed_as_set(closed(2, [([1, 0], 1), ([-1, 0], 0), ([0, 1], 1), ([0, -1], 0)]))
+    with pytest.raises(InputError):
+        closed_subset_of(EmptySet(3), square)
+    with pytest.raises(InputError):
+        closed_subset_of(space(3), EmptySet(2))
 
 
 def test_closed_subset_of_unbounded_direction_fails_fast():
@@ -327,7 +336,7 @@ def test_canonicalize_preserves_the_set(sys_):
     if isinstance(out, EmptySet):
         from phk.lp import closed_feasible
 
-        assert not closed_feasible(raw.rows, n).feasible
+        assert closed_feasible(raw.rows, n) is None
         return
     assert closed_subset_of(out, closed_as_set(raw))
     assert closed_subset_of(raw, closed_as_set(out))
@@ -351,3 +360,34 @@ def test_h_v_round_trip_mutual_containment(sys_):
         assert all(dot(normal, r) <= 0 for normal, _ in out.rows)
     for l in g.lineality:
         assert all(dot(normal, l) == 0 for normal, _ in out.rows)
+
+
+@st.composite
+def cone_queries(draw):
+    """At most 3 generators in dimension 1-3, and a vector that is a
+    nonnegative combination of them half the time."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    gens = draw(st.lists(st.lists(coef, min_size=n, max_size=n), max_size=3))
+    if gens and draw(st.booleans()):
+        weights = [draw(st.integers(min_value=0, max_value=3)) for _ in gens]
+        x = [sum(w * g[t] for w, g in zip(weights, gens)) for t in range(n)]
+    else:
+        x = draw(st.lists(coef, min_size=n, max_size=n))
+    return n, gens, x
+
+
+@given(cone_queries())
+def test_cone_membership_agrees_with_elimination(query):
+    # x is in the cone iff {w >= 0, sum_i w_i g_i = x} is feasible, each
+    # equation written as two weak rows; 3 columns keep the elimination quick.
+    n, gens, x = query
+    m = len(gens)
+    rows = [
+        (tuple(Fraction(-int(i == j)) for j in range(m)), Fraction(0), False)
+        for i in range(m)
+    ]
+    for t in range(n):
+        column = tuple(Fraction(g[t]) for g in gens)
+        rows.append((column, Fraction(x[t]), False))
+        rows.append((tuple(-q for q in column), -Fraction(x[t]), False))
+    assert cone_contains(cone(n, gens), x) == fm_feasible(rows)

@@ -77,7 +77,7 @@ class TestSampling:
         assert any(not contains(c, p) for p in cloud)
 
     def test_dual_vectors_start_at_zero(self):
-        ds = dual_vectors(2, unit_square(), SPEC)
+        ds = dual_vectors(unit_square(), SPEC)
         assert ds[0] == (F(0), F(0))
         assert (F(1), F(0)) in ds and (F(-1), F(0)) in ds
         assert len(set(ds)) == len(ds)
@@ -107,7 +107,7 @@ class TestSampling:
         c = unit_square()
         assert points_in(c, SPEC) == points_in(c, SampleSpec(seed=3, count=12))
         assert cloud_points(c, SPEC) == cloud_points(c, SampleSpec(seed=3, count=12))
-        assert dual_vectors(2, c, SPEC) == dual_vectors(2, c, SampleSpec(seed=3, count=12))
+        assert dual_vectors(c, SPEC) == dual_vectors(c, SampleSpec(seed=3, count=12))
         assert graph_pairs(c, SPEC) == graph_pairs(c, SampleSpec(seed=3, count=12))
 
     def test_rational_grid(self):
@@ -117,7 +117,7 @@ class TestSampling:
         assert len(got2) == 4
 
     def test_bounding_box_covers_vertices(self):
-        lo, hi = bounding_box(unit_square(), margin=F(0))
+        lo, hi = bounding_box(unit_square())
         assert lo == (F(0), F(0))
         assert hi == (F(1), F(1))
 

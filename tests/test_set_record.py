@@ -195,7 +195,7 @@ def test_routes_agree_on_fresh_sets():
     for c in sets:
         points = [x for x, _ in graph_pairs(c, spec)]
         pairs = graph_pairs(c, spec) + [
-            (x, d) for x in points[:3] for d in dual_vectors(c.dim, c, spec)[:6]
+            (x, d) for x in points[:3] for d in dual_vectors(c, spec)[:6]
         ]
         closed_form, by_faces = fresh(c), fresh(c)
         for x, xstar in pairs:
