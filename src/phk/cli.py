@@ -98,16 +98,30 @@ class CheckSet:
         return 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for ``json``: an object naming a key twice is refused."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"a JSON object repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"JSON in {path} is nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except InputError:
+        raise
     except ValueError as exc:  # a number past int()'s digit limit; drop its hint
         raise InputError(f"unreadable JSON in {path}: {str(exc).split(';')[0]}") from exc
 
@@ -117,9 +131,13 @@ def _parse(name: str, raw, inputs: dict):
     read before it, whose set (else graph) fixes a vector's dimension."""
     if name in ("point", "dual"):
         try:
-            values = json.loads(raw)
+            values = json.loads(raw, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise InputError(f"--{name} is nested too deeply") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"--{name} must be a JSON vector: {exc.msg}") from exc
+        except InputError:
+            raise
         except ValueError as exc:  # a number past int()'s digit limit
             raise InputError(f"--{name} is unreadable: {str(exc).split(';')[0]}") from exc
         return parse_vector(values, inputs.get("set", inputs.get("graph")).dim)

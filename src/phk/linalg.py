@@ -84,6 +84,13 @@ def scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [q.numerator * (den // q.denominator) for q in v], den
 
 
+def int_key(v: Sequence[Fraction]) -> tuple[tuple[int, int], ...]:
+    """Each entry's ``(numerator, denominator)``: equal exactly for equal
+    vectors, as a ``Fraction`` is kept in lowest terms, and several times
+    faster to hash than the ``Fraction``s."""
+    return tuple([(q.numerator, q.denominator) for q in v])
+
+
 def _divided(ints: list[int]) -> list[int]:
     """Divide by the gcd of the entries; a zero row stays as it is."""
     g = gcd(*ints)

@@ -408,10 +408,14 @@ def closed_subset_of(
     Per row the criterion is a support-value comparison: weak rows need
     ``sup <= offset``, strict rows need ``sup < offset`` (a nonempty closed
     polyhedron attains its finite support values, so the strict comparison is
-    exactly containment in the open halfspace).  Each sup is read as a value
-    alone, from ``lp.max_value``'s n-row dual, once ``closed_feasible`` has
-    found ``p`` nonempty as that dual requires.  Sets of different
-    dimensions are refused, empty ones included.
+    exactly containment in the open halfspace).  A weak row that ``p``
+    states verbatim among its own rows holds on all of ``p`` and needs no
+    LP; a strict one still does.  A closed set's portable hull states every
+    carrier row, so comparing it with the set or the carrier solves no LP
+    past the emptiness test.  Each other sup is read as a value alone, from
+    ``lp.max_value``'s n-row dual, once ``closed_feasible`` has found ``p``
+    nonempty as that dual requires.  Sets of different dimensions are
+    refused, empty ones included.
     """
     if p.dim != c.dim:
         raise InputError("dimension mismatch between the two sets")
@@ -421,7 +425,11 @@ def closed_subset_of(
         return True
     if isinstance(c, EmptySet):
         return False
-    for i, (normal, offset) in enumerate(c.carrier.rows):
+    stated = set(p.rows)
+    for i, row in enumerate(c.carrier.rows):
+        if i not in c.strict_rows and row in stated:
+            continue
+        normal, offset = row
         top = max_value(normal, p.rows)
         if top is None:
             return False

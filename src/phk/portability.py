@@ -48,6 +48,7 @@ from .sampling import (
     boundary_points,
     dual_vectors,
     points_in,
+    _sample_key,
 )
 from .scalars import POS_INF, fin
 
@@ -224,13 +225,15 @@ def portability_report(
     always includes a targeted witness when the set is not portable.
 
     The set is sampled once: the graph pairs and the cloud grow from one
-    ``points_in`` list.  Each pair (x, x*) is read from one ``row_signs``
-    vector of x and one support lookup at x*.  The signs place x in the
-    hull (supporting rows) and in the set (every row).  The coupling is
-    sigma(x*) on the hull and +inf off it; sigma + iota_C is sigma(x*) on
-    the set and +inf off it.  The pair is related when the coupling is at
-    most <x, x*>, and in the graph when x is in the set and
-    sigma(x*) = <x, x*>.
+    ``points_in`` list.  Each distinct point x is placed once, by one
+    ``row_signs`` vector: in the hull (supporting rows) and in the set
+    (every row).  Each distinct dual x* paired with a point of the hull is
+    looked up once, by ``support_level``; both are keyed by
+    ``_sample_key`` for this call only.  The coupling is sigma(x*) on the
+    hull and +inf off it; sigma + iota_C is sigma(x*) on the set and +inf
+    off it.  The pair is related when the coupling is at most <x, x*>, and
+    in the graph when x is in the set and sigma(x*) = <x, x*>.  Repeated
+    pairs are counted each time.
     """
     hull = portable_hull(c)
     hull_adds_nothing = closed_subset_of(hull, c)
@@ -245,16 +248,29 @@ def portability_report(
         pairs.insert(0, (witness[1], zero))
 
     supported = supporting_rows(c)
+    placed = {}  # a point's key -> (in the hull, in the set)
+    levels = {}  # a dual's key -> its support level
     identity_ok = True
     maximal_ok = True
     failure = None
     related = 0
     for x, xstar in pairs:
-        signs = row_signs(c, x)
-        in_hull = all(signs[i] <= 0 for i in supported)
-        in_set = signs_inside(c, signs)
-        # Off the hull both sides are +inf and no support lookup is needed.
-        lhs = support_level(c, xstar) if in_hull else POS_INF
+        key = _sample_key(x)
+        place = placed.get(key)
+        if place is None:
+            signs = row_signs(c, x)
+            place = placed[key] = (
+                all(signs[i] <= 0 for i in supported),
+                signs_inside(c, signs),
+            )
+        in_hull, in_set = place
+        if not in_hull:
+            # Both sides are +inf: the identity holds and the pair is unrelated.
+            continue
+        key = _sample_key(xstar)
+        lhs = levels.get(key)
+        if lhs is None:
+            lhs = levels[key] = support_level(c, xstar)
         rhs = lhs if in_set else POS_INF
         if lhs != rhs:
             identity_ok = False

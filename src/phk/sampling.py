@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .errors import ScaleLimitError
 from .faces import FACE_DIM_CAP, enumerate_faces
-from .linalg import Vec, scaled, unit_vec, vadd, vsub, smul, zero_vec
+from .linalg import Vec, int_key, scaled, unit_vec, vadd, vsub, smul, zero_vec
 from .normal_cones import normal_cone_at, set_member_witness, supporting_row_witnesses
 from .polyhedra import (
     PartiallyOpenPolyhedron,
@@ -38,12 +38,23 @@ def _rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
 
 
-def _dedupe(points: list[Vec]) -> list[Vec]:
+def _sample_key(sample) -> tuple:
+    """A point's ``int_key``, and for a pair (x, x*) the pair of the two
+    keys: equal exactly for equal samples, and cheap to hash."""
+    if isinstance(sample[0], tuple):
+        return (int_key(sample[0]), int_key(sample[1]))
+    return int_key(sample)
+
+
+def _dedupe(samples: list) -> list:
+    """The samples (points, or pairs of points) without repeats, compared by
+    ``_sample_key``; each first occurrence is kept, in order."""
     seen = set()
     out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
+    for p in samples:
+        key = _sample_key(p)
+        if key not in seen:
+            seen.add(key)
             out.append(p)
     return out
 
@@ -105,10 +116,10 @@ def _cloud_from(c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[Vec])
     out = list(inside)
     inner = out[0]  # the witness point ``points_in`` lists first
     for v in geo.vertices:
-        out.append(vadd(v, vsub(v, inner)))
+        out.append(tuple([2 * a - b for a, b in zip(v, inner)]))
         for j in range(c.dim):
-            out.append(vadd(v, unit_vec(c.dim, j)))
-            out.append(vsub(v, unit_vec(c.dim, j)))
+            out.append(v[:j] + (v[j] + 1,) + v[j + 1 :])
+            out.append(v[:j] + (v[j] - 1,) + v[j + 1 :])
     for _ in range(spec.count):
         out.append(tuple(_rational(rng) for _ in range(c.dim)))
     return _dedupe(out)

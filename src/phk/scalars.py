@@ -33,30 +33,49 @@ _FIN = 0
 _POS = 1
 
 
+# A decimal literal with an exponent, as ``Fraction`` reads it: its mantissa,
+# then its exponent.  ``Fraction`` multiplies by 10**|exponent| without a digit
+# check of its own.
+_SCIENTIFIC = re.compile(r"[-+]?([\d_.]*)[eE][-+]?(\d[\d_]*)")
+
+
 def rat(x: RationalLike) -> Fraction:
     """Coerce an int, ``"p/q"`` string, or Fraction to an exact Fraction.
     A literal with an integer past Python's int-from-str digit limit:
-    ``ScaleLimitError`` with its digit count, the literal not echoed.  Any
-    other unreadable literal is echoed, past 40 characters only its start
-    and its length."""
+    ``ScaleLimitError`` with its digit count, the literal not echoed.  With
+    an exponent, the count is the mantissa's digits plus the exponent's
+    size, checked before ``Fraction`` builds anything.  Any other unreadable
+    literal is echoed, past 40 characters only its start and its length."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        scientific = _SCIENTIFIC.fullmatch(x.strip())
+        if scientific:
+            mantissa, exponent = (g.replace("_", "") for g in scientific.groups())
+            # An exponent too long to read is caught by its own digit run below.
+            if len(exponent) <= sys.get_int_max_str_digits():
+                _check_digits(len(mantissa.replace(".", "")) + int(exponent))
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            limit = sys.get_int_max_str_digits()
-            digits = max((len(run) for run in re.findall(r"\d+", x.replace("_", ""))), default=0)
-            if limit and digits > limit:
-                raise ScaleLimitError(
-                    f"a literal with {digits} digits exceeds the limit of "
-                    f"{limit} digits for reading an integer"
-                ) from None
+            _check_digits(
+                max((len(run) for run in re.findall(r"\d+", x.replace("_", ""))), default=0)
+            )
             shown = repr(x) if len(x) <= 40 else f"{x[:40]!r}... ({len(x)} characters)"
             raise InputError(f"not a rational literal: {shown}") from exc
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
+
+
+def _check_digits(digits: int) -> None:
+    """Refuse a literal whose integers would pass the int-from-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ScaleLimitError(
+            f"a literal with {digits} digits exceeds the limit of "
+            f"{limit} digits for reading an integer"
+        ) from None
 
 
 def rat_str(q: Fraction) -> str:

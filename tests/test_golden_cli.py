@@ -183,6 +183,15 @@ def extra_cases() -> list[list[str]]:
         # a sample count below 1, refused before any input is read
         ["selftest", "--samples", "0"],
         ["report", square, "--samples", "-1"],
+        # an exponent literal whose integer passes the digit limit, refused
+        # before it is built
+        ["hull", "tests/data/huge_exponent_set.json"],
+        # JSON nested past every supported Python's recursion limit (10000
+        # levels at most), in a file and in --dual, and an object that
+        # repeats a key
+        ["hull", "tests/data/deep_nesting.json"],
+        ["sigma", interval, "--dual", "[" * 12000],
+        ["hull", "tests/data/duplicate_key_set.json"],
     ]
 
 

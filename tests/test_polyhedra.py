@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phk.errors import InputError, InvalidSetError, ScaleLimitError
-from phk.fme import fm_feasible
+from phk.fme import fm_feasible, fm_maximize
 from phk import polyhedra
 from phk.linalg import dot, vec, vneg
 from phk.polyhedra import (
@@ -20,6 +20,7 @@ from phk.polyhedra import (
     canonicalize,
     closed_as_set,
     closed_contains,
+    closed_equal,
     closed_subset_of,
     cone,
     cone_contains,
@@ -391,3 +392,44 @@ def test_cone_membership_agrees_with_elimination(query):
         rows.append((column, Fraction(x[t]), False))
         rows.append((tuple(-q for q in column), -Fraction(x[t]), False))
     assert cone_contains(cone(n, gens), x) == fm_feasible(rows)
+
+
+@st.composite
+def containment_queries(draw):
+    """A closed ``p`` and a partially open ``c`` in 1-3 D with at most 5 rows
+    each.  Some of ``c``'s rows, weak and strict, are copied verbatim into
+    ``p``, which ``closed_subset_of`` then reads without an LP when weak."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    row = st.tuples(st.tuples(*[coef] * n), coef).map(
+        lambda r: (tuple(map(Fraction, r[0])), Fraction(r[1]))
+    )
+    c_rows = draw(st.lists(row, min_size=1, max_size=5, unique=True))
+    strict = draw(st.sets(st.integers(min_value=0, max_value=len(c_rows) - 1)))
+    copied = draw(st.sets(st.integers(min_value=0, max_value=len(c_rows) - 1), min_size=1))
+    own = draw(st.lists(row, max_size=5 - len(copied)))
+    p_rows = draw(st.permutations([c_rows[i] for i in sorted(copied)] + own))
+    c = PartiallyOpenPolyhedron(ClosedPolyhedron(n, tuple(c_rows)), frozenset(strict))
+    return ClosedPolyhedron(n, tuple(p_rows)), c
+
+
+def subset_by_elimination(p: ClosedPolyhedron, c: PartiallyOpenPolyhedron) -> bool:
+    """``p`` in ``c`` by Fourier-Motzkin alone: ``p`` empty, or every row of
+    ``c`` bounds its maximum over ``p``, strictly for a strict row."""
+    if p.rows and not fm_feasible([(a, b, False) for a, b in p.rows]):
+        return True
+    for i, (normal, offset) in enumerate(c.carrier.rows):
+        status, top = fm_maximize(normal, p.rows)
+        if status == "unbounded":
+            return False
+        if top > offset or (i in c.strict_rows and top == offset):
+            return False
+    return True
+
+
+@given(containment_queries())
+def test_containment_agrees_with_elimination(query):
+    p, c = query
+    assert closed_subset_of(p, c) == subset_by_elimination(p, c)
+    q = c.carrier
+    want = subset_by_elimination(p, closed_as_set(q)) and subset_by_elimination(q, closed_as_set(p))
+    assert closed_equal(p, q) == want

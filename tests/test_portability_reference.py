@@ -24,13 +24,14 @@ from itertools import combinations
 
 import pytest
 
-from phk import normal_cones, sampling
+from phk import normal_cones, polyhedra, portability, sampling
 from phk.corpus import line_free_closed_sets, partially_open_sets
 from phk.fitzpatrick import monotonically_related, normal_cone_fitzpatrick
 from phk.linalg import smul, vadd, vsub, zero_vec
 from phk.normal_cones import (
     SupportEvaluation,
     in_normal_cone,
+    in_portable_hull,
     set_member_witness,
     support_level,
     support_value,
@@ -188,6 +189,53 @@ def test_each_report_samples_the_set_once(monkeypatch):
     # The graph pairs and the cloud grow from the list without changing it.
     again = real(c, spec)
     assert handed == [again, again]
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Record the arguments of every call of ``module.name``."""
+    real = getattr(module, name)
+    calls: list = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_report_places_each_point_and_looks_up_each_dual_once(kind, c, monkeypatch):
+    c, spec = fresh(c), SampleSpec(seed=5, count=8)
+    zero = zero_vec(c.dim)
+    pairs = graph_pairs(c, spec) + [(x, zero) for x in cloud_points(c, spec)]
+    witness = nonsupporting_witness(c)
+    if witness is not None:
+        pairs.append((witness[1], zero))
+    placed = counting(monkeypatch, portability, "row_signs")
+    looked = counting(monkeypatch, portability, "support_level")
+    portability_report(c, spec)
+    assert sorted(placed) == sorted({(x,) for x, _ in pairs})
+    assert sorted(looked) == sorted({(d,) for x, d in pairs if in_portable_hull(c, x)})
+
+
+def test_report_on_a_closed_box_solves_no_containment_lp(monkeypatch):
+    units = [tuple(int(i == j) * sign for i in range(3)) for j in range(3) for sign in (1, -1)]
+    box = make_set(3, [(u, 1, False) for u in units])
+    solved = counting(monkeypatch, polyhedra, "max_value")
+    report = portability_report(box, SampleSpec(seed=0, count=8))
+    assert solved == [] and report.hull_adds_nothing and report.hull_equals_carrier
+
+
+def test_dedupe_keeps_each_first_occurrence_in_order():
+    a, b, zero = (F(1, 2), F(1)), (F(1), F(1, 2)), (F(0), F(0))
+    first = (F(2, 4), F(1))
+    got = sampling._dedupe([first, b, a, b, (1, F(1, 2))])
+    assert got == [a, b] and got[0] is first
+    pairs = [(a, zero), (b, zero), (a, zero), (zero, a), (a, b), (b, zero)]
+    assert sampling._dedupe(pairs) == [(a, zero), (b, zero), (zero, a), (a, b)]
 
 
 SHORTCUT_SETS = (

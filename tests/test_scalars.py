@@ -46,6 +46,24 @@ def test_rat_refuses_a_literal_past_the_digit_limit_by_its_size():
         rat("1/2/3")
 
 
+def test_rat_counts_an_exponent_before_building_the_literal():
+    # Fraction reads "1e1000000" as a 1000001-digit integer, with no digit
+    # check of its own.
+    limit = sys.get_int_max_str_digits()
+    cases = (("1e1000000", 1000001), (" -2.5E-9999", 10001), ("1_0e1_0000", 10002))
+    for literal, digits in cases:
+        with pytest.raises(ScaleLimitError) as got:
+            rat(literal)
+        assert str(got.value) == (
+            f"a literal with {digits} digits exceeds the limit of {limit} digits for reading an integer"
+        )
+    # At the limit the literal still reads.
+    assert rat(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert rat(f"1.5E-{limit - 2}") == Fraction(15, 10 ** (limit - 1))
+    with pytest.raises(InputError, match="not a rational literal: '1e_'"):
+        rat("1e_")
+
+
 def test_rat_quotes_only_the_start_of_a_long_unreadable_literal():
     assert str(pytest.raises(InputError, rat, "x" * 40).value) == f"not a rational literal: {'x' * 40!r}"
     message = str(pytest.raises(InputError, rat, "y" * 41).value)
