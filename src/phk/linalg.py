@@ -97,13 +97,34 @@ def _divided(ints: list[int]) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row scaled to coprime integers: the same equations, no fractions."""
+    return [_divided(scaled(r)[0]) for r in rows]
+
+
+def eliminate(mat: list[list[int]], r: int, c: int) -> list[list[int]]:
+    """One fraction-free Gauss-Jordan step on integer rows: clear column ``c``
+    in every row but ``r``, whose entry there must be nonzero, and divide each
+    changed row by its gcd.  A new list; unchanged rows are shared with
+    ``mat``, and no row is modified in place."""
+    top = mat[r]
+    p = top[c]
+    out = list(mat)
+    for i, row in enumerate(mat):
+        f = row[c]
+        if f and i != r:
+            out[i] = _divided([p * x - f * y for x, y in zip(row, top)])
+    return out
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.  Returns (nonzero rows, pivot column indices).
 
-    Gauss-Jordan on integer rows kept divided by their gcd (fraction-free, as
-    in Bareiss 1968); pivot rows become ``Fraction``s only on return.
+    Gauss-Jordan by ``eliminate`` on integer rows kept divided by their gcd
+    (fraction-free, as in Bareiss 1968); pivot rows become ``Fraction``s only
+    on return.
     """
-    mat = [_divided(scaled(r)[0]) for r in rows]
+    mat = integer_rows(rows)
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -114,12 +135,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        top = mat[r]
-        p = top[c]
-        for i, row in enumerate(mat):
-            f = row[c]
-            if f and i != r:
-                mat[i] = _divided([p * x - f * y for x, y in zip(row, top)])
+        mat = eliminate(mat, r, c)
         pivots.append(c)
         r += 1
         if r == len(mat):

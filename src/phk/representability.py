@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Sequence
 
 from .errors import InputError, ScaleLimitError
 from .fitzpatrick import MonotoneGraph, is_monotone, vec_check
-from .linalg import Vec, dot, rref, vadd, smul, zero_vec
+from .linalg import Vec, dot, eliminate, integer_rows, vadd, smul, zero_vec
 from .lp import EqualityLP, Row, lp_solve
 from .normal_cones import normal_cone_at, strictly_inside
 from .polyhedra import (
@@ -59,10 +58,13 @@ class SumMembership:
 # exact LP, about a millisecond on a 2-vCPU VM, so a probe stays within minutes.
 PROBE_PAIR_CAP = 100_000
 
-# Most column subsets the enumeration oracle may walk.  Each costs one exact
-# row reduction, about 0.2 ms in 2-D on a 2-vCPU VM, so a walk stays under
-# half a minute.  The largest walk in the tests is 32 subsets; the benchmark's
-# sum inputs allow at most 120 (3 pairs and 4 box rows against 5 equations).
+# Most column subsets the enumeration oracle may walk, counted over every
+# subset up to the number of equations before the walk starts, although the
+# walk skips the supersets of dependent and of consistent subsets.  Each
+# subset it visits costs one integer elimination step, about 17 us in 1-D and
+# 2-D on a 2-vCPU VM (Python 3.11), so a walk at the cap stays within two
+# seconds.  The benchmark's sum inputs allow at most 120 subsets (3 pairs and
+# 4 box rows against 5 equations).
 ENUMERATION_SUBSET_CAP = 100_000
 
 
@@ -204,13 +206,22 @@ def rep_sum_value_by_enumeration(
     Any attained minimum of a bounded program over a pointed feasible
     region sits at a basic solution, whose support picks linearly
     independent columns; checking every independent column subset of the
-    equality system is therefore complete, if slow.  Walks of more than
-    ``ENUMERATION_SUBSET_CAP`` subsets are refused before any work.
+    equality system is therefore complete, if slow.  The subsets are walked
+    depth-first in increasing column order, starting from a graph weight,
+    since without one the weights cannot sum to one.  The walk carries the
+    integer rows ``[A | b]`` reduced on the chosen columns, and adds a
+    column by one ``eliminate`` step on a row that no chosen column pivots
+    on.  A column with no such row depends on the chosen ones, so that
+    subset and all its supersets are skipped.  A subset is consistent when
+    ``b`` is zero on every other row, and its weights are then ``b`` over
+    the pivots; every independent superset has the same solution, so the
+    walk goes no deeper.  Walks of more than ``ENUMERATION_SUBSET_CAP``
+    subsets, counted over all of them, are refused before any work.
     """
     program = _sum_program(t, c, x, xstar)
     if program is None:
         return POS_INF
-    _, _, costs, rows = program
+    _, tc, costs, rows = program
     total = len(costs)
     neq = len(rows)
     subsets = sum(comb(total, size) for size in range(min(total, neq) + 1))
@@ -219,24 +230,26 @@ def rep_sum_value_by_enumeration(
             f"enumeration would walk {subsets} column subsets, "
             f"above the cap of {ENUMERATION_SUBSET_CAP}"
         )
-    best: ExtValue = POS_INF
-    for size in range(0, min(total, neq) + 1):
-        for cols in combinations(range(total), size):
-            aug = [[a[j] for j in cols] + [b] for a, b in rows]
-            reduced, pivots = rref(aug)
-            if size in pivots:
-                continue  # inconsistent
-            if len(pivots) < size:
-                continue  # dependent columns; a smaller support covers this
-            w = [Fraction(0)] * total
-            for r, j in enumerate(pivots):
-                w[cols[j]] = reduced[r][size]
-            if any(q < 0 for q in w):
-                continue
-            value = fin(sum(cw * q for cw, q in zip(costs, w)))
-            if value < best:
-                best = value
-    return best
+
+    def values(mat: list[list[int]], basis: list[tuple[int, int]], free: list[int], cols: range):
+        """Values of the nonnegative basic solutions whose columns extend
+        ``basis`` (chosen columns with their pivot rows) by columns from
+        ``cols``; ``free`` lists the rows no chosen column pivots on."""
+        for j in cols:
+            r = next((i for i in free if mat[i][j]), None)
+            if r is None:
+                continue  # j depends on the chosen columns
+            reduced = eliminate(mat, r, j)
+            chosen = basis + [(j, r)]
+            rest = [i for i in free if i != r]
+            if any(reduced[i][-1] for i in rest):
+                yield from values(reduced, chosen, rest, range(j + 1, total))
+            elif all(reduced[i][-1] * reduced[i][k] >= 0 for k, i in chosen):
+                yield sum(costs[k] * Fraction(reduced[i][-1], reduced[i][k]) for k, i in chosen)
+
+    start = integer_rows([(*a, b) for a, b in rows])
+    least = min(values(start, [], list(range(neq)), range(len(tc.pairs))), default=None)
+    return POS_INF if least is None else fin(least)
 
 
 def sum_graph_membership(

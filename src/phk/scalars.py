@@ -44,7 +44,8 @@ def rat(x: RationalLike) -> Fraction:
     A literal with an integer past Python's int-from-str digit limit:
     ``ScaleLimitError`` with its digit count, the literal not echoed.  With
     an exponent, the count is the mantissa's digits plus the exponent's
-    size, checked before ``Fraction`` builds anything.  Any other unreadable
+    size, checked before ``Fraction`` builds anything, and a count too long
+    to print is named by the exponent's length.  Any other unreadable
     literal is echoed, past 40 characters only its start and its length."""
     if isinstance(x, Fraction):
         return x
@@ -56,7 +57,7 @@ def rat(x: RationalLike) -> Fraction:
             mantissa, exponent = (g.replace("_", "") for g in scientific.groups())
             # An exponent too long to read is caught by its own digit run below.
             if len(exponent) <= sys.get_int_max_str_digits():
-                _check_digits(len(mantissa.replace(".", "")) + int(exponent))
+                _check_digits(len(mantissa.replace(".", "")) + int(exponent), exponent)
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -68,13 +69,17 @@ def rat(x: RationalLike) -> Fraction:
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
 
 
-def _check_digits(digits: int) -> None:
-    """Refuse a literal whose integers would pass the int-from-str digit limit."""
+def _check_digits(digits: int, exponent: str = "") -> None:
+    """Refuse a literal whose integers would pass the int-from-str digit limit.
+    A count past 40 digits comes from an exponent, and would all but
+    echo it: the message names the exponent's length instead."""
     limit = sys.get_int_max_str_digits()
     if limit and digits > limit:
+        count = (
+            f"{digits} digits" if digits < 10**40 else f"a {len(exponent.lstrip('0'))}-digit exponent"
+        )
         raise ScaleLimitError(
-            f"a literal with {digits} digits exceeds the limit of "
-            f"{limit} digits for reading an integer"
+            f"a literal with {count} exceeds the limit of {limit} digits for reading an integer"
         ) from None
 
 

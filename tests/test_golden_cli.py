@@ -186,6 +186,8 @@ def extra_cases() -> list[list[str]]:
         # an exponent literal whose integer passes the digit limit, refused
         # before it is built
         ["hull", "tests/data/huge_exponent_set.json"],
+        # an exponent of 4000 digits, refused by the exponent's length
+        ["hull", "tests/data/long_exponent_set.json"],
         # JSON nested past every supported Python's recursion limit (10000
         # levels at most), in a file and in --dual, and an object that
         # repeats a key

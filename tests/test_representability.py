@@ -4,14 +4,18 @@ Where a value is marked [DERIVED] it was worked out by hand from the
 barycentric-weight definition before running the code.
 """
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phk.corpus import sum_instances
 from phk import representability
 from phk.errors import InputError, ScaleLimitError
-from phk.fitzpatrick import graph
+from phk.fitzpatrick import MonotoneGraph, graph
+from phk.linalg import eliminate, rref
 from phk.polyhedra import EmptySet, cone_contains, make_set
 from phk.representability import (
     GridSpec,
@@ -31,12 +35,94 @@ from phk.scalars import POS_INF, fin
 F = Fraction
 
 
+def enumeration_reference(t, c, x, xstar):
+    """The sum value by the plain enumeration, with its number of ``rref``
+    calls: every column subset of the joint program up to the number of
+    equations, each reduced from scratch, and the least value over the
+    consistent independent ones with nonnegative weights.  A third route,
+    kept in the tests only."""
+    program = representability._sum_program(t, c, x, xstar)
+    if program is None:
+        return POS_INF, 0
+    _, _, costs, rows = program
+    total = len(costs)
+    best, calls = POS_INF, 0
+    for size in range(min(total, len(rows)) + 1):
+        for cols in combinations(range(total), size):
+            reduced, pivots = rref([[a[j] for j in cols] + [b] for a, b in rows])
+            calls += 1
+            if size in pivots or len(pivots) < size:
+                continue  # inconsistent, or dependent columns
+            w = [Fraction(0)] * total
+            for r, j in enumerate(pivots):
+                w[cols[j]] = reduced[r][size]
+            if all(q >= 0 for q in w):
+                best = min(best, fin(sum(cw * q for cw, q in zip(costs, w))))
+    return best, calls
+
+
 def staircase():
     return graph(1, [((0,), (0,)), ((F(1, 2),), (F(1, 2),)), ((1,), (1,))])
 
 
 def closed_interval():
     return make_set(1, [((-1,), 0, False), ((1,), 1, False)])
+
+
+def walked(t, c, x, xstar):
+    """The walk's sum value, with its number of elimination steps."""
+    steps = []
+
+    def counted(mat, r, j):
+        steps.append(j)
+        return eliminate(mat, r, j)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(representability, "eliminate", counted)
+        value = rep_sum_value_by_enumeration(t, c, x, xstar)
+    return value, len(steps)
+
+
+@st.composite
+def planted_sum_queries(draw):
+    """A 1-3-D box about the origin, a graph on the origin, a boundary point
+    and further box points, and a query pair.  Planted dependent columns:
+    one pair repeated, an all-zero pair, and a pair whose dual is the normal
+    of the row through the boundary point, a hull row."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    half = st.builds(Fraction, st.integers(min_value=1, max_value=6), st.just(2))
+    upper = [draw(half) for _ in range(dim)]
+    lower = [draw(half) for _ in range(dim)]
+    rows = []
+    for j in range(dim):
+        e = tuple(Fraction(int(i == j)) for i in range(dim))
+        rows += [(e, upper[j], False), (tuple(-q for q in e), lower[j], False)]
+    c = make_set(dim, rows)
+    coord = st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from((1, 2)))
+    dual = st.tuples(*[coord] * dim)
+    face = draw(st.integers(min_value=0, max_value=dim - 1))
+    boundary = tuple(upper[j] if j == face else Fraction(0) for j in range(dim))
+    normal = rows[2 * face][0]
+    inside = st.tuples(*[st.builds(min, coord, st.just(u)) for u in upper]).map(
+        lambda p: tuple(max(q, -lo) for q, lo in zip(p, lower))
+    )
+    origin = (Fraction(0),) * dim
+    pairs = [(origin, draw(dual)), (boundary, draw(dual))]
+    pairs += [(draw(inside), draw(dual)) for _ in range(draw(st.integers(0, 2)))]
+    pairs += [
+        draw(st.sampled_from(pairs)),
+        (origin, origin),
+        (draw(st.sampled_from([a for a, _ in pairs])), normal),
+    ]
+    pairs = draw(st.permutations(pairs))
+    a, astar = draw(st.sampled_from(pairs))
+    b, _ = draw(st.sampled_from(pairs))
+    if draw(st.booleans()):
+        x = tuple((p + q) / 2 for p, q in zip(a, b))
+        xstar = draw(dual)
+    else:
+        x, xstar = a, tuple(q + draw(st.integers(0, 2)) * n for q, n in zip(astar, normal))
+    return MonotoneGraph(dim, tuple(pairs)), c, x, xstar
 
 
 class TestRepValue:
@@ -145,6 +231,14 @@ class TestSumValue:
         got = [rep_sum_value_by_enumeration(t, c, *t.pairs[0]) for t, c in instances]
         assert got == want
 
+    @settings(max_examples=40)
+    @given(planted_sum_queries())
+    def test_walk_agrees_with_the_plain_enumeration(self, query):
+        want, calls = enumeration_reference(*query)
+        got, steps = walked(*query)
+        assert got == want
+        assert steps <= calls
+
 
 class TestSumMembership:
     def test_pinned_split(self):
@@ -239,7 +333,7 @@ class TestProbe:
         def refuse(*args):
             raise AssertionError("enumeration walked")
 
-        monkeypatch.setattr(representability, "rref", refuse)
+        monkeypatch.setattr(representability, "eliminate", refuse)
         square = make_set(
             2, [((1, 0), 1, False), ((0, 1), 1, False), ((-1, 0), 0, False), ((0, -1), 0, False)]
         )

@@ -64,6 +64,25 @@ def test_rat_counts_an_exponent_before_building_the_literal():
         rat("1e_")
 
 
+def test_rat_names_a_long_exponent_by_its_length():
+    # A count past 40 digits would all but repeat the exponent.  At
+    # the limit's length the count itself passes the limit for writing.
+    limit = sys.get_int_max_str_digits()
+    tail = f" exceeds the limit of {limit} digits for reading an integer"
+    cases = (
+        ("1e" + "9" * 38, f"a literal with {10**38} digits"),
+        ("1e" + "9" * 39, f"a literal with {10**39} digits"),
+        ("1e" + "9" * 40, "a literal with a 40-digit exponent"),
+        ("-3.25e-" + "0" * 9 + "8" * 100, "a literal with a 100-digit exponent"),
+        ("1e" + "9" * limit, f"a literal with a {limit}-digit exponent"),
+    )
+    for literal, head in cases:
+        with pytest.raises(ScaleLimitError) as got:
+            rat(literal)
+        assert str(got.value) == head + tail
+    assert rat("1e" + "0" * (limit - 1) + "1") == 10
+
+
 def test_rat_quotes_only_the_start_of_a_long_unreadable_literal():
     assert str(pytest.raises(InputError, rat, "x" * 40).value) == f"not a rational literal: {'x' * 40!r}"
     message = str(pytest.raises(InputError, rat, "y" * 41).value)
