@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import InputError
+from .errors import InputError, ScaleLimitError
 from .faces import FACE_DIM_CAP
 from .fitzpatrick import (
     is_monotone,
@@ -68,7 +68,7 @@ from .representability import (
     representability_probe,
     sum_graph_membership,
 )
-from .sampling import SampleSpec
+from .sampling import SAMPLE_COUNT_CAP, SampleSpec
 from .scalars import POS_INF, fin, rat
 from .serialize import (
     dumps,
@@ -446,6 +446,8 @@ def cmd_verb(args) -> int:
     """
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > SAMPLE_COUNT_CAP:
+        raise ScaleLimitError(f"--samples {args.samples} is above the cap of {SAMPLE_COUNT_CAP}")
     verb = VERBS[args.verb]
     inputs: dict = {}
     for name in verb.inputs:

@@ -18,15 +18,18 @@ def _rng(seed: int, salt: str) -> random.Random:
     return random.Random(f"corpus:{seed}:{salt}")
 
 
+def _unit(dim: int, j: int, sign: int) -> list[int]:
+    """The normal ``sign * e_j`` of a box side."""
+    e = [0] * dim
+    e[j] = sign
+    return e
+
+
 def _box_rows(rng: random.Random, dim: int) -> list[tuple[list[int], int, bool]]:
     rows = []
     for j in range(dim):
-        e = [0] * dim
-        e[j] = 1
-        rows.append((list(e), rng.randint(1, 3), False))
-        f = [0] * dim
-        f[j] = -1
-        rows.append((list(f), rng.randint(1, 3), False))
+        rows.append((_unit(dim, j, 1), rng.randint(1, 3), False))
+        rows.append((_unit(dim, j, -1), rng.randint(1, 3), False))
     return rows
 
 
@@ -91,11 +94,7 @@ def line_free_closed_sets(count: int, seed: int, dims=(1, 2, 3)) -> list[Partial
         if len(out) % 2 == 0:
             rows = _box_rows(rng, dim) + _extra_rows(rng, dim, rng.randint(0, dim))
         else:
-            rows = []
-            for j in range(dim):
-                f = [0] * dim
-                f[j] = -1
-                rows.append((list(f), 0, False))
+            rows = [(_unit(dim, j, -1), 0, False) for j in range(dim)]
             rows += _extra_rows(rng, dim, rng.randint(0, dim))
         got = make_set(dim, rows)
         assert isinstance(got, PartiallyOpenPolyhedron)
@@ -164,13 +163,9 @@ def probe_polyhedra(count: int, seed: int, dims=(1, 2, 3)) -> list[PartiallyOpen
         if len(out) % 2 == 0:
             rows = []
             for j in range(dim):
-                e = [0] * dim
-                e[j] = 1
                 shiftj = rng.randint(-2, 2)
-                rows.append((list(e), shiftj + rng.randint(1, 2), False))
-                f = [0] * dim
-                f[j] = -1
-                rows.append((list(f), -shiftj + rng.randint(0, 2), False))
+                rows.append((_unit(dim, j, 1), shiftj + rng.randint(1, 2), False))
+                rows.append((_unit(dim, j, -1), -shiftj + rng.randint(0, 2), False))
         else:
             normal = [rng.randint(-2, 2) for _ in range(dim)]
             if all(q == 0 for q in normal):
@@ -208,12 +203,8 @@ def sum_instances(count: int, seed: int, dims=(1, 2)) -> list[tuple[MonotoneGrap
         anchor = t.pairs[rng.randrange(len(t.pairs))][0]
         rows = []
         for j in range(dim):
-            e = [0] * dim
-            e[j] = 1
-            rows.append((list(e), anchor[j] + rng.randint(1, 3), False))
-            f = [0] * dim
-            f[j] = -1
-            rows.append((list(f), -anchor[j] + rng.randint(1, 3), False))
+            rows.append((_unit(dim, j, 1), anchor[j] + rng.randint(1, 3), False))
+            rows.append((_unit(dim, j, -1), -anchor[j] + rng.randint(1, 3), False))
         c = make_set(dim, rows)
         assert isinstance(c, PartiallyOpenPolyhedron)
         out.append((t, c))

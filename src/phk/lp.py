@@ -260,43 +260,36 @@ def lp_solve(p: LPProblem | EqualityLP) -> LPOutcome:
 
 def verify_outcome(p: LPProblem, o: LPOutcome) -> bool:
     """Exact certificate re-verification; no tolerance anywhere."""
-    if o.status == "optimal":
-        if o.primal is None or o.dual is None or o.value is None:
-            return False
-        if len(o.dual) != len(p.rows):
-            return False
-        if any(dot(normal, o.primal) > offset for normal, offset in p.rows):
-            return False
-        if dot(p.objective, o.primal) != o.value:
-            return False
-        if any(l < 0 for l in o.dual):
-            return False
-        combo = [Fraction(0)] * p.dim
-        paid = Fraction(0)
-        for (normal, offset), l in zip(p.rows, o.dual):
-            if l:
-                combo = [c + l * a for c, a in zip(combo, normal)]
-                paid += l * offset
-        return tuple(combo) == p.objective and paid == o.value
     if o.status == "unbounded":
         if o.ray is None or is_zero_vec(o.ray):
             return False
         if any(dot(normal, o.ray) > 0 for normal, _ in p.rows):
             return False
         return dot(p.objective, o.ray) > 0
-    if o.status == "infeasible":
-        if o.farkas is None or len(o.farkas) != len(p.rows):
+    # An optimal dual and a Farkas certificate are both row weights y >= 0.
+    if o.status == "optimal":
+        if o.primal is None or o.value is None:
             return False
-        if any(l < 0 for l in o.farkas):
+        if any(dot(normal, o.primal) > offset for normal, offset in p.rows):
             return False
-        combo = [Fraction(0)] * p.dim
-        paid = Fraction(0)
-        for (normal, offset), l in zip(p.rows, o.farkas):
-            if l:
-                combo = [c + l * a for c, a in zip(combo, normal)]
-                paid += l * offset
-        return is_zero_vec(combo) and paid < 0
-    return False
+        if dot(p.objective, o.primal) != o.value:
+            return False
+        weights, target = o.dual, p.objective
+    elif o.status == "infeasible":
+        weights, target = o.farkas, zero_vec(p.dim)
+    else:
+        return False
+    if weights is None or len(weights) != len(p.rows):
+        return False
+    if any(l < 0 for l in weights):
+        return False
+    combo = [Fraction(0)] * p.dim
+    paid = Fraction(0)
+    for (normal, offset), l in zip(p.rows, weights):
+        if l:
+            combo = [c + l * a for c, a in zip(combo, normal)]
+            paid += l * offset
+    return tuple(combo) == target and (paid == o.value if o.status == "optimal" else paid < 0)
 
 
 def strict_system_feasible(rows: Sequence[StrictRow]) -> Vec | None:

@@ -410,26 +410,25 @@ def closed_subset_of(
     polyhedron attains its finite support values, so the strict comparison is
     exactly containment in the open halfspace).  A weak row that ``p``
     states verbatim among its own rows holds on all of ``p`` and needs no
-    LP; a strict one still does.  A closed set's portable hull states every
-    carrier row, so comparing it with the set or the carrier solves no LP
-    past the emptiness test.  Each other sup is read as a value alone, from
-    ``lp.max_value``'s n-row dual, once ``closed_feasible`` has found ``p``
-    nonempty as that dual requires.  Sets of different dimensions are
-    refused, empty ones included.
+    LP; a strict one still does.  When no row needs one, ``p`` is a subset
+    even if empty, so no LP runs: comparing a closed set's portable hull,
+    which states every carrier row, with the set or the carrier solves none.
+    Each other sup is read as a value alone, from ``lp.max_value``'s n-row
+    dual, once ``closed_feasible`` has found ``p`` nonempty as that dual
+    requires.  Sets of different dimensions are refused, empty ones included.
     """
     if p.dim != c.dim:
         raise InputError("dimension mismatch between the two sets")
     if isinstance(p, EmptySet):
         return True
-    if closed_feasible(p.rows, p.dim) is None:
-        return True
     if isinstance(c, EmptySet):
-        return False
+        return closed_feasible(p.rows, p.dim) is None
     stated = set(p.rows)
-    for i, row in enumerate(c.carrier.rows):
-        if i not in c.strict_rows and row in stated:
-            continue
-        normal, offset = row
+    asked = [i for i, row in enumerate(c.carrier.rows) if i in c.strict_rows or row not in stated]
+    if not asked or closed_feasible(p.rows, p.dim) is None:
+        return True
+    for i in asked:
+        normal, offset = c.carrier.rows[i]
         top = max_value(normal, p.rows)
         if top is None:
             return False
@@ -523,23 +522,14 @@ def _pointed_vertices(normals: Sequence[Vec], offsets: Sequence[Fraction], k: in
 def _generators(p: ClosedPolyhedron) -> VRep:
     normals = [normal for normal, _ in p.rows]
     offsets = [offset for _, offset in p.rows]
-    lin = nullspace_basis(normals, p.dim)
-    if lin:
-        w = rowspace_basis(normals)
-        kk = len(w)
-        if kk == 0:
-            return VRep((zero_vec(p.dim),), (), tuple(lin))
-        reduced = [tuple(dot(nr, wj) for wj in w) for nr in normals]
-        verts = _pointed_vertices(reduced, offsets, kk)
-        _, inner_rays = cone_generators(reduced, kk)
-        return VRep(
-            tuple(sorted(_combine(w, v) for v in verts)),
-            tuple(sorted(primitive(_combine(w, r)) for r in inner_rays)),
-            tuple(sorted(lin)),
-        )
-    verts = _pointed_vertices(normals, offsets, p.dim)
-    _, rays = cone_generators(normals, p.dim)
-    return VRep(tuple(verts), tuple(rays), ())
+    w = rowspace_basis(normals)
+    if not w:
+        return VRep((zero_vec(p.dim),), (), tuple(nullspace_basis(normals, p.dim)))
+    # Vertices first, so an over-budget conversion names the vertex walk.
+    reduced = [tuple(dot(nr, wj) for wj in w) for nr in normals]
+    verts = sorted(_combine(w, v) for v in _pointed_vertices(reduced, offsets, len(w)))
+    lin, rays = cone_generators(normals, p.dim)
+    return VRep(tuple(verts), tuple(sorted(rays)), tuple(sorted(lin)))
 
 
 def h_to_v(p: ClosedPolyhedron | EmptySet) -> VRep:

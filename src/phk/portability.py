@@ -355,13 +355,15 @@ def partial_hull_report(
 
     # Trace comparison on the probe set: the partial hull contains the set,
     # so the traces differ exactly when some probe point lies in the hull
-    # but outside the set.
+    # but outside the set.  The normal cones are compared on sample points.
     trace_witness: Vec | None = None
+    sample_points: list[Vec] = []
     if isinstance(s, FinitePointSet):
         for p in s.points:
             if closed_contains(partial, p) and not contains(c, p):
                 trace_witness = p
                 break
+        sample_points = [p for p in s.points if contains(c, p)]
     elif isinstance(s, PartiallyOpenPolyhedron):
         for i, (normal, offset) in enumerate(c.carrier.rows):
             # Weak rows are violated strictly, strict rows weakly.
@@ -374,15 +376,6 @@ def partial_hull_report(
             trace_witness = strict_system_feasible(system)
             if trace_witness is not None:
                 break
-    trace_equal = trace_witness is None
-
-    cones_agree = True
-    cone_witness = None
-    cones_checked = 0
-    sample_points: list[Vec] = []
-    if isinstance(s, FinitePointSet):
-        sample_points = [p for p in s.points if contains(c, p)]
-    elif isinstance(s, PartiallyOpenPolyhedron):
         joint = system_of(c) + system_of(s)
         got = strict_system_feasible(joint) if joint else None
         if got is not None:
@@ -390,8 +383,11 @@ def partial_hull_report(
         for p in points_in(c, spec):
             if contains(s, p):
                 sample_points.append(p)
+    trace_equal = trace_witness is None
+
+    cones_agree = True
+    cone_witness = None
     for p in sample_points:
-        cones_checked += 1
         if not cones_equal(normal_cone_at(c, p), normal_cone_at(pset, p)):
             cones_agree = False
             cone_witness = cone_witness or p
@@ -409,7 +405,7 @@ def partial_hull_report(
         "graphsAgreeOnTrace": cones_agree,
         "graphWitness": cone_witness,
         "restrictionBiconditional": trace_equal == cones_agree,
-        "conesChecked": cones_checked,
+        "conesChecked": len(sample_points),
         "ok": collapse and (trace_equal == cones_agree),
     }
 

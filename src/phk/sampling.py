@@ -24,6 +24,10 @@ from .polyhedra import (
 )
 
 
+# Largest ``--samples``: time grows linearly, to 40 s for ``phk selftest`` on 2 vCPUs.
+SAMPLE_COUNT_CAP = 400
+
+
 @dataclass(frozen=True, slots=True)
 class SampleSpec:
     seed: int = 0

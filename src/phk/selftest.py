@@ -41,7 +41,6 @@ from .portability import (
     verify_certificate,
 )
 from .representability import (
-    rep_sum_value,
     rep_sum_value_by_enumeration,
     sum_graph_membership,
 )
@@ -151,10 +150,9 @@ def _sum(seed, samples):
         zero = tuple(Fraction(0) for _ in range(t.dim))
         probes.append((t.pairs[0][0], zero))
         for x, xstar in probes:
-            v = rep_sum_value(t, c, x, xstar)
-            o = rep_sum_value_by_enumeration(t, c, x, xstar)
             m = sum_graph_membership(t, c, x, xstar)
-            yield v.value == o and m.agrees, {"graph": t, "set": c, "x": x}
+            o = rep_sum_value_by_enumeration(t, c, x, xstar)
+            yield m.value == o and m.agrees, {"graph": t, "set": c, "x": x}
 
 
 def _boundary(seed, samples):

@@ -3,7 +3,8 @@
 ``golden_cli.json`` maps each argv (joined by spaces, run from the repository
 root) to the exit code and stdout that the CLI printed when the goldens were
 recorded.  ``golden_cli_extra.json`` does the same, stderr included, for two
-``selftest`` runs and for every way the CLI refuses its input.
+``selftest`` runs, one ``sum-check`` run on a set outside ``fixtures/``, and
+every way the CLI refuses its input.
 ``cli_surface.json`` pins each verb's positionals and options.  A refactor
 must reproduce all of them exactly.  To record them again after a deliberate
 change, run from the repository root:
@@ -111,7 +112,8 @@ def cases() -> list[list[str]]:
 
 
 def extra_cases() -> list[list[str]]:
-    """Two ``selftest`` runs and one call per input-rejection path."""
+    """Two ``selftest`` runs, one ``sum-check`` run, and one call per
+    input-rejection path."""
     e = _f("empty")
     square, interval, half_open = _f("unit_square"), _f("closed_interval"), _f("half_open_interval")
     stair, gradient, points = _f("staircase_graph"), _f("gradient_graph_2d"), _f("lower_left_points")
@@ -124,6 +126,9 @@ def extra_cases() -> list[list[str]]:
     return [
         ["selftest", "--seed", "0", "--samples", "2"],
         ["selftest", "--seed", "1", "--samples", "3"],
+        # a 2-D sum whose value needs a multiplier column: without one the
+        # enumeration finds no basic solution and reads +inf
+        ["sum-check", gradient, "tests/data/square_about_origin.json", "--point", '["0","0"]', *d2],
         # an empty set where the verb needs a nonempty one
         ["report", e],
         ["probe-bp", e],
@@ -183,6 +188,8 @@ def extra_cases() -> list[list[str]]:
         # a sample count below 1, refused before any input is read
         ["selftest", "--samples", "0"],
         ["report", square, "--samples", "-1"],
+        # a sample count above the cap, refused before any input is read
+        ["selftest", "--samples", "401"],
         # an exponent literal whose integer passes the digit limit, refused
         # before it is built
         ["hull", "tests/data/huge_exponent_set.json"],

@@ -36,6 +36,7 @@ from phk.polyhedra import (
     validate,
     whole_set,
 )
+from phk.portability import portable_hull
 
 
 def closed(dim, rows):
@@ -160,6 +161,20 @@ def test_closed_subset_of_examples():
     assert not closed_subset_of(box.carrier, half_open)  # 0 is in the carrier only
     assert closed_subset_of(EmptySet(1), half_open)
     assert closed_subset_of(closed(1, [(["1"], "1/2"), (["-1"], "-1/4")]), half_open)
+
+
+def test_a_closed_hull_equals_its_carrier_without_an_lp(monkeypatch):
+    # Each side states every row of the other, so no row needs an LP, and
+    # an empty side would be a subset too: not even emptiness is asked.
+    c = make_set(2, [([1, 0], 1, False), ([0, 1], 1, False), ([-1, -1], 1, False)])
+    hull = portable_hull(c)
+
+    def solve(*args):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(polyhedra, "closed_feasible", solve)
+    monkeypatch.setattr(polyhedra, "max_value", solve)
+    assert closed_equal(hull, c.carrier)
 
 
 def test_closed_subset_of_refuses_a_dimension_mismatch_with_an_empty_set():

@@ -272,6 +272,23 @@ class TestSumMembership:
                 m = sum_graph_membership(t, c, x, xstar)
                 assert m.agrees, (x, xstar)
 
+    def test_selftest_builds_the_sum_program_once_per_route(self, monkeypatch):
+        # The membership route's value is the joint LP's, so the self-test
+        # compares it with the enumeration and solves no third program.
+        from phk import selftest
+
+        calls = []
+        build = representability._sum_program
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(representability, "_sum_program", counted)
+        checked = list(selftest._sum(0, 4))
+        assert checked and all(good for good, _ in checked)
+        assert len(calls) == 2 * len(checked)
+
 
 class TestProbe:
     def test_staircase_survives_the_grid(self):

@@ -625,3 +625,24 @@ def test_selftest_reports_the_first_failing_instance(monkeypatch):
     ok, sections = selftest.run_selftest(seed=0, samples=1)
     assert not ok
     assert sections == {"fake": {"ok": False, "checked": 3, "witness": {"x": "2"}}}
+
+
+def test_sample_count_is_capped_before_any_work(capsys, monkeypatch):
+    from phk import selftest
+    from phk.sampling import SAMPLE_COUNT_CAP
+
+    seen = []
+
+    def section(seed, samples):
+        seen.append(samples)
+        yield True, {}
+
+    monkeypatch.setattr(selftest, "SECTIONS", (("fake", section),))
+    code, _, err = run_cli(capsys, "selftest", "--samples", str(SAMPLE_COUNT_CAP))
+    assert (code, err, seen) == (0, "", [SAMPLE_COUNT_CAP])
+    over = str(SAMPLE_COUNT_CAP + 1)
+    code, out, err = run_cli(capsys, "selftest", "--samples", over)
+    assert (code, out, seen) == (1, "", [SAMPLE_COUNT_CAP])
+    assert err == f"error: --samples {over} is above the cap of {SAMPLE_COUNT_CAP}\n"
+    code, _, _ = run_cli(capsys, "report", str(FIXTURES / "unit_square.json"), "--samples", over)
+    assert code == 1
