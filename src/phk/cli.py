@@ -69,7 +69,7 @@ from .representability import (
     sum_graph_membership,
 )
 from .sampling import SAMPLE_COUNT_CAP, SampleSpec
-from .scalars import POS_INF, fin, rat
+from .scalars import POS_INF, _excerpt, fin, rat
 from .serialize import (
     dumps,
     jsonable,
@@ -444,10 +444,11 @@ def cmd_verb(args) -> int:
 
     Returns the exit code: 0, or 2 when a check was falsified.
     """
+    count = _excerpt(str(args.samples), str)
     if args.samples < 1:
-        raise InputError(f"--samples must be at least 1, got {args.samples}")
+        raise InputError(f"--samples must be at least 1, got {count}")
     if args.samples > SAMPLE_COUNT_CAP:
-        raise ScaleLimitError(f"--samples {args.samples} is above the cap of {SAMPLE_COUNT_CAP}")
+        raise ScaleLimitError(f"--samples {count} is above the cap of {SAMPLE_COUNT_CAP}")
     verb = VERBS[args.verb]
     inputs: dict = {}
     for name in verb.inputs:
@@ -470,6 +471,20 @@ def cmd_verb(args) -> int:
     else:
         sys.stdout.write(text)
     return code
+
+
+def _integer(raw: str) -> int:
+    """``int`` for ``--seed`` and ``--samples``; an unreadable value is
+    quoted as ``rat`` quotes a literal, past 40 characters by its start and
+    its length, where argparse would echo all of it."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(raw)}") from None
+
+
+# The option surface names the type by this name, as it named ``int``.
+_integer.__name__ = "int"
 
 
 def _grid_fraction(raw: str) -> Fraction:
@@ -508,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
         "coupling functions, and identity checks.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="sample seed (default 0)")
+    common.add_argument("--seed", type=_integer, default=0, help="sample seed (default 0)")
     common.add_argument(
-        "--samples", type=int, default=24, help="sample count per family"
+        "--samples", type=_integer, default=24, help="sample count per family"
     )
     common.add_argument("--out", help="write the JSON document here instead of stdout")
     sub = top.add_subparsers(dest="verb", required=True)

@@ -135,8 +135,13 @@ def normal_cone_at(c: PartiallyOpenPolyhedron, x) -> GeneratedCone:
     signs = row_signs(c, vec(x, c.dim))
     if not signs_inside(c, signs):
         raise InputError("normal cone requested at a point outside the set")
-    active = tuple(normal for (normal, _), s in zip(c.carrier.rows, signs) if s == 0)
-    return GeneratedCone(c.dim, active)
+    return GeneratedCone(c.dim, _active_normals(c, signs))
+
+
+def _active_normals(c: PartiallyOpenPolyhedron, signs) -> tuple[Vec, ...]:
+    """Normals of the carrier rows whose hyperplane holds the point that
+    has these ``row_signs``."""
+    return tuple(normal for (normal, _), s in zip(c.carrier.rows, signs) if s == 0)
 
 
 def in_normal_cone(c: PartiallyOpenPolyhedron, x, xstar) -> bool:

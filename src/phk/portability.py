@@ -134,13 +134,17 @@ def partial_supporting_rows(
     if isinstance(s, EmptySet):
         return ()
     if isinstance(s, FinitePointSet):
-        signs = [row_signs(c, p) for p in s.points]
-        members = [sg for sg in signs if signs_inside(c, sg)]
-        return tuple(
-            i for i in range(len(c.carrier.rows)) if any(sg[i] == 0 for sg in members)
-        )
+        return _rows_met(c, [row_signs(c, p) for p in s.points])
     require_valid(s)
     return tuple(i for i, _ in _hyperplanes_meeting(c, system_of(c) + system_of(s)))
+
+
+def _rows_met(c: PartiallyOpenPolyhedron, signs) -> tuple[int, ...]:
+    """Carrier rows whose hyperplane holds a point of the set, among the
+    points with these ``row_signs``: the rows with a 0 in some member's
+    vector."""
+    members = [sg for sg in signs if signs_inside(c, sg)]
+    return tuple(i for i in range(len(c.carrier.rows)) if any(sg[i] == 0 for sg in members))
 
 
 def partial_portable_hull(
@@ -306,17 +310,14 @@ def hull_extension_report(
 
     preserved = True
     extended = True
-    cones_checked = 0
     pair_witness = None
     inside = points_in(c, spec)
     for x in inside:
-        cones_checked += 1
         if not cones_equal(normal_cone_at(c, x), normal_cone_at(hull_set, x)):
             preserved = False
             pair_witness = pair_witness or x
-    pairs_checked = 0
-    for x, xstar in _pairs_from(c, spec, inside):
-        pairs_checked += 1
+    pairs = _pairs_from(c, spec, inside)
+    for x, xstar in pairs:
         if not in_normal_cone(hull_set, x, xstar):
             extended = False
             pair_witness = pair_witness or x
@@ -327,8 +328,8 @@ def hull_extension_report(
         "hullContainsClosure": contains_set,
         "conesPreservedOnSamples": preserved,
         "graphExtendedOnSamples": extended,
-        "conesChecked": cones_checked,
-        "pairsChecked": pairs_checked,
+        "conesChecked": len(inside),
+        "pairsChecked": len(pairs),
         "witness": pair_witness,
         "ok": idempotent and portable and contains_set and preserved and extended,
     }

@@ -19,16 +19,18 @@ from typing import Sequence
 
 from .errors import InputError, ScaleLimitError
 from .fitzpatrick import MonotoneGraph, is_monotone, vec_check
-from .linalg import Vec, dot, eliminate, integer_rows, vadd, smul, zero_vec
+from .linalg import Vec, dot, eliminate, integer_rows, vadd, vec, smul, zero_vec
 from .lp import EqualityLP, Row, lp_solve
-from .normal_cones import normal_cone_at, strictly_inside
+from .normal_cones import _active_normals
 from .polyhedra import (
     EmptySet,
     PartiallyOpenPolyhedron,
     contains,
     require_valid,
+    row_signs,
+    signs_inside,
 )
-from .portability import FinitePointSet, partial_portable_hull, point_set
+from .portability import FinitePointSet, _rows_met, point_set
 from .sampling import bounding_box, grid_size, rational_grid
 from .scalars import ExtValue, POS_INF, fin
 
@@ -155,22 +157,29 @@ def _sum_program(t: MonotoneGraph, c: PartiallyOpenPolyhedron, x, xstar):
     prices the half-space part at the shifted dual.  The rows are
     ``_barycentric_rows`` with the hull normals as extra dual vectors.  The
     routes differ only in the solver: ``lp_solve``, or a walk over basic
-    solutions.  ``None`` when no graph pair lies in the set.
+    solutions.
+
+    Each domain point is placed once, by one ``row_signs`` vector, which
+    answers all three questions: is some point strictly inside the carrier
+    (all signs negative), which pairs lie in the set (``signs_inside``), and
+    which hull rows a point of the set meets (``_rows_met``).  The interior
+    pair lies in the set, so the restricted graph is never empty.
     """
     require_valid(c)
     if t.dim != c.dim:
         raise InputError("dimension mismatch")
     p, d = vec_check(c.dim, x, xstar)
-    if not any(strictly_inside(c, a) for a, _ in t.pairs):
+    signs = [row_signs(c, vec(a, c.dim)) for a, _ in t.pairs]
+    if not any(all(s < 0 for s in sg) for sg in signs):
         raise InputError(
             "the graph needs a domain point strictly inside the set's carrier"
         )
-    tc = restrict_graph(t, c)
-    if not tc.pairs:
-        return None
-    hull = partial_portable_hull(c, graph_domain(t))
-    costs = [dot(a, astar) for a, astar in tc.pairs] + [o for _, o in hull.rows]
-    rows = _barycentric_rows(tc.pairs, [n for n, _ in hull.rows], p, d)
+    tc = MonotoneGraph(
+        t.dim, tuple(pair for pair, sg in zip(t.pairs, signs) if signs_inside(c, sg))
+    )
+    hull = [c.carrier.rows[i] for i in _rows_met(c, signs)]
+    costs = [dot(a, astar) for a, astar in tc.pairs] + [o for _, o in hull]
+    rows = _barycentric_rows(tc.pairs, [n for n, _ in hull], p, d)
     return d, tc, costs, rows
 
 
@@ -183,10 +192,7 @@ def rep_sum_value(
     a single joint LP whose half-space part runs over the partial hull of
     the set probed at the graph's domain points.
     """
-    program = _sum_program(t, c, x, xstar)
-    if program is None:
-        return PsiEvaluation(POS_INF, None, None)
-    d, tc, costs, rows = program
+    d, tc, costs, rows = _sum_program(t, c, x, xstar)
     out = lp_solve(EqualityLP(tuple(-q for q in costs), tuple(rows)))
     if out.status == "infeasible":
         return PsiEvaluation(POS_INF, None, None)
@@ -218,10 +224,7 @@ def rep_sum_value_by_enumeration(
     walk goes no deeper.  Walks of more than ``ENUMERATION_SUBSET_CAP``
     subsets, counted over all of them, are refused before any work.
     """
-    program = _sum_program(t, c, x, xstar)
-    if program is None:
-        return POS_INF
-    _, tc, costs, rows = program
+    _, tc, costs, rows = _sum_program(t, c, x, xstar)
     total = len(costs)
     neq = len(rows)
     subsets = sum(comb(total, size) for size in range(min(total, neq) + 1))
@@ -270,30 +273,28 @@ def sum_graph_membership(
     rhs = False
     shift: Vec | None = None
     cone_part: Vec | None = None
-    if contains(c, p):
+    # One placement of x says whether it lies in the set and gives its active rows.
+    signs = row_signs(c, p)
+    if signs_inside(c, signs):
         tc = restrict_graph(t, c)
-        gens = normal_cone_at(c, p).generators
-        k = len(tc.pairs)
-        if k:
-            # Costs plus prices stay within <p, d>; the last column is that
-            # bound's slack, a zero extra vector absent from the other rows.
-            bound = [dot(a, astar) for a, astar in tc.pairs] + [dot(p, gen) for gen in gens]
-            rows = _barycentric_rows(tc.pairs, (*gens, zero_vec(c.dim)), p, d)
-            rows.append((tuple(bound) + (Fraction(1),), dot(p, d)))
-            got = lp_solve(EqualityLP(zero_vec(k + len(gens) + 1), tuple(rows)))
-            if got.status == "optimal":
-                np = zero_vec(c.dim)
-                for w, gen in zip(got.primal[k:], gens):
-                    np = vadd(np, smul(w, gen))
-                tp = tuple(q - r for q, r in zip(d, np))
-                check = rep_value(tc, p, tp)
-                if (
-                    check.value.is_finite
-                    and check.value.finite_value == dot(p, tp)
-                ):
-                    rhs = True
-                    shift = tp
-                    cone_part = np
+        gens = _active_normals(c, signs)
+        k = len(tc.pairs)  # at least the interior pair that rep_sum_value required
+        # Costs plus prices stay within <p, d>; the last column is that
+        # bound's slack, a zero extra vector absent from the other rows.
+        bound = [dot(a, astar) for a, astar in tc.pairs] + [dot(p, gen) for gen in gens]
+        rows = _barycentric_rows(tc.pairs, (*gens, zero_vec(c.dim)), p, d)
+        rows.append((tuple(bound) + (Fraction(1),), dot(p, d)))
+        got = lp_solve(EqualityLP(zero_vec(k + len(gens) + 1), tuple(rows)))
+        if got.status == "optimal":
+            np = zero_vec(c.dim)
+            for w, gen in zip(got.primal[k:], gens):
+                np = vadd(np, smul(w, gen))
+            tp = tuple(q - r for q, r in zip(d, np))
+            check = rep_value(tc, p, tp)
+            if check.value.is_finite and check.value.finite_value == dot(p, tp):
+                rhs = True
+                shift = tp
+                cone_part = np
     return SumMembership(
         lhs=lhs,
         rhs=rhs,

@@ -46,7 +46,10 @@ def rat(x: RationalLike) -> Fraction:
     an exponent, the count is the mantissa's digits plus the exponent's
     size, checked before ``Fraction`` builds anything, and a count too long
     to print is named by the exponent's length.  Any other unreadable
-    literal is echoed, past 40 characters only its start and its length."""
+    literal is echoed, past 40 characters only its start and its length.
+    Underscores, surrounding whitespace and non-ASCII characters are
+    unreadable here, although ``Fraction`` reads ``"1_000"``, ``" 1 "`` and
+    ``"\u0661"`` (an Arabic-Indic one) as 1000, 1 and 1."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -58,15 +61,21 @@ def rat(x: RationalLike) -> Fraction:
             # An exponent too long to read is caught by its own digit run below.
             if len(exponent) <= sys.get_int_max_str_digits():
                 _check_digits(len(mantissa.replace(".", "")) + int(exponent), exponent)
-        try:
-            return Fraction(x.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            _check_digits(
-                max((len(run) for run in re.findall(r"\d+", x.replace("_", ""))), default=0)
-            )
-            shown = repr(x) if len(x) <= 40 else f"{x[:40]!r}... ({len(x)} characters)"
-            raise InputError(f"not a rational literal: {shown}") from exc
+        if x.isascii() and "_" not in x and x == x.strip():
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                pass
+        _check_digits(
+            max((len(run) for run in re.findall(r"\d+", x.replace("_", ""))), default=0)
+        )
+        raise InputError(f"not a rational literal: {_excerpt(x)}") from None
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
+
+
+def _excerpt(text: str, show=repr) -> str:
+    """``show(text)``, or past 40 characters only its start and its length."""
+    return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
 
 
 def _check_digits(digits: int, exponent: str = "") -> None:

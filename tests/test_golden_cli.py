@@ -201,11 +201,19 @@ def extra_cases() -> list[list[str]]:
         ["hull", "tests/data/deep_nesting.json"],
         ["sigma", interval, "--dual", "[" * 12000],
         ["hull", "tests/data/duplicate_key_set.json"],
+        # a graph with no domain point strictly inside the set [1, 2]
+        ["sum-check", stair, "tests/data/one_to_two.json", *p1, *d1],
+        # a 5000-digit --samples, which argparse refuses (exit 2), quoted
+        # by its start and length
+        ["selftest", "--samples", "9" * 5000],
+        # a literal that Fraction reads as 1000
+        ["sigma", interval, "--dual", '["1_000"]'],
     ]
 
 
 def run(argv: list[str]) -> dict:
-    """Exit code, stdout and stderr of one in-process CLI call from the repo root."""
+    """Exit code, stdout and stderr of one in-process CLI call from the repo
+    root; an argument refused by argparse gives its exit code."""
     from phk.cli import main
 
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -213,7 +221,10 @@ def run(argv: list[str]) -> dict:
     os.chdir(ROOT)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(list(argv))
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
     finally:
         os.chdir(cwd)
     return {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}

@@ -3,7 +3,9 @@
 Where a value is marked [DERIVED] it was worked out by hand from the
 barycentric-weight definition before running the code.
 """
+import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phk.corpus import sum_instances
-from phk import representability
+from phk import polyhedra, representability
 from phk.errors import InputError, ScaleLimitError
 from phk.fitzpatrick import MonotoneGraph, graph
 from phk.linalg import eliminate, rref
@@ -28,7 +30,8 @@ from phk.representability import (
     restrict_graph,
     sum_graph_membership,
 )
-from phk.normal_cones import normal_cone_at
+from phk.normal_cones import normal_cone_at, strictly_inside
+from phk.portability import partial_portable_hull
 from phk.sampling import grid_size, rational_grid
 from phk.scalars import POS_INF, fin
 
@@ -41,10 +44,7 @@ def enumeration_reference(t, c, x, xstar):
     equations, each reduced from scratch, and the least value over the
     consistent independent ones with nonnegative weights.  A third route,
     kept in the tests only."""
-    program = representability._sum_program(t, c, x, xstar)
-    if program is None:
-        return POS_INF, 0
-    _, _, costs, rows = program
+    _, _, costs, rows = representability._sum_program(t, c, x, xstar)
     total = len(costs)
     best, calls = POS_INF, 0
     for size in range(min(total, len(rows)) + 1):
@@ -123,6 +123,70 @@ def planted_sum_queries(draw):
     else:
         x, xstar = a, tuple(q + draw(st.integers(0, 2)) * n for q, n in zip(astar, normal))
     return MonotoneGraph(dim, tuple(pairs)), c, x, xstar
+
+
+INTERIOR_REFUSAL = "the graph needs a domain point strictly inside the set's carrier"
+
+
+def program_reference(t, c):
+    """What the joint program is built from, composed from the public
+    functions: the interior refusal's message, or the restricted pairs and
+    the partial hull's rows at the graph's domain points.  Each function
+    places the domain points itself."""
+    if not any(strictly_inside(c, a) for a, _ in t.pairs):
+        return INTERIOR_REFUSAL
+    return restrict_graph(t, c).pairs, partial_portable_hull(c, graph_domain(t)).rows
+
+
+def program_parts(t, c, x, xstar):
+    """The same, read back from ``_sum_program``: a hull row's normal is its
+    multiplier column on the dual rows, and its offset that column's cost."""
+    try:
+        _, tc, costs, rows = representability._sum_program(t, c, x, xstar)
+    except InputError as exc:
+        return str(exc)
+    k, n = len(tc.pairs), c.dim
+    normals = [tuple(rows[1 + n + i][0][j] for i in range(n)) for j in range(k, len(costs))]
+    return tc.pairs, tuple(zip(normals, costs[k:]))
+
+
+@cache
+def corpus_sums():
+    return sum_instances(8, seed=43)
+
+
+@st.composite
+def planted_programs(draw):
+    """A corpus sum instance with some carrier rows made strict, and planted
+    pairs: on a strict row, on a weak row, outside the set, and a domain
+    point repeated with another dual.  Sometimes every pair strictly inside
+    the carrier is dropped, which the program refuses."""
+    t, box = draw(st.sampled_from(corpus_sums()))
+    dim, carrier = box.dim, box.carrier.rows
+    strict = draw(st.sets(st.integers(0, len(carrier) - 1), max_size=len(carrier) - 1))
+    c = make_set(dim, [(nm, o, i in strict) for i, (nm, o) in enumerate(carrier)])
+    coord = st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from((1, 2)))
+    dual = st.tuples(*[coord] * dim)
+    anchor = next(a for a, _ in t.pairs if strictly_inside(c, a))
+
+    def shifted(i, past):
+        # From the anchor along row i's normal onto its hyperplane, or past it.
+        normal, offset = carrier[i]
+        step = (offset - sum(q * p for q, p in zip(normal, anchor))) * (1 + past)
+        return tuple(p + step * q / sum(q * q for q in normal) for p, q in zip(anchor, normal))
+
+    weak = [i for i in range(len(carrier)) if i not in strict]
+    pairs = list(t.pairs)
+    if strict:
+        pairs.append((shifted(draw(st.sampled_from(sorted(strict))), 0), draw(dual)))
+    pairs.append((shifted(draw(st.sampled_from(weak)), 0), draw(dual)))
+    past = draw(st.sampled_from((F(1, 2), 1)))
+    pairs.append((shifted(draw(st.integers(0, len(carrier) - 1)), past), draw(dual)))
+    pairs.append((draw(st.sampled_from(pairs))[0], draw(dual)))
+    if draw(st.booleans()):
+        pairs = [pair for pair in pairs if not strictly_inside(c, pair[0])]
+    pairs = draw(st.permutations(pairs))
+    return MonotoneGraph(dim, tuple(pairs)), c, draw(st.sampled_from(pairs))
 
 
 class TestRepValue:
@@ -231,6 +295,18 @@ class TestSumValue:
         got = [rep_sum_value_by_enumeration(t, c, *t.pairs[0]) for t, c in instances]
         assert got == want
 
+    @settings(max_examples=60)
+    @given(planted_programs())
+    def test_one_placement_per_point_builds_the_same_program(self, query):
+        t, c, (x, xstar) = query
+        assert program_parts(t, c, x, xstar) == program_reference(t, c)
+
+    def test_refusal_without_an_interior_domain_point(self):
+        # The staircase's domain is {0, 1/2, 1}: 1 lies on the boundary of [1, 2].
+        one_to_two = make_set(1, [((-1,), -1, False), ((1,), 2, False)])
+        assert program_reference(staircase(), one_to_two) == INTERIOR_REFUSAL
+        assert program_parts(staircase(), one_to_two, (1,), (1,)) == INTERIOR_REFUSAL
+
     @settings(max_examples=40)
     @given(planted_sum_queries())
     def test_walk_agrees_with_the_plain_enumeration(self, query):
@@ -288,6 +364,30 @@ class TestSumMembership:
         checked = list(selftest._sum(0, 4))
         assert checked and all(good for good, _ in checked)
         assert len(calls) == 2 * len(checked)
+
+    def test_a_query_places_each_point_once_per_program(self, monkeypatch):
+        # Per query with x in the set: k placements in each of the two
+        # joint programs, k in the membership route's restriction, and one
+        # for x, which gives both its membership and its active rows.
+        real = polyhedra.row_signs
+        instances = [(staircase(), closed_interval(), (F(1),), (F(3),))]
+        for t, c in sum_instances(4, seed=31):
+            x = next(a for a, _ in t.pairs if polyhedra.contains(c, a))
+            instances.append((t, c, x, tuple(F(1) for _ in x)))
+        placed = []
+
+        def counted(c, x):
+            placed.append(x)
+            return real(c, x)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("phk") and getattr(mod, "row_signs", None) is real:
+                monkeypatch.setattr(mod, "row_signs", counted)
+        for t, c, x, xstar in instances:
+            placed.clear()
+            sum_graph_membership(t, c, x, xstar)
+            rep_sum_value_by_enumeration(t, c, x, xstar)
+            assert len(placed) == 3 * len(t.pairs) + 1, (t, c, x)
 
 
 class TestProbe:

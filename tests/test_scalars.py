@@ -89,6 +89,17 @@ def test_rat_quotes_only_the_start_of_a_long_unreadable_literal():
     assert message == f"not a rational literal: {'y' * 40!r}... (41 characters)"
 
 
+def test_rat_refuses_literals_that_only_fraction_reads():
+    # Fraction reads these as 1000, 1, 1 and 1/2.
+    for literal in ("1_000", " 1 ", "\u0661", "1/\u0662", "\t1/2"):
+        with pytest.raises(InputError) as got:
+            rat(literal)
+        assert str(got.value) == f"not a rational literal: {literal!r}"
+    # A long one is still refused by its digit count first.
+    with pytest.raises(ScaleLimitError):
+        rat(" " + "1" * 5000)
+
+
 @given(rationals)
 def test_rat_str_round_trips(x):
     assert rat(rat_str(x)) == x

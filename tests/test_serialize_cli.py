@@ -646,3 +646,22 @@ def test_sample_count_is_capped_before_any_work(capsys, monkeypatch):
     assert err == f"error: --samples {over} is above the cap of {SAMPLE_COUNT_CAP}\n"
     code, _, _ = run_cli(capsys, "report", str(FIXTURES / "unit_square.json"), "--samples", over)
     assert code == 1
+
+
+def test_long_integer_options_are_quoted_by_their_start(capsys):
+    # argparse echoes an unreadable int option in full; past 40 characters
+    # only its start and its length are shown, with argparse's exit code 2.
+    for option, value in (("--samples", "9" * 5000), ("--seed", "x" * 41)):
+        with pytest.raises(SystemExit) as got:
+            main(["selftest", option, value])
+        err = capsys.readouterr().err
+        assert got.value.code == 2
+        assert err.endswith(
+            f"error: argument {option}: invalid int value: {value[:40]!r}... ({len(value)} characters)\n"
+        )
+    # A count that int() reads but the cap refuses is shortened the same way.
+    for value, message in (
+        ("9" * 4300, f"--samples {'9' * 40}... (4300 characters) is above the cap of 400"),
+        ("-" + "9" * 4300, f"--samples must be at least 1, got -{'9' * 39}... (4301 characters)"),
+    ):
+        assert run_cli(capsys, "selftest", "--samples", value) == (1, "", f"error: {message}\n")
