@@ -54,7 +54,6 @@ from .portability import (
     is_portable,
     line_free_report,
     partial_hull_report,
-    partial_supporting_rows,
     portability_report,
     portable_hull,
     portable_hull_by_faces,
@@ -69,7 +68,7 @@ from .representability import (
     sum_graph_membership,
 )
 from .sampling import SAMPLE_COUNT_CAP, SampleSpec
-from .scalars import POS_INF, _excerpt, fin, rat
+from .scalars import POS_INF, _excerpt, _plain, fin, rat
 from .serialize import (
     dumps,
     jsonable,
@@ -111,7 +110,7 @@ def _unique_keys(pairs: list) -> dict:
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_float=rat)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except RecursionError:
@@ -131,7 +130,7 @@ def _parse(name: str, raw, inputs: dict):
     read before it, whose set (else graph) fixes a vector's dimension."""
     if name in ("point", "dual"):
         try:
-            values = json.loads(raw, object_pairs_hook=_unique_keys)
+            values = json.loads(raw, object_pairs_hook=_unique_keys, parse_float=rat)
         except RecursionError:
             raise InputError(f"--{name} is nested too deeply") from None
         except json.JSONDecodeError as exc:
@@ -185,10 +184,12 @@ def _hull(inputs, args, checks):
 
 def _partial_hull(inputs, args, checks):
     c, s = inputs["set"], inputs["probe"]
-    witnesses = {"keptRows": list(partial_supporting_rows(c, s))}
     hull = portable_hull(c)
     report = partial_hull_report(c, s, _spec(args))
     partial = report["partialHull"]
+    # The partial hull's rows are distinct carrier rows, in carrier order.
+    index = {row: i for i, row in enumerate(c.carrier.rows)}
+    witnesses = {"keptRows": [index[row] for row in partial.rows]}
     checks.add("contains-full-hull", closed_subset_of(hull, closed_as_set(partial)))
     checks.add("partial-hull-collapse", report["collapse"])
     checks.add("restriction-biconditional", report["restrictionBiconditional"])
@@ -474,13 +475,17 @@ def cmd_verb(args) -> int:
 
 
 def _integer(raw: str) -> int:
-    """``int`` for ``--seed`` and ``--samples``; an unreadable value is
-    quoted as ``rat`` quotes a literal, past 40 characters by its start and
-    its length, where argparse would echo all of it."""
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(raw)}") from None
+    """``int`` for ``--seed`` and ``--samples``, under ``rat``'s literal rule:
+    underscores, surrounding whitespace and non-ASCII digits are refused.
+    An unreadable value is quoted as ``rat`` quotes a literal, past 40
+    characters by its start and its length, where argparse would echo all
+    of it."""
+    if _plain(raw):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(raw)}")
 
 
 # The option surface names the type by this name, as it named ``int``.

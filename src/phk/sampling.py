@@ -24,7 +24,7 @@ from .polyhedra import (
 )
 
 
-# Largest ``--samples``: time grows linearly, to 40 s for ``phk selftest`` on 2 vCPUs.
+# Largest ``--samples``: time grows linearly, to about 42 s for ``phk selftest`` on 2 vCPUs.
 SAMPLE_COUNT_CAP = 400
 
 

@@ -61,7 +61,7 @@ def rat(x: RationalLike) -> Fraction:
             # An exponent too long to read is caught by its own digit run below.
             if len(exponent) <= sys.get_int_max_str_digits():
                 _check_digits(len(mantissa.replace(".", "")) + int(exponent), exponent)
-        if x.isascii() and "_" not in x and x == x.strip():
+        if _plain(x):
             try:
                 return Fraction(x)
             except (ValueError, ZeroDivisionError):
@@ -71,6 +71,12 @@ def rat(x: RationalLike) -> Fraction:
         )
         raise InputError(f"not a rational literal: {_excerpt(x)}") from None
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
+
+
+def _plain(text: str) -> bool:
+    """ASCII, with no underscore and no surrounding whitespace: the only
+    forms of a literal that ``Fraction`` and ``int`` may read here."""
+    return text.isascii() and "_" not in text and text == text.strip()
 
 
 def _excerpt(text: str, show=repr) -> str:

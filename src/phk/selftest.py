@@ -1,13 +1,21 @@
 """Condensed invariant suite runnable from the command line.
 
-Each section replays one of the package's dual-route checks on seeded
-corpora and reports how many instances it examined.  A section failure
-carries a witness so the offending instance can be reproduced.
+Seven sections replay a CLI verb over a seeded corpus: each instance runs
+the verb's own compute function from ``phk.cli.VERBS`` and is good when none
+of the verb's paper checks fails, so what each identity means is stated
+once, by its verb.  Three more check the kernels against independent
+oracles: the simplex and strict feasibility against Fourier-Motzkin
+elimination, and the H-to-V conversion by its round trip.  A section
+reports how many instances it examined; a failure carries a witness so the
+offending instance can be reproduced.  A verb's witness is the head of the
+document ``phk <verb>`` prints for that instance: its verb and inputs.
 """
 from __future__ import annotations
 
+from argparse import Namespace
 from fractions import Fraction
 
+from .cli import VERBS, CheckSet
 from .corpus import (
     line_free_closed_sets,
     lp_corpus,
@@ -17,35 +25,20 @@ from .corpus import (
     random_polytopes,
     sum_instances,
 )
-from .fitzpatrick import (
-    normal_cone_fitzpatrick,
-    normal_cone_fitzpatrick_by_faces,
-)
 from .fme import fm_feasible, fm_maximize
 from .linalg import dot
 from .lp import lp_solve, strict_system_feasible, verify_outcome
-from .normal_cones import in_portable_hull, support_value
-from .polyhedra import (
-    closed_contains,
-    closed_equal,
-    contains,
-    h_to_v,
-    v_to_h,
-)
-from .portability import (
-    boundary_support_report,
-    hull_extension_report,
-    partial_hull_report,
-    portability_report,
-    separation_certificate,
-    verify_certificate,
-)
-from .representability import (
-    rep_sum_value_by_enumeration,
-    sum_graph_membership,
-)
+from .polyhedra import closed_contains, closed_equal, contains, h_to_v, v_to_h
 from .sampling import SampleSpec, cloud_points, dual_vectors
 from .serialize import jsonable
+
+
+def _replay(verb: str, inputs: dict, seed: int, count: int) -> tuple[bool, dict]:
+    """Run ``verb``'s compute function on ``inputs`` as ``phk <verb> --seed
+    seed --samples count`` would; good when none of its checks failed."""
+    checks = CheckSet()
+    VERBS[verb].compute(inputs, Namespace(seed=seed, samples=count, grid=None), checks)
+    return not checks.failed, {"verb": verb, "inputs": inputs}
 
 
 def _lp(seed, samples):
@@ -89,13 +82,7 @@ def _conversion(seed, samples):
 def _support(seed, samples):
     for c in partially_open_sets(samples, seed + 4):
         for xstar in dual_vectors(c, SampleSpec(seed=seed, count=6)):
-            ev = support_value(c, xstar)
-            good = not ev.attained_in_set or (
-                ev.value.is_finite
-                and contains(c, ev.witness)
-                and dot(xstar, ev.witness) == ev.value.finite_value
-            )
-            yield good, {"set": c, "dual": xstar}
+            yield _replay("sigma", {"set": c, "dual": xstar}, seed, 6)
 
 
 def _fitzpatrick(seed, samples):
@@ -104,9 +91,7 @@ def _fitzpatrick(seed, samples):
         duals = dual_vectors(c, spec)[:6]
         for x in cloud_points(c, spec)[:8]:
             for xstar in duals:
-                a = normal_cone_fitzpatrick(c, x, xstar)
-                b = normal_cone_fitzpatrick_by_faces(c, x, xstar)
-                yield a == b, {"set": c, "x": x, "xstar": xstar}
+                yield _replay("phi", {"set": c, "point": x, "dual": xstar}, seed, 4)
 
 
 def _conditions(seed, samples):
@@ -114,20 +99,14 @@ def _conditions(seed, samples):
         samples, seed + 7, force_strict=True
     )
     for c in sets:
-        r = portability_report(c, SampleSpec(seed=seed, count=6))
-        yield len(r.verdicts()) == 1, c
+        yield _replay("report", {"set": c}, seed, 6)
 
 
 def _separation(seed, samples):
     for c in partially_open_sets(samples, seed + 8):
         for x in cloud_points(c, SampleSpec(seed=seed, count=6)):
-            if contains(c, x):
-                continue
-            cert = separation_certificate(c, x)
-            good = (cert is None) == in_portable_hull(c, x)
-            if cert is not None:
-                good = good and verify_certificate(c, x, cert)
-            yield good, {"set": c, "x": x}
+            if not contains(c, x):
+                yield _replay("separate", {"set": c, "point": x}, seed, 6)
 
 
 def _collapse(seed, samples):
@@ -135,13 +114,11 @@ def _collapse(seed, samples):
     probes_p = probe_point_sets(samples, seed + 10)
     probes_s = probe_polyhedra(samples, seed + 11)
     for i, c in enumerate(sets):
-        ext = hull_extension_report(c, SampleSpec(seed=seed, count=4))
-        good = ext["ok"]
+        good, witness = _replay("check-enc", {"set": c}, seed, 4)
         probe = probes_p[i] if i % 2 == 0 else probes_s[i]
-        if probe.dim == c.dim:
-            rep = partial_hull_report(c, probe, SampleSpec(seed=seed, count=4))
-            good = good and rep["ok"]
-        yield good, c
+        if good and probe.dim == c.dim:
+            good, witness = _replay("check-ncs", {"set": c, "probe": probe}, seed, 4)
+        yield good, witness
 
 
 def _sum(seed, samples):
@@ -150,15 +127,13 @@ def _sum(seed, samples):
         zero = tuple(Fraction(0) for _ in range(t.dim))
         probes.append((t.pairs[0][0], zero))
         for x, xstar in probes:
-            m = sum_graph_membership(t, c, x, xstar)
-            o = rep_sum_value_by_enumeration(t, c, x, xstar)
-            yield m.value == o and m.agrees, {"graph": t, "set": c, "x": x}
+            inputs = {"graph": t, "set": c, "point": x, "dual": xstar}
+            yield _replay("sum-check", inputs, seed, samples)
 
 
 def _boundary(seed, samples):
     for c in partially_open_sets(samples, seed + 13):
-        rep = boundary_support_report(c, SampleSpec(seed=seed, count=4))
-        yield rep["ok"], c
+        yield _replay("probe-bp", {"set": c}, seed, 4)
 
 
 # Report name and instance generator of each section, in report order.  A

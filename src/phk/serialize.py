@@ -1,7 +1,9 @@
 """JSON input parsing and deterministic JSON output.
 
-Rationals travel as strings ("3/4", "-2"); integers are accepted on input
-for convenience.  Output is canonical: sorted keys, two-space indent, and
+Rationals travel as strings ("3/4", "-2").  On input a JSON integer is
+accepted too, and the CLI reads any other JSON number through ``rat``
+(``parse_float``), exactly as the same literal in quotes; a Python ``float``
+is refused.  Output is canonical: sorted keys, two-space indent, and
 a trailing newline, so identical inputs produce byte-identical documents.
 """
 from __future__ import annotations
@@ -25,12 +27,8 @@ from .scalars import ExtValue, rat, rat_str
 
 
 def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"expected a rational, got {value!r}")
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
         return rat(value)
-    if isinstance(value, float) and value.is_integer():
-        return Fraction(int(value))
     raise InputError(f"expected a rational, got {value!r}")
 
 

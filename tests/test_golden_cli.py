@@ -3,8 +3,9 @@
 ``golden_cli.json`` maps each argv (joined by spaces, run from the repository
 root) to the exit code and stdout that the CLI printed when the goldens were
 recorded.  ``golden_cli_extra.json`` does the same, stderr included, for two
-``selftest`` runs, one ``sum-check`` run on a set outside ``fixtures/``, and
-every way the CLI refuses its input.
+``selftest`` runs, one ``sum-check`` run on a set outside ``fixtures/``, one
+``hull`` of a set written with JSON numbers, and every way the CLI refuses
+its input.
 ``cli_surface.json`` pins each verb's positionals and options.  A refactor
 must reproduce all of them exactly.  To record them again after a deliberate
 change, run from the repository root:
@@ -112,8 +113,8 @@ def cases() -> list[list[str]]:
 
 
 def extra_cases() -> list[list[str]]:
-    """Two ``selftest`` runs, one ``sum-check`` run, and one call per
-    input-rejection path."""
+    """Two ``selftest`` runs, one ``sum-check`` run, one ``hull`` run, and
+    one call per input-rejection path."""
     e = _f("empty")
     square, interval, half_open = _f("unit_square"), _f("closed_interval"), _f("half_open_interval")
     stair, gradient, points = _f("staircase_graph"), _f("gradient_graph_2d"), _f("lower_left_points")
@@ -208,6 +209,12 @@ def extra_cases() -> list[list[str]]:
         ["selftest", "--samples", "9" * 5000],
         # a literal that Fraction reads as 1000
         ["sigma", interval, "--dual", '["1_000"]'],
+        # JSON numbers with a fraction or an exponent, read exactly as the
+        # same literals in quotes
+        ["hull", "tests/data/float_numbers_set.json"],
+        # a --samples with a leading space and an Arabic-Indic --seed, which
+        # int() reads and argparse now refuses (exit 2)
+        ["selftest", "--samples", " 2", "--seed", "\u0663"],
     ]
 
 

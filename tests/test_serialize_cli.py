@@ -41,9 +41,9 @@ class TestParsing:
         assert parse_rational("2/3") == F(2, 3)
         assert parse_rational("-5") == F(-5)
         assert parse_rational(7) == F(7)
-        assert parse_rational(3.0) == F(3)
+        assert parse_rational(F(3, 4)) == F(3, 4)
 
-    @pytest.mark.parametrize("bad", [True, False, 0.5, None, [1], "x"])
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 3.0, None, [1], "x"])
     def test_bad_rationals(self, bad):
         with pytest.raises(InputError):
             parse_rational(bad)
@@ -148,6 +148,31 @@ def test_numbers_too_long_for_int_str_end_in_one_error_line(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert digits in err and "Traceback" not in err
+
+
+def test_json_numbers_are_read_as_their_quoted_literals(capsys, tmp_path):
+    # A JSON number with a fraction or an exponent is read by ``rat``, as
+    # the same literal in quotes: exactly, never through a float.
+    text = '{"dim": 1, "rows": [{"normal": [1.0], "offset": 12345678901234567891.0}, ' \
+        '{"normal": [-2.5e0], "offset": 1e300}]}'
+    (tmp_path / "set.json").write_text(text)
+    quoted = json.loads(text, parse_float=str)
+    assert parse_set(json.loads(text, parse_float=Fraction)) == parse_set(quoted)
+    code, out, _ = run_cli(capsys, "hull", str(tmp_path / "set.json"))
+    assert code == 0
+    assert json.loads(out)["inputs"]["set"]["rows"] == [
+        {"normal": ["-1"], "offset": "4" + "0" * 299},
+        {"normal": ["1"], "offset": "12345678901234567891"},
+    ]
+    code, out, _ = run_cli(capsys, "sigma", str(tmp_path / "set.json"), "--dual", "[0.5]")
+    assert (code, json.loads(out)["inputs"]["dual"]) == (0, ["1/2"])
+    # rat's digit check refuses an exponent too long to build, and a float
+    # built outside the CLI is refused by the parser.
+    code, out, err = run_cli(capsys, "sigma", str(tmp_path / "set.json"), "--dual", "[1e5000]")
+    assert (code, out) == (1, "")
+    assert err == "error: a literal with 5001 digits exceeds the limit of 4300 digits for reading an integer\n"
+    with pytest.raises(InputError, match="expected a rational"):
+        parse_set(json.loads(text))
 
 
 def test_a_long_unreadable_literal_is_quoted_by_its_start(capsys):
@@ -602,6 +627,27 @@ class TestCli:
         assert "partial-hull-collapse" in doc["paperChecks"]
 
 
+def test_partial_hull_finds_its_kept_rows_once(capsys, monkeypatch):
+    # The kept rows are read off the report's partial hull, so the verb
+    # meets the probe's hyperplanes as often as check-ncs does: for the
+    # partial hull and for the partial hull of the partial hull.
+    from phk import portability
+
+    calls = []
+    real = portability._hyperplanes_meeting
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(portability, "_hyperplanes_meeting", counted)
+    square, probe = str(FIXTURES / "unit_square.json"), str(FIXTURES / "open_square.json")
+    for verb in ("partial-hull", "check-ncs"):
+        calls.clear()
+        assert run_cli(capsys, verb, square, probe)[0] == 0
+        assert len(calls) == 2, verb
+
+
 def test_selftest_runs_green():
     from phk.selftest import run_selftest
 
@@ -627,6 +673,70 @@ def test_selftest_reports_the_first_failing_instance(monkeypatch):
     assert sections == {"fake": {"ok": False, "checked": 3, "witness": {"x": "2"}}}
 
 
+# Each verb-backed section and the verb it replays; ``hullCollapse`` replays two.
+REPLAYED = [
+    ("supportAttainment", "sigma"),
+    ("fitzpatrickTwoRoutes", "phi"),
+    ("portabilityConditions", "report"),
+    ("separationBiconditional", "separate"),
+    ("hullCollapse", "check-enc"),
+    ("hullCollapse", "check-ncs"),
+    ("sumRule", "sum-check"),
+    ("boundarySupport", "probe-bp"),
+]
+
+
+def plant_failing_check(monkeypatch, verb: str) -> list[dict]:
+    """Make ``verb``'s compute function also add a failing check; returns
+    the list of the inputs it is called with."""
+    from dataclasses import replace
+
+    from phk.cli import VERBS
+
+    seen = []
+    real = VERBS[verb].compute
+
+    def planted(inputs, args, checks):
+        seen.append(dict(inputs))
+        checks.add("planted", False)
+        return real(inputs, args, checks)
+
+    monkeypatch.setitem(VERBS, verb, replace(VERBS[verb], compute=planted))
+    return seen
+
+
+@pytest.mark.parametrize("section, verb", REPLAYED)
+def test_selftest_fails_with_the_verb_whose_check_fails(monkeypatch, section, verb):
+    # A check planted in one verb's compute function fails the section that
+    # replays it, with the head of the verb's document as the witness.
+    from phk import selftest
+    from phk.serialize import jsonable
+
+    seen = plant_failing_check(monkeypatch, verb)
+    monkeypatch.setattr(selftest, "SECTIONS", [s for s in selftest.SECTIONS if s[0] == section])
+    ok, sections = selftest.run_selftest(seed=0, samples=2)
+    assert not ok and seen
+    assert sections[section]["witness"] == {"verb": verb, "inputs": jsonable(seen[0])}
+
+
+def test_a_selftest_witness_reruns_as_its_verb(capsys, monkeypatch, tmp_path):
+    # Every other section stays green, and the witness's inputs, given to
+    # ``phk sigma``, falsify the planted check again.
+    from phk import selftest
+
+    plant_failing_check(monkeypatch, "sigma")
+    ok, sections = selftest.run_selftest(seed=0, samples=2)
+    assert [name for name, body in sections.items() if not body["ok"]] == ["supportAttainment"]
+    witness = sections["supportAttainment"]["witness"]
+    (tmp_path / "set.json").write_text(json.dumps(witness["inputs"]["set"]))
+    code, out, _ = run_cli(
+        capsys, witness["verb"], str(tmp_path / "set.json"), "--dual", json.dumps(witness["inputs"]["dual"])
+    )
+    doc = json.loads(out)
+    assert (code, doc["witnesses"]["falsified"]) == (2, ["planted"])
+    assert {k: doc[k] for k in witness} == witness
+
+
 def test_sample_count_is_capped_before_any_work(capsys, monkeypatch):
     from phk import selftest
     from phk.sampling import SAMPLE_COUNT_CAP
@@ -646,6 +756,19 @@ def test_sample_count_is_capped_before_any_work(capsys, monkeypatch):
     assert err == f"error: --samples {over} is above the cap of {SAMPLE_COUNT_CAP}\n"
     code, _, _ = run_cli(capsys, "report", str(FIXTURES / "unit_square.json"), "--samples", over)
     assert code == 1
+
+
+@pytest.mark.parametrize("value", [" 2", "2 ", "1_0", "\u0663", "\uff12"], ids=repr)
+@pytest.mark.parametrize("option", ["--seed", "--samples"])
+def test_integer_options_follow_the_literal_rule(capsys, option, value):
+    # Whitespace, underscores and non-ASCII digits, which int() reads, are
+    # refused as rat refuses them, with argparse's message and exit code.
+    with pytest.raises(SystemExit) as got:
+        main(["selftest", option, value])
+    assert got.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {option}: invalid int value: {value!r}\n"
+    )
 
 
 def test_long_integer_options_are_quoted_by_their_start(capsys):
