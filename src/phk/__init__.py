@@ -36,7 +36,6 @@ from .lp import (
     lp_solve,
     max_value,
     problem,
-    solve_max,
     strict_system_feasible,
     verify_outcome,
 )
@@ -200,7 +199,6 @@ __all__ = [
     "restrict_graph",
     "run_selftest",
     "separation_certificate",
-    "solve_max",
     "space",
     "strict_system_feasible",
     "sum_graph_membership",

@@ -107,11 +107,18 @@ def _unique_keys(pairs: list) -> dict:
     return out
 
 
+def _int_literal(text: str) -> int:
+    """``parse_int`` for ``json``: a JSON integer is read under ``rat``'s rule."""
+    return int(rat(text))
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys, parse_float=rat)
-    except OSError as exc:
+            return json.load(
+                fh, object_pairs_hook=_unique_keys, parse_float=rat, parse_int=_int_literal
+            )
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except RecursionError:
         raise InputError(f"JSON in {path} is nested too deeply") from None
@@ -119,10 +126,6 @@ def _load(path: str):
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except InputError:
-        raise
-    except ValueError as exc:  # a number past int()'s digit limit; drop its hint
-        raise InputError(f"unreadable JSON in {path}: {str(exc).split(';')[0]}") from exc
 
 
 def _parse(name: str, raw, inputs: dict):
@@ -130,15 +133,13 @@ def _parse(name: str, raw, inputs: dict):
     read before it, whose set (else graph) fixes a vector's dimension."""
     if name in ("point", "dual"):
         try:
-            values = json.loads(raw, object_pairs_hook=_unique_keys, parse_float=rat)
+            values = json.loads(
+                raw, object_pairs_hook=_unique_keys, parse_float=rat, parse_int=_int_literal
+            )
         except RecursionError:
             raise InputError(f"--{name} is nested too deeply") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"--{name} must be a JSON vector: {exc.msg}") from exc
-        except InputError:
-            raise
-        except ValueError as exc:  # a number past int()'s digit limit
-            raise InputError(f"--{name} is unreadable: {str(exc).split(';')[0]}") from exc
         return parse_vector(values, inputs.get("set", inputs.get("graph")).dim)
     if name == "set":
         return parse_set(_load(raw))

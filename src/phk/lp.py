@@ -34,7 +34,6 @@ leaves it bounded.  Both optima are the same rational, so the value
 is exact; the tableau has n rows and m + n columns instead of m rows and
 2n + 2m columns.  Nonemptiness is the caller's to ensure: over an empty
 system the dual may be infeasible too, which would read as unbounded.
-``solve_max`` keeps the primal form for callers that read the point.
 Cone membership goes through ``max_value`` too (Farkas): x lies in the cone
 of g_1, ..., g_k exactly when ``x . z`` is bounded above on the polar cone
 ``{z : g_i . z <= 0}``, a system that holds 0.
@@ -323,17 +322,9 @@ def closed_feasible(rows: Sequence[Row], dim: int) -> Vec | None:
     """A point of a weak-inequality system, or None when it is empty."""
     if dim < 1:
         raise InputError("dimension must be at least 1")
-    if not rows:
-        return zero_vec(dim)
     # A zero objective is never unbounded: the outcome has a point exactly
     # when the system is feasible.
     return lp_solve(LPProblem(zero_vec(dim), tuple(rows))).primal
-
-
-def solve_max(objective: Sequence, rows: Sequence[Row]) -> LPOutcome:
-    """Convenience wrapper: maximize over weak rows already in internal form."""
-    obj = vec(objective)
-    return lp_solve(LPProblem(obj, tuple(rows)))
 
 
 def max_value(objective: Vec, rows: Sequence[Row]) -> Fraction | None:

@@ -11,9 +11,11 @@ canonical carrier the strict region, when nonempty, is automatically dense in
 the carrier (faces are extreme, so removing a union of faces keeps convexity
 and density), hence the closure of the set is exactly the carrier.  The
 constructor enforces this: systems whose strict region is empty collapse to
-``EmptySet``, and strict markings that canonicalization would silently lose
-while their hyperplane still touches the carrier are refused, because no
-carrier-plus-strict-rows value describes that set.
+``EmptySet``, and a strict row that is not a carrier row while its
+hyperplane still touches the carrier is refused, because no
+carrier-plus-strict-rows value describes that set.  Canonicalization reads
+closed rows only; ``make_set`` alone decides which strict markings a set
+keeps.
 
 Generator form (``VRep``) lists vertices, extreme rays, and a lineality
 basis.  Conversion in both directions is exact: vertices are enumerated as
@@ -206,48 +208,38 @@ def _normalize_row(normal: Vec, offset: Fraction) -> Row:
     return (p, offset * t)
 
 
-def _merge_parallel(rows: list[StrictRow]) -> tuple[list[StrictRow], list[Row]]:
-    """Keep the tightest row per normal direction.  Returns (kept, dropped
-    strict rows) so the caller can audit what the merge discarded."""
-    best: dict[Vec, tuple[Fraction, bool]] = {}
-    dropped_strict: list[Row] = []
-    for normal, offset, strict in rows:
-        cur = best.get(normal)
-        if cur is None:
-            best[normal] = (offset, strict)
-            continue
-        coff, cstrict = cur
-        if offset < coff:
-            if cstrict:
-                dropped_strict.append((normal, coff))
-            best[normal] = (offset, strict)
-        elif offset == coff:
-            best[normal] = (offset, strict or cstrict)
-        elif strict:
-            dropped_strict.append((normal, offset))
-    kept = sorted((n, o, s) for n, (o, s) in best.items())
-    return kept, dropped_strict
+def _merge_parallel(rows: list[Row]) -> list[Row]:
+    """Keep the tightest (least) offset per normal direction; rows sorted."""
+    best: dict[Vec, Fraction] = {}
+    for normal, offset in rows:
+        if normal not in best or offset < best[normal]:
+            best[normal] = offset
+    return sorted(best.items())
 
 
 def _screen_rows(
     dim: int, rows: Sequence[tuple[Sequence, object, bool]]
-) -> tuple[list[StrictRow], bool]:
-    """Normalize scales, resolve zero-normal rows.  Second result is False
-    when a zero-normal row is unsatisfiable (the system is empty)."""
-    out: list[StrictRow] = []
+) -> tuple[list[Row], set[Row]] | None:
+    """Normalize scales and resolve zero-normal rows: the closed rows, and
+    the set of those marked strict.  ``None`` when a zero-normal row is
+    unsatisfiable (the system is empty)."""
+    closed: list[Row] = []
+    strict_rows: set[Row] = set()
     for normal, offset, strict in rows:
         nv = vec(normal, dim)
         off = rat(offset)  # type: ignore[arg-type]
         if is_zero_vec(nv):
             if off < 0 or (strict and off == 0):
-                return [], False
+                return None
             continue
-        pn, po = _normalize_row(nv, off)
-        out.append((pn, po, bool(strict)))
-    return out, True
+        row = _normalize_row(nv, off)
+        closed.append(row)
+        if strict:
+            strict_rows.add(row)
+    return closed, strict_rows
 
 
-def _irredundant(rows: list[StrictRow]) -> tuple[list[StrictRow], list[Row]]:
+def _irredundant(rows: list[Row]) -> tuple[Row, ...]:
     """One sequential pass of exact redundancy removal over the closed rows.
 
     Each row is tested against all other currently surviving rows; removal
@@ -255,37 +247,34 @@ def _irredundant(rows: list[StrictRow]) -> tuple[list[StrictRow], list[Row]]:
     The test reads only the maximum of the row's normal over the others, so
     it is ``lp.max_value``'s dual program; the rows are feasible
     (``_canonical_rows`` checks first), and so is every subset of them.
+    A row with no others is kept: its normal is not zero, so it is
+    unbounded over the empty system.
     """
     survivors = list(rows)
-    dropped_strict: list[Row] = []
     i = 0
     while i < len(survivors):
-        normal, offset, strict = survivors[i]
-        others = [(r[0], r[1]) for j, r in enumerate(survivors) if j != i]
-        if others:
-            top = max_value(normal, others)
-            if top is not None and top <= offset:
-                if strict:
-                    dropped_strict.append((normal, offset))
-                survivors.pop(i)
-                continue
-        i += 1
-    return survivors, dropped_strict
+        normal, offset = survivors[i]
+        top = max_value(normal, survivors[:i] + survivors[i + 1 :])
+        if top is not None and top <= offset:
+            survivors.pop(i)
+        else:
+            i += 1
+    return tuple(survivors)
 
 
 def _canonical_rows(
     dim: int, rows: Sequence[tuple[Sequence, object, bool]]
-) -> tuple[list[StrictRow], list[Row]] | None:
-    """Canonical carrier rows with their strict flags, plus the strict rows
-    that merging and redundancy removal dropped; ``None`` when empty."""
-    screened, ok = _screen_rows(dim, rows)
-    if not ok:
+) -> tuple[tuple[Row, ...], set[Row]] | None:
+    """Canonical carrier rows, plus the set of screened rows marked strict;
+    ``None`` when empty."""
+    screened = _screen_rows(dim, rows)
+    if screened is None:
         return None
-    merged, dropped_a = _merge_parallel(screened)
-    if closed_feasible([(r[0], r[1]) for r in merged], dim) is None:
+    closed, strict_rows = screened
+    merged = _merge_parallel(closed)
+    if closed_feasible(merged, dim) is None:
         return None
-    survivors, dropped_b = _irredundant(merged)
-    return survivors, dropped_a + dropped_b
+    return _irredundant(merged), strict_rows
 
 
 def canonicalize(dim: int, rows: Sequence[tuple[Sequence, object]]) -> ClosedPolyhedron | EmptySet:
@@ -293,7 +282,7 @@ def canonicalize(dim: int, rows: Sequence[tuple[Sequence, object]]) -> ClosedPol
     got = _canonical_rows(dim, [(n, o, False) for n, o in rows])
     if got is None:
         return EmptySet(dim)
-    return ClosedPolyhedron(dim, tuple((r[0], r[1]) for r in got[0]))
+    return ClosedPolyhedron(dim, got[0])
 
 
 def make_set(
@@ -301,25 +290,26 @@ def make_set(
 ) -> PartiallyOpenPolyhedron | EmptySet:
     """Build a partially open polyhedron from raw (normal, offset, strict) rows.
 
-    The carrier is canonicalized with strict flags tracked through merging and
-    redundancy removal.  If the strict region is empty the value is
-    ``EmptySet``.  If a strict row had to be dropped although its hyperplane
-    still touches the carrier, the set cannot be written as carrier plus
-    strict markings and ``InvalidSetError`` is raised.
+    The carrier is canonicalized from the rows read as weak, so strictness
+    never decides which rows survive.  A carrier row is strict when some
+    strict input row, scaled to its primitive normal, equals it.  Every
+    other strict row was merged into a tighter parallel row or found
+    redundant: if its hyperplane still touches the carrier, the set cannot
+    be written as carrier plus strict markings and ``InvalidSetError`` is
+    raised; otherwise the row removes nothing and is dropped.  If the strict
+    region is empty the value is ``EmptySet``.
     """
     got = _canonical_rows(dim, rows)
     if got is None:
         return EmptySet(dim)
-    survivors, dropped = got
-    carrier_rows = tuple((r[0], r[1]) for r in survivors)
-    for normal, offset in dropped:
-        face = list(carrier_rows) + [(vneg(normal), -offset)]
-        if closed_feasible(face, dim) is not None:
+    carrier_rows, strict_rows = got
+    for normal, offset in sorted(strict_rows.difference(carrier_rows)):
+        if closed_feasible([*carrier_rows, (vneg(normal), -offset)], dim) is not None:
             raise InvalidSetError(
                 "strict row was redundant for the carrier but its hyperplane "
                 "touches the set; not representable as carrier + strict rows"
             )
-    strict = frozenset(i for i, r in enumerate(survivors) if r[2])
+    strict = frozenset(i for i, r in enumerate(carrier_rows) if r in strict_rows)
     cand = PartiallyOpenPolyhedron(ClosedPolyhedron(dim, carrier_rows), strict)
     if strict and strict_system_feasible(system_of(cand)) is None:
         return EmptySet(dim)

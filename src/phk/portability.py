@@ -462,14 +462,6 @@ def boundary_support_report(
 ) -> dict:
     """Probe: every sampled boundary point of the set is a support point."""
     require_valid(c)
-    if not c.carrier.rows:
-        return {
-            "sampled": 0,
-            "allSupport": True,
-            "vacuous": True,
-            "witness": None,
-            "ok": True,
-        }
     sampled = 0
     all_support = True
     witness = None
@@ -482,7 +474,7 @@ def boundary_support_report(
     return {
         "sampled": sampled,
         "allSupport": all_support,
-        "vacuous": False,
+        "vacuous": not c.carrier.rows,
         "witness": witness,
         "ok": all_support,
     }

@@ -1,10 +1,11 @@
 """JSON input parsing and deterministic JSON output.
 
-Rationals travel as strings ("3/4", "-2").  On input a JSON integer is
-accepted too, and the CLI reads any other JSON number through ``rat``
-(``parse_float``), exactly as the same literal in quotes; a Python ``float``
-is refused.  Output is canonical: sorted keys, two-space indent, and
-a trailing newline, so identical inputs produce byte-identical documents.
+Rationals travel as strings ("3/4", "-2").  On input a JSON number is
+accepted too: the CLI reads each one through ``rat`` (``parse_int`` and
+``parse_float``), exactly as the same literal in quotes, and an integer
+stays an ``int``; a Python ``float`` is refused.  Output is canonical:
+sorted keys, two-space indent, and a trailing newline, so identical inputs
+produce byte-identical documents.
 """
 from __future__ import annotations
 

@@ -8,9 +8,10 @@ The same kind of scan finds definitions that nothing loads, reads of the
 process environment, which would let a setting outside the input change an
 answer, and reads of a rational's numerator or denominator outside
 ``linalg`` and ``scalars``: clearing denominators is ``linalg.scaled``'s job.
-Outside ``lp`` no module calls ``solve_max``: a maximum whose point nobody
-reads is ``lp.max_value``'s job, which solves the n-row dual instead of the
-m-row primal tableau.
+Outside ``lp`` and ``corpus`` no module builds a primal program
+(``LPProblem`` or ``problem``): a maximum whose point nobody reads is
+``lp.max_value``'s job, which solves the n-row dual instead of the m-row
+primal tableau, and a point of a system is ``closed_feasible``'s.
 
 A cold CLI call does not import the seeded corpora, which only the
 ``selftest`` verb needs.
@@ -152,16 +153,17 @@ def called_names(source: str) -> set[str]:
 
 
 def test_the_scan_sees_calls():
-    src = "from .lp import solve_max\ng = solve_max\nlp.solve_max(c, rows)\nh(solve_max)\n"
-    assert called_names(src) == {"solve_max", "h"}
-    assert "solve_max" not in called_names("from .lp import solve_max\n__all__ = ['solve_max']\n")
+    src = "from .lp import LPProblem\ng = LPProblem\nlp.problem(c, rows)\nh(LPProblem)\n"
+    assert called_names(src) == {"problem", "h"}
+    assert "LPProblem" not in called_names("from .lp import LPProblem\n__all__ = ['LPProblem']\n")
 
 
 def test_only_lp_solves_the_primal_for_a_value():
     callers = [
         path.name
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "lp.py" and "solve_max" in called_names(path.read_text(encoding="utf-8"))
+        if path.name not in ("lp.py", "corpus.py")
+        and {"LPProblem", "problem"} & called_names(path.read_text(encoding="utf-8"))
     ]
     assert callers == []
 

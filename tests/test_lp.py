@@ -18,7 +18,6 @@ from phk.lp import (
     lp_solve,
     max_value,
     problem,
-    solve_max,
     strict_system_feasible,
     verify_outcome,
 )
@@ -140,9 +139,9 @@ def test_dimension_guard():
 
 def test_row_length_must_match_the_objective():
     with pytest.raises(InputError):
-        solve_max([1, 0], [((1,), 1)])
+        lp_solve(LPProblem(vec([1, 0]), rows_of(([1], 1))))
     with pytest.raises(InputError):
-        solve_max([1], [((1, 0), 1)])
+        lp_solve(LPProblem(vec([1]), rows_of(([1, 0], 1))))
     with pytest.raises(InputError):
         max_value(vec([1, 0]), [((1,), 1)])
     with pytest.raises(InputError):
@@ -154,10 +153,10 @@ def test_row_length_must_match_the_objective():
 
 
 def test_rows_may_hold_list_normals():
-    rows = [([Fraction(1)], Fraction(1))]
-    out = solve_max([1], rows)
+    p = LPProblem(vec([1]), (([Fraction(1)], Fraction(1)),))
+    out = lp_solve(p)
     assert out.status == "optimal" and out.value == 1 and out.primal == vec([1])
-    assert verify_outcome(LPProblem(vec([1]), tuple(rows)), out)
+    assert verify_outcome(p, out)
     rows = [([1, 1], 1)]
     got = closed_feasible(rows, 2)
     assert got is not None and dot([1, 1], got) <= 1
@@ -263,8 +262,8 @@ def test_max_value_fixed_cases():
     assert max_value(vec([0, 0]), slab) == 0
     # Duplicated and scaled rows leave the dual with dependent columns.
     again = rows_of(([1, 0], 1), ([1, 0], 1), ([2, 0], 2), (["1/3", 0], "1/3"), ([0, 1], 3), ([-1, -1], 0))
-    assert max_value(vec([1, 1]), again) == 4 == solve_max(vec([1, 1]), again).value
-    assert max_value(vec(["1/2", "-1/3"]), again) == solve_max(vec(["1/2", "-1/3"]), again).value
+    assert max_value(vec([1, 1]), again) == 4 == lp_solve(LPProblem(vec([1, 1]), again)).value
+    assert max_value(vec(["1/2", "-1/3"]), again) == lp_solve(LPProblem(vec(["1/2", "-1/3"]), again)).value
 
 
 # -- the equality form against its inequality encoding ----------------------

@@ -5,13 +5,14 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phk.errors import InputError, InvalidSetError, ScaleLimitError
 from phk.fme import fm_feasible, fm_maximize
 from phk import polyhedra
 from phk.linalg import dot, vec, vneg
+from phk.lp import closed_feasible, max_value, strict_system_feasible
 from phk.polyhedra import (
     ClosedPolyhedron,
     EmptySet,
@@ -123,11 +124,26 @@ def test_make_set_refuses_unrepresentable_strict_marking():
 
 
 def test_make_set_drops_strict_row_whose_face_misses_the_carrier():
-    # x < 1 is redundant for x <= 0 and its hyperplane misses the set.
+    # x < 1 is a looser parallel of x <= 0: redundant, and its hyperplane
+    # misses the set.
     c = make_set(1, [([1], 0, False), ([1], 1, True)])
     assert isinstance(c, PartiallyOpenPolyhedron)
     assert c.strict_rows == frozenset()
     assert c.carrier == closed(1, [([1], 0)])
+
+
+def test_make_set_keeps_a_strict_row_equal_to_a_weak_row():
+    # 2x < 2 is x < 1 scaled: it ties with the weak x <= 1, and strict wins.
+    for tie in ([([1], 1, False), ([2], 2, True)], [([2], 2, True), ([1], 1, False)]):
+        assert make_set(1, [([-1], 0, False), *tie]) == interval(0, 1, open_hi=True)
+
+
+def test_make_set_drops_a_redundant_nonparallel_strict_row_that_misses_the_set():
+    # x + y < 3 is implied by the unit square's rows, and x + y = 3 misses it.
+    square = [([1, 0], 1, False), ([0, 1], 1, False), ([-1, 0], 0, False), ([0, -1], 0, False)]
+    c = make_set(2, [*square, ([1, 1], 3, True)])
+    assert c == make_set(2, square)
+    assert c.strict_rows == frozenset()
 
 
 def test_validate_reports_empty_carrier():
@@ -350,8 +366,6 @@ def test_canonicalize_preserves_the_set(sys_):
     out = canonicalize(n, rows)
     raw = ClosedPolyhedron(n, tuple((vec(a), Fraction(b)) for a, b in rows))
     if isinstance(out, EmptySet):
-        from phk.lp import closed_feasible
-
         assert closed_feasible(raw.rows, n) is None
         return
     assert closed_subset_of(out, closed_as_set(raw))
@@ -448,3 +462,105 @@ def test_containment_agrees_with_elimination(query):
     q = c.carrier
     want = subset_by_elimination(p, closed_as_set(q)) and subset_by_elimination(q, closed_as_set(p))
     assert closed_equal(p, q) == want
+
+
+# -- make_set against the strict-threading reference ------------------------
+
+
+def reference_make_set(dim, rows):
+    """``make_set`` with each row's strict flag carried through merging and
+    redundancy removal, every strict row they drop listed for the touching
+    check.  The library canonicalizes closed rows only and matches strict
+    rows to the carrier afterwards; both must give the same value."""
+    screened = []
+    for normal, offset, strict in rows:
+        nv, off = vec(normal, dim), Fraction(offset)
+        if not any(nv):
+            if off < 0 or (strict and off == 0):
+                return EmptySet(dim)
+            continue
+        screened.append((*polyhedra._normalize_row(nv, off), bool(strict)))
+    best, dropped = {}, []
+    for normal, offset, strict in screened:
+        cur = best.get(normal)
+        if cur is None or offset < cur[0]:
+            if cur is not None and cur[1]:
+                dropped.append((normal, cur[0]))
+            best[normal] = (offset, strict)
+        elif offset == cur[0]:
+            best[normal] = (offset, strict or cur[1])
+        elif strict:
+            dropped.append((normal, offset))
+    survivors = sorted((n, o, s) for n, (o, s) in best.items())
+    if closed_feasible([(n, o) for n, o, _ in survivors], dim) is None:
+        return EmptySet(dim)
+    i = 0
+    while i < len(survivors):
+        normal, offset, strict = survivors[i]
+        others = [(r[0], r[1]) for j, r in enumerate(survivors) if j != i]
+        top = max_value(normal, others) if others else None
+        if top is not None and top <= offset:
+            if strict:
+                dropped.append((normal, offset))
+            survivors.pop(i)
+        else:
+            i += 1
+    carrier = tuple((n, o) for n, o, _ in survivors)
+    for normal, offset in dropped:
+        if closed_feasible([*carrier, (vneg(normal), -offset)], dim) is not None:
+            raise InvalidSetError("a dropped strict row touches the carrier")
+    strict = frozenset(i for i, r in enumerate(survivors) if r[2])
+    c = PartiallyOpenPolyhedron(ClosedPolyhedron(dim, carrier), strict)
+    if strict and strict_system_feasible(system_of(c)) is None:
+        return EmptySet(dim)
+    return c
+
+
+@st.composite
+def strict_systems(draw):
+    """Weak and strict rows in 1-3 D, most of them holding at the origin.
+    Copies of earlier rows are planted: verbatim, as positive multiples,
+    with the other flag (a weak/strict tie), as looser strict parallels,
+    and as a strict sum of two rows, which is redundant and touches the
+    carrier where both hyperplanes do.  So are zero-normal rows, among them
+    the empty ``0 < 0`` and ``0 <= -1``."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        normal = [draw(coef) for _ in range(n)]
+        rows.append((normal, draw(st.integers(min_value=-1, max_value=3)), draw(st.booleans())))
+    pick = st.integers(min_value=0, max_value=len(rows) - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        (normal, offset, strict), other = rows[draw(pick)], rows[draw(pick)]
+        k = draw(st.integers(min_value=1, max_value=3))
+        rows.append(
+            draw(
+                st.sampled_from(
+                    [
+                        ([k * a for a in normal], k * offset, strict),
+                        (normal, offset, not strict),
+                        (normal, offset + k, True),
+                        ([a + b for a, b in zip(normal, other[0])], offset + other[1], True),
+                    ]
+                )
+            )
+        )
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        rows.append(draw(st.sampled_from([([0] * n, 0, True), ([0] * n, -1, False), ([0] * n, 1, True)])))
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=300)
+@given(strict_systems())
+def test_make_set_agrees_with_the_strict_threading_reference(sys_):
+    n, rows = sys_
+    try:
+        want = reference_make_set(n, rows)
+    except InvalidSetError:
+        with pytest.raises(InvalidSetError):
+            make_set(n, rows)
+    else:
+        assert make_set(n, rows) == want
+    closed_ref = reference_make_set(n, [(a, b, False) for a, b, _ in rows])
+    want = closed_ref.carrier if isinstance(closed_ref, PartiallyOpenPolyhedron) else closed_ref
+    assert canonicalize(n, [(a, b) for a, b, _ in rows]) == want
