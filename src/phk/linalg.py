@@ -105,10 +105,14 @@ def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
 def eliminate(mat: list[list[int]], r: int, c: int) -> list[list[int]]:
     """One fraction-free Gauss-Jordan step on integer rows: clear column ``c``
     in every row but ``r``, whose entry there must be nonzero, and divide each
-    changed row by its gcd.  A new list; unchanged rows are shared with
-    ``mat``, and no row is modified in place."""
+    changed row by its gcd.  Each changed row is a positive multiple of
+    itself minus a multiple of row ``r``, so it keeps its orientation as an
+    inequality.  A new list; unchanged rows are shared with ``mat``, and no
+    row is modified in place."""
     top = mat[r]
     p = top[c]
+    if p < 0:
+        top, p = [-x for x in top], -p
     out = list(mat)
     for i, row in enumerate(mat):
         f = row[c]
@@ -164,7 +168,10 @@ def rowspace_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
 
 
 def solve_square(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
-    """Solve A x = b for square A; None when A is singular."""
+    """Solve A x = b for square A; None when A is singular.
+
+    No conversion in phk calls it any more; the tests' reference
+    generator walk, the subset-by-subset conversion, still does."""
     k = len(a_rows)
     if k == 0:
         return ()

@@ -91,8 +91,18 @@ def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvalua
 
 
 def supporting_rows(c: PartiallyOpenPolyhedron) -> tuple[int, ...]:
-    """Indices of carrier rows whose hyperplane meets the set itself."""
-    return tuple(i for i, _ in supporting_row_witnesses(c))
+    """Indices of carrier rows whose hyperplane meets the set itself.
+
+    Every row of a closed set supports, with no LP.  A valid set's carrier
+    is canonical, hence nonempty and irredundant: some point violates row i
+    and no other row, and the segment from it to a point of the set crosses
+    row i's hyperplane inside the set.  A strict row never supports, and
+    only the weak rows of a set with strict rows need their witness LP.
+    """
+    if c.strict_rows:
+        return tuple(i for i, _ in supporting_row_witnesses(c))
+    require_valid(c)
+    return tuple(range(len(c.carrier.rows)))
 
 
 def supporting_row_witnesses(c: PartiallyOpenPolyhedron) -> tuple[tuple[int, Vec], ...]:
@@ -105,9 +115,14 @@ def supporting_row_witnesses(c: PartiallyOpenPolyhedron) -> tuple[tuple[int, Vec
 
 def _hyperplanes_meeting(c: PartiallyOpenPolyhedron, system) -> tuple[tuple[int, Vec], ...]:
     """(row index, point) for each carrier row whose hyperplane meets the
-    strict ``system``: one feasibility LP per row, in row order."""
+    strict ``system``, which holds the set's own rows: one feasibility LP
+    per weak row of ``c``, in row order.  A strict row of ``c`` meets
+    nothing, since the system would hold both ``n . x < o`` and
+    ``n . x >= o``."""
     found = []
     for i, (normal, offset) in enumerate(c.carrier.rows):
+        if i in c.strict_rows:
+            continue
         witness = strict_system_feasible(
             system + ((tuple(-q for q in normal), -offset, False),)
         )

@@ -21,8 +21,13 @@ Generator form (``VRep``) lists vertices, extreme rays, and a lineality
 basis.  Conversion in both directions is exact: vertices are enumerated as
 feasible rank-n active sets, extreme rays as rank-(n-1) active subsets of the
 recession cone, with lineality split off first through an exact
-nullspace/rowspace restriction.  A walk over more than
-``CONVERSION_SUBSET_CAP`` row subsets is refused before it starts.
+nullspace/rowspace restriction.  Both walks visit the linearly independent
+row subsets depth-first in increasing row order, on the rows scaled to
+integers: a row joins by one ``linalg.eliminate`` step, a row that depends
+on the chosen ones is skipped with every superset, and each vertex or ray
+is checked against every row by the sign of one integer entry.  A walk over
+more than ``CONVERSION_SUBSET_CAP`` row subsets, counted as C(m, size)
+before any step, is refused before it starts.
 
 Membership runs on integers: ``row_signs`` compares a point, cleared of its
 denominators once by ``linalg.scaled``, with the carrier rows scaled to
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -44,14 +48,13 @@ from .errors import InputError, InvalidSetError, ScaleLimitError
 from .linalg import (
     Vec,
     dot,
+    eliminate,
+    integer_rows,
     is_zero_vec,
     nullspace_basis,
     primitive,
     rowspace_basis,
     scaled,
-    smul,
-    solve_square,
-    vadd,
     vec,
     vneg,
     zero_vec,
@@ -64,10 +67,12 @@ from .scalars import rat
 # of one set is 151 (the line-free support check), 26 in the report workload.
 SUPPORT_MEMO_CAP = 1024
 
-# Most row subsets one generator conversion walk may visit.  Each costs one
-# exact row reduction and a check against every row, about 0.1-0.3 ms in 2-D
-# and 0.5 ms for an 8-D box on a 2-vCPU VM, so a walk stays under a minute.
-# A 7-D box walks 6,435 subsets in all.
+# Most row subsets one generator conversion walk may visit.  Each costs at
+# most one integer elimination step over the rows and a sign check against
+# every row: on a 2-vCPU VM about 0.01 ms in 2-D and 3-D and 0.06 ms for 17
+# rows in general position in 8-D, so a walk at the cap takes seconds.  A
+# 7-D box counts 6,435 subsets in all and visits fewer, as dependent rows
+# are skipped.
 CONVERSION_SUBSET_CAP = 100_000
 
 
@@ -91,7 +96,9 @@ class SetRecord:
     Shared: ``validation``.  Closed-form route: ``support`` (the memo of
     support values by dual: the ``ExtValue``, replaced in place by the full
     ``SupportEvaluation`` once attainment is asked for), ``witnesses``
-    (supporting-row witnesses) and ``integer_rows`` (the carrier rows scaled
+    (supporting-row witnesses: filled when their points are asked for, or
+    by ``supporting_rows`` on a set with strict rows; a closed set's
+    supporting rows need none) and ``integer_rows`` (the carrier rows scaled
     to integers, one flat row ``(*normal, offset)`` each, read by
     ``row_signs``).  Face route: ``vrep`` and ``faces``.
     """
@@ -471,41 +478,100 @@ def cone_generators(m_rows: Sequence[Vec], k: int) -> tuple[list[Vec], list[Vec]
     if k == 0:
         return [], []
     rays: set[Vec] = set()
-    idx = range(len(m_rows))
     _check_walk(len(m_rows), k - 1)
-    for sub in combinations(idx, k - 1):
-        chosen = [m_rows[i] for i in sub]
-        null = nullspace_basis(chosen, k)
-        if len(null) != 1:
+    for mat, chosen in _independent_rows(integer_rows(m_rows), k, k - 1):
+        # The chosen rows leave one column free, and their nullspace is the
+        # line of d with d[free] = 1: any other row's product with d has the
+        # sign of its entry in that column.
+        pivots = {j for _, j in chosen}
+        free = next(j for j in range(k) if j not in pivots)
+        signs = {(v > 0) - (v < 0) for v in _entries_after(mat, chosen, free)}
+        if 1 in signs and -1 in signs:
             continue
-        d = null[0]
-        for cand in (d, vneg(d)):
-            if all(dot(row, cand) <= 0 for row in m_rows):
-                rays.add(primitive(cand))
+        d = [Fraction(0)] * k
+        d[free] = Fraction(1)
+        for row, (_, j) in zip(_chosen_reduced(mat, chosen), chosen):
+            d[j] = Fraction(-row[free], row[j])
+        if 1 not in signs:
+            rays.add(primitive(tuple(d)))
+        if -1 not in signs:
+            rays.add(primitive(vneg(tuple(d))))
     return [], sorted(rays)
 
 
+def _independent_rows(mat: list[list[int]], width: int, size: int):
+    """Each set of ``size`` rows of ``mat`` that are linearly independent on
+    their first ``width`` entries, depth-first in increasing row order, as
+    ``(rows, chosen)``: ``chosen`` lists ``(row, pivot column)`` pairs, and
+    ``rows`` is ``mat`` reduced on each chosen row but the last.
+
+    A row joins by one ``eliminate`` step on its first nonzero entry among
+    the first ``width``.  The step clears that column in every other row,
+    so a row met later is already reduced against the chosen ones; if it has
+    no such entry it depends on them, and every superset that adds it is
+    skipped.  The last row of a set is not eliminated from the whole
+    matrix: the callers read one entry of each other row
+    (``_entries_after``) and the chosen rows (``_chosen_reduced``).
+    """
+
+    def extend(mat: list[list[int]], chosen: list[tuple[int, int]], start: int):
+        for i in range(start, len(mat) - size + len(chosen) + 1):
+            row = mat[i]
+            c = next((j for j in range(width) if row[j]), None)
+            if c is None:
+                continue
+            if len(chosen) + 1 == size:
+                yield mat, chosen + [(i, c)]
+            else:
+                yield from extend(eliminate(mat, i, c), chosen + [(i, c)], i + 1)
+
+    if size == 0:
+        return iter([(mat, [])])
+    return extend(mat, [], 0)
+
+
+def _entries_after(mat: list[list[int]], chosen: list[tuple[int, int]], col: int):
+    """The entry in column ``col`` of each row outside ``chosen``, once the
+    last chosen row is eliminated too, up to a positive factor per row: the
+    sign ``eliminate`` would leave there, without building the rows."""
+    if not chosen:
+        return (row[col] for row in mat)
+    i, c = chosen[-1]
+    top = mat[i]
+    p = top[c]
+    sign = 1 if p > 0 else -1
+    picked = {r for r, _ in chosen}
+    return (
+        sign * (p * row[col] - row[c] * top[col])
+        for r, row in enumerate(mat)
+        if r not in picked
+    )
+
+
+def _chosen_reduced(mat: list[list[int]], chosen: list[tuple[int, int]]) -> list[list[int]]:
+    """The chosen rows in reduced echelon form, in ``chosen`` order."""
+    rows = [mat[i] for i, _ in chosen]
+    return eliminate(rows, len(rows) - 1, chosen[-1][1]) if rows else rows
+
+
 def _combine(basis: Sequence[Vec], coeffs: Vec) -> Vec:
-    n = len(basis[0])
-    out = zero_vec(n)
-    for c, b in zip(coeffs, basis):
-        if c:
-            out = vadd(out, smul(c, b))
-    return out
+    """``sum(c * b)`` over the basis, one ``dot`` per coordinate."""
+    return tuple(dot(coeffs, column) for column in zip(*basis))
 
 
 def _pointed_vertices(normals: Sequence[Vec], offsets: Sequence[Fraction], k: int) -> list[Vec]:
     if k == 0:
         return [()]
     verts: set[Vec] = set()
-    idx = range(len(normals))
     _check_walk(len(normals), k)
-    for sub in combinations(idx, k):
-        sol = solve_square([normals[i] for i in sub], [offsets[i] for i in sub])
-        if sol is None:
-            continue
-        if all(dot(normals[i], sol) <= offsets[i] for i in idx):
-            verts.add(sol)
+    rows = integer_rows([(*normal, offset) for normal, offset in zip(normals, offsets)])
+    for mat, chosen in _independent_rows(rows, k, k):
+        # Every other row ends as (0, ..., 0, t (b - a . x)) with t > 0.
+        if all(v >= 0 for v in _entries_after(mat, chosen, k)):
+            x = [Fraction(0)] * k
+            for row, (_, j) in zip(_chosen_reduced(mat, chosen), chosen):
+                x[j] = Fraction(row[-1], row[j])
+            verts.add(tuple(x))
     return sorted(verts)
 
 
@@ -565,7 +631,8 @@ def carrier_vrep(c: PartiallyOpenPolyhedron) -> VRep:
     """Generators of the set's carrier, converted once per set."""
     record = require_valid(c)
     if record.vrep is None:
-        record.vrep = h_to_v(c.carrier)
+        # ``require_valid`` found the set nonempty: no emptiness LP.
+        record.vrep = _generators(c.carrier)
     return record.vrep
 
 

@@ -231,28 +231,36 @@ def portability_report(
     The set is sampled once: the graph pairs and the cloud grow from one
     ``points_in`` list.  Each distinct point x is placed once, by one
     ``row_signs`` vector: in the hull (supporting rows) and in the set
-    (every row).  Each distinct dual x* paired with a point of the hull is
-    looked up once, by ``support_level``; both are keyed by
-    ``_sample_key`` for this call only.  The coupling is sigma(x*) on the
-    hull and +inf off it; sigma + iota_C is sigma(x*) on the set and +inf
-    off it.  The pair is related when the coupling is at most <x, x*>, and
-    in the graph when x is in the set and sigma(x*) = <x, x*>.  Repeated
-    pairs are counted each time.
+    (every row).  The vectors of the ``points_in`` points also give the
+    graph pairs their active normals.  Each distinct dual x* paired with a
+    point of the hull is looked up once, by ``support_level``; both are
+    keyed by ``_sample_key`` for this call only.  The coupling is sigma(x*)
+    on the hull and +inf off it; sigma + iota_C is sigma(x*) on the set and
+    +inf off it.  The pair is related when the coupling is at most
+    <x, x*>, and in the graph when x is in the set and sigma(x*) = <x, x*>.
+    Repeated pairs are counted each time.
     """
     hull = portable_hull(c)
     hull_adds_nothing = closed_subset_of(hull, c)
     hull_equals_carrier = closed_equal(hull, c.carrier)
 
+    supported = supporting_rows(c)
+
+    def place(signs: tuple[int, ...]) -> tuple[bool, bool]:
+        """(in the hull, in the set) for a point with these ``row_signs``."""
+        return all(signs[i] <= 0 for i in supported), signs_inside(c, signs)
+
     inside = points_in(c, spec)
+    inside_signs = [row_signs(c, x) for x in inside]
     zero = zero_vec(c.dim)
-    pairs = _pairs_from(c, spec, inside)
+    pairs = _pairs_from(c, spec, inside, inside_signs)
     pairs += [(x, zero) for x in _cloud_from(c, spec, inside)]
     witness = nonsupporting_witness(c)
     if witness is not None:
         pairs.insert(0, (witness[1], zero))
 
-    supported = supporting_rows(c)
-    placed = {}  # a point's key -> (in the hull, in the set)
+    # a point's key -> (in the hull, in the set)
+    placed = {_sample_key(x): place(sg) for x, sg in zip(inside, inside_signs)}
     levels = {}  # a dual's key -> its support level
     identity_ok = True
     maximal_ok = True
@@ -260,14 +268,10 @@ def portability_report(
     related = 0
     for x, xstar in pairs:
         key = _sample_key(x)
-        place = placed.get(key)
-        if place is None:
-            signs = row_signs(c, x)
-            place = placed[key] = (
-                all(signs[i] <= 0 for i in supported),
-                signs_inside(c, signs),
-            )
-        in_hull, in_set = place
+        spot = placed.get(key)
+        if spot is None:
+            spot = placed[key] = place(row_signs(c, x))
+        in_hull, in_set = spot
         if not in_hull:
             # Both sides are +inf: the identity holds and the pair is unrelated.
             continue
@@ -316,7 +320,7 @@ def hull_extension_report(
         if not cones_equal(normal_cone_at(c, x), normal_cone_at(hull_set, x)):
             preserved = False
             pair_witness = pair_witness or x
-    pairs = _pairs_from(c, spec, inside)
+    pairs = _pairs_from(c, spec, inside, [row_signs(c, x) for x in inside])
     for x, xstar in pairs:
         if not in_normal_cone(hull_set, x, xstar):
             extended = False

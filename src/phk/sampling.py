@@ -15,12 +15,13 @@ from itertools import combinations, product
 from .errors import ScaleLimitError
 from .faces import FACE_DIM_CAP, enumerate_faces
 from .linalg import Vec, int_key, scaled, unit_vec, vadd, vsub, smul, zero_vec
-from .normal_cones import normal_cone_at, set_member_witness, supporting_row_witnesses
+from .normal_cones import _active_normals, set_member_witness, supporting_row_witnesses
 from .polyhedra import (
     PartiallyOpenPolyhedron,
     VRep,
     carrier_vrep,
     contains,
+    row_signs,
 )
 
 
@@ -149,13 +150,15 @@ def graph_pairs(
     c: PartiallyOpenPolyhedron, spec: SampleSpec
 ) -> list[tuple[Vec, Vec]]:
     """Pairs (x, x*) with x in the set and x* in the cone of active normals."""
-    return _pairs_from(c, spec, points_in(c, spec))
+    inside = points_in(c, spec)
+    return _pairs_from(c, spec, inside, [row_signs(c, x) for x in inside])
 
 
 def _pairs_from(
-    c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[Vec]
+    c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[Vec], signs: list[tuple[int, ...]]
 ) -> list[tuple[Vec, Vec]]:
-    """``graph_pairs`` over an already sampled ``points_in`` list."""
+    """``graph_pairs`` over an already sampled ``points_in`` list and the
+    ``row_signs`` of its points, which give each point's active normals."""
     rng = _rng(spec, "pairs")
     # Both knobs scale with the requested count so that asking for more
     # samples keeps producing new pairs even when the set has few distinct
@@ -163,8 +166,8 @@ def _pairs_from(
     combos = max(1, spec.count // 8)
     span = max(3, spec.count // 4)
     pairs: list[tuple[Vec, Vec]] = []
-    for x in inside:
-        gens = normal_cone_at(c, x).generators
+    for x, sg in zip(inside, signs):
+        gens = _active_normals(c, sg)
         pairs.append((x, zero_vec(c.dim)))
         for g in gens:
             pairs.append((x, g))

@@ -7,9 +7,11 @@ existed and are frozen here.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from phk.errors import InputError
+from phk import lp
+from phk.errors import InputError, InvalidSetError
+from phk.lp import strict_system_feasible
 from phk.normal_cones import (
     in_normal_cone,
     in_portable_hull,
@@ -28,7 +30,9 @@ from phk.polyhedra import (
     cone_contains,
     contains,
     make_set,
+    system_of,
 )
+from phk.portability import nonsupporting_witness, portable_hull_by_faces
 from phk.scalars import NEG_INF, POS_INF, fin
 
 F = Fraction
@@ -276,3 +280,94 @@ def test_supporting_row_witnesses_lie_on_their_rows(c):
         normal, offset = c.carrier.rows[i]
         assert contains(c, w)
         assert sum(n * q for n, q in zip(normal, w)) == offset
+
+
+@st.composite
+def shaped_sets(draw):
+    """Valid sets in 1-3 D of five shapes: closed, partially open, lower
+    dimensional (a row and its negation), with lineality (normals that skip
+    the last coordinate) and the whole space."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    shape = draw(st.sampled_from(["closed", "open", "flat", "lines", "space"]))
+    width = n - 1 if shape == "lines" and n > 1 else n
+    normal = st.lists(st.integers(-2, 2), min_size=width, max_size=width).map(
+        lambda a: tuple(a) + (0,) * (n - width)
+    )
+    strict = st.just(False) if shape == "closed" else st.booleans()
+    rows = []
+    if shape != "space":
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            rows.append((draw(normal), draw(st.integers(min_value=0, max_value=3)), draw(strict)))
+    if shape == "flat":
+        a = draw(normal.filter(any))
+        rows += [(a, 0, False), (tuple(-q for q in a), 0, False)]
+    try:
+        c = make_set(n, rows)
+    except InvalidSetError:
+        c = None
+    assume(isinstance(c, PartiallyOpenPolyhedron))
+    return c
+
+
+def counting_lp(patch):
+    """Count ``lp_solve`` calls from here on, through any module."""
+    calls = []
+    real = lp.lp_solve
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    patch.setattr(lp, "lp_solve", counted)
+    return calls
+
+
+@settings(max_examples=200)
+@given(shaped_sets())
+def test_supporting_rows_agree_with_the_witnesses_and_the_faces(c):
+    m, k = len(c.carrier.rows), len(c.strict_rows)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counting_lp(patch)
+        rows = supporting_rows(c)
+    # A closed set solves no LP, and a set with strict rows one per weak row.
+    assert len(calls) == 0 if not k else len(calls) <= m - k
+    fresh = PartiallyOpenPolyhedron(c.carrier, c.strict_rows)
+    assert rows == tuple(i for i, _ in supporting_row_witnesses(fresh))
+    assert portable_hull_by_faces(c).rows == tuple(c.carrier.rows[i] for i in rows)
+    # One probe LP per row, strict rows included, as every row was once tested.
+    probed = tuple(
+        i
+        for i, (a, b) in enumerate(c.carrier.rows)
+        if strict_system_feasible(system_of(c) + ((tuple(-q for q in a), -b, False),)) is not None
+    )
+    assert rows == probed
+
+
+def test_a_closed_set_finds_its_supporting_rows_without_an_lp(forbid_lp):
+    line = make_set(2, [((1, 0), 0, False), ((-1, 0), 0, False)])
+    sets = [unit_square(), quadrant(), line, make_set(3, [])]
+    forbid_lp()
+    for c in sets:
+        assert supporting_rows(c) == tuple(range(len(c.carrier.rows)))
+        assert nonsupporting_witness(c) is None
+
+
+def test_strict_rows_cost_no_witness_lp(monkeypatch):
+    # [0, 1) x (0, 1] cut by a weak diagonal that misses the set's corner.
+    c = make_set(
+        2,
+        [
+            ((1, 0), 1, True),
+            ((-1, 0), 0, False),
+            ((0, 1), 1, False),
+            ((0, -1), 0, True),
+            ((1, 1), F(3, 2), False),
+        ],
+    )
+    assert len(c.carrier.rows) == 5 and len(c.strict_rows) == 2
+    calls = counting_lp(monkeypatch)
+    witnesses = supporting_row_witnesses(c)
+    assert len(calls) == 3
+    assert [c.carrier.rows[i] for i, _ in witnesses] == [
+        row for row in c.carrier.rows if row[0] in {(-1, 0), (0, 1), (1, 1)}
+    ]

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from phk.errors import InputError, InvalidSetError, ScaleLimitError
 from phk.fme import fm_feasible, fm_maximize
 from phk import polyhedra
-from phk.linalg import dot, vec, vneg
+from phk.linalg import dot, nullspace_basis, primitive, rowspace_basis, solve_square, vec, vneg
 from phk.lp import closed_feasible, max_value, strict_system_feasible
 from phk.polyhedra import (
     ClosedPolyhedron,
@@ -263,12 +263,13 @@ def test_seven_dimensional_sets_convert():
 
 
 def forbid_the_walk(monkeypatch):
-    """Make every row-subset walk in ``polyhedra`` fail on its first step."""
+    """Make every row-subset walk in ``polyhedra`` fail on its first step:
+    the ``eliminate`` that adds a row."""
 
     def walk(*args):
         raise AssertionError("the subset walk started")
 
-    monkeypatch.setattr(polyhedra, "combinations", walk)
+    monkeypatch.setattr(polyhedra, "eliminate", walk)
 
 
 def test_conversion_budget_counts_vertex_subsets(monkeypatch):
@@ -564,3 +565,127 @@ def test_make_set_agrees_with_the_strict_threading_reference(sys_):
     closed_ref = reference_make_set(n, [(a, b, False) for a, b, _ in rows])
     want = closed_ref.carrier if isinstance(closed_ref, PartiallyOpenPolyhedron) else closed_ref
     assert canonicalize(n, [(a, b) for a, b, _ in rows]) == want
+
+
+# -- the generator walk against the subset-by-subset reference ---------------
+
+
+def reference_cone_generators(m_rows, k):
+    """``cone_generators`` as it was before the depth-first walk: every
+    (k-1)-subset by ``combinations``, its nullspace solved from scratch."""
+    lin = nullspace_basis(m_rows, k)
+    if lin:
+        w = rowspace_basis(m_rows)
+        if not w:
+            return lin, []
+        reduced = [tuple(dot(row, wj) for wj in w) for row in m_rows]
+        _, inner_rays = reference_cone_generators(reduced, len(w))
+        return lin, [primitive(polyhedra._combine(w, r)) for r in inner_rays]
+    if k == 0:
+        return [], []
+    rays = set()
+    for sub in combinations(range(len(m_rows)), k - 1):
+        null = nullspace_basis([m_rows[i] for i in sub], k)
+        if len(null) != 1:
+            continue
+        for cand in (null[0], vneg(null[0])):
+            if all(dot(row, cand) <= 0 for row in m_rows):
+                rays.add(primitive(cand))
+    return [], sorted(rays)
+
+
+def reference_pointed_vertices(normals, offsets, k):
+    """``_pointed_vertices`` before the walk: one ``solve_square`` per
+    k-subset, checked against every row by ``dot``."""
+    if k == 0:
+        return [()]
+    verts = set()
+    for sub in combinations(range(len(normals)), k):
+        sol = solve_square([normals[i] for i in sub], [offsets[i] for i in sub])
+        if sol is not None and all(dot(a, sol) <= b for a, b in zip(normals, offsets)):
+            verts.add(sol)
+    return sorted(verts)
+
+
+def reference_generators(convert, arg):
+    """``convert(arg)`` (``h_to_v`` or ``v_to_h``) with both walks replaced
+    by the subset-by-subset reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyhedra, "cone_generators", reference_cone_generators)
+        patch.setattr(polyhedra, "_pointed_vertices", reference_pointed_vertices)
+        return convert(arg)
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Weak rows in 1-4 D: a planted vertex with up to n + 3 rows tight at
+    it, other rows around it, repeated directions (verbatim, scaled, with
+    another offset) and, when the normals skip the last coordinate, a line."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    width = n - 1 if n > 1 and draw(st.booleans()) else n  # lineality along e_n
+    normal = st.lists(st.integers(-2, 2), min_size=width, max_size=width).map(
+        lambda a: a + [0] * (n - width)
+    )
+    apex = draw(st.lists(st.fractions(-2, 2, max_denominator=2), min_size=n, max_size=n))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=n + 3))):
+        a = draw(normal)
+        rows.append((a, sum(x * y for x, y in zip(a, apex))))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        rows.append((draw(normal), draw(st.integers(min_value=-1, max_value=3))))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows))
+        k = draw(st.integers(min_value=1, max_value=3))
+        rows.append(draw(st.sampled_from([(a, b), ([k * x for x in a], k * b), (a, b + k)])))
+    rows = draw(st.permutations(rows))
+    return ClosedPolyhedron(n, tuple((vec(a), Fraction(b)) for a, b in rows))
+
+
+@settings(max_examples=200)
+@given(degenerate_systems())
+def test_h_to_v_agrees_with_the_subset_reference(p):
+    assert h_to_v(p) == reference_generators(h_to_v, p)
+
+
+@st.composite
+def generator_sets(draw):
+    """Generator forms in 1-3 D with repeated and collinear vertices,
+    repeated or opposite ray directions, and lineality."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    point = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(vec)
+    verts = draw(st.lists(point, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a, b = draw(st.sampled_from(verts)), draw(st.sampled_from(verts))
+        verts.append(draw(st.sampled_from([a, tuple(2 * x - y for x, y in zip(a, b))])))
+    direction = point.filter(any)
+    rays = draw(st.lists(direction, max_size=3))
+    if rays and draw(st.booleans()):
+        rays.append(draw(st.sampled_from([tuple(2 * x for x in rays[0]), vneg(rays[0])])))
+    lines = draw(st.lists(direction, max_size=1))
+    return VRep(tuple(verts), tuple(rays), tuple(lines))
+
+
+@settings(max_examples=150)
+@given(generator_sets())
+def test_v_to_h_agrees_with_the_subset_reference(v):
+    assert v_to_h(v) == reference_generators(v_to_h, v)
+
+
+def test_the_reference_sees_a_degenerate_apex():
+    # Four rows tight at the apex of a square pyramid in 3-D.
+    pyramid = ClosedPolyhedron(
+        3,
+        tuple(
+            (vec(a), Fraction(b))
+            for a, b in [
+                ((1, 0, 1), 1),
+                ((-1, 0, 1), 1),
+                ((0, 1, 1), 1),
+                ((0, -1, 1), 1),
+                ((0, 0, -1), 0),
+            ]
+        ),
+    )
+    got = h_to_v(pyramid)
+    assert got == reference_generators(h_to_v, pyramid)
+    assert vec([0, 0, 1]) in got.vertices and len(got.vertices) == 5
