@@ -549,10 +549,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return cmd_verb(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

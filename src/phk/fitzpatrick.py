@@ -69,10 +69,9 @@ def normal_cone_fitzpatrick(
     Equals the indicator of the supporting half-space intersection at x
     plus the support value at xstar.
     """
-    if isinstance(c, EmptySet):
-        vec_check(c.dim, x, xstar)
-        return NEG_INF
     p, d = vec_check(c.dim, x, xstar)
+    if isinstance(c, EmptySet):
+        return NEG_INF
     if not in_portable_hull(c, p):
         return POS_INF
     return support_level(c, d)
@@ -87,10 +86,9 @@ def normal_cone_fitzpatrick_by_faces(
     active-row normals at x (zero when x satisfies them, +inf otherwise)
     and a linear part over the face, evaluated on its generators.
     """
-    if isinstance(c, EmptySet):
-        vec_check(c.dim, x, xstar)
-        return NEG_INF
     p, d = vec_check(c.dim, x, xstar)
+    if isinstance(c, EmptySet):
+        return NEG_INF
     rows = c.carrier.rows
     best = NEG_INF
     for face in enumerate_faces(c):
@@ -111,10 +109,9 @@ def normal_cone_fitzpatrick_by_faces(
 
 def monotonically_related(c: PartiallyOpenPolyhedron | EmptySet, x, xstar) -> bool:
     """Does (x, xstar) have nonnegative increment product with the whole graph?"""
-    if isinstance(c, EmptySet):
-        vec_check(c.dim, x, xstar)
-        return True
     p, d = vec_check(c.dim, x, xstar)
+    if isinstance(c, EmptySet):
+        return True
     return normal_cone_fitzpatrick(c, p, d) <= fin(dot(p, d))
 
 

@@ -560,8 +560,6 @@ def _combine(basis: Sequence[Vec], coeffs: Vec) -> Vec:
 
 
 def _pointed_vertices(normals: Sequence[Vec], offsets: Sequence[Fraction], k: int) -> list[Vec]:
-    if k == 0:
-        return [()]
     verts: set[Vec] = set()
     _check_walk(len(normals), k)
     rows = integer_rows([(*normal, offset) for normal, offset in zip(normals, offsets)])
@@ -614,16 +612,8 @@ def v_to_h(v: VRep, dim: int | None = None) -> ClosedPolyhedron | EmptySet:
         m_rows.append(tuple(line) + (Fraction(0),))
         m_rows.append(tuple(vneg(line)) + (Fraction(0),))
     lin, rays = cone_generators(m_rows, n + 1)
-    out_rows: list[tuple[Vec, Fraction]] = []
-    for g in rays:
-        a, beta = g[:n], g[n]
-        if not is_zero_vec(a):
-            out_rows.append((a, beta))
-    for g in lin:
-        a, beta = g[:n], g[n]
-        if not is_zero_vec(a):
-            out_rows.append((a, beta))
-            out_rows.append((vneg(a), -beta))
+    # ``canonicalize`` merges and sorts the rows, so their order is free.
+    out_rows = [(g[:n], g[n]) for g in (*rays, *lin, *map(vneg, lin)) if not is_zero_vec(g[:n])]
     return canonicalize(n, out_rows)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .faces import enumerate_faces
-from .linalg import Vec, dot, vec, zero_vec
+from .linalg import Vec, dot, int_key, vec, zero_vec
 from .lp import closed_feasible, strict_system_feasible
 from .normal_cones import (
     in_normal_cone,
@@ -44,11 +44,10 @@ from .polyhedra import (
 from .sampling import (
     SampleSpec,
     _cloud_from,
-    _pairs_from,
+    _duals_at,
     boundary_points,
     dual_vectors,
     points_in,
-    _sample_key,
 )
 from .scalars import POS_INF, fin
 
@@ -229,66 +228,62 @@ def portability_report(
     always includes a targeted witness when the set is not portable.
 
     The set is sampled once: the graph pairs and the cloud grow from one
-    ``points_in`` list.  Each distinct point x is placed once, by one
-    ``row_signs`` vector: in the hull (supporting rows) and in the set
-    (every row).  The vectors of the ``points_in`` points also give the
-    graph pairs their active normals.  Each distinct dual x* paired with a
-    point of the hull is looked up once, by ``support_level``; both are
-    keyed by ``_sample_key`` for this call only.  The coupling is sigma(x*)
-    on the hull and +inf off it; sigma + iota_C is sigma(x*) on the set and
-    +inf off it.  The pair is related when the coupling is at most
-    <x, x*>, and in the graph when x is in the set and sigma(x*) = <x, x*>.
-    Repeated pairs are counted each time.
+    ``points_in`` list.  The pairs are checked in groups, one per point x
+    with its ``row_signs`` vector and its duals x*: the nonsupporting
+    witness, the graph pairs of each ``points_in`` point, then each cloud
+    point with x* = 0.  Each distinct point's vector is computed once and
+    places it in the hull (supporting rows) and in the set (every row).
+    Each distinct dual paired with a point of the hull is looked up once,
+    by ``support_level``, keyed by ``int_key`` for this call only.  The
+    coupling is sigma(x*) on the hull and +inf off it; sigma + iota_C is
+    sigma(x*) on the set and +inf off it.  The pair is related when the
+    coupling is at most <x, x*>, and in the graph when x is in the set and
+    sigma(x*) = <x, x*>.  Repeated pairs are counted each time.
     """
     hull = portable_hull(c)
     hull_adds_nothing = closed_subset_of(hull, c)
     hull_equals_carrier = closed_equal(hull, c.carrier)
 
     supported = supporting_rows(c)
-
-    def place(signs: tuple[int, ...]) -> tuple[bool, bool]:
-        """(in the hull, in the set) for a point with these ``row_signs``."""
-        return all(signs[i] <= 0 for i in supported), signs_inside(c, signs)
-
-    inside = points_in(c, spec)
-    inside_signs = [row_signs(c, x) for x in inside]
     zero = zero_vec(c.dim)
-    pairs = _pairs_from(c, spec, inside, inside_signs)
-    pairs += [(x, zero) for x in _cloud_from(c, spec, inside)]
+    inside = points_in(c, spec)
+    signs = [row_signs(c, x) for x in inside]
+    groups = list(zip(inside, signs, _duals_at(c, spec, signs)))
+    groups += [(x, sg, [zero]) for x, sg in zip(inside, signs)]
+    # ``_cloud_from`` keeps first occurrences, so its head is ``inside``.
+    groups += [(x, row_signs(c, x), [zero]) for x in _cloud_from(c, spec, inside)[len(inside) :]]
     witness = nonsupporting_witness(c)
     if witness is not None:
-        pairs.insert(0, (witness[1], zero))
+        x = witness[1]
+        sg = next((sg for y, sg, _ in groups if y == x), None)
+        groups.insert(0, (x, sg if sg is not None else row_signs(c, x), [zero]))
 
-    # a point's key -> (in the hull, in the set)
-    placed = {_sample_key(x): place(sg) for x, sg in zip(inside, inside_signs)}
-    levels = {}  # a dual's key -> its support level
+    levels = {}  # a dual's int_key -> its support level
     identity_ok = True
     maximal_ok = True
     failure = None
     related = 0
-    for x, xstar in pairs:
-        key = _sample_key(x)
-        spot = placed.get(key)
-        if spot is None:
-            spot = placed[key] = place(row_signs(c, x))
-        in_hull, in_set = spot
-        if not in_hull:
-            # Both sides are +inf: the identity holds and the pair is unrelated.
+    for x, sg, duals in groups:
+        if not all(sg[i] <= 0 for i in supported):
+            # Off the hull both sides are +inf: the identity holds and no
+            # pair is related.
             continue
-        key = _sample_key(xstar)
-        lhs = levels.get(key)
-        if lhs is None:
-            lhs = levels[key] = support_level(c, xstar)
-        rhs = lhs if in_set else POS_INF
-        if lhs != rhs:
-            identity_ok = False
-            failure = failure or (x, xstar)
-        pairing = fin(dot(x, xstar))
-        if lhs <= pairing:
-            related += 1
-            if not (in_set and lhs == pairing):
-                maximal_ok = False
+        in_set = signs_inside(c, sg)
+        for xstar in duals:
+            key = int_key(xstar)
+            lhs = levels.get(key)
+            if lhs is None:
+                lhs = levels[key] = support_level(c, xstar)
+            rhs = lhs if in_set else POS_INF
+            if lhs != rhs:
+                identity_ok = False
                 failure = failure or (x, xstar)
+            pairing = fin(dot(x, xstar))
+            if lhs <= pairing:
+                related += 1
+                if not (in_set and lhs == pairing):
+                    maximal_ok = False
+                    failure = failure or (x, xstar)
     return PortabilityReport(
         maximal_on_samples=maximal_ok,
         coupling_identity_on_samples=identity_ok,
@@ -296,7 +291,7 @@ def portability_report(
         hull_equals_carrier=hull_equals_carrier,
         hull=hull,
         related_pairs_checked=related,
-        identity_pairs_checked=len(pairs),
+        identity_pairs_checked=sum(len(duals) for _, _, duals in groups),
         failure_pair=failure,
     )
 
@@ -320,7 +315,8 @@ def hull_extension_report(
         if not cones_equal(normal_cone_at(c, x), normal_cone_at(hull_set, x)):
             preserved = False
             pair_witness = pair_witness or x
-    pairs = _pairs_from(c, spec, inside, [row_signs(c, x) for x in inside])
+    duals = _duals_at(c, spec, [row_signs(c, x) for x in inside])
+    pairs = [(x, d) for x, ds in zip(inside, duals) for d in ds]
     for x, xstar in pairs:
         if not in_normal_cone(hull_set, x, xstar):
             extended = False
@@ -471,8 +467,8 @@ def boundary_support_report(
     witness = None
     for x in boundary_points(c, spec):
         sampled += 1
-        gens = normal_cone_at(c, x).generators
-        if not any(any(q != 0 for q in g) for g in gens):
+        # Carrier normals are never zero, so any generator makes x a support point.
+        if not normal_cone_at(c, x).generators:
             all_support = False
             witness = witness or x
     return {

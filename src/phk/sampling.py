@@ -3,7 +3,9 @@
 Everything is seeded: the same ``SampleSpec`` and set always produce the
 same points in the same order, which keeps the command line output and the
 test suite reproducible.  Samples are exact rationals built from the
-vertex/ray description of the carrier where that is available.
+vertex/ray description of the carrier where that is available.  Repeated
+points are dropped by ``linalg.int_key``.  A point's graph duals are kept
+with the point, which is distinct, so a pair needs no key of its own.
 """
 from __future__ import annotations
 
@@ -43,21 +45,13 @@ def _rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
 
 
-def _sample_key(sample) -> tuple:
-    """A point's ``int_key``, and for a pair (x, x*) the pair of the two
-    keys: equal exactly for equal samples, and cheap to hash."""
-    if isinstance(sample[0], tuple):
-        return (int_key(sample[0]), int_key(sample[1]))
-    return int_key(sample)
-
-
-def _dedupe(samples: list) -> list:
-    """The samples (points, or pairs of points) without repeats, compared by
-    ``_sample_key``; each first occurrence is kept, in order."""
+def _dedupe(points: list[Vec]) -> list[Vec]:
+    """The points without repeats, compared by ``int_key``; each first
+    occurrence is kept, in order."""
     seen = set()
     out = []
-    for p in samples:
-        key = _sample_key(p)
+    for p in points:
+        key = int_key(p)
         if key not in seen:
             seen.add(key)
             out.append(p)
@@ -151,33 +145,35 @@ def graph_pairs(
 ) -> list[tuple[Vec, Vec]]:
     """Pairs (x, x*) with x in the set and x* in the cone of active normals."""
     inside = points_in(c, spec)
-    return _pairs_from(c, spec, inside, [row_signs(c, x) for x in inside])
+    duals = _duals_at(c, spec, [row_signs(c, x) for x in inside])
+    return [(x, d) for x, ds in zip(inside, duals) for d in ds]
 
 
-def _pairs_from(
-    c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[Vec], signs: list[tuple[int, ...]]
-) -> list[tuple[Vec, Vec]]:
-    """``graph_pairs`` over an already sampled ``points_in`` list and the
-    ``row_signs`` of its points, which give each point's active normals."""
+def _duals_at(
+    c: PartiallyOpenPolyhedron, spec: SampleSpec, signs: list[tuple[int, ...]]
+) -> list[list[Vec]]:
+    """The duals ``graph_pairs`` pairs with each ``points_in`` point, given
+    the points' ``row_signs``: zero, each active normal, then seeded
+    combinations of them, without repeats.  The points are distinct, so
+    these are the pairs without repeats too."""
     rng = _rng(spec, "pairs")
     # Both knobs scale with the requested count so that asking for more
     # samples keeps producing new pairs even when the set has few distinct
     # boundary points (one-dimensional sets in particular).
     combos = max(1, spec.count // 8)
     span = max(3, spec.count // 4)
-    pairs: list[tuple[Vec, Vec]] = []
-    for x, sg in zip(inside, signs):
+    out: list[list[Vec]] = []
+    for sg in signs:
         gens = _active_normals(c, sg)
-        pairs.append((x, zero_vec(c.dim)))
-        for g in gens:
-            pairs.append((x, g))
+        duals = [zero_vec(c.dim), *gens]
         for _ in range(combos if gens else 0):
             weights = [Fraction(rng.randint(0, span)) for _ in gens]
             combo = zero_vec(c.dim)
             for w, g in zip(weights, gens):
                 combo = vadd(combo, smul(w, g))
-            pairs.append((x, combo))
-    return _dedupe(pairs)
+            duals.append(combo)
+        out.append(_dedupe(duals))
+    return out
 
 
 def boundary_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:

@@ -12,7 +12,9 @@ so it solves its own LPs instead of reading the report's memo.
 The report's shortcuts are pinned against the longer routes they skip: the
 hull against ``canonicalize`` of the supporting rows, the one-pass convex
 combinations of ``points_in`` against term-by-term ``vadd``/``smul``, and
-the value-only support lookups against ``support_value`` on a fresh set.
+the value-only support lookups against ``support_value`` on a fresh set,
+and the graph duals grouped by point against the flat pair walk that drops
+repeated pairs by a key per pair.
 """
 from __future__ import annotations
 
@@ -27,11 +29,12 @@ import pytest
 from phk import normal_cones, polyhedra, portability, sampling
 from phk.corpus import line_free_closed_sets, partially_open_sets
 from phk.fitzpatrick import monotonically_related, normal_cone_fitzpatrick
-from phk.linalg import smul, vadd, vsub, zero_vec
+from phk.linalg import int_key, smul, vadd, vsub, zero_vec
 from phk.normal_cones import (
     SupportEvaluation,
     in_normal_cone,
     in_portable_hull,
+    normal_cone_at,
     set_member_witness,
     support_level,
     support_value,
@@ -230,12 +233,10 @@ def test_report_on_a_closed_box_solves_no_containment_lp(monkeypatch):
 
 
 def test_dedupe_keeps_each_first_occurrence_in_order():
-    a, b, zero = (F(1, 2), F(1)), (F(1), F(1, 2)), (F(0), F(0))
+    a, b = (F(1, 2), F(1)), (F(1), F(1, 2))
     first = (F(2, 4), F(1))
     got = sampling._dedupe([first, b, a, b, (1, F(1, 2))])
     assert got == [a, b] and got[0] is first
-    pairs = [(a, zero), (b, zero), (a, zero), (zero, a), (a, b), (b, zero)]
-    assert sampling._dedupe(pairs) == [(a, zero), (b, zero), (zero, a), (a, b)]
 
 
 SHORTCUT_SETS = (
@@ -290,6 +291,64 @@ def test_points_in_matches_term_by_term_combinations(c, count):
     spec = SampleSpec(seed=5, count=count)
     got, want = points_in(c, spec), term_by_term_points_in(c, spec)
     assert got == want and repr(got) == repr(want)
+
+
+def sample_key(sample) -> tuple:
+    """A point's ``int_key``, and for a pair (x, x*) the pair of the two
+    keys."""
+    if isinstance(sample[0], tuple):
+        return (int_key(sample[0]), int_key(sample[1]))
+    return int_key(sample)
+
+
+def dedupe_by_sample_key(samples: list) -> list:
+    seen = set()
+    out = []
+    for p in samples:
+        key = sample_key(p)
+        if key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
+
+
+def flat_pair_walk(c, spec: SampleSpec) -> list:
+    """``graph_pairs`` as one flat list of (x, x*) pairs, repeats kept:
+    the reference for the duals grouped by point.  Without repeats, by
+    ``dedupe_by_sample_key``, it is the pair list the report once walked."""
+    inside = points_in(c, spec)
+    rng = sampling._rng(spec, "pairs")
+    combos = max(1, spec.count // 8)
+    span = max(3, spec.count // 4)
+    pairs = []
+    for x in inside:
+        gens = normal_cone_at(c, x).generators
+        pairs.append((x, zero_vec(c.dim)))
+        for g in gens:
+            pairs.append((x, g))
+        for _ in range(combos if gens else 0):
+            weights = [F(rng.randint(0, span)) for _ in gens]
+            combo = zero_vec(c.dim)
+            for w, g in zip(weights, gens):
+                combo = vadd(combo, smul(w, g))
+            pairs.append((x, combo))
+    return pairs
+
+
+@pytest.mark.parametrize("count", (8, 40))
+@pytest.mark.parametrize("c", SHORTCUT_SETS)
+def test_graph_pairs_match_the_flat_pair_walk(c, count):
+    spec = SampleSpec(seed=5, count=count)
+    want = dedupe_by_sample_key(flat_pair_walk(fresh(c), spec))
+    got = graph_pairs(c, spec)
+    assert got == want and repr(got) == repr(want)
+    assert hull_extension_report(c, spec)["pairsChecked"] == len(want)
+
+
+def test_the_flat_pair_walk_repeats_pairs():
+    spec = SampleSpec(seed=5, count=40)
+    walks = [flat_pair_walk(c, spec) for c in SHORTCUT_SETS]
+    assert any(len(dedupe_by_sample_key(w)) < len(w) for w in walks)
 
 
 def test_shortcut_sets_have_rays_and_lines():
