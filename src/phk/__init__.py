@@ -32,6 +32,7 @@ from .lp import (
     EqualityLP,
     LPOutcome,
     LPProblem,
+    SupportLP,
     closed_feasible,
     lp_solve,
     max_value,
@@ -144,6 +145,7 @@ __all__ = [
     "SeparationCertificate",
     "SumMembership",
     "SupportEvaluation",
+    "SupportLP",
     "VRep",
     "boundary_support_report",
     "canonicalize",

@@ -147,24 +147,30 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return [[Fraction(x, row[c]) for x in row] for row, c in zip(mat, pivots)], pivots
 
 
-def nullspace_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[Vec]:
-    """Basis of {x in Q^n : rows @ x = 0}, deterministic and primitive."""
+def spaces(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[list[Vec], list[Vec]]:
+    """Bases of the nullspace {x in Q^n : rows @ x = 0} and of the row
+    space, both read off one ``rref``, deterministic and primitive."""
     reduced, pivots = rref(rows) if rows else ([], [])
     free_cols = [c for c in range(n) if c not in pivots]
-    basis: list[Vec] = []
+    null: list[Vec] = []
     for fc in free_cols:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for row, pc in zip(reduced, pivots):
             v[pc] = -row[fc]
-        basis.append(primitive_signed(tuple(v)))
-    return basis
+        null.append(primitive_signed(tuple(v)))
+    return null, [primitive_signed(tuple(r)) for r in reduced]
+
+
+def nullspace_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[Vec]:
+    """Basis of {x in Q^n : rows @ x = 0}: ``spaces``' first part."""
+    return spaces(rows, n)[0]
 
 
 def rowspace_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Basis of the row space, read off the reduced echelon rows."""
-    reduced, _ = rref(rows)
-    return [primitive_signed(tuple(r)) for r in reduced]
+    """Basis of the row space: ``spaces``' second part (n = 0 asks for no
+    nullspace)."""
+    return spaces(rows, 0)[1]
 
 
 def solve_square(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:

@@ -34,9 +34,25 @@ leaves it bounded.  Both optima are the same rational, so the value
 is exact; the tableau has n rows and m + n columns instead of m rows and
 2n + 2m columns.  Nonemptiness is the caller's to ensure: over an empty
 system the dual may be infeasible too, which would read as unbounded.
-Cone membership goes through ``max_value`` too (Farkas): x lies in the cone
+Cone membership goes through the same dual (Farkas): x lies in the cone
 of g_1, ..., g_k exactly when ``x . z`` is bounded above on the polar cone
 ``{z : g_i . z <= 0}``, a system that holds 0.
+
+``SupportLP`` asks that dual for many objectives over one system, and
+``max_value`` is its one-shot use.  The objectives differ only in the dual's
+right-hand side, so an optimal basis stays dual feasible from one to the
+next.  The first objective that ends optimal runs ``lp_solve``'s two-phase
+body and keeps the final tableau.  Each later one recomputes the basic
+values from the artificial columns, which hold the basis inverse, and
+reads the value off the reduced-cost row when they are all >= 0; otherwise
+it runs dual simplex pivots (Lemke 1954) under Bland's rule (Bland 1977),
+which makes them finite: the row of lowest basic index among the negative
+right-hand sides leaves, and the column of least ratio ``red_j / |a_ij|``
+over ``a_ij < 0`` enters, ties to the lowest ``j``.  A leaving row with no
+negative structural entry means the sup is +inf, and the kept tableau stays
+as it was.  Where an artificial stays basic (normals that do not span the
+space, as in slabs and sets with lineality) no tableau is kept, and each
+objective solves cold.
 
 The two feasibility helpers, ``closed_feasible`` for weak rows and
 ``strict_system_feasible`` for mixed strict and weak rows, return a point
@@ -182,7 +198,11 @@ def _run_simplex(tab: list[list[int]], dens: list[int], basis: list[int], eligib
         _pivot(tab, dens, basis, leave, enter)
 
 
-def lp_solve(p: LPProblem | EqualityLP) -> LPOutcome:
+def lp_solve(p: LPProblem | EqualityLP, keep: list | None = None) -> LPOutcome:
+    """Solve ``p`` by the two-phase body.  When ``keep`` is a list and the
+    outcome is optimal with no artificial left basic, the final tableau is
+    appended to it as ``(rows, denominators, basis, row signs)``, for
+    ``SupportLP`` to re-solve from."""
     n = p.dim
     if n < 1:
         raise InputError("LP dimension must be at least 1")
@@ -252,6 +272,8 @@ def lp_solve(p: LPProblem | EqualityLP) -> LPOutcome:
         ray = tuple(zray[t] - zray[n + t] for t in range(n)) if free else tuple(zray[:n])
         return LPOutcome("unbounded", ray=primitive(ray))
 
+    if keep is not None and all(b < nstruct for b in basis):
+        keep.append((tab, dens, basis, signs))
     zval = [Fraction(0)] * (nstruct + m)
     for i, b in enumerate(basis):
         zval[b] = Fraction(tab[i][-1], dens[i])
@@ -332,24 +354,93 @@ def closed_feasible(rows: Sequence[Row], dim: int) -> Vec | None:
     return lp_solve(LPProblem(zero_vec(dim), tuple(rows))).primal
 
 
+class SupportLP:
+    """Repeated maxima ``sup c . x`` over one fixed nonempty weak-row system.
+
+    Each maximum is ``max_value``'s n-row dual, ``min b . y`` subject to
+    ``A^T y = c``, ``y >= 0``, re-solved from the last optimal tableau as the
+    module docstring describes.  The kept tableau's artificial columns hold
+    ``B^-1`` of the sign-adjusted rows ``S A^T``, so an objective's basic
+    values are ``B^-1 S c``, and the last entry of the reduced-cost row is
+    ``-pi . S c``, where ``pi`` is the row's artificial part.  Only a
+    re-solve that ends optimal replaces the kept tableau.
+    """
+
+    __slots__ = ("dim", "_costs", "_columns", "_kept")
+
+    def __init__(self, rows: Sequence[Row], dim: int) -> None:
+        for i, (normal, _) in enumerate(rows):
+            if len(normal) != dim:
+                raise InputError(f"LP row {i} has {len(normal)} entries, the objective {dim}")
+        self.dim = dim
+        self._costs = tuple(-offset for _, offset in rows)
+        self._columns = tuple(tuple(normal[t] for normal, _ in rows) for t in range(dim))
+        self._kept: tuple | None = None
+
+    def maximum(self, objective: Vec) -> Fraction | None:
+        """sup of ``objective . x`` over the rows, or None when unbounded."""
+        if len(objective) != self.dim:
+            raise InputError(f"objective has {len(objective)} entries, the rows {self.dim}")
+        if not self._costs:
+            return None if any(objective) else Fraction(0)
+        if self._kept is None:
+            keep: list = []
+            out = lp_solve(EqualityLP(self._costs, tuple(zip(self._columns, objective))), keep)
+            if out.status == "infeasible":
+                return None
+            assert out.status == "optimal", "the dual of a feasible system is bounded"
+            self._kept = keep[0] if keep else None
+            return -out.value
+        return self._warm(objective)
+
+    def _warm(self, objective: Vec) -> Fraction | None:
+        kept_tab, kept_dens, basis, signs = self._kept
+        nstruct = len(self._costs)
+        ints, den = scaled(objective)
+        rhs = [s * c for s, c in zip(signs, ints)]
+        tab: list[list[int]] = []
+        dens: list[int] = []
+        for row, d in zip(kept_tab, kept_dens):
+            last = sum(a * c for a, c in zip(row[nstruct:-1], rhs))
+            # Reduced, so that rows no pivot touches do not grow query by query.
+            if den > 1:
+                row, d = _reduced([x * den for x in row[:-1]] + [last], d * den)
+            else:
+                row = row[:-1] + [last]
+            tab.append(row)
+            dens.append(d)
+        basis = list(basis)
+        red = tab[-1]
+        while True:
+            leave = min(
+                (i for i in range(len(basis)) if tab[i][-1] < 0),
+                key=basis.__getitem__,
+                default=None,
+            )
+            if leave is None:
+                break
+            row = tab[leave]
+            enter = -1
+            for j in range(nstruct):
+                a = row[j]
+                if a < 0 and (enter < 0 or red[j] * best < red[enter] * -a):
+                    enter, best = j, -a
+            if enter < 0:
+                return None
+            _pivot(tab, dens, basis, leave, enter)
+            red = tab[-1]
+        self._kept = (tab, dens, basis, signs)
+        return Fraction(-red[-1], dens[-1])
+
+
 def max_value(objective: Vec, rows: Sequence[Row]) -> Fraction | None:
     """sup of ``objective . x`` over a nonempty weak-row system, or None when
     the system is unbounded in that direction; rows in internal form.
 
-    Solves the dual ``min b . y`` subject to ``A^T y = objective``, ``y >= 0``
-    as an ``EqualityLP``: one equation per coordinate, one column per row.
-    The caller guarantees that the rows are feasible; then the dual is never
-    unbounded, and it is infeasible exactly when the primal is unbounded.
+    ``SupportLP``'s one-shot use: it solves the dual ``min b . y`` subject to
+    ``A^T y = objective``, ``y >= 0`` as an ``EqualityLP``, one equation per
+    coordinate and one column per row.  The caller guarantees that the rows
+    are feasible; then the dual is never unbounded, and it is infeasible
+    exactly when the primal is unbounded.
     """
-    n = len(objective)
-    if not rows:
-        return None if any(objective) else Fraction(0)
-    for i, (normal, _) in enumerate(rows):
-        if len(normal) != n:
-            raise InputError(f"LP row {i} has {len(normal)} entries, the objective {n}")
-    columns = tuple((tuple(normal[t] for normal, _ in rows), c) for t, c in enumerate(objective))
-    out = lp_solve(EqualityLP(tuple(-offset for _, offset in rows), columns))
-    if out.status == "infeasible":
-        return None
-    assert out.status == "optimal", "the dual of a feasible system is bounded"
-    return -out.value
+    return SupportLP(rows, len(objective)).maximum(objective)

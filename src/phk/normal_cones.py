@@ -8,7 +8,11 @@ point.  Attainment costs a second LP and is computed on request:
 ``support_level`` returns the value alone, ``support_value`` adds the
 attainment data.  Both read and fill the set's one support memo.  The value
 LP reads no point, so ``support_level`` solves it as its n-row dual through
-``lp.max_value``; a valid set is nonempty, which that dual needs to be exact.
+the set's one ``lp.SupportLP``; a valid set is nonempty, which that dual
+needs to be exact.  The duals of one set share the dual program's matrix and
+costs, so each memo miss after the first re-solves from the last optimal
+tableau by Bland-rule dual simplex pivots, often none.  A carrier whose
+normals do not span the space keeps no tableau, and each miss solves cold.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import Vec, dot, vec
-from .lp import max_value, strict_system_feasible
+from .lp import SupportLP, strict_system_feasible
 from .polyhedra import (
     EmptySet,
     GeneratedCone,
@@ -44,7 +48,10 @@ def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
     """sup of <xstar, x> over the set, without the attainment data.
 
     One support LP on a memo miss, none on a hit; the value equals
-    ``support_value(c, xstar).value``.
+    ``support_value(c, xstar).value``.  The LP is asked of the set's
+    ``SupportLP``, made on the first miss: that miss solves cold, and each
+    later one re-solves from the last optimal tableau by dual simplex
+    (cold again when the carrier's normals do not span the space).
     """
     x = vec(xstar, c.dim)
     if isinstance(c, EmptySet):
@@ -52,8 +59,10 @@ def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
     record = require_valid(c)
     known = record.support.get(x)
     if known is None:
-        # A valid set is nonempty, as ``max_value`` requires.
-        top = max_value(x, c.carrier.rows)
+        if record.support_lp is None:
+            # A valid set is nonempty, as ``SupportLP`` requires.
+            record.support_lp = SupportLP(c.carrier.rows, c.dim)
+        top = record.support_lp.maximum(x)
         known = POS_INF if top is None else fin(top)
         record.remember_support(x, known)
     return known.value if isinstance(known, SupportEvaluation) else known

@@ -53,13 +53,13 @@ from .linalg import (
     is_zero_vec,
     nullspace_basis,
     primitive,
-    rowspace_basis,
     scaled,
+    spaces,
     vec,
     vneg,
     zero_vec,
 )
-from .lp import Row, StrictRow, closed_feasible, max_value, strict_system_feasible
+from .lp import Row, StrictRow, SupportLP, closed_feasible, max_value, strict_system_feasible
 from .scalars import rat
 
 # Support values remembered per set; past the cap the oldest is dropped.  No
@@ -95,7 +95,11 @@ class SetRecord:
 
     Shared: ``validation``.  Closed-form route: ``support`` (the memo of
     support values by dual: the ``ExtValue``, replaced in place by the full
-    ``SupportEvaluation`` once attainment is asked for), ``witnesses``
+    ``SupportEvaluation`` once attainment is asked for), ``support_lp``
+    (the ``lp.SupportLP`` over the carrier rows that fills the memo's
+    misses: made on the first miss, it keeps the last optimal tableau, so
+    a later miss re-solves from it by dual simplex, or solves cold when the
+    normals do not span the space), ``witnesses``
     (supporting-row witnesses: filled when their points are asked for, or
     by ``supporting_rows`` on a set with strict rows; a closed set's
     supporting rows need none) and ``integer_rows`` (the carrier rows scaled
@@ -104,7 +108,14 @@ class SetRecord:
     """
 
     __slots__ = (
-        "validation", "witnesses", "vrep", "faces", "support", "integer_rows", "__weakref__"
+        "validation",
+        "witnesses",
+        "vrep",
+        "faces",
+        "support",
+        "support_lp",
+        "integer_rows",
+        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -113,6 +124,7 @@ class SetRecord:
         self.vrep: VRep | None = None
         self.faces: tuple | None = None
         self.support: dict = {}
+        self.support_lp: SupportLP | None = None
         self.integer_rows: tuple[list[int], ...] | None = None
 
     def remember_support(self, xstar: Vec, entry) -> None:
@@ -128,15 +140,15 @@ class PartiallyOpenPolyhedron:
 
     ``_record`` holds what has been computed about this object: its
     ``Validation``, supporting-row witnesses, the carrier's V-rep, the faces,
-    a support memo of at most ``SUPPORT_MEMO_CAP`` duals and the carrier
-    rows scaled to integers.  It takes no part in ``==``, ``hash`` or
-    ``repr``, and is freed with the set.  The two routes to the coupling
-    value stay independent by reading disjoint fields: the face route
-    (``enumerate_faces`` and its callers) reads only ``vrep`` and ``faces``;
-    the closed-form route (``support_level``, ``support_value``,
+    a support memo of at most ``SUPPORT_MEMO_CAP`` duals with the LP that
+    fills it, and the carrier rows scaled to integers.  It takes no part in
+    ``==``, ``hash`` or ``repr``, and is freed with the set.  The two routes
+    to the coupling value stay independent by reading disjoint fields: the
+    face route (``enumerate_faces`` and its callers) reads only ``vrep`` and
+    ``faces``; the closed-form route (``support_level``, ``support_value``,
     ``supporting_rows``, ``supporting_row_witnesses``, ``row_signs`` and
-    their callers) reads only ``support``, ``witnesses`` and
-    ``integer_rows``.
+    their callers) reads only ``support``, ``support_lp``, ``witnesses``
+    and ``integer_rows``.
     """
 
     carrier: ClosedPolyhedron
@@ -410,9 +422,11 @@ def closed_subset_of(
     LP; a strict one still does.  When no row needs one, ``p`` is a subset
     even if empty, so no LP runs: comparing a closed set's portable hull,
     which states every carrier row, with the set or the carrier solves none.
-    Each other sup is read as a value alone, from ``lp.max_value``'s n-row
-    dual, once ``closed_feasible`` has found ``p`` nonempty as that dual
-    requires.  Sets of different dimensions are refused, empty ones included.
+    Each other sup is read as a value alone, from one ``lp.SupportLP`` over
+    ``p``'s rows (the n-row dual, re-solved from the last optimal tableau
+    for each further row), once ``closed_feasible`` has found ``p``
+    nonempty as that dual requires.  Sets of different dimensions are
+    refused, empty ones included.
     """
     if p.dim != c.dim:
         raise InputError("dimension mismatch between the two sets")
@@ -424,9 +438,10 @@ def closed_subset_of(
     asked = [i for i, row in enumerate(c.carrier.rows) if i in c.strict_rows or row not in stated]
     if not asked or closed_feasible(p.rows, p.dim) is None:
         return True
+    tops = SupportLP(p.rows, p.dim)
     for i in asked:
         normal, offset = c.carrier.rows[i]
-        top = max_value(normal, p.rows)
+        top = tops.maximum(normal)
         if top is None:
             return False
         if i in c.strict_rows:
@@ -465,9 +480,15 @@ def _check_walk(rows: int, size: int) -> None:
 
 def cone_generators(m_rows: Sequence[Vec], k: int) -> tuple[list[Vec], list[Vec]]:
     """Lineality basis and extreme rays of the cone {y : M y <= 0}."""
-    lin = nullspace_basis(m_rows, k)
+    return _cone_generators(m_rows, k, *spaces(m_rows, k))
+
+
+def _cone_generators(
+    m_rows: Sequence[Vec], k: int, lin: list[Vec], w: list[Vec]
+) -> tuple[list[Vec], list[Vec]]:
+    """``cone_generators`` given the nullspace ``lin`` and the row space
+    ``w`` of ``m_rows``, both read off one ``rref``."""
     if lin:
-        w = rowspace_basis(m_rows)
         kk = len(w)
         if kk == 0:
             return lin, []
@@ -576,13 +597,13 @@ def _pointed_vertices(normals: Sequence[Vec], offsets: Sequence[Fraction], k: in
 def _generators(p: ClosedPolyhedron) -> VRep:
     normals = [normal for normal, _ in p.rows]
     offsets = [offset for _, offset in p.rows]
-    w = rowspace_basis(normals)
+    lin, w = spaces(normals, p.dim)
     if not w:
-        return VRep((zero_vec(p.dim),), (), tuple(nullspace_basis(normals, p.dim)))
+        return VRep((zero_vec(p.dim),), (), tuple(lin))
     # Vertices first, so an over-budget conversion names the vertex walk.
     reduced = [tuple(dot(nr, wj) for wj in w) for nr in normals]
     verts = sorted(_combine(w, v) for v in _pointed_vertices(reduced, offsets, len(w)))
-    lin, rays = cone_generators(normals, p.dim)
+    lin, rays = _cone_generators(normals, p.dim, lin, w)
     return VRep(tuple(verts), tuple(sorted(rays)), tuple(sorted(lin)))
 
 
@@ -645,16 +666,18 @@ def cone(dim: int, generators: Iterable[Sequence]) -> GeneratedCone:
 
 def cone_contains(k: GeneratedCone, x: Sequence) -> bool:
     """Exact membership of a vector in a finitely generated cone."""
-    xv = vec(x, k.dim)
-    if is_zero_vec(xv):
-        return True
-    # Farkas: x is in the cone iff x . z is bounded on the polar cone.
-    return max_value(xv, tuple((g, Fraction(0)) for g in k.generators)) is not None
+    return _cone_holds(k, [vec(x, k.dim)])
+
+
+def _cone_holds(k: GeneratedCone, vectors: Sequence[Vec]) -> bool:
+    """Does the cone hold every one of the vectors?  Farkas: x is in the
+    cone iff x . z is bounded on the polar cone {z : g . z <= 0}, asked of
+    one ``SupportLP`` over the polar rows for all the vectors."""
+    polar = SupportLP(tuple((g, Fraction(0)) for g in k.generators), k.dim)
+    return all(is_zero_vec(x) or polar.maximum(x) is not None for x in vectors)
 
 
 def cones_equal(a: GeneratedCone, b: GeneratedCone) -> bool:
     if a.dim != b.dim:
         raise InputError("cone dimension mismatch")
-    return all(cone_contains(b, g) for g in a.generators) and all(
-        cone_contains(a, g) for g in b.generators
-    )
+    return _cone_holds(b, a.generators) and _cone_holds(a, b.generators)

@@ -45,6 +45,7 @@ from .sampling import (
     SampleSpec,
     _cloud_from,
     _duals_at,
+    _placed_points_in,
     boundary_points,
     dual_vectors,
     points_in,
@@ -246,8 +247,7 @@ def portability_report(
 
     supported = supporting_rows(c)
     zero = zero_vec(c.dim)
-    inside = points_in(c, spec)
-    signs = [row_signs(c, x) for x in inside]
+    inside, signs = _placed_points_in(c, spec)
     groups = list(zip(inside, signs, _duals_at(c, spec, signs)))
     groups += [(x, sg, [zero]) for x, sg in zip(inside, signs)]
     # ``_cloud_from`` keeps first occurrences, so its head is ``inside``.
@@ -310,12 +310,12 @@ def hull_extension_report(
     preserved = True
     extended = True
     pair_witness = None
-    inside = points_in(c, spec)
+    inside, signs = _placed_points_in(c, spec)
     for x in inside:
         if not cones_equal(normal_cone_at(c, x), normal_cone_at(hull_set, x)):
             preserved = False
             pair_witness = pair_witness or x
-    duals = _duals_at(c, spec, [row_signs(c, x) for x in inside])
+    duals = _duals_at(c, spec, signs)
     pairs = [(x, d) for x, ds in zip(inside, duals) for d in ds]
     for x, xstar in pairs:
         if not in_normal_cone(hull_set, x, xstar):

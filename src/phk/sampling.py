@@ -24,6 +24,7 @@ from .polyhedra import (
     carrier_vrep,
     contains,
     row_signs,
+    signs_inside,
 )
 
 
@@ -45,15 +46,15 @@ def _rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
 
 
-def _dedupe(points: list[Vec]) -> list[Vec]:
-    """The points without repeats, compared by ``int_key``; each first
-    occurrence is kept, in order."""
+def _dedupe(points: list, key=int_key) -> list:
+    """The points without repeats, compared by ``key`` (``int_key`` of the
+    point itself by default); each first occurrence is kept, in order."""
     seen = set()
     out = []
     for p in points:
-        key = int_key(p)
-        if key not in seen:
-            seen.add(key)
+        k = key(p)
+        if k not in seen:
+            seen.add(k)
             out.append(p)
     return out
 
@@ -68,17 +69,39 @@ def _carrier_geometry(c: PartiallyOpenPolyhedron) -> VRep:
 def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Deterministic points of the set: a witness, surviving vertices and
     midpoints, then seeded convex combinations (plus recession pokes)."""
+    return [x for x, _ in _filtered_points_in(c, spec)]
+
+
+def _placed_points_in(
+    c: PartiallyOpenPolyhedron, spec: SampleSpec
+) -> tuple[list[Vec], list[tuple[int, ...]]]:
+    """``points_in``'s points and the ``row_signs`` of each: the witness,
+    the vertices and the midpoints keep the vectors their membership pass
+    computed, and only the other points are placed here."""
+    placed = _filtered_points_in(c, spec)
+    points = [x for x, _ in placed]
+    return points, [row_signs(c, x) if sg is None else sg for x, sg in placed]
+
+
+def _filtered_points_in(
+    c: PartiallyOpenPolyhedron, spec: SampleSpec
+) -> list[tuple[Vec, tuple[int, ...] | None]]:
+    """``points_in``'s points, each with the ``row_signs`` vector that
+    placed it in the set: the witness, vertices and midpoints carry one,
+    and the combinations and recession pokes None."""
     rng = _rng(spec, "in")
     inner = set_member_witness(c)
     geo = _carrier_geometry(c)
-    features = [inner]
-    features += [v for v in geo.vertices if contains(c, v)]
-    for a, b in combinations(geo.vertices, 2):
-        mid = smul(Fraction(1, 2), vadd(a, b))
-        if contains(c, mid):
-            features.append(mid)
+    mids = [smul(Fraction(1, 2), vadd(a, b)) for a, b in combinations(geo.vertices, 2)]
+    features = [(inner, row_signs(c, inner))]
+    # The witness leads the list and is in the set; each distinct vertex
+    # and midpoint is placed once and kept if it is in the set too.
+    for x in _dedupe([inner, *geo.vertices, *mids])[1:]:
+        sg = row_signs(c, x)
+        if signs_inside(c, sg):
+            features.append((x, sg))
     out = list(features)
-    base = _dedupe(features)
+    base = [x for x, _ in features]
     # Each combination is sum(w * f) / (den * total) per coordinate, over
     # the features scaled to integers by one common denominator.
     flat, den = scaled([q for f in base for q in f])
@@ -88,19 +111,18 @@ def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
         total = sum(weights)
         if total == 0:
             continue
-        out.append(
-            tuple(
-                Fraction(sum(w * f[j] for w, f in zip(weights, ints)), den * total)
-                for j in range(c.dim)
-            )
+        point = tuple(
+            Fraction(sum(w * f[j] for w, f in zip(weights, ints)), den * total)
+            for j in range(c.dim)
         )
+        out.append((point, None))
     for r in geo.rays:
         step = Fraction(rng.randint(1, 3), rng.choice((1, 2)))
-        out.append(vadd(inner, smul(step, r)))
+        out.append((vadd(inner, smul(step, r)), None))
     for l in geo.lineality:
-        out.append(vadd(inner, l))
-        out.append(vsub(inner, l))
-    return _dedupe(out)
+        out.append((vadd(inner, l), None))
+        out.append((vsub(inner, l), None))
+    return _dedupe(out, key=lambda placed: int_key(placed[0]))
 
 
 def cloud_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
@@ -144,9 +166,8 @@ def graph_pairs(
     c: PartiallyOpenPolyhedron, spec: SampleSpec
 ) -> list[tuple[Vec, Vec]]:
     """Pairs (x, x*) with x in the set and x* in the cone of active normals."""
-    inside = points_in(c, spec)
-    duals = _duals_at(c, spec, [row_signs(c, x) for x in inside])
-    return [(x, d) for x, ds in zip(inside, duals) for d in ds]
+    inside, signs = _placed_points_in(c, spec)
+    return [(x, d) for x, ds in zip(inside, _duals_at(c, spec, signs)) for d in ds]
 
 
 def _duals_at(

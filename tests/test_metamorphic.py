@@ -7,6 +7,9 @@ translating by ``t`` shifts the support value by ``<x*, t>`` while leaving
 attainment, the verdict and the existence of a separating half-space alone;
 and an integer change of variables ``x = U y`` with ``det U = +-1`` maps
 membership, support values, attainment, the verdict and the hull's rows.
+The support values do not depend on the order in which the duals are
+asked, although each set's support LP re-solves from the tableau the
+previous dual left.
 """
 from __future__ import annotations
 
@@ -17,8 +20,14 @@ import pytest
 
 from phk.corpus import line_free_closed_sets, partially_open_sets
 from phk.linalg import dot, vadd
-from phk.normal_cones import support_value
-from phk.polyhedra import closed_as_set, closed_subset_of, contains, make_set
+from phk.normal_cones import support_level, support_value
+from phk.polyhedra import (
+    PartiallyOpenPolyhedron,
+    closed_as_set,
+    closed_subset_of,
+    contains,
+    make_set,
+)
 from phk.portability import is_portable, portable_hull, separation_certificate
 from phk.sampling import SampleSpec, cloud_points, dual_vectors
 
@@ -150,3 +159,16 @@ def test_unimodular_change_of_variables(idx):
     assert is_portable(mapped) == is_portable(c)
     hull_rows = {(apply(ut, n), o) for n, o in portable_hull(c).rows}
     assert set(portable_hull(mapped).rows) == hull_rows
+
+
+@pytest.mark.parametrize("idx", range(len(SETS)))
+def test_support_levels_ignore_the_order_of_the_duals(idx):
+    c = SETS[idx]
+    duals = dual_vectors(c, SampleSpec(seed=idx, count=12))
+    duals += [tuple(-q for q in x) for x in duals]
+    shuffled = list(duals)
+    rng_for(idx, "duals").shuffle(shuffled)
+    in_order, out_of_order = (PartiallyOpenPolyhedron(c.carrier, c.strict_rows) for _ in range(2))
+    want = [support_level(in_order, x) for x in duals]
+    got = {x: support_level(out_of_order, x) for x in shuffled}
+    assert [got[x] for x in duals] == want

@@ -190,6 +190,7 @@ def test_a_closed_hull_equals_its_carrier_without_an_lp(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "closed_feasible", solve)
     monkeypatch.setattr(polyhedra, "max_value", solve)
+    monkeypatch.setattr(polyhedra, "SupportLP", solve)
     assert closed_equal(hull, c.carrier)
 
 
@@ -611,7 +612,11 @@ def reference_generators(convert, arg):
     """``convert(arg)`` (``h_to_v`` or ``v_to_h``) with both walks replaced
     by the subset-by-subset reference."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polyhedra, "cone_generators", reference_cone_generators)
+        # ``cone_generators`` and ``_generators`` both walk the rays through
+        # ``_cone_generators``, which also takes the two bases of one ``rref``.
+        patch.setattr(
+            polyhedra, "_cone_generators", lambda m_rows, k, lin, w: reference_cone_generators(m_rows, k)
+        )
         patch.setattr(polyhedra, "_pointed_vertices", reference_pointed_vertices)
         return convert(arg)
 

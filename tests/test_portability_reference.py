@@ -19,7 +19,6 @@ repeated pairs by a key per pair.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +29,7 @@ from phk import normal_cones, polyhedra, portability, sampling
 from phk.corpus import line_free_closed_sets, partially_open_sets
 from phk.fitzpatrick import monotonically_related, normal_cone_fitzpatrick
 from phk.linalg import int_key, smul, vadd, vsub, zero_vec
+from phk.lp import SupportLP
 from phk.normal_cones import (
     SupportEvaluation,
     in_normal_cone,
@@ -171,18 +171,16 @@ def test_the_cases_include_failing_reports():
 
 
 def test_each_report_samples_the_set_once(monkeypatch):
-    real = sampling.points_in
+    # ``points_in`` and the reports' signed sampler share one body, which
+    # only ``sampling`` calls.
+    real = sampling._filtered_points_in
     handed: list[list] = []
 
     def counted(c, spec):
         handed.append(real(c, spec))
         return handed[-1]
 
-    # Rebind every module's name for the sampler, as ``from`` imports hold
-    # their own reference.
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("phk") and getattr(mod, "points_in", None) is real:
-            monkeypatch.setattr(mod, "points_in", counted)
+    monkeypatch.setattr(sampling, "_filtered_points_in", counted)
     c = make_set(2, [((1, 0), 1, True), ((-1, 0), 0, False), ((0, 1), 1, False), ((0, -1), 0, False)])
     spec = SampleSpec(seed=0, count=8)
     portability_report(c, spec)
@@ -192,6 +190,7 @@ def test_each_report_samples_the_set_once(monkeypatch):
     # The graph pairs and the cloud grow from the list without changing it.
     again = real(c, spec)
     assert handed == [again, again]
+    assert [x for x, _ in again] == points_in(c, spec)
 
 
 def counting(monkeypatch, module, name) -> list:
@@ -217,10 +216,16 @@ def test_report_places_each_point_and_looks_up_each_dual_once(kind, c, monkeypat
     witness = nonsupporting_witness(c)
     if witness is not None:
         pairs.append((witness[1], zero))
+    inside = {(x,) for x in points_in(fresh(c), spec)}
     placed = counting(monkeypatch, portability, "row_signs")
+    sampled = counting(monkeypatch, sampling, "row_signs")
     looked = counting(monkeypatch, portability, "support_level")
     portability_report(c, spec)
-    assert sorted(placed) == sorted({(x,) for x, _ in pairs})
+    # The sampler places each candidate once, and hands the report the
+    # vectors of the points it keeps; the report places only the rest.
+    assert len(set(sampled)) == len(sampled) and inside <= set(sampled)
+    assert len(set(placed)) == len(placed) and not inside & set(placed)
+    assert inside | set(placed) == {(x,) for x, _ in pairs}
     assert sorted(looked) == sorted({(d,) for x, d in pairs if in_portable_hull(c, x)})
 
 
@@ -228,8 +233,9 @@ def test_report_on_a_closed_box_solves_no_containment_lp(monkeypatch):
     units = [tuple(int(i == j) * sign for i in range(3)) for j in range(3) for sign in (1, -1)]
     box = make_set(3, [(u, 1, False) for u in units])
     solved = counting(monkeypatch, polyhedra, "max_value")
+    made = counting(monkeypatch, polyhedra, "SupportLP")
     report = portability_report(box, SampleSpec(seed=0, count=8))
-    assert solved == [] and report.hull_adds_nothing and report.hull_equals_carrier
+    assert solved == made == [] and report.hull_adds_nothing and report.hull_equals_carrier
 
 
 def test_dedupe_keeps_each_first_occurrence_in_order():
@@ -367,22 +373,25 @@ def test_report_memo_holds_values_that_support_value_completes(kind, c, monkeypa
     other = fresh(c)
     want = {x: support_value(other, x) for x in looked}
 
-    calls = {"max_value": 0, "strict_system_feasible": 0}
-    for name in calls:
-        real = getattr(normal_cones, name)
+    # A support LP on a memo miss is ``SupportLP.maximum`` on the set's
+    # object; the attainment LP is ``strict_system_feasible``.
+    owners = {"maximum": SupportLP, "strict_system_feasible": normal_cones}
+    calls = {name: 0 for name in owners}
+    for name, owner in owners.items():
+        real = getattr(owner, name)
 
         def counted(*args, _name=name, _real=real):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(normal_cones, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     finite = 0
     for x, value in looked.items():
         before = dict(calls)
         ev = support_value(c, x)
         assert ev == want[x] and ev.value == value
         finite += value.is_finite
-        assert calls["max_value"] == before["max_value"]
+        assert calls["maximum"] == before["maximum"]
         assert calls["strict_system_feasible"] == before["strict_system_feasible"] + value.is_finite
         assert isinstance(c._record.support[x], SupportEvaluation)
         # Once complete, neither lookup solves anything.
@@ -393,8 +402,10 @@ def test_report_memo_holds_values_that_support_value_completes(kind, c, monkeypa
 
     # A value-only lookup on a fresh set solves the support LP alone, once.
     third = fresh(c)
+    # Validation's redundancy LPs run ``SupportLP.maximum`` too: run it first.
+    polyhedra.require_valid(third)
     before = dict(calls)
     for x in looked:
         assert support_level(third, x) == looked[x] == support_level(third, x)
-    assert calls["max_value"] == before["max_value"] + len(looked)
+    assert calls["maximum"] == before["maximum"] + len(looked)
     assert calls["strict_system_feasible"] == before["strict_system_feasible"]

@@ -1,0 +1,191 @@
+"""``lp.SupportLP``: warm re-solves against cold solves and elimination.
+
+One object answers a sequence of maxima over one weak-row system.  The
+first objective that ends optimal solves cold and keeps its tableau; later
+ones re-solve from it by dual simplex.  A seeded walk over random feasible
+systems compares each warm answer with a fresh ``max_value`` (one cold
+solve) and with Fourier-Motzkin's ``fm_maximize``, which shares no code
+with the simplex.  The shapes cover bounded and unbounded systems, slabs
+and lineality (where an artificial stays basic and every objective solves
+cold), lower-dimensional systems (an equality written as two rows), and
+objective sequences with zero, negated and repeated objectives.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from phk import lp
+from phk.errors import InputError
+from phk.fme import fm_maximize
+from phk.linalg import dot, unit_vec, vec, vneg, zero_vec
+from phk.lp import SupportLP, max_value
+from phk.normal_cones import support_level, support_value
+from phk.polyhedra import PartiallyOpenPolyhedron, make_set
+
+SHAPES = ("general", "bounded", "slab", "lineality", "flat")
+
+
+def random_system(rng: random.Random, shape: str) -> tuple[int, list]:
+    """A feasible weak-row system of at most 8 rows in 1-4 D (6 in 4-D
+    unless it is a box): every row holds at a planted point, some of them
+    tightly."""
+    n = rng.randint(1, 4)
+    x0 = vec(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+    # Normals that skip the last coordinate leave a line along it.
+    width = n - 1 if shape == "lineality" and n > 1 else n
+
+    def normal() -> tuple:
+        while True:
+            a = [rng.randint(-3, 3) for _ in range(width)] + [0] * (n - width)
+            if any(a):
+                return vec(a)
+
+    def row(a, slack) -> tuple:
+        return a, dot(a, x0) + slack
+
+    rows = []
+    if shape == "bounded":
+        rows += [
+            row(vec(s * q for q in unit_vec(n, j)), rng.randint(0, 3)) for j in range(n) for s in (1, -1)
+        ]
+    elif shape == "slab":
+        a = normal()
+        rows += [row(a, rng.randint(0, 2)), row(vneg(a), rng.randint(0, 2))]
+    elif shape == "flat":
+        a = normal()
+        rows += [row(a, 0), row(vneg(a), 0)]
+    # Elimination's rows grow doubly exponentially with the dimension.
+    while len(rows) < (8 if n < 4 else 6) and rng.random() < 0.8:
+        rows.append(row(normal(), Fraction(rng.choice((0, 0, 1, 2, 5)), rng.randint(1, 2))))
+    rng.shuffle(rows)
+    return n, rows
+
+
+def objectives(rng: random.Random, n: int, rows: list) -> list:
+    """Zero, random and row-normal objectives, with negated and repeated ones."""
+    out = []
+    for _ in range(rng.randint(5, 10)):
+        pick = rng.random()
+        if pick < 0.1:
+            out.append(zero_vec(n))
+        elif pick < 0.3 and out:
+            out.append(vneg(rng.choice(out)))
+        elif pick < 0.4 and out:
+            out.append(rng.choice(out))
+        elif pick < 0.6 and rows:
+            out.append(rng.choice(rows)[0])
+        else:
+            out.append(vec(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)))
+    return out
+
+
+class Paths:
+    """Counts of cold solves and of pivots outside them; each pivot outside
+    a cold solve is checked against Bland's rule for the dual simplex."""
+
+    def __init__(self, patch) -> None:
+        self.cold = 0
+        self.warm_pivots = 0
+        self._in_cold = False
+        solve, pivot = lp.lp_solve, lp._pivot
+
+        def counted_solve(*args):
+            self.cold += 1
+            self._in_cold = True
+            try:
+                return solve(*args)
+            finally:
+                self._in_cold = False
+
+        def counted_pivot(tab, dens, basis, i, j):
+            if not self._in_cold:
+                self.warm_pivots += 1
+                assert_bland_dual_pivot(tab, basis, i, j)
+            return pivot(tab, dens, basis, i, j)
+
+        patch.setattr(lp, "lp_solve", counted_solve)
+        patch.setattr(lp, "_pivot", counted_pivot)
+
+
+def assert_bland_dual_pivot(tab, basis, i, j) -> None:
+    """Row ``i`` has the lowest basic index among the rows with a negative
+    right-hand side, and column ``j`` the least ratio ``red_j / |a_ij|``
+    over the structural columns with ``a_ij < 0``, ties to the lowest."""
+    negative = [r for r in range(len(basis)) if tab[r][-1] < 0]
+    assert basis[i] == min(basis[r] for r in negative)
+    # Structural columns come first; the artificials, one per row, and the
+    # right-hand side follow.  A row's denominator cancels in its ratios.
+    nstruct = len(tab[0]) - 1 - len(basis)
+    red = tab[-1]
+    ratios = {k: Fraction(red[k], -tab[i][k]) for k in range(nstruct) if tab[i][k] < 0}
+    assert j == min(ratios, key=lambda k: (ratios[k], k))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_warm_resolves_agree_with_cold_solves_and_elimination(shape, monkeypatch):
+    rng = random.Random(f"support-lp:{shape}")
+    seen = {"zero-pivot": 0, "pivoted": 0, "unbounded": 0, "cold-only": 0, "queries": 0}
+    for _ in range(60):
+        n, rows = random_system(rng, shape)
+        asked = objectives(rng, n, rows)
+        want = [max_value(x, rows) for x in asked]
+        for x, top in zip(asked, want):
+            status, value = fm_maximize(x, rows)
+            assert status != "infeasible" and (top is None) == (status == "unbounded")
+            assert top == value
+        with monkeypatch.context() as patch:
+            paths = Paths(patch)
+            tops = SupportLP(rows, n)
+            for x, top in zip(asked, want):
+                kept = tops._kept
+                cold, pivots = paths.cold, paths.warm_pivots
+                assert tops.maximum(x) == top
+                seen["queries"] += 1
+                if kept is None:
+                    continue
+                # From a kept tableau no objective solves cold, and an
+                # unbounded one leaves the tableau as it was.
+                assert paths.cold == cold
+                if top is None:
+                    assert tops._kept is kept
+                    seen["unbounded"] += 1
+                else:
+                    seen["pivoted" if paths.warm_pivots > pivots else "zero-pivot"] += 1
+            if any(top is not None for top in want) and tops._kept is None:
+                seen["cold-only"] += 1
+                assert paths.cold == (len(asked) if rows else 0)
+    assert seen["queries"] > 300
+    if shape in ("general", "bounded"):
+        assert seen["zero-pivot"] and seen["pivoted"]
+    if shape == "general":
+        assert seen["unbounded"]
+    if shape in ("slab", "lineality", "flat"):
+        assert seen["cold-only"]
+
+
+def test_a_bounded_full_rank_set_solves_cold_once(monkeypatch):
+    c = make_set(
+        3,
+        [((1, 0, 0), 2, False), ((-1, 0, 0), 1, True), ((0, 1, 0), 1, False),
+         ((0, -1, 0), 3, False), ((0, 0, 1), 1, False), ((0, 0, -1), 1, False),
+         ((1, 1, 1), 2, False)],
+    )
+    rng = random.Random("support-lp:count")
+    duals = {vec(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)) for _ in range(40)}
+    paths = Paths(monkeypatch)
+    levels = {x: support_level(c, x) for x in sorted(duals)}
+    assert len(levels) > 30 and paths.cold == 1
+    fresh = PartiallyOpenPolyhedron(c.carrier, c.strict_rows)
+    assert all(support_value(fresh, x).value == v for x, v in levels.items())
+
+
+def test_the_objective_and_the_rows_must_share_a_dimension():
+    with pytest.raises(InputError):
+        SupportLP([(vec([1, 0]), Fraction(1))], 1)
+    with pytest.raises(InputError):
+        SupportLP([(vec([1, 0]), Fraction(1))], 2).maximum(vec([1]))
+    empty = SupportLP([], 2)
+    assert empty.maximum(zero_vec(2)) == 0 and empty.maximum(vec([0, 1])) is None
