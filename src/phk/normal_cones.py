@@ -6,13 +6,14 @@ supremum is *attained inside the set* depends on the strict rows, so the
 full evaluation carries an attainment flag and, when attained, a witness
 point.  Attainment costs a second LP and is computed on request:
 ``support_level`` returns the value alone, ``support_value`` adds the
-attainment data.  Both read and fill the set's one support memo.  The value
-LP reads no point, so ``support_level`` solves it as its n-row dual through
-the set's one ``lp.SupportLP``; a valid set is nonempty, which that dual
-needs to be exact.  The duals of one set share the dual program's matrix and
-costs, so each memo miss after the first re-solves from the last optimal
-tableau by Bland-rule dual simplex pivots, often none.  A carrier whose
-normals do not span the space keeps no tableau, and each miss solves cold.
+attainment data, and neither remembers a value.  The value LP reads no
+point, so ``support_level`` solves it as its n-row dual through the set's
+one ``lp.SupportLP``; a valid set is nonempty, which that dual needs to be
+exact.  The duals of one set share the dual program's matrix and costs, so
+each dual after the first re-solves from the last optimal tableau by
+Bland-rule dual simplex pivots, often none, a repeated dual included.  A
+carrier whose normals do not span the space keeps no tableau, and each dual
+solves cold.
 """
 from __future__ import annotations
 
@@ -47,25 +48,21 @@ class SupportEvaluation:
 def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
     """sup of <xstar, x> over the set, without the attainment data.
 
-    One support LP on a memo miss, none on a hit; the value equals
-    ``support_value(c, xstar).value``.  The LP is asked of the set's
-    ``SupportLP``, made on the first miss: that miss solves cold, and each
-    later one re-solves from the last optimal tableau by dual simplex
-    (cold again when the carrier's normals do not span the space).
+    One support LP, asked of the set's ``SupportLP``; the value equals
+    ``support_value(c, xstar).value``.  The ``SupportLP`` is made on first
+    use: that dual solves cold, and each later one re-solves from the last
+    optimal tableau by dual simplex (cold again when the carrier's normals
+    do not span the space).
     """
     x = vec(xstar, c.dim)
     if isinstance(c, EmptySet):
         return NEG_INF
     record = require_valid(c)
-    known = record.support.get(x)
-    if known is None:
-        if record.support_lp is None:
-            # A valid set is nonempty, as ``SupportLP`` requires.
-            record.support_lp = SupportLP(c.carrier.rows, c.dim)
-        top = record.support_lp.maximum(x)
-        known = POS_INF if top is None else fin(top)
-        record.remember_support(x, known)
-    return known.value if isinstance(known, SupportEvaluation) else known
+    if record.support_lp is None:
+        # A valid set is nonempty, as ``SupportLP`` requires.
+        record.support_lp = SupportLP(c.carrier.rows, c.dim)
+    top = record.support_lp.maximum(x)
+    return POS_INF if top is None else fin(top)
 
 
 def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvaluation:
@@ -74,29 +71,22 @@ def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvalua
     The empty set gives -inf.  An unbounded direction gives +inf (never
     attained).  A finite value is attained on the carrier by construction;
     the flag records whether some maximizer survives the strict rows, and
-    the witness is such a point when one exists.  A value already in the
-    memo is reused, so only the attainment LP runs.
+    the witness is such a point when one exists.  Each call runs
+    ``support_level`` and, on a finite value, the attainment LP.
     """
     x = vec(xstar, c.dim)
     if isinstance(c, EmptySet):
         return SupportEvaluation(NEG_INF, False, None)
-    record = require_valid(c)
-    known = record.support.get(x)
-    if isinstance(known, SupportEvaluation):
-        return known
     value = support_level(c, x)
-    if value.is_finite:
-        level = value.finite_value
-        face = system_of(c) + (
-            (x, level, False),
-            (tuple(-q for q in x), -level, False),
-        )
-        witness = strict_system_feasible(face)
-        ev = SupportEvaluation(value, witness is not None, witness)
-    else:
-        ev = SupportEvaluation(value, False, None)
-    record.remember_support(x, ev)
-    return ev
+    if not value.is_finite:
+        return SupportEvaluation(value, False, None)
+    level = value.finite_value
+    face = system_of(c) + (
+        (x, level, False),
+        (tuple(-q for q in x), -level, False),
+    )
+    witness = strict_system_feasible(face)
+    return SupportEvaluation(value, witness is not None, witness)
 
 
 def supporting_rows(c: PartiallyOpenPolyhedron) -> tuple[int, ...]:

@@ -62,11 +62,6 @@ from .linalg import (
 from .lp import Row, StrictRow, SupportLP, closed_feasible, max_value, strict_system_feasible
 from .scalars import rat
 
-# Support values remembered per set; past the cap the oldest is dropped.  No
-# test or benchmark workload evicts: the most distinct duals any of them asks
-# of one set is 151 (the line-free support check), 26 in the report workload.
-SUPPORT_MEMO_CAP = 1024
-
 # Most row subsets one generator conversion walk may visit.  Each costs at
 # most one integer elimination step over the rows and a sign check against
 # every row: on a 2-vCPU VM about 0.01 ms in 2-D and 3-D and 0.06 ms for 17
@@ -93,18 +88,16 @@ class EmptySet:
 class SetRecord:
     """Derived data of one set, each field filled on first use.
 
-    Shared: ``validation``.  Closed-form route: ``support`` (the memo of
-    support values by dual: the ``ExtValue``, replaced in place by the full
-    ``SupportEvaluation`` once attainment is asked for), ``support_lp``
-    (the ``lp.SupportLP`` over the carrier rows that fills the memo's
-    misses: made on the first miss, it keeps the last optimal tableau, so
-    a later miss re-solves from it by dual simplex, or solves cold when the
-    normals do not span the space), ``witnesses``
-    (supporting-row witnesses: filled when their points are asked for, or
-    by ``supporting_rows`` on a set with strict rows; a closed set's
-    supporting rows need none) and ``integer_rows`` (the carrier rows scaled
-    to integers, one flat row ``(*normal, offset)`` each, read by
-    ``row_signs``).  Face route: ``vrep`` and ``faces``.
+    Shared: ``validation``.  Closed-form route: ``support_lp`` (the
+    ``lp.SupportLP`` over the carrier rows that answers every support
+    value: made on first use, it keeps the last optimal tableau, so a later
+    dual re-solves from it by dual simplex, or solves cold when the normals
+    do not span the space), ``witnesses`` (supporting-row witnesses: filled
+    when their points are asked for, or by ``supporting_rows`` on a set
+    with strict rows; a closed set's supporting rows need none) and
+    ``integer_rows`` (the carrier rows scaled to integers, one flat row
+    ``(*normal, offset)`` each, read by ``row_signs``).  Face route:
+    ``vrep`` and ``faces``.  Nothing is kept per dual.
     """
 
     __slots__ = (
@@ -112,7 +105,6 @@ class SetRecord:
         "witnesses",
         "vrep",
         "faces",
-        "support",
         "support_lp",
         "integer_rows",
         "__weakref__",
@@ -123,15 +115,8 @@ class SetRecord:
         self.witnesses: tuple | None = None
         self.vrep: VRep | None = None
         self.faces: tuple | None = None
-        self.support: dict = {}
         self.support_lp: SupportLP | None = None
         self.integer_rows: tuple[list[int], ...] | None = None
-
-    def remember_support(self, xstar: Vec, entry) -> None:
-        """Store an entry; a new dual at the cap evicts the oldest one."""
-        if xstar not in self.support and len(self.support) >= SUPPORT_MEMO_CAP:
-            del self.support[next(iter(self.support))]
-        self.support[xstar] = entry
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,15 +125,14 @@ class PartiallyOpenPolyhedron:
 
     ``_record`` holds what has been computed about this object: its
     ``Validation``, supporting-row witnesses, the carrier's V-rep, the faces,
-    a support memo of at most ``SUPPORT_MEMO_CAP`` duals with the LP that
-    fills it, and the carrier rows scaled to integers.  It takes no part in
-    ``==``, ``hash`` or ``repr``, and is freed with the set.  The two routes
-    to the coupling value stay independent by reading disjoint fields: the
-    face route (``enumerate_faces`` and its callers) reads only ``vrep`` and
-    ``faces``; the closed-form route (``support_level``, ``support_value``,
-    ``supporting_rows``, ``supporting_row_witnesses``, ``row_signs`` and
-    their callers) reads only ``support``, ``support_lp``, ``witnesses``
-    and ``integer_rows``.
+    the support LP and the carrier rows scaled to integers.  It takes no
+    part in ``==``, ``hash`` or ``repr``, and is freed with the set.  The
+    two routes to the coupling value stay independent by reading disjoint
+    fields: the face route (``enumerate_faces`` and its callers) reads only
+    ``vrep`` and ``faces``; the closed-form route (``support_level``,
+    ``support_value``, ``supporting_rows``, ``supporting_row_witnesses``,
+    ``row_signs`` and their callers) reads only ``support_lp``,
+    ``witnesses`` and ``integer_rows``.
     """
 
     carrier: ClosedPolyhedron

@@ -16,7 +16,6 @@ from .linalg import Vec, dot, int_key, vec, zero_vec
 from .lp import closed_feasible, strict_system_feasible
 from .normal_cones import (
     in_normal_cone,
-    in_range,
     normal_cone_at,
     support_level,
     support_value,
@@ -207,7 +206,7 @@ def verify_certificate(
     c: PartiallyOpenPolyhedron, x, cert: SeparationCertificate
 ) -> bool:
     """Exact re-check: support point in the set, normal in its cone, margin right."""
-    p = vec(x)
+    p = vec(x, c.dim)
     w = cert.support_point
     if not contains(c, w):
         return False
@@ -435,7 +434,7 @@ def line_free_report(
     for xstar in dual_vectors(c, spec):
         duals_checked += 1
         ev = support_value(c, xstar)
-        member = in_range(c, xstar)
+        member = ev.attained_in_set
         if ev.value.is_finite != member:
             # A closed set attains every finite support value.
             agree = False

@@ -172,3 +172,7 @@ def test_support_levels_ignore_the_order_of_the_duals(idx):
     want = [support_level(in_order, x) for x in duals]
     got = {x: support_level(out_of_order, x) for x in shuffled}
     assert [got[x] for x in duals] == want
+    # Asked again in reverse, each dual re-solves from whatever tableau the
+    # previous one left.
+    again = [support_level(in_order, x) for x in reversed(duals)]
+    assert again[::-1] == want

@@ -238,6 +238,15 @@ class TestSeparation:
         assert not verify_certificate(c, (2,), bad_support)
         bad_normal = type(cert)((F(-1),), cert.support_point, cert.margin)
         assert not verify_certificate(c, (2,), bad_normal)
+        # A point of the wrong dimension is rejected before any check, as by
+        # ``separation_certificate``.
+        square = unit_square()
+        cert = separation_certificate(square, (2, 0))
+        for bad in (cert, type(cert)(cert.normal, (F(2), F(0)), cert.margin)):
+            with pytest.raises(InputError, match="vector has dimension 3, expected 2"):
+                verify_certificate(square, (2, 0, 0), bad)
+        with pytest.raises(InputError, match="vector has dimension 3, expected 2"):
+            separation_certificate(square, (2, 0, 0))
 
     def test_certificates_verify_across_corpus(self):
         for c in partially_open_sets(8, seed=13):

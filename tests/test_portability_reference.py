@@ -7,7 +7,7 @@ one public predicate per condition: the closed-form coupling
 ``monotonically_related`` and ``in_normal_cone``, over ``graph_pairs``,
 ``cloud_points`` and the nonsupporting witness.  Every field must agree,
 the failure pair included.  The reference runs on a fresh copy of the set,
-so it solves its own LPs instead of reading the report's memo.
+so it solves its own LPs instead of reusing the report's support LP.
 
 The report's shortcuts are pinned against the longer routes they skip: the
 hull against ``canonicalize`` of the supporting rows, the one-pass convex
@@ -31,7 +31,6 @@ from phk.fitzpatrick import monotonically_related, normal_cone_fitzpatrick
 from phk.linalg import int_key, smul, vadd, vsub, zero_vec
 from phk.lp import SupportLP
 from phk.normal_cones import (
-    SupportEvaluation,
     in_normal_cone,
     in_portable_hull,
     normal_cone_at,
@@ -56,7 +55,7 @@ from phk.portability import (
     portable_hull,
 )
 from phk.sampling import SampleSpec, cloud_points, graph_pairs, points_in
-from phk.scalars import POS_INF, ExtValue
+from phk.scalars import POS_INF
 
 F = Fraction
 
@@ -365,16 +364,25 @@ def test_shortcut_sets_have_rays_and_lines():
 @pytest.mark.parametrize(
     "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
 )
-def test_report_memo_holds_values_that_support_value_completes(kind, c, monkeypatch):
+def test_each_support_lookup_solves_one_support_lp(kind, c, monkeypatch):
     c = fresh(c)
-    portability_report(c, SampleSpec(seed=5, count=8))
-    looked = dict(c._record.support)
-    assert looked and all(isinstance(v, ExtValue) for v in looked.values())
-    other = fresh(c)
-    want = {x: support_value(other, x) for x in looked}
+    asked = []
+    real_level = portability.support_level
 
-    # A support LP on a memo miss is ``SupportLP.maximum`` on the set's
-    # object; the attainment LP is ``strict_system_feasible``.
+    def recording(s, x):
+        asked.append(x)
+        return real_level(s, x)
+
+    monkeypatch.setattr(portability, "support_level", recording)
+    portability_report(c, SampleSpec(seed=5, count=8))
+    monkeypatch.undo()
+    duals = list(dict.fromkeys(asked))
+    assert duals
+    other = fresh(c)
+    want = {x: support_value(other, x) for x in duals}
+
+    # A support LP is ``SupportLP.maximum`` on the set's object; the
+    # attainment LP is ``strict_system_feasible``.
     owners = {"maximum": SupportLP, "strict_system_feasible": normal_cones}
     calls = {name: 0 for name in owners}
     for name, owner in owners.items():
@@ -385,27 +393,18 @@ def test_report_memo_holds_values_that_support_value_completes(kind, c, monkeypa
             return _real(*args)
 
         monkeypatch.setattr(owner, name, counted)
+    # Asked again after the report, each dual re-solves: nothing is remembered.
     finite = 0
-    for x, value in looked.items():
+    for x in duals:
         before = dict(calls)
-        ev = support_value(c, x)
-        assert ev == want[x] and ev.value == value
-        finite += value.is_finite
-        assert calls["maximum"] == before["maximum"]
-        assert calls["strict_system_feasible"] == before["strict_system_feasible"] + value.is_finite
-        assert isinstance(c._record.support[x], SupportEvaluation)
-        # Once complete, neither lookup solves anything.
+        assert support_level(c, x) == want[x].value
+        assert calls == {**before, "maximum": before["maximum"] + 1}
         before = dict(calls)
-        assert support_value(c, x) == ev and support_level(c, x) == ev.value
-        assert calls == before
+        assert support_value(c, x) == want[x]
+        finite += want[x].value.is_finite
+        assert calls == {
+            "maximum": before["maximum"] + 1,
+            "strict_system_feasible": before["strict_system_feasible"]
+            + want[x].value.is_finite,
+        }
     assert finite > 0
-
-    # A value-only lookup on a fresh set solves the support LP alone, once.
-    third = fresh(c)
-    # Validation's redundancy LPs run ``SupportLP.maximum`` too: run it first.
-    polyhedra.require_valid(third)
-    before = dict(calls)
-    for x in looked:
-        assert support_level(third, x) == looked[x] == support_level(third, x)
-    assert calls["maximum"] == before["maximum"] + len(looked)
-    assert calls["strict_system_feasible"] == before["strict_system_feasible"]

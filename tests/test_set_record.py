@@ -1,8 +1,9 @@
-"""The per-set record: validation once, derived data on the set, bounded memo."""
+"""The per-set record: validation once, derived data on the set, no state per dual."""
 from __future__ import annotations
 
 import gc
 import json
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -19,9 +20,9 @@ from phk.corpus import (
 )
 from phk.errors import InvalidSetError
 from phk.fitzpatrick import normal_cone_fitzpatrick, normal_cone_fitzpatrick_by_faces
+from phk.lp import SupportLP
 from phk.normal_cones import support_level, support_value
 from phk.polyhedra import (
-    SUPPORT_MEMO_CAP,
     ClosedPolyhedron,
     PartiallyOpenPolyhedron,
     closed_as_set,
@@ -144,38 +145,48 @@ def test_record_is_not_part_of_the_value():
     c = make_set(1, [((-1,), 0, True), ((1,), 1, False)])
     support_value(c, (F(1),))
     other = fresh(c)
-    assert c._record.support and not other._record.support
+    assert c._record.support_lp is not None and other._record.support_lp is None
     assert c == other and hash(c) == hash(other)
     assert repr(c) == repr(other) and "_record" not in repr(c)
 
 
-def test_support_memo_is_bounded():
-    c = make_set(1, [((-1,), 0, False)])  # x >= 0: one LP per positive dual
-    seen = 0
-    for k in range(1, 20001):
-        ev = support_value(c, (F(k, 3),))
-        seen = max(seen, len(c._record.support))
-        assert ev.value == POS_INF
-    assert seen == SUPPORT_MEMO_CAP
-    assert len(c._record.support) <= SUPPORT_MEMO_CAP
-    # The newest dual is kept, the oldest dropped.
-    assert (F(20000, 3),) in c._record.support
-    assert (F(1, 3),) not in c._record.support
+def _ask_half_line(c, ks):
+    """Ask duals -k/3 by ``support_value`` and k/3 by ``support_level`` of x >= 0."""
+    # A negative dual has value 0, attained at 0; a positive one is +inf.
+    for k in ks:
+        ev = support_value(c, (F(-k, 3),))
+        assert ev.value == fin(0) and ev.witness == (F(0),)
+        assert support_level(c, (F(k, 3),)) == POS_INF
 
 
-def test_completing_a_remembered_value_keeps_a_full_memo():
-    c = make_set(1, [((-1,), 0, False), ((1,), 1, False)])  # 0 <= x <= 1
-    duals = [(F(k, 3),) for k in range(1, SUPPORT_MEMO_CAP + 1)]
-    for d in duals:
-        assert support_level(c, d) == fin(d[0])
-    assert len(c._record.support) == SUPPORT_MEMO_CAP
-    # The oldest value gains its attainment data in place: nothing is evicted.
-    ev = support_value(c, duals[0])
-    assert ev.attained_in_set and ev.witness == (F(1),)
-    assert list(c._record.support) == duals
-    assert c._record.support[duals[0]] == ev
-    c._record.remember_support(duals[1], fin(duals[1][0]))
-    assert list(c._record.support) == duals
+def test_record_keeps_no_state_per_dual():
+    c = make_set(1, [((-1,), 0, False)])  # x >= 0
+    record = c._record
+    _ask_half_line(c, range(1, 201))
+    names = [name for name in polyhedra.SetRecord.__slots__ if name != "__weakref__"]
+    fields = {name: getattr(record, name) for name in names}
+    assert isinstance(record.support_lp, SupportLP)
+    _ask_half_line(c, range(201, 1401))
+    # More duals leave every field as it was: one ``SupportLP``, nothing per dual.
+    assert all(getattr(record, name) is value for name, value in fields.items())
+
+
+def test_memory_stays_flat_over_many_duals():
+    c = make_set(1, [((-1,), 0, False)])  # x >= 0
+    _ask_half_line(c, range(1, 201))
+    tracemalloc.start()
+    try:
+        _ask_half_line(c, range(201, 401))
+        # A full collection empties the free lists, which hold freed tuples.
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        _ask_half_line(c, range(401, 1401))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # A thousand more duals keep nothing.
+    assert grown < 4096
 
 
 def test_dropped_set_frees_its_record():
@@ -183,7 +194,7 @@ def test_dropped_set_frees_its_record():
     portability_report(c, SampleSpec(seed=2, count=4))
     portable_hull_by_faces(c)
     record = weakref.ref(c._record)
-    assert record().support and record().faces and record().vrep
+    assert record().support_lp is not None and record().faces and record().vrep
     del c
     gc.collect()
     assert record() is None
@@ -205,11 +216,11 @@ def test_routes_agree_on_fresh_sets():
         assert portable_hull(closed_form) == portable_hull_by_faces(by_faces)
         # Each route filled only its own fields of the record.  A closed set
         # reads its supporting rows without witnesses.
-        assert closed_form._record.support
+        assert closed_form._record.support_lp is not None
         if c.strict_rows:
             assert closed_form._record.witnesses is not None
         assert closed_form._record.integer_rows is not None
         assert closed_form._record.faces is None and closed_form._record.vrep is None
         assert by_faces._record.faces and by_faces._record.vrep is not None
-        assert by_faces._record.support == {} and by_faces._record.witnesses is None
+        assert by_faces._record.support_lp is None and by_faces._record.witnesses is None
         assert by_faces._record.integer_rows is None
