@@ -188,8 +188,11 @@ def strictly_inside(c: PartiallyOpenPolyhedron, x) -> bool:
 
 
 def set_member_witness(c: PartiallyOpenPolyhedron) -> Vec:
-    """Some point of a valid (hence nonempty) set."""
-    require_valid(c)
+    """Some point of a valid (hence nonempty) set: the strict-region point
+    ``make_set`` kept, or else the same LP's point, solved here."""
+    record = require_valid(c)
+    if record.member is not None:
+        return record.member
     if not c.carrier.rows:
         return tuple(Fraction(0) for _ in range(c.dim))
     witness = strict_system_feasible(system_of(c))

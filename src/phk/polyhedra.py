@@ -29,12 +29,14 @@ is checked against every row by the sign of one integer entry.  A walk over
 more than ``CONVERSION_SUBSET_CAP`` row subsets, counted as C(m, size)
 before any step, is refused before it starts.
 
-Membership runs on integers: ``row_signs`` compares a point, cleared of its
-denominators once by ``linalg.scaled``, with the carrier rows scaled to
-integers once per set (each row flat, its offset last), and returns only
-the sign of ``normal . x - offset`` per row.  ``contains``
-and the closed-form route's row checks read those signs; the face route,
-the LP certificate check and Fourier-Motzkin elimination keep ``dot``.
+Membership runs on integers: ``row_signs`` clears a point of its
+denominators once by ``linalg.scaled`` and hands it to the kernel
+``_signs``, which compares integers over one denominator with the carrier
+rows scaled to integers once per set (each row flat, its offset last), and
+returns only the sign of ``normal . x - offset`` per row.  The integer
+samplers call the kernel directly.  ``contains`` and the closed-form
+route's row checks read those signs; the face route, the LP certificate
+check and Fourier-Motzkin elimination keep ``dot``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvalidSetError, ScaleLimitError
@@ -88,20 +91,24 @@ class EmptySet:
 class SetRecord:
     """Derived data of one set, each field filled on first use.
 
-    Shared: ``validation``.  Closed-form route: ``support_lp`` (the
-    ``lp.SupportLP`` over the carrier rows that answers every support
-    value: made on first use, it keeps the last optimal tableau, so a later
-    dual re-solves from it by dual simplex, or solves cold when the normals
-    do not span the space), ``witnesses`` (supporting-row witnesses: filled
-    when their points are asked for, or by ``supporting_rows`` on a set
-    with strict rows; a closed set's supporting rows need none) and
-    ``integer_rows`` (the carrier rows scaled to integers, one flat row
-    ``(*normal, offset)`` each, read by ``row_signs``).  Face route:
+    Shared: ``validation`` and ``member`` (a point of a set with strict
+    rows: the one ``make_set`` solved for to find the strict region
+    nonempty, kept for ``set_member_witness``).  Closed-form route:
+    ``support_lp`` (the ``lp.SupportLP`` over the carrier rows that answers
+    every support value: made on first use, it keeps the last optimal
+    tableau, so a later dual re-solves from it by dual simplex, or solves
+    cold when the normals do not span the space), ``witnesses``
+    (supporting-row witnesses: filled when their points are asked for, or
+    by ``supporting_rows`` on a set with strict rows; a closed set's
+    supporting rows need none) and ``integer_rows`` (the carrier rows
+    scaled to integers, one flat row ``(*normal, offset)`` each, read by
+    ``_signs``).  Face route:
     ``vrep`` and ``faces``.  Nothing is kept per dual.
     """
 
     __slots__ = (
         "validation",
+        "member",
         "witnesses",
         "vrep",
         "faces",
@@ -112,6 +119,7 @@ class SetRecord:
 
     def __init__(self) -> None:
         self.validation: Validation | None = None
+        self.member: Vec | None = None
         self.witnesses: tuple | None = None
         self.vrep: VRep | None = None
         self.faces: tuple | None = None
@@ -124,10 +132,10 @@ class PartiallyOpenPolyhedron:
     """A carrier with some rows made strict, plus its derived data.
 
     ``_record`` holds what has been computed about this object: its
-    ``Validation``, supporting-row witnesses, the carrier's V-rep, the faces,
-    the support LP and the carrier rows scaled to integers.  It takes no
-    part in ``==``, ``hash`` or ``repr``, and is freed with the set.  The
-    two routes to the coupling value stay independent by reading disjoint
+    ``Validation``, a member point, supporting-row witnesses, the carrier's
+    V-rep, the faces, the support LP and the carrier rows scaled to
+    integers.  It takes no part in ``==``, ``hash`` or ``repr``, and is
+    freed with the set.  The two routes to the coupling value stay independent by reading disjoint
     fields: the face route (``enumerate_faces`` and its callers) reads only
     ``vrep`` and ``faces``; the closed-form route (``support_level``,
     ``support_value``, ``supporting_rows``, ``supporting_row_witnesses``,
@@ -314,8 +322,11 @@ def make_set(
             )
     strict = frozenset(i for i, r in enumerate(carrier_rows) if r in strict_rows)
     cand = PartiallyOpenPolyhedron(ClosedPolyhedron(dim, carrier_rows), strict)
-    if strict and strict_system_feasible(system_of(cand)) is None:
-        return EmptySet(dim)
+    if strict:
+        member = strict_system_feasible(system_of(cand))
+        if member is None:
+            return EmptySet(dim)
+        cand._record.member = member
     # The carrier is feasible and irredundant, and the strict region is
     # nonempty: exactly what ``validate`` would find again.
     return _known_valid(cand)
@@ -359,12 +370,18 @@ def closed_contains(p: ClosedPolyhedron, x: Sequence) -> bool:
 
 
 def row_signs(c: PartiallyOpenPolyhedron, x: Vec) -> tuple[int, ...]:
-    """Sign of ``normal . x - offset`` for each carrier row, as -1, 0 or 1.
+    """Sign of ``normal . x - offset`` for each carrier row, as -1, 0 or 1:
+    the point cleared of its denominators by ``scaled``, then placed by
+    ``_signs``.  The caller checks the point's dimension."""
+    return _signs(c, *scaled(x))
+
+
+def _signs(c: PartiallyOpenPolyhedron, ints: Sequence[int], den: int) -> tuple[int, ...]:
+    """``row_signs`` of the point ``ints / den``, ``den`` positive.
 
     Each carrier row ``(*normal, offset)`` is scaled to integers once per
-    set, and the point once per call, both by ``scaled``; the point gets
-    ``-den`` appended, so one integer dot product per row gives the sign.
-    The caller checks the point's dimension.
+    set, so one integer dot product per row, ``normal . ints - offset *
+    den``, gives the sign.
     """
     record = c._record
     rows = record.integer_rows
@@ -372,11 +389,10 @@ def row_signs(c: PartiallyOpenPolyhedron, x: Vec) -> tuple[int, ...]:
         rows = record.integer_rows = tuple(
             scaled((*normal, offset))[0] for normal, offset in c.carrier.rows
         )
-    xs, den = scaled(x)
-    xs.append(-den)
+    xs = [*ints, -den]
     signs = []
     for row in rows:
-        v = sum(a * b for a, b in zip(row, xs))
+        v = sum(map(mul, row, xs))
         signs.append((v > 0) - (v < 0))
     return tuple(signs)
 

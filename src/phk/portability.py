@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError
 from .faces import enumerate_faces
-from .linalg import Vec, dot, int_key, vec, zero_vec
-from .lp import closed_feasible, strict_system_feasible
+from .linalg import Vec, dot, scaled, vec, zero_vec
+from .lp import SupportLP, closed_feasible, strict_system_feasible
 from .normal_cones import (
     in_normal_cone,
     normal_cone_at,
@@ -28,6 +29,7 @@ from .polyhedra import (
     EmptySet,
     PartiallyOpenPolyhedron,
     _canonical_as_set,
+    _signs,
     carrier_vrep,
     closed_equal,
     closed_contains,
@@ -44,12 +46,11 @@ from .sampling import (
     SampleSpec,
     _cloud_from,
     _duals_at,
-    _placed_points_in,
+    _filtered_points_in,
     boundary_points,
     dual_vectors,
     points_in,
 )
-from .scalars import POS_INF, fin
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,64 +224,72 @@ def portability_report(
 ) -> PortabilityReport:
     """Check the four equivalent portability conditions on one set.
 
-    Two conditions are exact (the hull comparisons); the two about the
-    normal-cone graph are checked on a deterministic sample cloud that
-    always includes a targeted witness when the set is not portable.
+    Two conditions are exact (the hull comparisons, both read off one
+    ``SupportLP`` by ``_hull_verdicts``); the two about the normal-cone
+    graph are checked on a deterministic sample cloud that always includes
+    a targeted witness when the set is not portable.
 
-    The set is sampled once: the graph pairs and the cloud grow from one
-    ``points_in`` list.  The pairs are checked in groups, one per point x
-    with its ``row_signs`` vector and its duals x*: the nonsupporting
-    witness, the graph pairs of each ``points_in`` point, then each cloud
-    point with x* = 0.  Each distinct point's vector is computed once and
-    places it in the hull (supporting rows) and in the set (every row).
-    Each distinct dual paired with a point of the hull is looked up once,
-    by ``support_level``, keyed by ``int_key`` for this call only.  The
-    coupling is sigma(x*) on the hull and +inf off it; sigma + iota_C is
-    sigma(x*) on the set and +inf off it.  The pair is related when the
-    coupling is at most <x, x*>, and in the graph when x is in the set and
-    sigma(x*) = <x, x*>.  Repeated pairs are counted each time.
+    The set is sampled once, on integers: the graph pairs and the cloud
+    grow from one ``_filtered_points_in`` list.  The pairs are checked in
+    groups, one per point x with its integers over one denominator, its
+    ``row_signs`` vector and its duals x*: the nonsupporting witness, the
+    graph pairs of each ``points_in`` point, then each cloud point with
+    x* = 0.  Each distinct point is placed once, in the hull (supporting
+    rows) and in the set (every row).  Each distinct dual paired with a
+    point of the hull is looked up once, by ``support_level``, keyed by its
+    integers for this call only.  The coupling is sigma(x*) on the hull and
+    +inf off it; sigma + iota_C is sigma(x*) on the set and +inf off it.
+    The pair is related when the coupling is at most <x, x*>, and in the
+    graph when x is in the set and sigma(x*) = <x, x*>; <x, x*> is an
+    integer sum over x's denominator, compared with a finite sigma(x*) by
+    cross-multiplying.  Repeated pairs are counted each time.
     """
     hull = portable_hull(c)
-    hull_adds_nothing = closed_subset_of(hull, c)
-    hull_equals_carrier = closed_equal(hull, c.carrier)
+    hull_adds_nothing, hull_equals_carrier = _hull_verdicts(hull, c)
 
     supported = supporting_rows(c)
-    zero = zero_vec(c.dim)
-    inside, signs = _placed_points_in(c, spec)
-    groups = list(zip(inside, signs, _duals_at(c, spec, signs)))
-    groups += [(x, sg, [zero]) for x, sg in zip(inside, signs)]
+    zero = (zero_vec(c.dim), (0,) * c.dim)
+    inside = _filtered_points_in(c, spec)
+    graph_duals = _duals_at(c, spec, [p[2] for _, p in inside])
+    groups = [(x, p, ds) for (x, p), ds in zip(inside, graph_duals)]
+    groups += [(x, p, [zero]) for x, p in inside]
     # ``_cloud_from`` keeps first occurrences, so its head is ``inside``.
-    groups += [(x, row_signs(c, x), [zero]) for x in _cloud_from(c, spec, inside)[len(inside) :]]
+    groups += [(x, p, [zero]) for x, p in _cloud_from(c, spec, inside)[len(inside) :]]
     witness = nonsupporting_witness(c)
     if witness is not None:
         x = witness[1]
-        sg = next((sg for y, sg, _ in groups if y == x), None)
-        groups.insert(0, (x, sg if sg is not None else row_signs(c, x), [zero]))
+        p = next((p for y, p, _ in groups if y == x), None)
+        if p is None:
+            ints, den = scaled(x)
+            p = (ints, den, _signs(c, ints, den))
+        groups.insert(0, (x, p, [zero]))
 
-    levels = {}  # a dual's int_key -> its support level
+    levels = {}  # a dual's integers -> its support level, see ``_level``
     identity_ok = True
     maximal_ok = True
     failure = None
     related = 0
-    for x, sg, duals in groups:
+    for x, (ints, den, sg), duals in groups:
         if not all(sg[i] <= 0 for i in supported):
             # Off the hull both sides are +inf: the identity holds and no
             # pair is related.
             continue
         in_set = signs_inside(c, sg)
-        for xstar in duals:
-            key = int_key(xstar)
-            lhs = levels.get(key)
-            if lhs is None:
-                lhs = levels[key] = support_level(c, xstar)
-            rhs = lhs if in_set else POS_INF
-            if lhs != rhs:
+        for xstar, dual in duals:
+            level = _level(c, levels, xstar, dual)
+            if level is None:
+                # sigma(x*) = +inf is never at most <x, x*>, and both sides
+                # of the identity are +inf.
+                continue
+            if not in_set:
                 identity_ok = False
                 failure = failure or (x, xstar)
-            pairing = fin(dot(x, xstar))
-            if lhs <= pairing:
+            num, lden = level
+            # sigma(x*) = num / lden against <x, x*> = (ints . x*) / den.
+            lhs, rhs = num * den, lden * sum(map(mul, ints, dual))
+            if lhs <= rhs:
                 related += 1
-                if not (in_set and lhs == pairing):
+                if not (in_set and lhs == rhs):
                     maximal_ok = False
                     failure = failure or (x, xstar)
     return PortabilityReport(
@@ -295,10 +304,56 @@ def portability_report(
     )
 
 
+def _hull_verdicts(hull: ClosedPolyhedron, c: PartiallyOpenPolyhedron) -> tuple[bool, bool]:
+    """``closed_subset_of(hull, c)`` and ``closed_equal(hull, c.carrier)``
+    for the set's portable hull, read off one ``SupportLP`` over its rows.
+
+    The hull's rows are carrier rows, so the carrier lies in the hull, and
+    both verdicts ask only the rows ``closed_subset_of(hull, c)`` asks: the
+    strict rows, which never support, and the weak rows the hull lacks.
+    The hull equals the carrier when each such maximum is at most its
+    offset, and lies in the set when, in addition, a strict row's maximum
+    is below its offset.  The hull holds the set, which is nonempty, so no
+    feasibility LP runs first.
+    """
+    stated = set(hull.rows)
+    rows = c.carrier.rows
+    asked = [i for i, row in enumerate(rows) if i in c.strict_rows or row not in stated]
+    tops = SupportLP(hull.rows, hull.dim) if asked else None
+    adds_nothing = True
+    for i in asked:
+        normal, offset = rows[i]
+        top = tops.maximum(normal)
+        if top is None or top > offset:
+            return False, False
+        if top == offset and i in c.strict_rows:
+            adds_nothing = False
+    return adds_nothing, True
+
+
+def _level(
+    c: PartiallyOpenPolyhedron, levels: dict, xstar: Vec, dual: tuple[int, ...]
+) -> tuple[int, int] | None:
+    """sigma(x*) on the set as integers ``(num, den)``, or None for +inf;
+    ``support_level`` is asked once per dual and ``levels`` map, which is
+    keyed by the dual's integers."""
+    if dual not in levels:
+        sigma = support_level(c, xstar)
+        if sigma.is_finite:
+            (num,), den = scaled((sigma.finite_value,))
+            levels[dual] = num, den
+        else:
+            levels[dual] = None
+    return levels[dual]
+
+
 def hull_extension_report(
     c: PartiallyOpenPolyhedron, spec: SampleSpec = SampleSpec()
 ) -> dict:
-    """How the portable hull extends the set while preserving its graph."""
+    """How the portable hull extends the set while preserving its graph.
+
+    Each sampled point is placed in the hull once, and each distinct dual
+    is looked up on the hull once, as in ``portability_report``."""
     hull = portable_hull(c)
     hull_set = _canonical_as_set(hull)
     again = portable_hull(hull_set)
@@ -309,17 +364,21 @@ def hull_extension_report(
     preserved = True
     extended = True
     pair_witness = None
-    inside, signs = _placed_points_in(c, spec)
-    for x in inside:
+    inside = _filtered_points_in(c, spec)
+    for x, _ in inside:
         if not cones_equal(normal_cone_at(c, x), normal_cone_at(hull_set, x)):
             preserved = False
             pair_witness = pair_witness or x
-    duals = _duals_at(c, spec, signs)
-    pairs = [(x, d) for x, ds in zip(inside, duals) for d in ds]
-    for x, xstar in pairs:
-        if not in_normal_cone(hull_set, x, xstar):
-            extended = False
-            pair_witness = pair_witness or x
+    duals = _duals_at(c, spec, [p[2] for _, p in inside])
+    levels: dict = {}
+    for (x, (ints, den, _)), ds in zip(inside, duals):
+        on_hull = contains(hull_set, x)
+        for xstar, dual in ds:
+            level = _level(hull_set, levels, xstar, dual) if on_hull else None
+            # In the graph: x in the hull and sigma(x*) = <x, x*>, cross-multiplied.
+            if level is None or level[0] * den != level[1] * sum(map(mul, ints, dual)):
+                extended = False
+                pair_witness = pair_witness or x
     return {
         "hull": hull,
         "idempotent": idempotent,
@@ -328,7 +387,7 @@ def hull_extension_report(
         "conesPreservedOnSamples": preserved,
         "graphExtendedOnSamples": extended,
         "conesChecked": len(inside),
-        "pairsChecked": len(pairs),
+        "pairsChecked": sum(len(ds) for ds in duals),
         "witness": pair_witness,
         "ok": idempotent and portable and contains_set and preserved and extended,
     }

@@ -3,9 +3,17 @@
 Everything is seeded: the same ``SampleSpec`` and set always produce the
 same points in the same order, which keeps the command line output and the
 test suite reproducible.  Samples are exact rationals built from the
-vertex/ray description of the carrier where that is available.  Repeated
-points are dropped by ``linalg.int_key``.  A point's graph duals are kept
-with the point, which is distinct, so a pair needs no key of its own.
+vertex/ray description of the carrier where that is available.
+
+The samplers behind ``points_in``, ``cloud_points`` and ``graph_pairs`` run
+on integers, fraction-free as in Bareiss 1968: the witness and the
+carrier's generators are scaled once to integers over one denominator,
+each point and dual is built by integer arithmetic and placed by
+``polyhedra._signs`` on the integers it already has, and only a kept one
+becomes ``Fraction``s.  They drop repeated points by the integers and
+denominator in lowest terms; the other samplers by ``linalg.int_key``.  A
+point's graph duals are kept with the point, which is distinct, so a pair
+needs no key of its own.
 """
 from __future__ import annotations
 
@@ -13,17 +21,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from .errors import ScaleLimitError
 from .faces import FACE_DIM_CAP, enumerate_faces
-from .linalg import Vec, int_key, scaled, unit_vec, vadd, vsub, smul, zero_vec
-from .normal_cones import _active_normals, set_member_witness, supporting_row_witnesses
+from .linalg import Vec, int_key, scaled, unit_vec, vadd, smul, zero_vec
+from .normal_cones import set_member_witness, supporting_row_witnesses
 from .polyhedra import (
     PartiallyOpenPolyhedron,
     VRep,
+    _signs,
     carrier_vrep,
     contains,
-    row_signs,
     signs_inside,
 )
 
@@ -72,78 +81,119 @@ def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     return [x for x, _ in _filtered_points_in(c, spec)]
 
 
-def _placed_points_in(
-    c: PartiallyOpenPolyhedron, spec: SampleSpec
-) -> tuple[list[Vec], list[tuple[int, ...]]]:
-    """``points_in``'s points and the ``row_signs`` of each: the witness,
-    the vertices and the midpoints keep the vectors their membership pass
-    computed, and only the other points are placed here."""
-    placed = _filtered_points_in(c, spec)
-    points = [x for x, _ in placed]
-    return points, [row_signs(c, x) if sg is None else sg for x, sg in placed]
+# A sampled point ``x`` and how it was placed, ``(ints, den, signs)``:
+# ``x == ints / den`` in lowest terms, ``den`` positive, and ``signs`` its
+# ``row_signs``.  Equal points have equal ``(ints, den)``, as with ``int_key``.
+_Placed = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+
+def _lowest(ints: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    g = gcd(den, *ints)
+    return (tuple(ints), den) if g == 1 else (tuple([a // g for a in ints]), den // g)
+
+
+def _add(c: PartiallyOpenPolyhedron, out: list, seen: set, ints: list[int], den: int) -> None:
+    """Append the point ``ints / den``, placed, unless ``seen`` holds it."""
+    key = _lowest(ints, den)
+    if key not in seen:
+        seen.add(key)
+        ints, den = key
+        x = tuple([Fraction(a, den) for a in ints])
+        out.append((x, (ints, den, _signs(c, ints, den))))
+
+
+def _integers(c: PartiallyOpenPolyhedron, *vectors: Vec) -> tuple[list[list[int]], int]:
+    """The vectors as integers over one common denominator."""
+    flat, den = scaled([q for v in vectors for q in v])
+    return [flat[i : i + c.dim] for i in range(0, len(flat), c.dim)], den
 
 
 def _filtered_points_in(
     c: PartiallyOpenPolyhedron, spec: SampleSpec
-) -> list[tuple[Vec, tuple[int, ...] | None]]:
-    """``points_in``'s points, each with the ``row_signs`` vector that
-    placed it in the set: the witness, vertices and midpoints carry one,
-    and the combinations and recession pokes None."""
+) -> list[tuple[Vec, _Placed]]:
+    """``points_in``'s points, each with its ``_Placed`` data.
+
+    The witness, the vertices, rays and lines are scaled to integers over
+    one denominator d, so a midpoint is (a + b) / 2d and a combination
+    sum(w * f) / (2d * total) over the kept features f, each over 2d.  Each
+    candidate is placed by ``_signs`` on those integers, and a point
+    becomes ``Fraction``s only once it is kept.
+    """
     rng = _rng(spec, "in")
     inner = set_member_witness(c)
     geo = _carrier_geometry(c)
-    mids = [smul(Fraction(1, 2), vadd(a, b)) for a, b in combinations(geo.vertices, 2)]
-    features = [(inner, row_signs(c, inner))]
+    ints, d = _integers(c, inner, *geo.vertices, *geo.rays, *geo.lineality)
+    it = iter(ints)
+    w = next(it)
+    verts = [next(it) for _ in geo.vertices]
+    rays = [next(it) for _ in geo.rays]
+    lines = list(it)
     # The witness leads the list and is in the set; each distinct vertex
     # and midpoint is placed once and kept if it is in the set too.
-    for x in _dedupe([inner, *geo.vertices, *mids])[1:]:
-        sg = row_signs(c, x)
-        if signs_inside(c, sg):
-            features.append((x, sg))
-    out = list(features)
-    base = [x for x, _ in features]
-    # Each combination is sum(w * f) / (den * total) per coordinate, over
-    # the features scaled to integers by one common denominator.
-    flat, den = scaled([q for f in base for q in f])
-    ints = [flat[i : i + c.dim] for i in range(0, len(flat), c.dim)]
+    candidates = [(inner, [2 * a for a in w])]
+    candidates += [(v, [2 * a for a in vi]) for v, vi in zip(geo.vertices, verts)]
+    candidates += [(None, [p + q for p, q in zip(a, b)]) for a, b in combinations(verts, 2)]
+    tried = set()
+    base = []
+    out = []
+    for i, (x, f) in enumerate(candidates):
+        if (t := tuple(f)) in tried:
+            continue
+        tried.add(t)
+        sg = _signs(c, f, 2 * d)
+        if i == 0 or signs_inside(c, sg):
+            key, den = _lowest(f, 2 * d)
+            if x is None:
+                x = tuple([Fraction(a, den) for a in key])
+            base.append(f)
+            out.append((x, (key, den, sg)))
+    seen = {(p[0], p[1]) for _, p in out}
     for _ in range(spec.count):
         weights = [rng.randint(0, 4) for _ in base]
         total = sum(weights)
         if total == 0:
             continue
-        point = tuple(
-            Fraction(sum(w * f[j] for w, f in zip(weights, ints)), den * total)
-            for j in range(c.dim)
-        )
-        out.append((point, None))
-    for r in geo.rays:
-        step = Fraction(rng.randint(1, 3), rng.choice((1, 2)))
-        out.append((vadd(inner, smul(step, r)), None))
-    for l in geo.lineality:
-        out.append((vadd(inner, l), None))
-        out.append((vsub(inner, l), None))
-    return _dedupe(out, key=lambda placed: int_key(placed[0]))
+        point = [sum(k * f[j] for k, f in zip(weights, base)) for j in range(c.dim)]
+        _add(c, out, seen, point, 2 * d * total)
+    for r in rays:
+        a, b = rng.randint(1, 3), rng.choice((1, 2))
+        _add(c, out, seen, [b * p + a * q for p, q in zip(w, r)], b * d)
+    for l in lines:
+        _add(c, out, seen, [p + q for p, q in zip(w, l)], d)
+        _add(c, out, seen, [p - q for p, q in zip(w, l)], d)
+    return out
 
 
 def cloud_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Points in and around the set, membership not guaranteed."""
-    return _cloud_from(c, spec, points_in(c, spec))
+    return [x for x, _ in _cloud_from(c, spec, _filtered_points_in(c, spec))]
 
 
-def _cloud_from(c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[Vec]) -> list[Vec]:
-    """``cloud_points`` around an already sampled ``points_in`` list (not mutated)."""
+def _cloud_from(
+    c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[tuple[Vec, _Placed]]
+) -> list[tuple[Vec, _Placed]]:
+    """``cloud_points`` around an already sampled ``_filtered_points_in``
+    list (not mutated), each point placed, ``inside`` first.  Over the
+    witness's and the vertices' common denominator d, a reflection is
+    2v - w and a poke v +- d e_j; a seeded point is over 12."""
     rng = _rng(spec, "cloud")
     geo = _carrier_geometry(c)
     out = list(inside)
-    inner = out[0]  # the witness point ``points_in`` lists first
-    for v in geo.vertices:
-        out.append(tuple([2 * a - b for a, b in zip(v, inner)]))
+    seen = {(p[0], p[1]) for _, p in inside}
+    (w, *verts), d = _integers(c, inside[0][0], *geo.vertices)
+    for v in verts:
+        _add(c, out, seen, [2 * a - b for a, b in zip(v, w)], d)
         for j in range(c.dim):
-            out.append(v[:j] + (v[j] + 1,) + v[j + 1 :])
-            out.append(v[:j] + (v[j] - 1,) + v[j + 1 :])
+            _add(c, out, seen, v[:j] + [v[j] + d] + v[j + 1 :], d)
+            _add(c, out, seen, v[:j] + [v[j] - d] + v[j + 1 :], d)
     for _ in range(spec.count):
-        out.append(tuple(_rational(rng) for _ in range(c.dim)))
-    return _dedupe(out)
+        # ``_rational``'s draws, num / den with den dividing 12.
+        point = []
+        for _ in range(c.dim):
+            num = rng.randint(-12, 12)
+            point.append(num * (12 // rng.choice((1, 2, 3, 4))))
+        _add(c, out, seen, point, 12)
+    return out
 
 
 def dual_vectors(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
@@ -166,34 +216,37 @@ def graph_pairs(
     c: PartiallyOpenPolyhedron, spec: SampleSpec
 ) -> list[tuple[Vec, Vec]]:
     """Pairs (x, x*) with x in the set and x* in the cone of active normals."""
-    inside, signs = _placed_points_in(c, spec)
-    return [(x, d) for x, ds in zip(inside, _duals_at(c, spec, signs)) for d in ds]
+    inside = _filtered_points_in(c, spec)
+    duals = _duals_at(c, spec, [p[2] for _, p in inside])
+    return [(x, d) for (x, _), ds in zip(inside, duals) for d, _ in ds]
 
 
 def _duals_at(
     c: PartiallyOpenPolyhedron, spec: SampleSpec, signs: list[tuple[int, ...]]
-) -> list[list[Vec]]:
+) -> list[list[tuple[Vec, tuple[int, ...]]]]:
     """The duals ``graph_pairs`` pairs with each ``points_in`` point, given
     the points' ``row_signs``: zero, each active normal, then seeded
-    combinations of them, without repeats.  The points are distinct, so
-    these are the pairs without repeats too."""
+    combinations of them, without repeats, each as ``(x*, ints)``.  A valid
+    carrier is canonical, so its normals are primitive integer vectors, and
+    ``ints`` is x* itself as ``int``s.  The points are distinct, so these
+    are the pairs without repeats too."""
     rng = _rng(spec, "pairs")
     # Both knobs scale with the requested count so that asking for more
     # samples keeps producing new pairs even when the set has few distinct
     # boundary points (one-dimensional sets in particular).
     combos = max(1, spec.count // 8)
     span = max(3, spec.count // 4)
-    out: list[list[Vec]] = []
+    normals = [(normal, tuple(scaled(normal)[0])) for normal, _ in c.carrier.rows]
+    zero = (zero_vec(c.dim), (0,) * c.dim)
+    out = []
     for sg in signs:
-        gens = _active_normals(c, sg)
-        duals = [zero_vec(c.dim), *gens]
+        gens = [g for g, s in zip(normals, sg) if s == 0]
+        duals = [zero, *gens]
         for _ in range(combos if gens else 0):
-            weights = [Fraction(rng.randint(0, span)) for _ in gens]
-            combo = zero_vec(c.dim)
-            for w, g in zip(weights, gens):
-                combo = vadd(combo, smul(w, g))
-            duals.append(combo)
-        out.append(_dedupe(duals))
+            weights = [rng.randint(0, span) for _ in gens]
+            combo = tuple([sum(k * g[j] for k, (_, g) in zip(weights, gens)) for j in range(c.dim)])
+            duals.append((tuple([Fraction(a) for a in combo]), combo))
+        out.append(_dedupe(duals, key=lambda dual: dual[1]))
     return out
 
 

@@ -14,7 +14,9 @@ hull against ``canonicalize`` of the supporting rows, the one-pass convex
 combinations of ``points_in`` against term-by-term ``vadd``/``smul``, and
 the value-only support lookups against ``support_value`` on a fresh set,
 and the graph duals grouped by point against the flat pair walk that drops
-repeated pairs by a key per pair.
+repeated pairs by a key per pair.  The integer samplers are pinned against
+their ``Fraction`` forms, kept here as the reference: the same points, row
+signs, duals and cloud, in the same order.
 """
 from __future__ import annotations
 
@@ -22,15 +24,19 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from phk import normal_cones, polyhedra, portability, sampling
 from phk.corpus import line_free_closed_sets, partially_open_sets
+from phk.errors import InvalidSetError
 from phk.fitzpatrick import monotonically_related, normal_cone_fitzpatrick
-from phk.linalg import int_key, smul, vadd, vsub, zero_vec
+from phk.linalg import int_key, scaled, smul, vadd, vsub, zero_vec
 from phk.lp import SupportLP
 from phk.normal_cones import (
+    _active_normals,
     in_normal_cone,
     in_portable_hull,
     normal_cone_at,
@@ -40,12 +46,15 @@ from phk.normal_cones import (
     supporting_rows,
 )
 from phk.polyhedra import (
+    ClosedPolyhedron,
     PartiallyOpenPolyhedron,
     canonicalize,
     closed_as_set,
+    closed_equal,
     closed_subset_of,
     contains,
     make_set,
+    row_signs,
 )
 from phk.portability import (
     PortabilityReport,
@@ -170,8 +179,8 @@ def test_the_cases_include_failing_reports():
 
 
 def test_each_report_samples_the_set_once(monkeypatch):
-    # ``points_in`` and the reports' signed sampler share one body, which
-    # only ``sampling`` calls.
+    # ``points_in`` and the reports' placed sampler share one body, which
+    # only ``sampling`` and ``portability`` call.
     real = sampling._filtered_points_in
     handed: list[list] = []
 
@@ -180,6 +189,7 @@ def test_each_report_samples_the_set_once(monkeypatch):
         return handed[-1]
 
     monkeypatch.setattr(sampling, "_filtered_points_in", counted)
+    monkeypatch.setattr(portability, "_filtered_points_in", counted)
     c = make_set(2, [((1, 0), 1, True), ((-1, 0), 0, False), ((0, 1), 1, False), ((0, -1), 0, False)])
     spec = SampleSpec(seed=0, count=8)
     portability_report(c, spec)
@@ -216,12 +226,33 @@ def test_report_places_each_point_and_looks_up_each_dual_once(kind, c, monkeypat
     if witness is not None:
         pairs.append((witness[1], zero))
     inside = {(x,) for x in points_in(fresh(c), spec)}
-    placed = counting(monkeypatch, portability, "row_signs")
-    sampled = counting(monkeypatch, sampling, "row_signs")
+    # Each placement by the kernel ``_signs``, as the point it places: made
+    # while ``_filtered_points_in`` samples the set, or after.
+    sampled: list = []
+    placed: list = []
+    calls = placed
+    real_points, real_signs = sampling._filtered_points_in, polyhedra._signs
+
+    def sampling_points(*args):
+        nonlocal calls
+        calls = sampled
+        try:
+            return real_points(*args)
+        finally:
+            calls = placed
+
+    def signs(s, ints, den):
+        calls.append((tuple(F(a, den) for a in ints),))
+        return real_signs(s, ints, den)
+
+    for module in (sampling, portability):
+        monkeypatch.setattr(module, "_filtered_points_in", sampling_points)
+        monkeypatch.setattr(module, "_signs", signs)
     looked = counting(monkeypatch, portability, "support_level")
     portability_report(c, spec)
     # The sampler places each candidate once, and hands the report the
-    # vectors of the points it keeps; the report places only the rest.
+    # vectors of the points it keeps; the cloud and the witness place only
+    # the rest.
     assert len(set(sampled)) == len(sampled) and inside <= set(sampled)
     assert len(set(placed)) == len(placed) and not inside & set(placed)
     assert inside | set(placed) == {(x,) for x, _ in pairs}
@@ -231,10 +262,55 @@ def test_report_places_each_point_and_looks_up_each_dual_once(kind, c, monkeypat
 def test_report_on_a_closed_box_solves_no_containment_lp(monkeypatch):
     units = [tuple(int(i == j) * sign for i in range(3)) for j in range(3) for sign in (1, -1)]
     box = make_set(3, [(u, 1, False) for u in units])
-    solved = counting(monkeypatch, polyhedra, "max_value")
-    made = counting(monkeypatch, polyhedra, "SupportLP")
+    solved = counting(monkeypatch, portability, "closed_feasible")
+    made = counting(monkeypatch, portability, "SupportLP")
     report = portability_report(box, SampleSpec(seed=0, count=8))
     assert solved == made == [] and report.hull_adds_nothing and report.hull_equals_carrier
+
+
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_hull_extension_looks_up_each_dual_once(kind, c, monkeypatch):
+    c, spec = fresh(c), SampleSpec(seed=5, count=8)
+    duals = {d for _, d in graph_pairs(fresh(c), spec)}
+    made = []
+    real_as_set = portability._canonical_as_set
+
+    def as_set(p):
+        made.append(real_as_set(p))
+        return made[-1]
+
+    asked = []
+    real_maximum = SupportLP.maximum
+
+    def maximum(lp, objective):
+        asked.append((lp, objective))
+        return real_maximum(lp, objective)
+
+    monkeypatch.setattr(portability, "_canonical_as_set", as_set)
+    monkeypatch.setattr(SupportLP, "maximum", maximum)
+    got = hull_extension_report(c, spec)
+    # Every sampled point lies in the hull, so each distinct dual is asked
+    # of the hull's support LP, once.
+    (hull_set,) = made
+    on_hull = [d for lp, d in asked if lp is hull_set._record.support_lp]
+    assert sorted(on_hull) == sorted(duals) and got["graphExtendedOnSamples"]
+
+
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_hull_verdicts_match_the_two_comparisons(kind, c):
+    # Any row subset of the carrier holds the set, as the hull does; one
+    # that states a strict row reaches that row's offset.
+    rows = c.carrier.rows
+    rng = random.Random(len(rows))
+    subsets = [[r for r in rows if rng.random() < 0.6] for _ in range(12)]
+    for kept in [list(rows), *subsets]:
+        p = ClosedPolyhedron(c.dim, tuple(kept))
+        want = (closed_subset_of(p, c), closed_equal(p, c.carrier))
+        assert portability._hull_verdicts(p, c) == want, kept
 
 
 def test_dedupe_keeps_each_first_occurrence_in_order():
@@ -255,6 +331,140 @@ SHORTCUT_SETS = (
 def test_hull_is_the_canonical_form_of_the_supporting_rows(c):
     rows = [c.carrier.rows[i] for i in supporting_rows(c)]
     assert portable_hull(c) == canonicalize(c.dim, rows)
+
+
+def fraction_filtered_points_in(c, spec: SampleSpec) -> list:
+    """``sampling._filtered_points_in`` on ``Fraction``s, as
+    ``(x, row_signs or None)``: the witness, vertices and midpoints carry
+    the vector that placed them, and the combinations and recession pokes
+    None."""
+    rng = sampling._rng(spec, "in")
+    inner = set_member_witness(c)
+    geo = sampling._carrier_geometry(c)
+    mids = [smul(F(1, 2), vadd(a, b)) for a, b in combinations(geo.vertices, 2)]
+    features = [(inner, row_signs(c, inner))]
+    for x in sampling._dedupe([inner, *geo.vertices, *mids])[1:]:
+        sg = row_signs(c, x)
+        if polyhedra.signs_inside(c, sg):
+            features.append((x, sg))
+    out = list(features)
+    base = [x for x, _ in features]
+    flat, den = scaled([q for f in base for q in f])
+    ints = [flat[i : i + c.dim] for i in range(0, len(flat), c.dim)]
+    for _ in range(spec.count):
+        weights = [rng.randint(0, 4) for _ in base]
+        total = sum(weights)
+        if total == 0:
+            continue
+        point = tuple(
+            F(sum(w * f[j] for w, f in zip(weights, ints)), den * total)
+            for j in range(c.dim)
+        )
+        out.append((point, None))
+    for r in geo.rays:
+        step = F(rng.randint(1, 3), rng.choice((1, 2)))
+        out.append((vadd(inner, smul(step, r)), None))
+    for l in geo.lineality:
+        out.append((vadd(inner, l), None))
+        out.append((vsub(inner, l), None))
+    return sampling._dedupe(out, key=lambda placed: int_key(placed[0]))
+
+
+def fraction_placed_points_in(c, spec: SampleSpec) -> tuple[list, list]:
+    """``fraction_filtered_points_in``'s points and the ``row_signs`` of
+    each."""
+    placed = fraction_filtered_points_in(c, spec)
+    return [x for x, _ in placed], [row_signs(c, x) if sg is None else sg for x, sg in placed]
+
+
+def fraction_cloud_from(c, spec: SampleSpec, inside: list) -> list:
+    """``sampling._cloud_from``'s points on ``Fraction``s, around a
+    ``points_in`` list."""
+    rng = sampling._rng(spec, "cloud")
+    geo = sampling._carrier_geometry(c)
+    out = list(inside)
+    inner = out[0]
+    for v in geo.vertices:
+        out.append(tuple([2 * a - b for a, b in zip(v, inner)]))
+        for j in range(c.dim):
+            out.append(v[:j] + (v[j] + 1,) + v[j + 1 :])
+            out.append(v[:j] + (v[j] - 1,) + v[j + 1 :])
+    for _ in range(spec.count):
+        out.append(tuple(sampling._rational(rng) for _ in range(c.dim)))
+    return sampling._dedupe(out)
+
+
+def fraction_duals_at(c, spec: SampleSpec, signs: list) -> list:
+    """``sampling._duals_at``'s duals on ``Fraction``s, without their
+    integers."""
+    rng = sampling._rng(spec, "pairs")
+    combos = max(1, spec.count // 8)
+    span = max(3, spec.count // 4)
+    out = []
+    for sg in signs:
+        gens = _active_normals(c, sg)
+        duals = [zero_vec(c.dim), *gens]
+        for _ in range(combos if gens else 0):
+            weights = [F(rng.randint(0, span)) for _ in gens]
+            combo = zero_vec(c.dim)
+            for w, g in zip(weights, gens):
+                combo = vadd(combo, smul(w, g))
+            duals.append(combo)
+        out.append(sampling._dedupe(duals))
+    return out
+
+
+def assert_samplers_match_the_reference(c, spec: SampleSpec) -> None:
+    got = sampling._filtered_points_in(c, spec)
+    points, signs = fraction_placed_points_in(fresh(c), spec)
+    assert [x for x, _ in got] == points and repr([x for x, _ in got]) == repr(points)
+    assert [p[2] for _, p in got] == signs
+    cloud = sampling._cloud_from(c, spec, got)
+    want = fraction_cloud_from(c, spec, points)
+    assert cloud[: len(got)] == got
+    assert [x for x, _ in cloud] == want and repr([x for x, _ in cloud]) == repr(want)
+    for x, (ints, den, sg) in cloud:
+        # Each point's integers are the point in lowest terms, and place it.
+        assert den > 0 and gcd(den, *ints) == 1
+        assert tuple(F(a, den) for a in ints) == x and sg == row_signs(c, x)
+    duals = sampling._duals_at(c, spec, signs)
+    want = fraction_duals_at(c, spec, signs)
+    assert [[d for d, _ in ds] for ds in duals] == want
+    assert repr([[d for d, _ in ds] for ds in duals]) == repr(want)
+    assert all(tuple(F(a) for a in ints) == d for ds in duals for d, ints in ds)
+
+
+@pytest.mark.parametrize("count", (1, 8, 40))
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_integer_samplers_match_the_fraction_reference(kind, c, count):
+    assert_samplers_match_the_reference(c, SampleSpec(seed=5, count=count))
+
+
+small = st.integers(-3, 3)
+rows_drawn = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.tuples(
+            st.tuples(*[small] * dim).filter(any),
+            st.builds(F, st.integers(-6, 6), st.integers(1, 3)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    ).map(lambda rows: (dim, rows))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_drawn, st.integers(0, 99), st.sampled_from((1, 8, 40)))
+def test_integer_samplers_match_on_drawn_sets(drawn, seed, count):
+    try:
+        c = make_set(*drawn)
+    except InvalidSetError:
+        c = None
+    assume(isinstance(c, PartiallyOpenPolyhedron))
+    assert_samplers_match_the_reference(c, SampleSpec(seed=seed, count=count))
 
 
 def term_by_term_points_in(c, spec: SampleSpec) -> list:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from phk import polyhedra
+from phk import normal_cones, polyhedra
 from phk.corpus import (
     line_free_closed_sets,
     partially_open_sets,
@@ -21,12 +21,13 @@ from phk.corpus import (
 from phk.errors import InvalidSetError
 from phk.fitzpatrick import normal_cone_fitzpatrick, normal_cone_fitzpatrick_by_faces
 from phk.lp import SupportLP
-from phk.normal_cones import support_level, support_value
+from phk.normal_cones import set_member_witness, support_level, support_value
 from phk.polyhedra import (
     ClosedPolyhedron,
     PartiallyOpenPolyhedron,
     closed_as_set,
     make_set,
+    system_of,
     validate,
     whole_set,
 )
@@ -224,3 +225,28 @@ def test_routes_agree_on_fresh_sets():
         assert by_faces._record.faces and by_faces._record.vrep is not None
         assert by_faces._record.support_lp is None and by_faces._record.witnesses is None
         assert by_faces._record.integer_rows is None
+
+
+def test_make_set_keeps_its_strict_region_point(monkeypatch):
+    sets = [make_set(2, [((1, 0), 1, True), ((0, 1), 1, False), ((-1, -1), 0, False)])]
+    sets += partially_open_sets(6, seed=307, force_strict=True)
+    closed = make_set(2, [((1, 0), 1, False), ((-1, 0), 0, False)])
+    solved = []
+    real = normal_cones.strict_system_feasible
+
+    def counted(rows):
+        solved.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(normal_cones, "strict_system_feasible", counted)
+    for c in sets:
+        assert c.strict_rows
+        portability_report(c, SampleSpec(seed=2, count=4))
+        # The report's witness is the point ``make_set`` kept, not solved again.
+        assert system_of(c) not in solved
+        assert set_member_witness(c) == set_member_witness(fresh(c))
+        assert solved.count(system_of(c)) == 1
+    # A closed set keeps no point: its witness is solved when asked for.
+    assert closed._record.member is None
+    set_member_witness(closed)
+    assert solved[-1] == system_of(closed)

@@ -1,0 +1,127 @@
+"""The report's LP work, pinned as exact counts.
+
+Wall time on a shared machine drifts too much to show where work went, but
+the number of LPs a fixed input plan solves does not drift.  ``count_work``
+wraps ``lp.lp_solve`` and ``lp.SupportLP._warm`` from outside and records
+each cold solve under the first function outside ``lp`` that asked for it,
+and each warm re-solve apart.  The counts below are the claim: a change
+that moves them re-records them and says why.
+
+Run this file directly to print the counts of both plans:
+
+    PYTHONPATH=src python tests/test_work_counts.py
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+from phk import lp
+from phk.polyhedra import make_set
+from phk.portability import portability_report
+from phk.sampling import SampleSpec
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+
+# ``bench_style_sets``, built and reported under the count.
+BENCH_STYLE = {
+    "normal_cones._hyperplanes_meeting": 10,
+    "normal_cones.set_member_witness": 2,
+    "normal_cones.support_level": 5,
+    "polyhedra._canonical_rows": 5,
+    "polyhedra._irredundant": 25,
+    "polyhedra.make_set": 3,
+    "portability._hull_verdicts": 3,
+    "portability.nonsupporting_witness": 3,
+    "warm": 55,
+}
+# The benchmark's ``report_plan(101, 12)`` sets, built first; their reports
+# under the count.
+REPORT_PLAN = {
+    "normal_cones._hyperplanes_meeting": 216,
+    "normal_cones.set_member_witness": 60,
+    "normal_cones.support_level": 120,
+    "portability._hull_verdicts": 60,
+    "portability.nonsupporting_witness": 60,
+    "warm": 1448,
+}
+
+
+def _asker() -> str:
+    frame = sys._getframe(2)
+    while frame.f_globals.get("__name__") == "phk.lp":
+        frame = frame.f_back
+    return f"{frame.f_globals['__name__'].removeprefix('phk.')}.{frame.f_code.co_name}"
+
+
+def count_work(run) -> dict[str, int]:
+    """Cold LP solves by asking function, and warm re-solves, while ``run()``
+    runs."""
+    counts: Counter = Counter()
+    real_solve, real_warm = lp.lp_solve, lp.SupportLP._warm
+
+    def solve(*args):
+        counts[_asker()] += 1
+        return real_solve(*args)
+
+    def warm(*args):
+        counts["warm"] += 1
+        return real_warm(*args)
+
+    lp.lp_solve, lp.SupportLP._warm = solve, warm
+    try:
+        run()
+    finally:
+        lp.lp_solve, lp.SupportLP._warm = real_solve, real_warm
+    return dict(sorted(counts.items()))
+
+
+def bench_style_counts() -> dict[str, int]:
+    from test_portability_reference import bench_style_sets
+
+    def run():
+        for c in bench_style_sets():
+            portability_report(c, SampleSpec(seed=5, count=8))
+
+    return count_work(run)
+
+
+def report_plan_counts() -> dict[str, int]:
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    sets = [make_set(dim, rows) for dim, rows in gen.report_plan(101, 12)]
+    spec = SampleSpec(seed=101, count=8)
+    return count_work(lambda: [portability_report(c, spec) for c in sets])
+
+
+def test_bench_style_sets_solve_the_pinned_lps():
+    assert bench_style_counts() == BENCH_STYLE
+
+
+def test_report_plan_solves_the_pinned_lps():
+    counts = report_plan_counts()
+    assert counts == REPORT_PLAN
+    assert sum(counts.values()) - counts["warm"] == 516
+
+
+def test_counts_do_not_depend_on_the_hash_seed():
+    code = "import json, test_work_counts as t; print(json.dumps(t.bench_style_counts()))"
+    path = os.pathsep.join([str(ROOT / "src"), str(TESTS)])
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        got = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(got.stdout) == BENCH_STYLE, seed
+
+
+if __name__ == "__main__":
+    print(json.dumps({"bench_style": bench_style_counts(), "report_plan": report_plan_counts()}, indent=1))
