@@ -16,7 +16,7 @@ and the command-line tool re-verifies those identities on each run.
 import importlib
 
 from .errors import InputError, InvalidSetError, ScaleLimitError
-from .faces import Face, enumerate_faces, proper_faces
+from .faces import Face, enumerate_faces
 from .fitzpatrick import (
     MonotoneGraph,
     fitzpatrick_value,
@@ -190,7 +190,6 @@ __all__ = [
     "portable_hull",
     "portable_hull_by_faces",
     "problem",
-    "proper_faces",
     "rat",
     "rat_str",
     "rep_equality",

@@ -92,8 +92,3 @@ def enumerate_faces(c: PartiallyOpenPolyhedron) -> tuple[Face, ...]:
     faces.sort(key=lambda f: (len(f.active), sorted(f.active)))
     record.faces = tuple(faces)
     return record.faces
-
-
-def proper_faces(c: PartiallyOpenPolyhedron) -> tuple[Face, ...]:
-    """Faces cut out by at least one active row."""
-    return tuple(f for f in enumerate_faces(c) if f.active)

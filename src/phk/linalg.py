@@ -2,8 +2,8 @@
 
 Vectors are tuples of Fraction; matrices are sequences of such tuples.  The
 routines here are deliberately small and deterministic: reduced row echelon
-form with leftmost-pivot selection, nullspace and rowspace bases, square
-solves, and primitive integer scaling used to canonicalize rays.  Every
+form with leftmost-pivot selection, nullspace and rowspace bases, and
+primitive integer scaling used to canonicalize rays.  Every
 denominator in the package is cleared by ``scaled`` (integers over one common
 denominator), except in ``dot``, whose own loop is about twice as fast.
 """
@@ -18,7 +18,6 @@ from .errors import InputError
 from .scalars import rat, RationalLike
 
 Vec = tuple[Fraction, ...]
-Matrix = tuple[Vec, ...]
 
 
 def vec(xs: Iterable[RationalLike], dim: int | None = None) -> Vec:
@@ -171,22 +170,6 @@ def rowspace_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
     """Basis of the row space: ``spaces``' second part (n = 0 asks for no
     nullspace)."""
     return spaces(rows, 0)[1]
-
-
-def solve_square(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
-    """Solve A x = b for square A; None when A is singular.
-
-    No conversion in phk calls it any more; the tests' reference
-    generator walk, the subset-by-subset conversion, still does."""
-    k = len(a_rows)
-    if k == 0:
-        return ()
-    aug = [list(r) + [bb] for r, bb in zip(a_rows, b)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(k)):
-        # Rank-deficient A, or the right-hand side became a pivot column.
-        return None
-    return tuple(reduced[i][k] for i in range(k))
 
 
 def primitive(v: Vec) -> Vec:

@@ -34,7 +34,6 @@ from .polyhedra import (
     closed_equal,
     closed_contains,
     closed_subset_of,
-    cones_equal,
     contains,
     require_valid,
     row_signs,
@@ -353,7 +352,11 @@ def hull_extension_report(
     """How the portable hull extends the set while preserving its graph.
 
     Each sampled point is placed in the hull once, and each distinct dual
-    is looked up on the hull once, as in ``portability_report``."""
+    is looked up on the hull once, as in ``portability_report``.  The
+    normal cones at a point are compared by their generators: every row
+    active at a point of the set supports, and the hull keeps those rows in
+    carrier order, so the tuples differ only when the hull lost an active
+    row.  That is never more lenient than ``cones_equal``, and solves no LP."""
     hull = portable_hull(c)
     hull_set = _canonical_as_set(hull)
     again = portable_hull(hull_set)
@@ -366,7 +369,7 @@ def hull_extension_report(
     pair_witness = None
     inside = _filtered_points_in(c, spec)
     for x, _ in inside:
-        if not cones_equal(normal_cone_at(c, x), normal_cone_at(hull_set, x)):
+        if normal_cone_at(c, x) != normal_cone_at(hull_set, x):
             preserved = False
             pair_witness = pair_witness or x
     duals = _duals_at(c, spec, [p[2] for _, p in inside])
@@ -403,7 +406,11 @@ def partial_hull_report(
     The exact part: the partial hull is unchanged by taking its own hull
     (full or partial), and its trace on the probe set equals the set's
     trace iff the normal-cone graphs agree there, which is corroborated on
-    samples and refuted constructively when the traces differ.
+    samples and refuted constructively when the traces differ.  A
+    polyhedron probe asks a trace LP only of the rows the partial hull
+    drops: a kept row is weak and stated, so no hull point violates it.  The
+    partial hull keeps every row active at a point of the set and the probe,
+    so the cones there are compared as in ``hull_extension_report``.
     """
     partial = partial_portable_hull(c, s)
     pset = _canonical_as_set(partial)
@@ -424,7 +431,10 @@ def partial_hull_report(
                 break
         sample_points = [p for p in s.points if contains(c, p)]
     elif isinstance(s, PartiallyOpenPolyhedron):
+        kept = set(partial.rows)
         for i, (normal, offset) in enumerate(c.carrier.rows):
+            if (normal, offset) in kept:
+                continue
             # Weak rows are violated strictly, strict rows weakly.
             negated = (tuple(-q for q in normal), -offset, i not in c.strict_rows)
             system = (
@@ -447,7 +457,7 @@ def partial_hull_report(
     cones_agree = True
     cone_witness = None
     for p in sample_points:
-        if not cones_equal(normal_cone_at(c, p), normal_cone_at(pset, p)):
+        if normal_cone_at(c, p) != normal_cone_at(pset, p):
             cones_agree = False
             cone_witness = cone_witness or p
     if not trace_equal:

@@ -8,7 +8,9 @@ operator the value is a joint program over weights and row multipliers.
 Both routes to it share that program's one equality system and differ only
 in the solver: the simplex of ``lp_solve``, or a brute-force walk over the
 basic solutions that uses nothing from ``lp``.  So the two can be played
-against each other in tests.
+against each other in tests.  Graph membership for the sum solves the
+simplex route's program and reads the restricted graph from it, so a query
+builds the program once per route and places each graph pair once in each.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .polyhedra import (
     row_signs,
     signs_inside,
 )
-from .portability import FinitePointSet, _rows_met, point_set
+from .portability import _rows_met
 from .sampling import bounding_box, grid_size, rational_grid
 from .scalars import ExtValue, POS_INF, fin
 
@@ -145,10 +147,6 @@ def restrict_graph(
     return MonotoneGraph(g.dim, tuple(p for p in g.pairs if contains(c, p[0])))
 
 
-def graph_domain(g: MonotoneGraph) -> FinitePointSet:
-    return point_set(g.dim, [a for a, _ in g.pairs])
-
-
 def _sum_program(t: MonotoneGraph, c: PartiallyOpenPolyhedron, x, xstar):
     """The joint program that both routes to the sum value solve.
 
@@ -194,7 +192,11 @@ def rep_sum_value(
     a single joint LP whose half-space part runs over the partial hull of
     the set probed at the graph's domain points.
     """
-    d, tc, costs, rows = _sum_program(t, c, x, xstar)
+    return _sum_solve(*_sum_program(t, c, x, xstar))
+
+
+def _sum_solve(d: Vec, tc: MonotoneGraph, costs, rows) -> PsiEvaluation:
+    """The sum value of one ``_sum_program``, by ``lp_solve``."""
     out = lp_solve(EqualityLP(tuple(-q for q in costs), tuple(rows)))
     if out.status == "infeasible":
         return PsiEvaluation(POS_INF, None, None)
@@ -266,10 +268,12 @@ def sum_graph_membership(
     the raw coupling.  The right route looks for an explicit split of the
     dual vector into a graph part attaining the convexified coupling of
     the restricted graph and a normal-cone part at x; a found split is
-    re-verified exactly before being believed.
+    re-verified exactly before being believed.  Both read the restricted
+    graph from one ``_sum_program``, which places each graph pair once.
     """
     p, d = vec_check(c.dim, x, xstar)
-    ev = rep_sum_value(t, c, p, d)
+    _, tc, costs, joint = _sum_program(t, c, p, d)
+    ev = _sum_solve(d, tc, costs, joint)
     lhs = ev.value.is_finite and ev.value.finite_value == dot(p, d)
 
     rhs = False
@@ -278,9 +282,8 @@ def sum_graph_membership(
     # One placement of x says whether it lies in the set and gives its active rows.
     signs = row_signs(c, p)
     if signs_inside(c, signs):
-        tc = restrict_graph(t, c)
         gens = _active_normals(c, signs)
-        k = len(tc.pairs)  # at least the interior pair that rep_sum_value required
+        k = len(tc.pairs)  # at least the interior pair that _sum_program required
         # Costs plus prices stay within <p, d>; the last column is that
         # bound's slack, a zero extra vector absent from the other rows.
         bound = [dot(a, astar) for a, astar in tc.pairs] + [dot(p, gen) for gen in gens]

@@ -92,6 +92,7 @@ def parse_set(obj) -> PartiallyOpenPolyhedron | EmptySet:
 def parse_points(obj) -> FinitePointSet:
     if not isinstance(obj, dict) or "points" not in obj:
         raise InputError('a point set needs "points"')
+    _only_keys(obj, {"dim", "points"}, "a point set")
     pts = obj["points"]
     if not isinstance(pts, list) or not pts:
         raise InputError('"points" must be a nonempty list')
@@ -105,6 +106,7 @@ def parse_points(obj) -> FinitePointSet:
 def parse_graph(obj) -> MonotoneGraph:
     if not isinstance(obj, dict) or "pairs" not in obj or "dim" not in obj:
         raise InputError('a graph needs "dim" and "pairs"')
+    _only_keys(obj, {"dim", "pairs"}, "a graph")
     dim = _parse_dim(obj["dim"], "graph dimension")
     pairs = []
     if not isinstance(obj["pairs"], list):
@@ -112,6 +114,7 @@ def parse_graph(obj) -> MonotoneGraph:
     for p in obj["pairs"]:
         if not isinstance(p, dict) or "a" not in p or "astar" not in p:
             raise InputError('each pair needs "a" and "astar"')
+        _only_keys(p, {"a", "astar"}, "a pair")
         pairs.append((parse_vector(p["a"], dim), parse_vector(p["astar"], dim)))
     return graph(dim, pairs)
 

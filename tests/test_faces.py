@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from phk.errors import ScaleLimitError
-from phk.faces import FACE_DIM_CAP, enumerate_faces, proper_faces
+from phk.faces import FACE_DIM_CAP, enumerate_faces
 from phk.linalg import dot
 from phk.polyhedra import contains, make_set
 
@@ -66,10 +66,10 @@ def test_half_open_interval_face_misses_set():
     assert by_active[()].meets_set
 
 
-def test_proper_faces_drop_the_improper_one():
-    faces = proper_faces(unit_square())
-    assert len(faces) == 8
-    assert all(f.active for f in faces)
+def test_only_the_whole_set_has_no_active_row():
+    faces = enumerate_faces(unit_square())
+    assert len(faces) == 9
+    assert [f for f in faces if not f.active] == [faces[0]]
 
 
 def test_unbounded_faces_carry_rays():

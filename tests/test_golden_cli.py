@@ -215,6 +215,10 @@ def extra_cases() -> list[list[str]]:
         # a --samples with a leading space and an Arabic-Indic --seed, which
         # int() reads and argparse now refuses (exit 2)
         ["selftest", "--samples", " 2", "--seed", "\u0663"],
+        # an unknown key on a graph, on one of its pairs, and on a point set
+        ["psi", "tests/data/graph_extra_key.json", *p1, *d1],
+        ["psi", "tests/data/pair_extra_key.json", *p1, *d1],
+        ["check-ncs", square, "tests/data/points_extra_key.json"],
     ]
 
 

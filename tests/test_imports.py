@@ -4,9 +4,10 @@ Every name a module under ``src/phk`` imports is used in that module.  The
 check is a plain ``ast`` scan: a name bound by ``import`` or ``from ...
 import`` must be loaded somewhere in the module or listed in its ``__all__``.
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
-The same kind of scan finds definitions that nothing loads, reads of the
-process environment, which would let a setting outside the input change an
-answer, and reads of a rational's numerator or denominator outside
+The same kind of scan finds definitions that nothing loads, names that only
+the tests and the package's re-exports read, reads of the process
+environment, which would let a setting outside the input change an answer,
+and reads of a rational's numerator or denominator outside
 ``linalg`` and ``scalars``: clearing denominators is ``linalg.scaled``'s job.
 Outside ``lp`` and ``corpus`` no module builds a primal program
 (``LPProblem`` or ``problem``): a maximum whose point nobody reads is
@@ -106,6 +107,56 @@ def test_every_definition_is_loaded_somewhere():
         if name not in used
     ]
     assert unused == []
+
+
+def module_level_names(source: str) -> list[str]:
+    """Top-level functions, classes and assigned names."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Assign):
+            out += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+    return out
+
+
+def test_the_scan_sees_module_level_names():
+    src = "X = 1\nY: int = 2\nclass A:\n    Z = 3\ndef f():\n    w = 4\n"
+    assert module_level_names(src) == ["X", "Y", "A", "f"]
+
+
+# The names in ``src/phk`` that no module but ``__init__`` reads, each with
+# why it stays.  Code only the tests call belongs in the tests: a new name
+# here needs a reason of the same kind.
+UNREAD_IN_SRC = {
+    "cone": "public constructor of a generated cone from raw generators",
+    "cones_equal": "public cone comparison, documented in README",
+    "graph_pairs": "the sampled normal-cone graph the acceptance and reference tests rebuild reports from",
+    "graph_related": "the paper's relation of a pair to a finite graph, read by the tests as its definition",
+    "interior_point_of_carrier": "the paper's interior condition, read by the acceptance tests as its definition",
+    "is_bounded": "the paper's boundedness, read by the acceptance tests as its definition",
+    "lineality_space": "the paper's lines of a closed set, read by the acceptance tests as its definition",
+    "monotonically_related": "the paper's monotone relation, from which the reference report is rebuilt",
+    "rep_sum_value": "public sum value with its certificate, documented in README",
+    "rowspace_basis": "the row-space half of ``spaces``, read by the tests' reference generator walk",
+    "strictly_inside": "public interior test, documented in README",
+    "vsub": "the counterpart of ``vadd``, read by the reference tests",
+}
+
+
+def test_names_no_module_reads_are_the_kept_ones():
+    read = set()
+    for path in MODULES:
+        read |= loaded_names(path.read_text(encoding="utf-8"))
+    unread = {
+        name
+        for path in MODULES
+        for name in module_level_names(path.read_text(encoding="utf-8"))
+        if name not in read
+    }
+    assert unread == set(UNREAD_IN_SRC)
 
 
 def test_no_module_reads_the_environment():

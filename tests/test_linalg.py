@@ -16,7 +16,6 @@ from phk.linalg import (
     rowspace_basis,
     rref,
     scaled,
-    solve_square,
     vec,
 )
 
@@ -50,14 +49,6 @@ def test_rank_nullity(rows):
     r = len(rowspace_basis(rows)) if rows else 0
     n = len(nullspace_basis(rows, 3))
     assert r + n == 3
-
-
-def test_solve_square():
-    a = [vec([2, 1]), vec([1, -1])]
-    x = solve_square(a, [Fraction(3), Fraction(0)])
-    assert x == vec([1, 1])
-    singular = [vec([1, 1]), vec([2, 2])]
-    assert solve_square(singular, [Fraction(1), Fraction(2)]) is None
 
 
 def test_primitive_scaling():

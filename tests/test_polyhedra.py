@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from phk.errors import InputError, InvalidSetError, ScaleLimitError
 from phk.fme import fm_feasible, fm_maximize
 from phk import polyhedra
-from phk.linalg import dot, nullspace_basis, primitive, rowspace_basis, solve_square, vec, vneg
+from phk.linalg import dot, nullspace_basis, primitive, rowspace_basis, rref, vec, vneg
 from phk.lp import closed_feasible, max_value, strict_system_feasible
 from phk.polyhedra import (
     ClosedPolyhedron,
@@ -593,6 +593,26 @@ def reference_cone_generators(m_rows, k):
             if all(dot(row, cand) <= 0 for row in m_rows):
                 rays.add(primitive(cand))
     return [], sorted(rays)
+
+
+def solve_square(a_rows, b):
+    """Solve A x = b for square A; None when A is singular."""
+    k = len(a_rows)
+    if k == 0:
+        return ()
+    aug = [list(r) + [bb] for r, bb in zip(a_rows, b)]
+    reduced, pivots = rref(aug)
+    if pivots != list(range(k)):
+        # Rank-deficient A, or the right-hand side became a pivot column.
+        return None
+    return tuple(reduced[i][k] for i in range(k))
+
+
+def test_solve_square():
+    a = [vec([2, 1]), vec([1, -1])]
+    assert solve_square(a, [Fraction(3), Fraction(0)]) == vec([1, 1])
+    singular = [vec([1, 1]), vec([2, 2])]
+    assert solve_square(singular, [Fraction(1), Fraction(2)]) is None
 
 
 def reference_pointed_vertices(normals, offsets, k):

@@ -21,6 +21,7 @@ signs, duals and cloud, in the same order.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -55,11 +56,14 @@ from phk.polyhedra import (
     contains,
     make_set,
     row_signs,
+    system_of,
 )
 from phk.portability import (
     PortabilityReport,
     hull_extension_report,
     nonsupporting_witness,
+    partial_hull_report,
+    point_set,
     portability_report,
     portable_hull,
 )
@@ -296,6 +300,65 @@ def test_hull_extension_looks_up_each_dual_once(kind, c, monkeypatch):
     (hull_set,) = made
     on_hull = [d for lp, d in asked if lp is hull_set._record.support_lp]
     assert sorted(on_hull) == sorted(duals) and got["graphExtendedOnSamples"]
+
+
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_hull_reports_build_no_polar_support_lp(kind, c, monkeypatch):
+    # The sampled normal cones are compared by their generator tuples, so no
+    # report builds the polar ``SupportLP`` of ``polyhedra._cone_holds``.
+    spec = SampleSpec(seed=5, count=8)
+    builders = []
+    real = polyhedra.SupportLP
+
+    def made(*args):
+        builders.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "SupportLP", made)
+    checked = hull_extension_report(c, spec)["conesChecked"]
+    for probe in (c, point_set(c.dim, points_in(c, spec))):
+        checked += partial_hull_report(c, probe, spec)["conesChecked"]
+    assert checked > 0 and "_cone_holds" not in builders
+
+
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_partial_hull_asks_a_trace_lp_per_dropped_row(kind, c, monkeypatch):
+    # Probed by itself, the partial hull is the portable hull.  The trace
+    # LPs negate the rows it drops, in carrier order, up to the first that
+    # finds a witness; the kept rows ask none.
+    real = portability.strict_system_feasible
+    negated = []
+
+    def solved(system):
+        if system != system_of(c) + system_of(c):
+            normal, offset, _ = system[-1]
+            negated.append((tuple(-q for q in normal), -offset))
+        return real(system)
+
+    monkeypatch.setattr(portability, "strict_system_feasible", solved)
+    got = partial_hull_report(c, c, SampleSpec(seed=5, count=8))
+    dropped = [row for row in c.carrier.rows if row not in got["partialHull"].rows]
+    assert negated == dropped[: len(negated)]
+    assert len(negated) == len(dropped) if got["traceEqual"] else negated
+
+
+def test_a_hull_that_drops_an_active_row_fails_the_cone_check(monkeypatch):
+    square = make_set(
+        2, [((1, 0), 1, False), ((-1, 0), 0, False), ((0, 1), 1, False), ((0, -1), 0, False)]
+    )
+    spec = SampleSpec(seed=5, count=8)
+    real = portability.supporting_rows
+    lost = real(square)[0]
+    assert any(row_signs(square, x)[lost] == 0 for x in points_in(square, spec))
+    monkeypatch.setattr(
+        portability, "supporting_rows", lambda s: real(s)[1:] if s is square else real(s)
+    )
+    got = hull_extension_report(square, spec)
+    assert not got["conesPreservedOnSamples"] and not got["ok"]
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,12 @@ each cold solve under the first function outside ``lp`` that asked for it,
 and each warm re-solve apart.  The counts below are the claim: a change
 that moves them re-records them and says why.
 
-Run this file directly to print the counts of both plans:
+The third plan is the 192 ``golden_cli.json`` cases, run in process through
+the CLI's ``main``.  Its only polar cone LP is the ``sum-check``
+decomposition's ``cone_contains``, which ``_asker`` books under the
+generator expression of ``polyhedra._cone_holds``.
+
+Run this file directly to print the counts of all three plans:
 
     PYTHONPATH=src python tests/test_work_counts.py
 """
@@ -49,6 +54,23 @@ REPORT_PLAN = {
     "portability._hull_verdicts": 60,
     "portability.nonsupporting_witness": 60,
     "warm": 1448,
+}
+
+# The ``golden_cli.json`` cases, each run once through ``cli.main``.
+GOLDEN_PLAN = {
+    "faces.enumerate_faces": 99,
+    "normal_cones._hyperplanes_meeting": 342,
+    "normal_cones.set_member_witness": 67,
+    "normal_cones.support_level": 153,
+    "normal_cones.support_value": 80,
+    "polyhedra.<genexpr>": 1,
+    "polyhedra._canonical_rows": 228,
+    "polyhedra._irredundant": 530,
+    "polyhedra.make_set": 55,
+    "portability._hull_verdicts": 4,
+    "portability.nonsupporting_witness": 4,
+    "portability.partial_hull_report": 114,
+    "warm": 243,
 }
 
 
@@ -102,6 +124,12 @@ def report_plan_counts() -> dict[str, int]:
     return count_work(lambda: [portability_report(c, spec) for c in sets])
 
 
+def golden_plan_counts() -> dict[str, int]:
+    from test_golden_cli import cases, run
+
+    return count_work(lambda: [run(argv) for argv in cases()])
+
+
 def test_bench_style_sets_solve_the_pinned_lps():
     assert bench_style_counts() == BENCH_STYLE
 
@@ -110,6 +138,10 @@ def test_report_plan_solves_the_pinned_lps():
     counts = report_plan_counts()
     assert counts == REPORT_PLAN
     assert sum(counts.values()) - counts["warm"] == 516
+
+
+def test_golden_plan_solves_the_pinned_lps():
+    assert golden_plan_counts() == GOLDEN_PLAN
 
 
 def test_counts_do_not_depend_on_the_hash_seed():
@@ -124,4 +156,5 @@ def test_counts_do_not_depend_on_the_hash_seed():
 
 
 if __name__ == "__main__":
-    print(json.dumps({"bench_style": bench_style_counts(), "report_plan": report_plan_counts()}, indent=1))
+    plans = {"bench_style": bench_style_counts, "report_plan": report_plan_counts, "golden_plan": golden_plan_counts}
+    print(json.dumps({name: counts() for name, counts in plans.items()}, indent=1))
