@@ -97,7 +97,6 @@ from .representability import (
     ProbeReport,
     PsiEvaluation,
     SumMembership,
-    rep_equality,
     rep_sum_value,
     rep_sum_value_by_enumeration,
     rep_value,
@@ -192,7 +191,6 @@ __all__ = [
     "problem",
     "rat",
     "rat_str",
-    "rep_equality",
     "rep_sum_value",
     "rep_sum_value_by_enumeration",
     "rep_value",

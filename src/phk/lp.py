@@ -50,9 +50,9 @@ which makes them finite: the row of lowest basic index among the negative
 right-hand sides leaves, and the column of least ratio ``red_j / |a_ij|``
 over ``a_ij < 0`` enters, ties to the lowest ``j``.  A leaving row with no
 negative structural entry means the sup is +inf, and the kept tableau stays
-as it was.  Where an artificial stays basic (normals that do not span the
-space, as in slabs and sets with lineality) no tableau is kept, and each
-objective solves cold.
+as it was.  Normals that do not span the space leave an artificial basic in
+each dependent row, whose artificial part is orthogonal to every normal: a
+nonzero value there means +inf, before any pivot.
 
 The two feasibility helpers, ``closed_feasible`` for weak rows and
 ``strict_system_feasible`` for mixed strict and weak rows, return a point
@@ -200,9 +200,8 @@ def _run_simplex(tab: list[list[int]], dens: list[int], basis: list[int], eligib
 
 def lp_solve(p: LPProblem | EqualityLP, keep: list | None = None) -> LPOutcome:
     """Solve ``p`` by the two-phase body.  When ``keep`` is a list and the
-    outcome is optimal with no artificial left basic, the final tableau is
-    appended to it as ``(rows, denominators, basis, row signs)``, for
-    ``SupportLP`` to re-solve from."""
+    outcome is optimal, the final tableau is appended to it as ``(rows,
+    denominators, basis, row signs)``, for ``SupportLP`` to re-solve from."""
     n = p.dim
     if n < 1:
         raise InputError("LP dimension must be at least 1")
@@ -272,7 +271,7 @@ def lp_solve(p: LPProblem | EqualityLP, keep: list | None = None) -> LPOutcome:
         ray = tuple(zray[t] - zray[n + t] for t in range(n)) if free else tuple(zray[:n])
         return LPOutcome("unbounded", ray=primitive(ray))
 
-    if keep is not None and all(b < nstruct for b in basis):
+    if keep is not None:
         keep.append((tab, dens, basis, signs))
     zval = [Fraction(0)] * (nstruct + m)
     for i, b in enumerate(basis):
@@ -389,7 +388,7 @@ class SupportLP:
             if out.status == "infeasible":
                 return None
             assert out.status == "optimal", "the dual of a feasible system is bounded"
-            self._kept = keep[0] if keep else None
+            self._kept = keep[0]
             return -out.value
         return self._warm(objective)
 
@@ -398,6 +397,10 @@ class SupportLP:
         nstruct = len(self._costs)
         ints, den = scaled(objective)
         rhs = [s * c for s, c in zip(signs, ints)]
+        # A dependent row (artificial basic, no structural entry) is nonzero off the normals' span.
+        for row, b in zip(kept_tab, basis):
+            if b >= nstruct and sum(a * c for a, c in zip(row[nstruct:-1], rhs)):
+                return None
         tab: list[list[int]] = []
         dens: list[int] = []
         for row, d in zip(kept_tab, kept_dens):

@@ -11,9 +11,7 @@ point, so ``support_level`` solves it as its n-row dual through the set's
 one ``lp.SupportLP``; a valid set is nonempty, which that dual needs to be
 exact.  The duals of one set share the dual program's matrix and costs, so
 each dual after the first re-solves from the last optimal tableau by
-Bland-rule dual simplex pivots, often none, a repeated dual included.  A
-carrier whose normals do not span the space keeps no tableau, and each dual
-solves cold.
+Bland-rule dual simplex pivots, often none, a repeated dual included.
 """
 from __future__ import annotations
 
@@ -50,9 +48,8 @@ def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
 
     One support LP, asked of the set's ``SupportLP``; the value equals
     ``support_value(c, xstar).value``.  The ``SupportLP`` is made on first
-    use: that dual solves cold, and each later one re-solves from the last
-    optimal tableau by dual simplex (cold again when the carrier's normals
-    do not span the space).
+    use; duals solve cold until one ends optimal, and each later one
+    re-solves from the last optimal tableau by dual simplex.
     """
     x = vec(xstar, c.dim)
     if isinstance(c, EmptySet):

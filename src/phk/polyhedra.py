@@ -96,14 +96,12 @@ class SetRecord:
     nonempty, kept for ``set_member_witness``).  Closed-form route:
     ``support_lp`` (the ``lp.SupportLP`` over the carrier rows that answers
     every support value: made on first use, it keeps the last optimal
-    tableau, so a later dual re-solves from it by dual simplex, or solves
-    cold when the normals do not span the space), ``witnesses``
+    tableau, so a later dual re-solves from it by dual simplex), ``witnesses``
     (supporting-row witnesses: filled when their points are asked for, or
     by ``supporting_rows`` on a set with strict rows; a closed set's
     supporting rows need none) and ``integer_rows`` (the carrier rows
     scaled to integers, one flat row ``(*normal, offset)`` each, read by
-    ``_signs``).  Face route:
-    ``vrep`` and ``faces``.  Nothing is kept per dual.
+    ``_signs``).  Face route: ``vrep`` and ``faces``.  Nothing is kept per dual.
     """
 
     __slots__ = (

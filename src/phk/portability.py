@@ -22,6 +22,7 @@ from .normal_cones import (
     support_value,
     supporting_row_witnesses,
     supporting_rows,
+    _active_normals,
     _hyperplanes_meeting,
 )
 from .polyhedra import (
@@ -32,7 +33,6 @@ from .polyhedra import (
     _signs,
     carrier_vrep,
     closed_equal,
-    closed_contains,
     closed_subset_of,
     contains,
     require_valid,
@@ -127,15 +127,21 @@ def partial_supporting_rows(
     s: PartiallyOpenPolyhedron | FinitePointSet | EmptySet,
 ) -> tuple[int, ...]:
     """Carrier rows whose hyperplane meets both the set and the probe set."""
+    return _partial_rows(c, s)[0]
+
+
+def _partial_rows(c: PartiallyOpenPolyhedron, s) -> tuple[tuple[int, ...], list | None]:
+    """``partial_supporting_rows``, with a point-set probe's ``row_signs`` (else None)."""
     require_valid(c)
     if s.dim != c.dim:
         raise InputError("probe set dimension mismatch")
     if isinstance(s, EmptySet):
-        return ()
+        return (), None
     if isinstance(s, FinitePointSet):
-        return _rows_met(c, [row_signs(c, p) for p in s.points])
+        signs = [row_signs(c, p) for p in s.points]
+        return _rows_met(c, signs), signs
     require_valid(s)
-    return tuple(i for i, _ in _hyperplanes_meeting(c, system_of(c) + system_of(s)))
+    return tuple(i for i, _ in _hyperplanes_meeting(c, system_of(c) + system_of(s))), None
 
 
 def _rows_met(c: PartiallyOpenPolyhedron, signs) -> tuple[int, ...]:
@@ -410,9 +416,12 @@ def partial_hull_report(
     polyhedron probe asks a trace LP only of the rows the partial hull
     drops: a kept row is weak and stated, so no hull point violates it.  The
     partial hull keeps every row active at a point of the set and the probe,
-    so the cones there are compared as in ``hull_extension_report``.
+    so the cones there are compared as in ``hull_extension_report``.  One
+    ``row_signs`` vector per point of a point-set probe gives the kept rows,
+    the trace check, the sampled points and their cones.
     """
-    partial = partial_portable_hull(c, s)
+    kept, signs = _partial_rows(c, s)
+    partial = ClosedPolyhedron(c.dim, tuple(c.carrier.rows[i] for i in kept))
     pset = _canonical_as_set(partial)
 
     again_partial = partial_portable_hull(pset, s)
@@ -423,41 +432,34 @@ def partial_hull_report(
     # so the traces differ exactly when some probe point lies in the hull
     # but outside the set.  The normal cones are compared on sample points.
     trace_witness: Vec | None = None
-    sample_points: list[Vec] = []
-    if isinstance(s, FinitePointSet):
-        for p in s.points:
-            if closed_contains(partial, p) and not contains(c, p):
+    samples: list[tuple[Vec, tuple[int, ...]]] = []  # each with its row_signs
+    if signs is not None:
+        for p, sg in zip(s.points, signs):
+            if all(sg[i] <= 0 for i in kept) and not signs_inside(c, sg):
                 trace_witness = p
                 break
-        sample_points = [p for p in s.points if contains(c, p)]
+        samples = [(p, sg) for p, sg in zip(s.points, signs) if signs_inside(c, sg)]
     elif isinstance(s, PartiallyOpenPolyhedron):
-        kept = set(partial.rows)
         for i, (normal, offset) in enumerate(c.carrier.rows):
-            if (normal, offset) in kept:
+            if i in kept:
                 continue
             # Weak rows are violated strictly, strict rows weakly.
             negated = (tuple(-q for q in normal), -offset, i not in c.strict_rows)
-            system = (
-                system_of(s)
-                + tuple((n, o, False) for n, o in partial.rows)
-                + (negated,)
-            )
-            trace_witness = strict_system_feasible(system)
+            system = system_of(s) + tuple((n, o, False) for n, o in partial.rows)
+            trace_witness = strict_system_feasible(system + (negated,))
             if trace_witness is not None:
                 break
         joint = system_of(c) + system_of(s)
         got = strict_system_feasible(joint) if joint else None
-        if got is not None:
-            sample_points.append(got)
-        for p in points_in(c, spec):
-            if contains(s, p):
-                sample_points.append(p)
+        points = [got] if got is not None else []
+        points += [p for p in points_in(c, spec) if contains(s, p)]
+        samples = [(p, row_signs(c, p)) for p in points]
     trace_equal = trace_witness is None
 
     cones_agree = True
     cone_witness = None
-    for p in sample_points:
-        if normal_cone_at(c, p) != normal_cone_at(pset, p):
+    for p, sg in samples:
+        if _active_normals(c, sg) != normal_cone_at(pset, p).generators:
             cones_agree = False
             cone_witness = cone_witness or p
     if not trace_equal:
@@ -474,7 +476,7 @@ def partial_hull_report(
         "graphsAgreeOnTrace": cones_agree,
         "graphWitness": cone_witness,
         "restrictionBiconditional": trace_equal == cones_agree,
-        "conesChecked": len(sample_points),
+        "conesChecked": len(samples),
         "ok": collapse and (trace_equal == cones_agree),
     }
 

@@ -11,6 +11,8 @@ basic solutions that uses nothing from ``lp``.  So the two can be played
 against each other in tests.  Graph membership for the sum solves the
 simplex route's program and reads the restricted graph from it, so a query
 builds the program once per route and places each graph pair once in each.
+The grid probe reads its values off one ``lp.SupportLP`` whose dual is the
+barycentric LP, so each grid pair after the first re-solves warm.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Sequence
 from .errors import InputError, ScaleLimitError
 from .fitzpatrick import MonotoneGraph, is_monotone, vec_check
 from .linalg import Vec, dot, eliminate, integer_rows, vadd, vec, smul, zero_vec
-from .lp import EqualityLP, Row, lp_solve
+from .lp import EqualityLP, Row, SupportLP, lp_solve
 from .normal_cones import _active_normals
 from .polyhedra import (
     EmptySet,
@@ -58,10 +60,10 @@ class SumMembership:
     cone_part: Vec | None
 
 
-# Largest (point, dual) grid product a probe may sweep.  Each pair costs one
-# exact LP, 0.11-0.16 ms on a 2-vCPU Xeon VM (Python 3.11): the gradient
-# graph fixture on the unit square checks 88,212 pairs in 11 s at step 1/8.
-# So a probe at the cap stays within about 20 s.
+# Largest (point, dual) grid product a probe may sweep.  Each pair is one warm maximum of
+# one ``SupportLP``, 0.012-0.09 ms on a 2-vCPU Xeon VM (Python 3.11): at step 1/8 on the
+# unit square, 88,212 pairs take 1.1-1.6 s for the gradient graph fixture and 1.1-8.2 s for
+# random strictly monotone graphs of 3-12 pairs.  So such a probe at the cap stays within 10 s.
 PROBE_PAIR_CAP = 100_000
 
 # Most column subsets the enumeration oracle may walk, counted over every
@@ -124,13 +126,6 @@ def rep_value(g: MonotoneGraph, x, xstar) -> PsiEvaluation:
         return PsiEvaluation(POS_INF, None, None)
     assert out.status == "optimal", "weights live in a bounded simplex"
     return PsiEvaluation(fin(-out.value), out.primal, None)
-
-
-def rep_equality(g: MonotoneGraph, x, xstar) -> bool:
-    """Does the convexified coupling equal the raw coupling at this pair?"""
-    p, d = vec_check(g.dim, x, xstar)
-    v = rep_value(g, p, d)
-    return v.value.is_finite and v.value.finite_value == dot(p, d)
 
 
 def restrict_graph(
@@ -322,6 +317,11 @@ def representability_probe(
     equality; a non-pair grid point attaining it falsifies the candidate,
     and a clean sweep is reported as verified on this grid only.  Grids
     whose product exceeds ``PROBE_PAIR_CAP`` are refused before any work.
+
+    ``rep_value`` of the restricted graph at (x, x*) is the dual of the sup of
+    r + <x, u> + <x*, v> over the rows r + <a, u> + <a*, v> <= <a, a*>, one per
+    pair, which hold (min <a, a*>, 0, 0): one ``SupportLP`` answers every pair,
+    and its None is the +inf off the graph's hull.
     """
     require_valid(c)
     if t.dim != c.dim:
@@ -340,10 +340,16 @@ def representability_probe(
         )
     tc = restrict_graph(t, c)
     pairs = set(tc.pairs)
+    rows = tuple(((Fraction(1), *a, *astar), dot(a, astar)) for a, astar in tc.pairs)
+    values = SupportLP(rows, 2 * c.dim + 1)
+
+    def touches(x: Vec, xstar: Vec) -> bool:
+        return values.maximum((Fraction(1), *x, *xstar)) == dot(x, xstar)
+
     checked = 0
     for a, astar in tc.pairs:
         checked += 1
-        if not rep_equality(tc, a, astar):
+        if not touches(a, astar):
             return ProbeReport("falsified", (a, astar), 0, 0, checked)
 
     xs = [q for q in rational_grid(lo, hi, grid.step) if contains(c, q)]
@@ -351,12 +357,8 @@ def representability_probe(
     for xg in xs:
         for dg in ds:
             checked += 1
-            if (xg, dg) in pairs:
-                continue
-            if rep_equality(tc, xg, dg):
-                return ProbeReport(
-                    "falsified", (xg, dg), len(xs), len(ds), checked
-                )
+            if (xg, dg) not in pairs and touches(xg, dg):
+                return ProbeReport("falsified", (xg, dg), len(xs), len(ds), checked)
     return ProbeReport(
         "candidate-verified-on-grid", None, len(xs), len(ds), checked
     )

@@ -20,12 +20,14 @@ signs, duals and cloud, in the same order.
 """
 from __future__ import annotations
 
+import json
 import random
 import sys
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -51,6 +53,7 @@ from phk.polyhedra import (
     PartiallyOpenPolyhedron,
     canonicalize,
     closed_as_set,
+    closed_contains,
     closed_equal,
     closed_subset_of,
     contains,
@@ -63,12 +66,14 @@ from phk.portability import (
     hull_extension_report,
     nonsupporting_witness,
     partial_hull_report,
+    partial_portable_hull,
     point_set,
     portability_report,
     portable_hull,
 )
 from phk.sampling import SampleSpec, cloud_points, graph_pairs, points_in
 from phk.scalars import POS_INF
+from phk.serialize import parse_points, parse_set
 
 F = Fraction
 
@@ -344,6 +349,44 @@ def test_partial_hull_asks_a_trace_lp_per_dropped_row(kind, c, monkeypatch):
     dropped = [row for row in c.carrier.rows if row not in got["partialHull"].rows]
     assert negated == dropped[: len(negated)]
     assert len(negated) == len(dropped) if got["traceEqual"] else negated
+
+
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_a_point_set_probe_reads_its_trace_off_the_public_tests(kind, c):
+    # The cloud holds points of the set, points of the partial hull outside
+    # the set, and points outside both.
+    spec = SampleSpec(seed=5, count=8)
+    probe = point_set(c.dim, cloud_points(c, spec))
+    got = partial_hull_report(c, probe, spec)
+    partial = partial_portable_hull(c, probe)
+    traced = [p for p in probe.points if closed_contains(partial, p) and not contains(c, p)]
+    assert got["partialHull"] == partial
+    assert got["traceWitness"] == (traced[0] if traced else None)
+    assert got["conesChecked"] == sum(contains(c, p) for p in probe.points)
+
+
+def test_a_point_set_probe_places_each_point_in_the_set_once(monkeypatch):
+    # One ``row_signs`` vector per probe point gives the kept rows, the trace
+    # check, the sampled points and their normal cones.
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    c = parse_set(json.loads((root / "unit_square.json").read_text(encoding="utf-8")))
+    probe = parse_points(json.loads((root / "lower_left_points.json").read_text(encoding="utf-8")))
+    real = polyhedra._signs
+    placed = []
+
+    def signs(s, ints, den):
+        if s is c:
+            placed.append(tuple(F(a, den) for a in ints))
+        return real(s, ints, den)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phk") and getattr(module, "_signs", None) is real:
+            monkeypatch.setattr(module, "_signs", signs)
+    got = partial_hull_report(c, probe)
+    assert sorted(placed) == sorted(probe.points) and len(probe.points) == 3
+    assert got["conesChecked"] == 3 and got["ok"]
 
 
 def test_a_hull_that_drops_an_active_row_fails_the_cone_check(monkeypatch):

@@ -3,6 +3,7 @@
 Where a value is marked [DERIVED] it was worked out by hand from the
 barycentric-weight definition before running the code.
 """
+import random
 import sys
 from fractions import Fraction
 from functools import cache
@@ -17,11 +18,12 @@ from phk.corpus import sum_instances
 from phk import polyhedra, representability
 from phk.errors import InputError, ScaleLimitError
 from phk.fitzpatrick import MonotoneGraph, graph
+from phk.fme import fm_maximize
 from phk.linalg import eliminate, rref
+from phk.lp import SupportLP
 from phk.polyhedra import EmptySet, cone_contains, make_set
 from phk.representability import (
     GridSpec,
-    rep_equality,
     rep_sum_value,
     rep_sum_value_by_enumeration,
     rep_value,
@@ -58,6 +60,13 @@ def enumeration_reference(t, c, x, xstar):
             if all(q >= 0 for q in w):
                 best = min(best, fin(sum(cw * q for cw, q in zip(costs, w))))
     return best, calls
+
+
+def touches(g, x, xstar):
+    """Does the convexified coupling equal the raw coupling at this pair?
+    Asked of ``rep_value``'s cold barycentric LP."""
+    v = rep_value(g, x, xstar).value
+    return v.is_finite and v.finite_value == sum(F(p) * F(q) for p, q in zip(x, xstar))
 
 
 def staircase():
@@ -212,19 +221,19 @@ class TestRepValue:
         for a, astar in g.pairs:
             ev = rep_value(g, a, astar)
             assert ev.value == fin(a[0] * astar[0])
-            assert rep_equality(g, a, astar)
+            assert touches(g, a, astar)
 
     def test_strictly_monotone_midpoint_exceeds_coupling(self):
         g = graph(1, [((0,), (0,)), ((1,), (1,))])
         ev = rep_value(g, (F(1, 2),), (F(1, 2),))
         assert ev.value == fin(F(1, 2))  # coupling there is 1/4  [DERIVED]
-        assert not rep_equality(g, (F(1, 2),), (F(1, 2),))
+        assert not touches(g, (F(1, 2),), (F(1, 2),))
 
     def test_flat_graph_touches_off_graph(self):
         # {(0,0), (0,1)}: the convexification is 0 all along x = 0, so it
         # meets the coupling at the non-pair (0, 1/2).
         g = graph(1, [((0,), (0,)), ((0,), (1,))])
-        assert rep_equality(g, (0,), (F(1, 2),))
+        assert touches(g, (0,), (F(1, 2),))
 
 
 class TestRestriction:
@@ -392,7 +401,81 @@ class TestSumMembership:
             assert len(placed) == 2 * len(t.pairs) + 1, (t, c, x)
 
 
+def strictly_monotone_graphs(dim, count, seed):
+    """Graphs of 2 to 2 dim pairs, fewer than the 2 dim + 1 rows that could
+    span, in the unit box, each with positive increment products: such a
+    graph touches the coupling at its pairs only, so a probe sweeps its
+    whole grid."""
+    rng = random.Random(seed)
+    half = [F(k, 2) for k in range(-2, 3)]
+    out = []
+    while len(out) < count:
+        pairs = [
+            (tuple(rng.choice(half[2:]) for _ in range(dim)), tuple(rng.choice(half) for _ in range(dim)))
+            for _ in range(rng.randint(2, 2 * dim))
+        ]
+        if all(
+            sum((p - q) * (r - w) for p, q, r, w in zip(a, b, astar, bstar)) > 0
+            for (a, astar), (b, bstar) in combinations(pairs, 2)
+        ):
+            out.append(graph(dim, pairs))
+    return out
+
+
+def square():
+    return make_set(
+        2, [((1, 0), 1, False), ((0, 1), 1, False), ((-1, 0), 0, False), ((0, -1), 0, False)]
+    )
+
+
 class TestProbe:
+    def test_touches_agree_with_the_barycentric_lp_and_elimination(self, monkeypatch):
+        """Every maximum the probe asks of its ``SupportLP`` is ``rep_value``
+        of the restricted graph, and ``fm_maximize``'s over the same rows."""
+        asked = []
+
+        class Recorded(SupportLP):
+            def __init__(self, rows, dim):
+                super().__init__(rows, dim)
+                self.rows = rows
+
+            def maximum(self, objective):
+                top = super().maximum(objective)
+                asked.append((self.rows, objective, top))
+                return top
+
+        monkeypatch.setattr(representability, "SupportLP", Recorded)
+        gradient = graph(2, [((0, 0), (0, 0)), ((1, 0), (2, 1)), ((0, 1), (1, 2))])
+        probes = [(staircase(), closed_interval(), GridSpec()), (gradient, square(), GridSpec())]
+        # Quarter steps hold the midpoints of the pairs.
+        quarters = GridSpec(step=F(1, 4), halfwidth=1)
+        probes += [(t, closed_interval(), quarters) for t in strictly_monotone_graphs(1, 10, 1)]
+        probes += [
+            (t, square(), GridSpec(halfwidth=1)) for t in strictly_monotone_graphs(2, 6, 2)
+        ]
+        seen = {True: 0, False: 0, None: 0}
+        for t, c, grid in probes:
+            asked.clear()
+            r = representability_probe(t, c, grid)
+            assert r.verdict == "candidate-verified-on-grid"
+            # The graph pairs are asked first, and the grid pairs they skip.
+            assert len(asked) >= r.grid_points * r.dual_points
+            tc = restrict_graph(t, c)
+            n = tc.dim
+            for rows, objective, top in asked:
+                assert objective[0] == 1
+                x, xstar = objective[1 : n + 1], objective[n + 1 :]
+                value = rep_value(tc, x, xstar).value
+                assert (top is None) == (value is POS_INF)
+                assert top is None or fin(top) == value
+                status, fm = fm_maximize(objective, rows)
+                assert status != "infeasible" and (status == "unbounded") == (top is None)
+                assert fm == top
+                touch = top is not None and top == sum(p * q for p, q in zip(x, xstar))
+                assert touch == touches(tc, x, xstar)
+                seen[None if top is None else touch] += 1
+        assert all(seen.values()), seen
+
     def test_staircase_survives_the_grid(self):
         r = representability_probe(staircase(), closed_interval())
         assert r.verdict == "candidate-verified-on-grid"
@@ -408,7 +491,7 @@ class TestProbe:
         assert r.witness is not None
         x, xstar = r.witness
         assert x == (F(0),)
-        assert rep_equality(restrict_graph(flat, wide), x, xstar)
+        assert touches(restrict_graph(flat, wide), x, xstar)
 
     def test_non_monotone_is_refused(self):
         bad = graph(1, [((0,), (1,)), ((1,), (0,))])

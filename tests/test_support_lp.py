@@ -6,14 +6,18 @@ ones re-solve from it by dual simplex.  A seeded walk over random feasible
 systems compares each warm answer with a fresh ``max_value`` (one cold
 solve) and with Fourier-Motzkin's ``fm_maximize``, which shares no code
 with the simplex.  The shapes cover bounded and unbounded systems, slabs
-and lineality (where an artificial stays basic and every objective solves
-cold), lower-dimensional systems (an equality written as two rows), and
+and lineality (where an artificial stays basic in each dependent row, and
+an objective outside the normals' span is +inf with no pivot),
+lower-dimensional systems (an equality written as two rows), and
 objective sequences with zero, negated and repeated objectives.
 """
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,9 @@ from phk.linalg import dot, unit_vec, vec, vneg, zero_vec
 from phk.lp import SupportLP, max_value
 from phk.normal_cones import support_level, support_value
 from phk.polyhedra import PartiallyOpenPolyhedron, make_set
+from phk.serialize import parse_set
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 SHAPES = ("general", "bounded", "slab", "lineality", "flat")
 
@@ -127,7 +134,7 @@ def assert_bland_dual_pivot(tab, basis, i, j) -> None:
 @pytest.mark.parametrize("shape", SHAPES)
 def test_warm_resolves_agree_with_cold_solves_and_elimination(shape, monkeypatch):
     rng = random.Random(f"support-lp:{shape}")
-    seen = {"zero-pivot": 0, "pivoted": 0, "unbounded": 0, "cold-only": 0, "queries": 0}
+    seen: Counter = Counter()
     for _ in range(60):
         n, rows = random_system(rng, shape)
         asked = objectives(rng, n, rows)
@@ -151,19 +158,22 @@ def test_warm_resolves_agree_with_cold_solves_and_elimination(shape, monkeypatch
                 assert paths.cold == cold
                 if top is None:
                     assert tops._kept is kept
-                    seen["unbounded"] += 1
+                    answer = "unbounded"
                 else:
-                    seen["pivoted" if paths.warm_pivots > pivots else "zero-pivot"] += 1
-            if any(top is not None for top in want) and tops._kept is None:
-                seen["cold-only"] += 1
-                assert paths.cold == (len(asked) if rows else 0)
-    assert seen["queries"] > 300
-    if shape in ("general", "bounded"):
-        assert seen["zero-pivot"] and seen["pivoted"]
-    if shape == "general":
-        assert seen["unbounded"]
+                    answer = "pivoted" if paths.warm_pivots > pivots else "zero-pivot"
+                seen[answer] += 1
+                # An artificial still basic marks a dependent row: the
+                # normals do not span the space.
+                if any(b >= len(rows) for b in kept[2]):
+                    seen[f"dependent {answer}"] += 1
+            # Objectives solve cold only up to the first that ends optimal:
+            # its tableau is kept, whether or not the normals span.
+            first = next((k + 1 for k, top in enumerate(want) if top is not None), len(asked))
+            assert paths.cold == (first if rows else 0)
+    assert seen["queries"] > 300 and seen["zero-pivot"] and seen["pivoted"]
+    assert shape == "bounded" or seen["unbounded"]
     if shape in ("slab", "lineality", "flat"):
-        assert seen["cold-only"]
+        assert seen["dependent zero-pivot"] and seen["dependent unbounded"], seen
 
 
 def test_a_bounded_full_rank_set_solves_cold_once(monkeypatch):
@@ -178,6 +188,23 @@ def test_a_bounded_full_rank_set_solves_cold_once(monkeypatch):
     paths = Paths(monkeypatch)
     levels = {x: support_level(c, x) for x in sorted(duals)}
     assert len(levels) > 30 and paths.cold == 1
+    fresh = PartiallyOpenPolyhedron(c.carrier, c.strict_rows)
+    assert all(support_value(fresh, x).value == v for x, v in levels.items())
+
+
+@pytest.mark.parametrize("name", ["left_half_plane", "slab_with_line"])
+def test_a_set_whose_normals_do_not_span_solves_cold_once(name, monkeypatch):
+    c = parse_set(json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8")))
+    rng = random.Random(f"support-lp:{name}")
+    duals = {
+        vec([Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.choice((0, 0, rng.randint(-3, 3)))])
+        for _ in range(60)
+    }
+    # The zero dual ends optimal, so its tableau is kept for all the others.
+    paths = Paths(monkeypatch)
+    levels = {x: support_level(c, x) for x in [zero_vec(2), *sorted(duals)]}
+    assert len(levels) > 25 and paths.cold == 1
+    assert {v.is_finite for v in levels.values()} == {True, False}
     fresh = PartiallyOpenPolyhedron(c.carrier, c.strict_rows)
     assert all(support_value(fresh, x).value == v for x, v in levels.items())
 
