@@ -478,27 +478,22 @@ def _check_walk(rows: int, size: int) -> None:
 
 def cone_generators(m_rows: Sequence[Vec], k: int) -> tuple[list[Vec], list[Vec]]:
     """Lineality basis and extreme rays of the cone {y : M y <= 0}."""
-    return _cone_generators(m_rows, k, *spaces(m_rows, k))
+    lin, w = spaces(m_rows, k)
+    return lin, _rays([tuple(dot(row, wj) for wj in w) for row in m_rows], w)
 
 
-def _cone_generators(
-    m_rows: Sequence[Vec], k: int, lin: list[Vec], w: list[Vec]
-) -> tuple[list[Vec], list[Vec]]:
-    """``cone_generators`` given the nullspace ``lin`` and the row space
-    ``w`` of ``m_rows``, both read off one ``rref``."""
-    if lin:
-        kk = len(w)
-        if kk == 0:
-            return lin, []
-        reduced = [tuple(dot(row, wj) for wj in w) for row in m_rows]
-        _, inner_rays = cone_generators(reduced, kk)
-        rays = [_combine(w, r) for r in inner_rays]
-        return lin, [primitive(r) for r in rays]
+def _rays(reduced: Sequence[Vec], w: list[Vec]) -> list[Vec]:
+    """Extreme rays of the cone {y : M y <= 0}, sorted, given a basis ``w``
+    of M's row space and M's rows projected onto it (``row . wj`` per basis
+    vector).  The projected cone is pointed, so its rays are walked there
+    and mapped back by ``_combine``; without lineality ``w`` is the unit
+    basis, and the projected rows are M's own."""
+    k = len(w)
     if k == 0:
-        return [], []
+        return []
     rays: set[Vec] = set()
-    _check_walk(len(m_rows), k - 1)
-    for mat, chosen in _independent_rows(integer_rows(m_rows), k, k - 1):
+    _check_walk(len(reduced), k - 1)
+    for mat, chosen in _independent_rows(integer_rows(reduced), k, k - 1):
         # The chosen rows leave one column free, and their nullspace is the
         # line of d with d[free] = 1: any other row's product with d has the
         # sign of its entry in that column.
@@ -511,11 +506,12 @@ def _cone_generators(
         d[free] = Fraction(1)
         for row, (_, j) in zip(_chosen_reduced(mat, chosen), chosen):
             d[j] = Fraction(-row[free], row[j])
+        ray = primitive(_combine(w, d))
         if 1 not in signs:
-            rays.add(primitive(tuple(d)))
+            rays.add(ray)
         if -1 not in signs:
-            rays.add(primitive(vneg(tuple(d))))
-    return [], sorted(rays)
+            rays.add(vneg(ray))
+    return sorted(rays)
 
 
 def _independent_rows(mat: list[list[int]], width: int, size: int):
@@ -601,8 +597,7 @@ def _generators(p: ClosedPolyhedron) -> VRep:
     # Vertices first, so an over-budget conversion names the vertex walk.
     reduced = [tuple(dot(nr, wj) for wj in w) for nr in normals]
     verts = sorted(_combine(w, v) for v in _pointed_vertices(reduced, offsets, len(w)))
-    lin, rays = _cone_generators(normals, p.dim, lin, w)
-    return VRep(tuple(verts), tuple(sorted(rays)), tuple(sorted(lin)))
+    return VRep(tuple(verts), tuple(_rays(reduced, w)), tuple(sorted(lin)))
 
 
 def h_to_v(p: ClosedPolyhedron | EmptySet) -> VRep:

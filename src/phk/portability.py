@@ -13,7 +13,7 @@ from operator import mul
 
 from .errors import InputError
 from .faces import enumerate_faces
-from .linalg import Vec, dot, scaled, vec, zero_vec
+from .linalg import Vec, dot, scaled, vec
 from .lp import SupportLP, closed_feasible, strict_system_feasible
 from .normal_cones import (
     in_normal_cone,
@@ -46,9 +46,9 @@ from .sampling import (
     _cloud_from,
     _duals_at,
     _filtered_points_in,
+    _point,
     boundary_points,
     dual_vectors,
-    points_in,
 )
 
 
@@ -236,59 +236,59 @@ def portability_report(
 
     The set is sampled once, on integers: the graph pairs and the cloud
     grow from one ``_filtered_points_in`` list.  The pairs are checked in
-    groups, one per point x with its integers over one denominator, its
-    ``row_signs`` vector and its duals x*: the nonsupporting witness, the
-    graph pairs of each ``points_in`` point, then each cloud point with
-    x* = 0.  Each distinct point is placed once, in the hull (supporting
-    rows) and in the set (every row).  Each distinct dual paired with a
-    point of the hull is looked up once, by ``support_level``, keyed by its
-    integers for this call only.  The coupling is sigma(x*) on the hull and
-    +inf off it; sigma + iota_C is sigma(x*) on the set and +inf off it.
-    The pair is related when the coupling is at most <x, x*>, and in the
-    graph when x is in the set and sigma(x*) = <x, x*>; <x, x*> is an
-    integer sum over x's denominator, compared with a finite sigma(x*) by
-    cross-multiplying.  Repeated pairs are counted each time.
+    groups, one per point x with its record (integers over one denominator
+    and ``row_signs``) and its integer duals x*: the nonsupporting witness,
+    the graph pairs of each ``points_in`` point, then each cloud point with
+    x* = 0.  Each distinct point is placed once, in the set; its signs on
+    the supporting rows place it in the hull.  The witness is placed only
+    when no sample has its integers and denominator.  Each distinct dual
+    paired with a point of the hull is looked up once, by ``support_level``,
+    for this call only.  The coupling is sigma(x*) on the hull and +inf off
+    it; sigma + iota_C is sigma(x*) on the set and +inf off it.  The pair
+    is related when the coupling is at most <x, x*>, and in the graph when
+    x is in the set and sigma(x*) = <x, x*>; <x, x*> is an integer sum over
+    x's denominator, compared with a finite sigma(x*) by cross-multiplying.
+    Repeated pairs are counted each time.  Only the failure pair becomes
+    ``Fraction``s.
     """
     hull = portable_hull(c)
     hull_adds_nothing, hull_equals_carrier = _hull_verdicts(hull, c)
 
     supported = supporting_rows(c)
-    zero = (zero_vec(c.dim), (0,) * c.dim)
+    zero = (0,) * c.dim
     inside = _filtered_points_in(c, spec)
-    graph_duals = _duals_at(c, spec, [p[2] for _, p in inside])
-    groups = [(x, p, ds) for (x, p), ds in zip(inside, graph_duals)]
-    groups += [(x, p, [zero]) for x, p in inside]
+    groups = list(zip(inside, _duals_at(c, spec, [sg for _, _, sg in inside])))
+    groups += [(p, [zero]) for p in inside]
     # ``_cloud_from`` keeps first occurrences, so its head is ``inside``.
-    groups += [(x, p, [zero]) for x, p in _cloud_from(c, spec, inside)[len(inside) :]]
+    groups += [(p, [zero]) for p in _cloud_from(c, spec, inside)[len(inside) :]]
     witness = nonsupporting_witness(c)
     if witness is not None:
-        x = witness[1]
-        p = next((p for y, p, _ in groups if y == x), None)
-        if p is None:
-            ints, den = scaled(x)
-            p = (ints, den, _signs(c, ints, den))
-        groups.insert(0, (x, p, [zero]))
+        # ``scaled`` gives the point in lowest terms, as a record holds it.
+        ints, den = scaled(witness[1])
+        key = (tuple(ints), den)
+        p = next((p for p, _ in groups if p[:2] == key), None)
+        groups.insert(0, (p or (*key, _signs(c, ints, den)), [zero]))
 
-    levels = {}  # a dual's integers -> its support level, see ``_level``
+    levels = {}  # a dual -> its support level, see ``_level``
     identity_ok = True
     maximal_ok = True
     failure = None
     related = 0
-    for x, (ints, den, sg), duals in groups:
+    for (ints, den, sg), duals in groups:
         if not all(sg[i] <= 0 for i in supported):
             # Off the hull both sides are +inf: the identity holds and no
             # pair is related.
             continue
         in_set = signs_inside(c, sg)
-        for xstar, dual in duals:
-            level = _level(c, levels, xstar, dual)
+        for dual in duals:
+            level = _level(c, levels, dual)
             if level is None:
                 # sigma(x*) = +inf is never at most <x, x*>, and both sides
                 # of the identity are +inf.
                 continue
             if not in_set:
                 identity_ok = False
-                failure = failure or (x, xstar)
+                failure = failure or (ints, den, dual)
             num, lden = level
             # sigma(x*) = num / lden against <x, x*> = (ints . x*) / den.
             lhs, rhs = num * den, lden * sum(map(mul, ints, dual))
@@ -296,7 +296,7 @@ def portability_report(
                 related += 1
                 if not (in_set and lhs == rhs):
                     maximal_ok = False
-                    failure = failure or (x, xstar)
+                    failure = failure or (ints, den, dual)
     return PortabilityReport(
         maximal_on_samples=maximal_ok,
         coupling_identity_on_samples=identity_ok,
@@ -304,8 +304,8 @@ def portability_report(
         hull_equals_carrier=hull_equals_carrier,
         hull=hull,
         related_pairs_checked=related,
-        identity_pairs_checked=sum(len(duals) for _, _, duals in groups),
-        failure_pair=failure,
+        identity_pairs_checked=sum(len(duals) for _, duals in groups),
+        failure_pair=failure and (_point(*failure[:2]), _point(failure[2])),
     )
 
 
@@ -337,13 +337,13 @@ def _hull_verdicts(hull: ClosedPolyhedron, c: PartiallyOpenPolyhedron) -> tuple[
 
 
 def _level(
-    c: PartiallyOpenPolyhedron, levels: dict, xstar: Vec, dual: tuple[int, ...]
+    c: PartiallyOpenPolyhedron, levels: dict, dual: tuple[int, ...]
 ) -> tuple[int, int] | None:
-    """sigma(x*) on the set as integers ``(num, den)``, or None for +inf;
-    ``support_level`` is asked once per dual and ``levels`` map, which is
-    keyed by the dual's integers."""
+    """sigma(x*) on the set, for the integer dual x*, as integers ``(num,
+    den)``, or None for +inf; ``support_level`` is asked once per dual and
+    ``levels`` map, which is keyed by the dual."""
     if dual not in levels:
-        sigma = support_level(c, xstar)
+        sigma = support_level(c, dual)
         if sigma.is_finite:
             (num,), den = scaled((sigma.finite_value,))
             levels[dual] = num, den
@@ -357,12 +357,14 @@ def hull_extension_report(
 ) -> dict:
     """How the portable hull extends the set while preserving its graph.
 
-    Each sampled point is placed in the hull once, and each distinct dual
-    is looked up on the hull once, as in ``portability_report``.  The
-    normal cones at a point are compared by their generators: every row
-    active at a point of the set supports, and the hull keeps those rows in
-    carrier order, so the tuples differ only when the hull lost an active
-    row.  That is never more lenient than ``cones_equal``, and solves no LP."""
+    A sampled point's cone in the set is read off the sampler's signs, and
+    one placement by the hull's own rows gives its cone and membership
+    there.  Each distinct dual is looked up on the hull once, as in
+    ``portability_report``.  The cones are compared by their generators:
+    every row active at a point of the set supports, and the hull keeps
+    those rows in carrier order, so the tuples differ only when the hull
+    lost an active row.  That is never more lenient than ``cones_equal``,
+    and solves no LP."""
     hull = portable_hull(c)
     hull_set = _canonical_as_set(hull)
     again = portable_hull(hull_set)
@@ -370,24 +372,22 @@ def hull_extension_report(
     portable = is_portable(hull_set)
     contains_set = closed_subset_of(c.carrier, hull_set)
 
-    preserved = True
-    extended = True
-    pair_witness = None
     inside = _filtered_points_in(c, spec)
-    for x, _ in inside:
-        if normal_cone_at(c, x) != normal_cone_at(hull_set, x):
-            preserved = False
-            pair_witness = pair_witness or x
-    duals = _duals_at(c, spec, [p[2] for _, p in inside])
+    duals = _duals_at(c, spec, [sg for _, _, sg in inside])
     levels: dict = {}
-    for (x, (ints, den, _)), ds in zip(inside, duals):
-        on_hull = contains(hull_set, x)
-        for xstar, dual in ds:
-            level = _level(hull_set, levels, xstar, dual) if on_hull else None
+    cone_witness = graph_witness = None
+    for (ints, den, sg), ds in zip(inside, duals):
+        hull_sg = _signs(hull_set, ints, den)
+        if cone_witness is None and _active_normals(c, sg) != _active_normals(hull_set, hull_sg):
+            cone_witness = ints, den
+        on_hull = signs_inside(hull_set, hull_sg)
+        for dual in ds:
+            level = _level(hull_set, levels, dual) if on_hull else None
             # In the graph: x in the hull and sigma(x*) = <x, x*>, cross-multiplied.
             if level is None or level[0] * den != level[1] * sum(map(mul, ints, dual)):
-                extended = False
-                pair_witness = pair_witness or x
+                graph_witness = graph_witness or (ints, den)
+    preserved, extended = cone_witness is None, graph_witness is None
+    witness = cone_witness or graph_witness
     return {
         "hull": hull,
         "idempotent": idempotent,
@@ -397,7 +397,7 @@ def hull_extension_report(
         "graphExtendedOnSamples": extended,
         "conesChecked": len(inside),
         "pairsChecked": sum(len(ds) for ds in duals),
-        "witness": pair_witness,
+        "witness": witness and _point(*witness),
         "ok": idempotent and portable and contains_set and preserved and extended,
     }
 
@@ -418,7 +418,9 @@ def partial_hull_report(
     partial hull keeps every row active at a point of the set and the probe,
     so the cones there are compared as in ``hull_extension_report``.  One
     ``row_signs`` vector per point of a point-set probe gives the kept rows,
-    the trace check, the sampled points and their cones.
+    the trace check, the sampled points and their cones.  A polyhedron
+    probe places each sampled point once in the probe, and a point there
+    once in the partial hull; its signs in the set are the sampler's.
     """
     kept, signs = _partial_rows(c, s)
     partial = ClosedPolyhedron(c.dim, tuple(c.carrier.rows[i] for i in kept))
@@ -451,9 +453,10 @@ def partial_hull_report(
                 break
         joint = system_of(c) + system_of(s)
         got = strict_system_feasible(joint) if joint else None
-        points = [got] if got is not None else []
-        points += [p for p in points_in(c, spec) if contains(s, p)]
-        samples = [(p, row_signs(c, p)) for p in points]
+        samples = [(got, row_signs(c, got))] if got is not None else []
+        for ints, den, sg in _filtered_points_in(c, spec):
+            if signs_inside(s, _signs(s, ints, den)):
+                samples.append((_point(ints, den), sg))
     trace_equal = trace_witness is None
 
     cones_agree = True

@@ -8,10 +8,12 @@ vertex/ray description of the carrier where that is available.
 The samplers behind ``points_in``, ``cloud_points`` and ``graph_pairs`` run
 on integers, fraction-free as in Bareiss 1968: the witness and the
 carrier's generators are scaled once to integers over one denominator,
-each point and dual is built by integer arithmetic and placed by
-``polyhedra._signs`` on the integers it already has, and only a kept one
-becomes ``Fraction``s.  They drop repeated points by the integers and
-denominator in lowest terms; the other samplers by ``linalg.int_key``.  A
+each point and dual is built by integer arithmetic, and each point is
+placed by ``polyhedra._signs`` on the integers it already has.  They hand
+out one record per point, its integers and denominator in lowest terms
+with its row signs, and each dual as its tuple of integers; ``_point``
+alone makes ``Fraction``s of either.  They drop repeated points by the
+integers and denominator; the other samplers by ``linalg.int_key``.  A
 point's graph duals are kept with the point, which is distinct, so a pair
 needs no key of its own.
 """
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from .errors import ScaleLimitError
 from .faces import FACE_DIM_CAP, enumerate_faces
@@ -55,13 +58,13 @@ def _rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
 
 
-def _dedupe(points: list, key=int_key) -> list:
-    """The points without repeats, compared by ``key`` (``int_key`` of the
-    point itself by default); each first occurrence is kept, in order."""
+def _dedupe(points: list) -> list:
+    """The points without repeats, compared by ``int_key``; each first
+    occurrence is kept, in order."""
     seen = set()
     out = []
     for p in points:
-        k = key(p)
+        k = int_key(p)
         if k not in seen:
             seen.add(k)
             out.append(p)
@@ -78,13 +81,18 @@ def _carrier_geometry(c: PartiallyOpenPolyhedron) -> VRep:
 def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Deterministic points of the set: a witness, surviving vertices and
     midpoints, then seeded convex combinations (plus recession pokes)."""
-    return [x for x, _ in _filtered_points_in(c, spec)]
+    return [_point(ints, den) for ints, den, _ in _filtered_points_in(c, spec)]
 
 
-# A sampled point ``x`` and how it was placed, ``(ints, den, signs)``:
-# ``x == ints / den`` in lowest terms, ``den`` positive, and ``signs`` its
+# A sampled point and how it was placed, ``(ints, den, signs)``: the point
+# is ``ints / den`` in lowest terms, ``den`` positive, and ``signs`` its
 # ``row_signs``.  Equal points have equal ``(ints, den)``, as with ``int_key``.
 _Placed = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+
+def _point(ints: tuple[int, ...], den: int = 1) -> Vec:
+    """The sampled point or dual ``ints / den`` as ``Fraction``s."""
+    return tuple([Fraction(a, den) for a in ints])
 
 
 def _lowest(ints: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -98,8 +106,7 @@ def _add(c: PartiallyOpenPolyhedron, out: list, seen: set, ints: list[int], den:
     if key not in seen:
         seen.add(key)
         ints, den = key
-        x = tuple([Fraction(a, den) for a in ints])
-        out.append((x, (ints, den, _signs(c, ints, den))))
+        out.append((ints, den, _signs(c, ints, den)))
 
 
 def _integers(c: PartiallyOpenPolyhedron, *vectors: Vec) -> tuple[list[list[int]], int]:
@@ -108,16 +115,13 @@ def _integers(c: PartiallyOpenPolyhedron, *vectors: Vec) -> tuple[list[list[int]
     return [flat[i : i + c.dim] for i in range(0, len(flat), c.dim)], den
 
 
-def _filtered_points_in(
-    c: PartiallyOpenPolyhedron, spec: SampleSpec
-) -> list[tuple[Vec, _Placed]]:
-    """``points_in``'s points, each with its ``_Placed`` data.
+def _filtered_points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[_Placed]:
+    """``points_in``'s points, each as its ``_Placed`` record.
 
     The witness, the vertices, rays and lines are scaled to integers over
     one denominator d, so a midpoint is (a + b) / 2d and a combination
     sum(w * f) / (2d * total) over the kept features f, each over 2d.  Each
-    candidate is placed by ``_signs`` on those integers, and a point
-    becomes ``Fraction``s only once it is kept.
+    candidate is placed once by ``_signs`` on those integers.
     """
     rng = _rng(spec, "in")
     inner = set_member_witness(c)
@@ -130,24 +134,20 @@ def _filtered_points_in(
     lines = list(it)
     # The witness leads the list and is in the set; each distinct vertex
     # and midpoint is placed once and kept if it is in the set too.
-    candidates = [(inner, [2 * a for a in w])]
-    candidates += [(v, [2 * a for a in vi]) for v, vi in zip(geo.vertices, verts)]
-    candidates += [(None, [p + q for p, q in zip(a, b)]) for a, b in combinations(verts, 2)]
+    candidates = [[2 * a for a in f] for f in (w, *verts)]
+    candidates += [[p + q for p, q in zip(a, b)] for a, b in combinations(verts, 2)]
     tried = set()
     base = []
     out = []
-    for i, (x, f) in enumerate(candidates):
+    for i, f in enumerate(candidates):
         if (t := tuple(f)) in tried:
             continue
         tried.add(t)
         sg = _signs(c, f, 2 * d)
         if i == 0 or signs_inside(c, sg):
-            key, den = _lowest(f, 2 * d)
-            if x is None:
-                x = tuple([Fraction(a, den) for a in key])
             base.append(f)
-            out.append((x, (key, den, sg)))
-    seen = {(p[0], p[1]) for _, p in out}
+            out.append((*_lowest(f, 2 * d), sg))
+    seen = {(ints, den) for ints, den, _ in out}
     for _ in range(spec.count):
         weights = [rng.randint(0, 4) for _ in base]
         total = sum(weights)
@@ -166,12 +166,13 @@ def _filtered_points_in(
 
 def cloud_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Points in and around the set, membership not guaranteed."""
-    return [x for x, _ in _cloud_from(c, spec, _filtered_points_in(c, spec))]
+    cloud = _cloud_from(c, spec, _filtered_points_in(c, spec))
+    return [_point(ints, den) for ints, den, _ in cloud]
 
 
 def _cloud_from(
-    c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[tuple[Vec, _Placed]]
-) -> list[tuple[Vec, _Placed]]:
+    c: PartiallyOpenPolyhedron, spec: SampleSpec, inside: list[_Placed]
+) -> list[_Placed]:
     """``cloud_points`` around an already sampled ``_filtered_points_in``
     list (not mutated), each point placed, ``inside`` first.  Over the
     witness's and the vertices' common denominator d, a reflection is
@@ -179,8 +180,8 @@ def _cloud_from(
     rng = _rng(spec, "cloud")
     geo = _carrier_geometry(c)
     out = list(inside)
-    seen = {(p[0], p[1]) for _, p in inside}
-    (w, *verts), d = _integers(c, inside[0][0], *geo.vertices)
+    seen = {(ints, den) for ints, den, _ in inside}
+    (w, *verts), d = _integers(c, _point(*inside[0][:2]), *geo.vertices)
     for v in verts:
         _add(c, out, seen, [2 * a - b for a, b in zip(v, w)], d)
         for j in range(c.dim):
@@ -217,36 +218,35 @@ def graph_pairs(
 ) -> list[tuple[Vec, Vec]]:
     """Pairs (x, x*) with x in the set and x* in the cone of active normals."""
     inside = _filtered_points_in(c, spec)
-    duals = _duals_at(c, spec, [p[2] for _, p in inside])
-    return [(x, d) for (x, _), ds in zip(inside, duals) for d, _ in ds]
+    duals = _duals_at(c, spec, [sg for _, _, sg in inside])
+    return [(_point(x, den), _point(d)) for (x, den, _), ds in zip(inside, duals) for d in ds]
 
 
 def _duals_at(
     c: PartiallyOpenPolyhedron, spec: SampleSpec, signs: list[tuple[int, ...]]
-) -> list[list[tuple[Vec, tuple[int, ...]]]]:
+) -> list[list[tuple[int, ...]]]:
     """The duals ``graph_pairs`` pairs with each ``points_in`` point, given
     the points' ``row_signs``: zero, each active normal, then seeded
-    combinations of them, without repeats, each as ``(x*, ints)``.  A valid
-    carrier is canonical, so its normals are primitive integer vectors, and
-    ``ints`` is x* itself as ``int``s.  The points are distinct, so these
-    are the pairs without repeats too."""
+    combinations of them, without repeats.  A valid carrier is canonical,
+    so its normals are primitive integer vectors, and each dual is a tuple
+    of ``int``s, equal to the dual itself.  The points are distinct, so
+    these are the pairs without repeats too."""
     rng = _rng(spec, "pairs")
     # Both knobs scale with the requested count so that asking for more
     # samples keeps producing new pairs even when the set has few distinct
     # boundary points (one-dimensional sets in particular).
     combos = max(1, spec.count // 8)
     span = max(3, spec.count // 4)
-    normals = [(normal, tuple(scaled(normal)[0])) for normal, _ in c.carrier.rows]
-    zero = (zero_vec(c.dim), (0,) * c.dim)
+    normals = [tuple(scaled(normal)[0]) for normal, _ in c.carrier.rows]
+    zero = (0,) * c.dim
     out = []
     for sg in signs:
         gens = [g for g, s in zip(normals, sg) if s == 0]
         duals = [zero, *gens]
         for _ in range(combos if gens else 0):
             weights = [rng.randint(0, span) for _ in gens]
-            combo = tuple([sum(k * g[j] for k, (_, g) in zip(weights, gens)) for j in range(c.dim)])
-            duals.append((tuple([Fraction(a) for a in combo]), combo))
-        out.append(_dedupe(duals, key=lambda dual: dual[1]))
+            duals.append(tuple([sum(map(mul, weights, column)) for column in zip(*gens)]))
+        out.append(list(dict.fromkeys(duals)))
     return out
 
 

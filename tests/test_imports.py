@@ -10,9 +10,11 @@ environment, which would let a setting outside the input change an answer,
 and reads of a rational's numerator or denominator outside
 ``linalg`` and ``scalars``: clearing denominators is ``linalg.scaled``'s job.
 Outside ``lp`` and ``corpus`` no module builds a primal program
-(``LPProblem`` or ``problem``): a maximum whose point nobody reads is
-``lp.max_value``'s job, which solves the n-row dual instead of the m-row
-primal tableau, and a point of a system is ``closed_feasible``'s.
+(``LPProblem`` or ``problem``): a maximum whose point nobody reads is asked
+of an ``lp.SupportLP``, or of ``lp.max_value``, its one-shot form, which
+only canonicalization's redundancy test calls; both solve the n-row dual
+instead of the m-row primal tableau.  A point of a system is
+``closed_feasible``'s.
 
 A cold CLI call does not import the seeded corpora, which only the
 ``selftest`` verb needs.
@@ -139,6 +141,7 @@ UNREAD_IN_SRC = {
     "is_bounded": "the paper's boundedness, read by the acceptance tests as its definition",
     "lineality_space": "the paper's lines of a closed set, read by the acceptance tests as its definition",
     "monotonically_related": "the paper's monotone relation, from which the reference report is rebuilt",
+    "points_in": "the sampled points of the set, which the sampling and reference tests check the samplers by",
     "rep_sum_value": "public sum value with its certificate, documented in README",
     "rowspace_basis": "the row-space half of ``spaces``, read by the tests' reference generator walk",
     "strictly_inside": "public interior test, documented in README",

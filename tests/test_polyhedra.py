@@ -628,15 +628,20 @@ def reference_pointed_vertices(normals, offsets, k):
     return sorted(verts)
 
 
+def reference_rays(reduced, w):
+    """``polyhedra._rays`` by the subset-by-subset reference, on the
+    projected rows, each ray mapped back onto the basis ``w``."""
+    _, inner_rays = reference_cone_generators(reduced, len(w))
+    return sorted(primitive(polyhedra._combine(w, r)) for r in inner_rays)
+
+
 def reference_generators(convert, arg):
     """``convert(arg)`` (``h_to_v`` or ``v_to_h``) with both walks replaced
     by the subset-by-subset reference."""
     with pytest.MonkeyPatch.context() as patch:
         # ``cone_generators`` and ``_generators`` both walk the rays through
-        # ``_cone_generators``, which also takes the two bases of one ``rref``.
-        patch.setattr(
-            polyhedra, "_cone_generators", lambda m_rows, k, lin, w: reference_cone_generators(m_rows, k)
-        )
+        # ``_rays``, on the rows projected onto the row-space basis ``w``.
+        patch.setattr(polyhedra, "_rays", reference_rays)
         patch.setattr(polyhedra, "_pointed_vertices", reference_pointed_vertices)
         return convert(arg)
 

@@ -208,7 +208,7 @@ def test_each_report_samples_the_set_once(monkeypatch):
     # The graph pairs and the cloud grow from the list without changing it.
     again = real(c, spec)
     assert handed == [again, again]
-    assert [x for x, _ in again] == points_in(c, spec)
+    assert [sampling._point(ints, den) for ints, den, _ in again] == points_in(c, spec)
 
 
 def counting(monkeypatch, module, name) -> list:
@@ -224,23 +224,16 @@ def counting(monkeypatch, module, name) -> list:
     return calls
 
 
-@pytest.mark.parametrize(
-    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
-)
-def test_report_places_each_point_and_looks_up_each_dual_once(kind, c, monkeypatch):
-    c, spec = fresh(c), SampleSpec(seed=5, count=8)
-    zero = zero_vec(c.dim)
-    pairs = graph_pairs(c, spec) + [(x, zero) for x in cloud_points(c, spec)]
-    witness = nonsupporting_witness(c)
-    if witness is not None:
-        pairs.append((witness[1], zero))
-    inside = {(x,) for x in points_in(fresh(c), spec)}
-    # Each placement by the kernel ``_signs``, as the point it places: made
-    # while ``_filtered_points_in`` samples the set, or after.
+def placements(monkeypatch) -> tuple[list, list, list]:
+    """Record each ``_signs`` placement as ``(set, point)``: those made
+    while ``_filtered_points_in`` samples, and those made after it; and
+    each set that ``portability._canonical_as_set`` makes."""
     sampled: list = []
     placed: list = []
     calls = placed
+    made: list = []
     real_points, real_signs = sampling._filtered_points_in, polyhedra._signs
+    real_as_set = portability._canonical_as_set
 
     def sampling_points(*args):
         nonlocal calls
@@ -251,20 +244,49 @@ def test_report_places_each_point_and_looks_up_each_dual_once(kind, c, monkeypat
             calls = placed
 
     def signs(s, ints, den):
-        calls.append((tuple(F(a, den) for a in ints),))
+        calls.append((s, tuple(F(a, den) for a in ints)))
         return real_signs(s, ints, den)
+
+    def as_set(p):
+        made.append(real_as_set(p))
+        return made[-1]
 
     for module in (sampling, portability):
         monkeypatch.setattr(module, "_filtered_points_in", sampling_points)
-        monkeypatch.setattr(module, "_signs", signs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phk") and getattr(module, "_signs", None) is real_signs:
+            monkeypatch.setattr(module, "_signs", signs)
+    monkeypatch.setattr(portability, "_canonical_as_set", as_set)
+    return sampled, placed, made
+
+
+def placed_in(calls: list, s) -> list:
+    """The points of the recorded placements in the set object ``s``."""
+    return sorted(x for t, x in calls if t is s)
+
+
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_report_places_each_point_and_looks_up_each_dual_once(kind, c, monkeypatch):
+    c, spec = fresh(c), SampleSpec(seed=5, count=8)
+    zero = zero_vec(c.dim)
+    pairs = graph_pairs(c, spec) + [(x, zero) for x in cloud_points(c, spec)]
+    witness = nonsupporting_witness(c)
+    if witness is not None:
+        pairs.append((witness[1], zero))
+    inside = set(points_in(fresh(c), spec))
+    sampled, placed, _ = placements(monkeypatch)
     looked = counting(monkeypatch, portability, "support_level")
     portability_report(c, spec)
-    # The sampler places each candidate once, and hands the report the
-    # vectors of the points it keeps; the cloud and the witness place only
-    # the rest.
+    # The sampler places each candidate in the set once, and hands the
+    # report the records of the points it keeps; the cloud and the witness
+    # place only the rest.
+    assert all(s is c for s, _ in sampled + placed)
+    sampled, placed = [x for _, x in sampled], [x for _, x in placed]
     assert len(set(sampled)) == len(sampled) and inside <= set(sampled)
     assert len(set(placed)) == len(placed) and not inside & set(placed)
-    assert inside | set(placed) == {(x,) for x, _ in pairs}
+    assert inside | set(placed) == {x for x, _ in pairs}
     assert sorted(looked) == sorted({(d,) for x, d in pairs if in_portable_hull(c, x)})
 
 
@@ -275,6 +297,37 @@ def test_report_on_a_closed_box_solves_no_containment_lp(monkeypatch):
     made = counting(monkeypatch, portability, "SupportLP")
     report = portability_report(box, SampleSpec(seed=0, count=8))
     assert solved == made == [] and report.hull_adds_nothing and report.hull_equals_carrier
+
+
+@pytest.mark.parametrize(
+    "kind,c", CASES, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(CASES)]
+)
+def test_hull_reports_place_each_sample_once_per_set(kind, c, monkeypatch):
+    c, spec = fresh(c), SampleSpec(seed=5, count=8)
+    inside = sorted(points_in(fresh(c), spec))
+    probes = [fresh(c), closed_as_set(c.carrier)]
+    in_probe = [sorted(x for x in inside if contains(probe, x)) for probe in probes]
+    sampled, placed, made = placements(monkeypatch)
+    hull_extension_report(c, spec)
+    # The sampler places each candidate in the set once; the report places
+    # each kept point once in the hull and nowhere else.
+    (hull_set,) = made
+    assert all(t is c for t, _ in sampled) and len(set(sampled)) == len(sampled)
+    assert set(inside) <= {x for _, x in sampled}
+    assert placed_in(placed, hull_set) == inside and len(placed) == len(inside)
+    for probe, want in zip(probes, in_probe):
+        for calls in (sampled, placed, made):
+            calls.clear()
+        partial_hull_report(c, probe, spec)
+        # Once in the set by the sampler, once in the probe, and once in the
+        # partial hull; only the probe LP's point is placed in the set after.
+        (pset,) = made
+        assert all(t is c for t, _ in sampled) and len(set(sampled)) == len(sampled)
+        assert placed_in(placed, probe) == inside
+        got = placed_in(placed, c)
+        assert len(got) <= 1
+        assert placed_in(placed, pset) == sorted(got + want)
+        assert len(placed) == len(inside) + len(got) + len(got + want)
 
 
 @pytest.mark.parametrize(
@@ -473,7 +526,10 @@ def fraction_filtered_points_in(c, spec: SampleSpec) -> list:
     for l in geo.lineality:
         out.append((vadd(inner, l), None))
         out.append((vsub(inner, l), None))
-    return sampling._dedupe(out, key=lambda placed: int_key(placed[0]))
+    kept: dict = {}
+    for x, sg in out:
+        kept.setdefault(int_key(x), (x, sg))
+    return list(kept.values())
 
 
 def fraction_placed_points_in(c, spec: SampleSpec) -> tuple[list, list]:
@@ -523,21 +579,24 @@ def fraction_duals_at(c, spec: SampleSpec, signs: list) -> list:
 def assert_samplers_match_the_reference(c, spec: SampleSpec) -> None:
     got = sampling._filtered_points_in(c, spec)
     points, signs = fraction_placed_points_in(fresh(c), spec)
-    assert [x for x, _ in got] == points and repr([x for x, _ in got]) == repr(points)
-    assert [p[2] for _, p in got] == signs
+    xs = [sampling._point(ints, den) for ints, den, _ in got]
+    assert xs == points and repr(xs) == repr(points)
+    assert [sg for _, _, sg in got] == signs
     cloud = sampling._cloud_from(c, spec, got)
     want = fraction_cloud_from(c, spec, points)
     assert cloud[: len(got)] == got
-    assert [x for x, _ in cloud] == want and repr([x for x, _ in cloud]) == repr(want)
-    for x, (ints, den, sg) in cloud:
-        # Each point's integers are the point in lowest terms, and place it.
+    xs = [sampling._point(ints, den) for ints, den, _ in cloud]
+    assert xs == want and repr(xs) == repr(want)
+    for x, (ints, den, sg) in zip(want, cloud):
+        # Each record is the point in lowest terms, and places it.
         assert den > 0 and gcd(den, *ints) == 1
         assert tuple(F(a, den) for a in ints) == x and sg == row_signs(c, x)
     duals = sampling._duals_at(c, spec, signs)
     want = fraction_duals_at(c, spec, signs)
-    assert [[d for d, _ in ds] for ds in duals] == want
-    assert repr([[d for d, _ in ds] for ds in duals]) == repr(want)
-    assert all(tuple(F(a) for a in ints) == d for ds in duals for d, ints in ds)
+    got_duals = [[sampling._point(d) for d in ds] for ds in duals]
+    assert got_duals == want and repr(got_duals) == repr(want)
+    # Each dual is its own integers.
+    assert all(type(a) is int for ds in duals for d in ds for a in d)
 
 
 @pytest.mark.parametrize("count", (1, 8, 40))

@@ -1,19 +1,25 @@
-"""The report's LP work, pinned as exact counts.
+"""The work of fixed input plans, pinned as exact counts.
 
 Wall time on a shared machine drifts too much to show where work went, but
-the number of LPs a fixed input plan solves does not drift.  ``count_work``
-wraps ``lp.SupportLP._warm`` and every module's ``lp_solve`` binding from
-outside and records each cold solve under the first function outside ``lp``
-that asked for it, and each warm re-solve apart.  The counts below are the
-claim: a change that moves them re-records them and says why.
+the number of LPs a fixed input plan solves, and of points it places, does
+not drift.  ``count_work`` wraps ``lp.SupportLP._warm`` and every module's
+``lp_solve`` binding from outside and records each cold solve under the
+first function outside ``lp`` that asked for it, and each warm re-solve
+apart.  It also wraps every module's ``polyhedra._signs`` binding, the
+kernel that places a point against a set's rows, and records each
+placement under the first function outside ``polyhedra`` and ``sampling``
+that asked for it.  The counts below are the claim: a change that moves
+them re-records them and says why.
 
 The third plan is the 192 ``golden_cli.json`` cases, run in process through
-the CLI's ``main``.  Its only polar cone LP is the ``sum-check``
-decomposition's ``cone_contains``, which ``_asker`` books under the
-generator expression of ``polyhedra._cone_holds``.  The fourth is one grid
-probe, whose barycentric values are the maxima of one ``SupportLP``.
+the CLI's ``main``; its placements are kept by verb.  Its only polar cone
+LP is the ``sum-check`` decomposition's ``cone_contains``, which ``_asker``
+books under the generator expression of ``polyhedra._cone_holds``.  The
+fourth is one grid probe, whose barycentric values are the maxima of one
+``SupportLP``.
 
-Run this file directly to print the counts of all four plans:
+Run this file directly to print the LP counts and placements of all four
+plans:
 
     PYTHONPATH=src python tests/test_work_counts.py
 """
@@ -25,9 +31,10 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
-from phk import lp
+from phk import lp, polyhedra
 from phk.polyhedra import make_set
 from phk.portability import portability_report
 from phk.representability import GridSpec, representability_probe
@@ -49,6 +56,9 @@ BENCH_STYLE = {
     "portability.nonsupporting_witness": 3,
     "warm": 55,
 }
+# Their ``_signs`` placements: the sampler places each candidate point
+# once, the cloud each further point, in the set.
+BENCH_STYLE_PLACED = {"portability.portability_report": 329}
 # The benchmark's ``report_plan(101, 12)`` sets, built first; their reports
 # under the count.
 REPORT_PLAN = {
@@ -80,52 +90,113 @@ GOLDEN_PLAN = {
     "representability.touches": 1,
     "warm": 365,
 }
+# Their ``_signs`` placements, by verb.  A sampled point is placed once
+# in each set a report asks about it.
+GOLDEN_PLACED = {
+    "check-enc": {"portability.hull_extension_report": 248},
+    "check-ncs": {
+        "normal_cones.normal_cone_at": 543,
+        "portability._partial_rows": 36,
+        "portability.partial_hull_report": 1299,
+    },
+    "check-thm7": {},
+    "hull": {},
+    "normal-cone": {
+        "normal_cones.in_normal_cone": 8,
+        "normal_cones.normal_cone_at": 8,
+    },
+    "partial-hull": {
+        "normal_cones.normal_cone_at": 543,
+        "portability._partial_rows": 36,
+        "portability.partial_hull_report": 1299,
+    },
+    "phi": {"normal_cones.in_portable_hull": 24},
+    "portable": {"portability.portability_report": 343},
+    "probe-bp": {
+        "normal_cones.normal_cone_at": 20,
+        "portability.boundary_support_report": 26,
+    },
+    "psi": {},
+    "report": {"portability.portability_report": 343},
+    "separate": {
+        "normal_cones.in_normal_cone": 5,
+        "normal_cones.in_portable_hull": 7,
+        "portability.separation_certificate": 7,
+        "portability.verify_certificate": 5,
+    },
+    "sigma": {"cli._sigma": 3},
+    "sum-check": {
+        "normal_cones.normal_cone_at": 4,
+        "representability.<genexpr>": 3,
+        "representability._sum_program": 30,
+        "representability.representability_probe": 3,
+        "representability.sum_graph_membership": 5,
+    },
+}
 # ``representability_probe`` of the gradient graph fixture on the unit
 # square at step 1/4: one cold solve, then one warm re-solve per other pair.
 PROBE_PLAN = {"representability.touches": 1, "warm": 7224}
 
 
-def _asker() -> str:
+# Python 3.12 runs these inline, in the enclosing function's frame.
+INLINED = ("<listcomp>", "<setcomp>", "<dictcomp>")
+
+
+def _asker(inner: tuple[str, ...]) -> str:
+    """The first function outside the ``inner`` modules on the stack, past
+    the wrapper and the counted function; a comprehension is booked under
+    the function it runs in, on every Python."""
     frame = sys._getframe(2)
-    while frame.f_globals.get("__name__") == "phk.lp":
+    while frame.f_globals.get("__name__") in inner or frame.f_code.co_name in INLINED:
         frame = frame.f_back
     return f"{frame.f_globals['__name__'].removeprefix('phk.')}.{frame.f_code.co_name}"
 
 
-def _rebind(old, new) -> None:
-    """Point every ``lp_solve`` name that a ``phk`` module binds to ``old``
-    at ``new``: a module that imports the name holds its own binding."""
-    for name, mod in list(sys.modules.items()):
-        if (name == "phk" or name.startswith("phk.")) and getattr(mod, "lp_solve", None) is old:
-            mod.lp_solve = new
+def _rebind(name: str, old, new) -> None:
+    """Point every ``name`` that a ``phk`` module binds to ``old`` at
+    ``new``: a module that imports the name holds its own binding."""
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "phk" or mod_name.startswith("phk.")) and getattr(mod, name, None) is old:
+            setattr(mod, name, new)
 
 
-def count_work(run) -> dict[str, int]:
-    """Cold LP solves by asking function, and warm re-solves, while ``run()``
-    runs."""
-    counts: Counter = Counter()
-    real_solve, real_warm = lp.lp_solve, lp.SupportLP._warm
+def count_work(run) -> tuple[dict[str, int], dict[str, int]]:
+    """Cold LP solves by asking function, with warm re-solves, and
+    ``polyhedra._signs`` placements by asking function, while ``run()``
+    runs.  A solve is booked outside ``lp``, a placement outside
+    ``polyhedra`` and ``sampling``."""
+    solves: Counter = Counter()
+    placed: Counter = Counter()
+    real_solve, real_warm, real_signs = lp.lp_solve, lp.SupportLP._warm, polyhedra._signs
 
     def solve(*args):
-        counts[_asker()] += 1
+        solves[_asker(("phk.lp",))] += 1
         return real_solve(*args)
 
     def warm(*args):
-        counts["warm"] += 1
+        solves["warm"] += 1
         return real_warm(*args)
 
-    _rebind(real_solve, solve)
+    def signs(*args):
+        placed[_asker(("phk.polyhedra", "phk.sampling"))] += 1
+        return real_signs(*args)
+
+    _rebind("lp_solve", real_solve, solve)
+    _rebind("_signs", real_signs, signs)
     lp.SupportLP._warm = warm
     try:
         run()
     finally:
-        # Also the modules imported during ``run``, which bound the wrapper.
-        _rebind(solve, real_solve)
+        # Also the modules imported during ``run``, which bound the wrappers.
+        _rebind("lp_solve", solve, real_solve)
+        _rebind("_signs", signs, real_signs)
         lp.SupportLP._warm = real_warm
-    return dict(sorted(counts.items()))
+    return dict(sorted(solves.items())), dict(sorted(placed.items()))
 
 
-def bench_style_counts() -> dict[str, int]:
+# A plan with two pinned tests runs once per process; both read its counts.
+@cache
+def bench_style_counts() -> tuple[dict[str, int], dict[str, int]]:
     from test_portability_reference import bench_style_sets
 
     def run():
@@ -135,7 +206,7 @@ def bench_style_counts() -> dict[str, int]:
     return count_work(run)
 
 
-def report_plan_counts() -> dict[str, int]:
+def report_plan_counts() -> tuple[dict[str, int], dict[str, int]]:
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import gen
@@ -146,13 +217,23 @@ def report_plan_counts() -> dict[str, int]:
     return count_work(lambda: [portability_report(c, spec) for c in sets])
 
 
-def golden_plan_counts() -> dict[str, int]:
+@cache
+def golden_plan_counts() -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+    """The LP counts of all cases, and the placements of each verb's cases."""
     from test_golden_cli import cases, run
 
-    return count_work(lambda: [run(argv) for argv in cases()])
+    solves: Counter = Counter()
+    placed: dict[str, Counter] = {}
+    for argv in cases():
+        case_solves, case_placed = count_work(lambda: run(argv))
+        solves.update(case_solves)
+        placed.setdefault(argv[0], Counter()).update(case_placed)
+    return dict(sorted(solves.items())), {
+        verb: dict(sorted(counts.items())) for verb, counts in sorted(placed.items())
+    }
 
 
-def probe_plan_counts() -> dict[str, int]:
+def probe_plan_counts() -> tuple[dict[str, int], dict[str, int]]:
     def load(name, parse):
         return parse(json.loads((ROOT / "fixtures" / f"{name}.json").read_text(encoding="utf-8")))
 
@@ -161,27 +242,35 @@ def probe_plan_counts() -> dict[str, int]:
 
 
 def test_bench_style_sets_solve_the_pinned_lps():
-    assert bench_style_counts() == BENCH_STYLE
+    assert bench_style_counts()[0] == BENCH_STYLE
+
+
+def test_bench_style_sets_place_the_pinned_points():
+    assert bench_style_counts()[1] == BENCH_STYLE_PLACED
 
 
 def test_report_plan_solves_the_pinned_lps():
-    counts = report_plan_counts()
+    counts, _ = report_plan_counts()
     assert counts == REPORT_PLAN
     assert sum(counts.values()) - counts["warm"] == 516
 
 
 def test_golden_plan_solves_the_pinned_lps():
-    assert golden_plan_counts() == GOLDEN_PLAN
+    assert golden_plan_counts()[0] == GOLDEN_PLAN
+
+
+def test_golden_plan_places_the_pinned_points():
+    assert golden_plan_counts()[1] == GOLDEN_PLACED
 
 
 def test_probe_plan_solves_one_cold_lp():
-    assert probe_plan_counts() == PROBE_PLAN
+    assert probe_plan_counts()[0] == PROBE_PLAN
 
 
 def test_counts_do_not_depend_on_the_hash_seed():
     code = (
         "import json, test_work_counts as t; "
-        "print(json.dumps([t.bench_style_counts(), t.probe_plan_counts()]))"
+        "print(json.dumps([t.bench_style_counts(), t.probe_plan_counts()[0]]))"
     )
     path = os.pathsep.join([str(ROOT / "src"), str(TESTS)])
     for seed in ("0", "1"):
@@ -189,7 +278,7 @@ def test_counts_do_not_depend_on_the_hash_seed():
         got = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert json.loads(got.stdout) == [BENCH_STYLE, PROBE_PLAN], seed
+        assert json.loads(got.stdout) == [[BENCH_STYLE, BENCH_STYLE_PLACED], PROBE_PLAN], seed
 
 
 if __name__ == "__main__":
@@ -199,4 +288,8 @@ if __name__ == "__main__":
         "golden_plan": golden_plan_counts,
         "probe_plan": probe_plan_counts,
     }
-    print(json.dumps({name: counts() for name, counts in plans.items()}, indent=1))
+    out = {}
+    for name, counts in plans.items():
+        solves, placed = counts()
+        out[name] = {"lp": solves, "placements": placed}
+    print(json.dumps(out, indent=1))
