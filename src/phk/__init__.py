@@ -33,7 +33,6 @@ from .lp import (
     LPOutcome,
     LPProblem,
     SupportLP,
-    closed_feasible,
     lp_solve,
     max_value,
     problem,
@@ -150,7 +149,6 @@ __all__ = [
     "canonicalize",
     "closed_as_set",
     "closed_contains",
-    "closed_feasible",
     "closed_subset_of",
     "cone",
     "cone_contains",

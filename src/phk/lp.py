@@ -32,8 +32,11 @@ Linear and Integer Programming*, 1986, section 7.4) gives
 infeasible exactly when the primal is unbounded, and a feasible primal
 leaves it bounded.  Both optima are the same rational, so the value
 is exact; the tableau has n rows and m + n columns instead of m rows and
-2n + 2m columns.  Nonemptiness is the caller's to ensure: over an empty
-system the dual may be infeasible too, which would read as unbounded.
+2n + 2m columns.  Over an empty system the dual has no optimum: a Farkas
+vector ``y >= 0`` with ``A^T y = 0`` and ``b . y < 0`` makes it unbounded
+once it is feasible.  So every maximum there reads None, and the zero
+objective, whose dual holds ``y = 0``, reads None exactly when the system
+is empty: that is the emptiness test.
 Cone membership goes through the same dual (Farkas): x lies in the cone
 of g_1, ..., g_k exactly when ``x . z`` is bounded above on the polar cone
 ``{z : g_i . z <= 0}``, a system that holds 0.
@@ -54,9 +57,9 @@ as it was.  Normals that do not span the space leave an artificial basic in
 each dependent row, whose artificial part is orthogonal to every normal: a
 nonzero value there means +inf, before any pivot.
 
-The two feasibility helpers, ``closed_feasible`` for weak rows and
-``strict_system_feasible`` for mixed strict and weak rows, return a point
-of the system, or ``None`` when it is empty.
+``strict_system_feasible`` returns a point of a system of mixed strict
+and weak rows, or ``None`` when it is empty; with every row weak it is the
+point of a weak system.
 
 The tableau is fraction-free.  Each row, and the reduced-cost row, is a list
 of ``int`` over one positive ``int`` denominator (``linalg.scaled``), and a
@@ -344,30 +347,25 @@ def strict_system_feasible(rows: Sequence[StrictRow]) -> Vec | None:
     return out.primal[:n] if out.value > 0 else None
 
 
-def closed_feasible(rows: Sequence[Row], dim: int) -> Vec | None:
-    """A point of a weak-inequality system, or None when it is empty."""
-    if dim < 1:
-        raise InputError("dimension must be at least 1")
-    # A zero objective is never unbounded: the outcome has a point exactly
-    # when the system is feasible.
-    return lp_solve(LPProblem(zero_vec(dim), tuple(rows))).primal
-
-
 class SupportLP:
-    """Repeated maxima ``sup c . x`` over one fixed nonempty weak-row system.
+    """Repeated maxima ``sup c . x`` over one fixed weak-row system.
 
     Each maximum is ``max_value``'s n-row dual, ``min b . y`` subject to
     ``A^T y = c``, ``y >= 0``, re-solved from the last optimal tableau as the
-    module docstring describes.  The kept tableau's artificial columns hold
-    ``B^-1`` of the sign-adjusted rows ``S A^T``, so an objective's basic
-    values are ``B^-1 S c``, and the last entry of the reduced-cost row is
-    ``-pi . S c``, where ``pi`` is the row's artificial part.  Only a
-    re-solve that ends optimal replaces the kept tableau.
+    module docstring describes.  Over an empty system every maximum is
+    None, and the zero objective's is None exactly then.  The kept
+    tableau's artificial columns hold ``B^-1`` of the sign-adjusted rows
+    ``S A^T``, so an objective's basic values are ``B^-1 S c``, and the last
+    entry of the reduced-cost row is ``-pi . S c``, where ``pi`` is the
+    row's artificial part.  Only a re-solve that ends optimal replaces the
+    kept tableau.
     """
 
     __slots__ = ("dim", "_costs", "_columns", "_kept")
 
     def __init__(self, rows: Sequence[Row], dim: int) -> None:
+        if dim < 1:
+            raise InputError("dimension must be at least 1")
         for i, (normal, _) in enumerate(rows):
             if len(normal) != dim:
                 raise InputError(f"LP row {i} has {len(normal)} entries, the objective {dim}")
@@ -377,7 +375,8 @@ class SupportLP:
         self._kept: tuple | None = None
 
     def maximum(self, objective: Vec) -> Fraction | None:
-        """sup of ``objective . x`` over the rows, or None when unbounded."""
+        """sup of ``objective . x`` over the rows, or None when unbounded or
+        when the rows hold no point."""
         if len(objective) != self.dim:
             raise InputError(f"objective has {len(objective)} entries, the rows {self.dim}")
         if not self._costs:
@@ -385,9 +384,8 @@ class SupportLP:
         if self._kept is None:
             keep: list = []
             out = lp_solve(EqualityLP(self._costs, tuple(zip(self._columns, objective))), keep)
-            if out.status == "infeasible":
+            if out.status != "optimal":
                 return None
-            assert out.status == "optimal", "the dual of a feasible system is bounded"
             self._kept = keep[0]
             return -out.value
         return self._warm(objective)
@@ -437,13 +435,12 @@ class SupportLP:
 
 
 def max_value(objective: Vec, rows: Sequence[Row]) -> Fraction | None:
-    """sup of ``objective . x`` over a nonempty weak-row system, or None when
-    the system is unbounded in that direction; rows in internal form.
+    """sup of ``objective . x`` over a weak-row system, or None when the
+    system is unbounded in that direction or empty; rows in internal form.
 
     ``SupportLP``'s one-shot use: it solves the dual ``min b . y`` subject to
     ``A^T y = objective``, ``y >= 0`` as an ``EqualityLP``, one equation per
-    coordinate and one column per row.  The caller guarantees that the rows
-    are feasible; then the dual is never unbounded, and it is infeasible
-    exactly when the primal is unbounded.
+    coordinate and one column per row.  Over feasible rows the dual is never
+    unbounded, and it is infeasible exactly when the primal is unbounded.
     """
     return SupportLP(rows, len(objective)).maximum(objective)

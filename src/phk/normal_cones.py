@@ -8,8 +8,8 @@ point.  Attainment costs a second LP and is computed on request:
 ``support_level`` returns the value alone, ``support_value`` adds the
 attainment data, and neither remembers a value.  The value LP reads no
 point, so ``support_level`` solves it as its n-row dual through the set's
-one ``lp.SupportLP``; a valid set is nonempty, which that dual needs to be
-exact.  The duals of one set share the dual program's matrix and costs, so
+one ``lp.SupportLP``; a valid set is nonempty, so that dual's None is
++inf, never emptiness.  The duals of one set share the dual program's matrix and costs, so
 each dual after the first re-solves from the last optimal tableau by
 Bland-rule dual simplex pivots, often none, a repeated dual included.
 """
@@ -56,7 +56,7 @@ def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
         return NEG_INF
     record = require_valid(c)
     if record.support_lp is None:
-        # A valid set is nonempty, as ``SupportLP`` requires.
+        # A valid set is nonempty, so a None below is +inf.
         record.support_lp = SupportLP(c.carrier.rows, c.dim)
     top = record.support_lp.maximum(x)
     return POS_INF if top is None else fin(top)

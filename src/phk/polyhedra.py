@@ -62,7 +62,7 @@ from .linalg import (
     vneg,
     zero_vec,
 )
-from .lp import Row, StrictRow, SupportLP, closed_feasible, max_value, strict_system_feasible
+from .lp import Row, StrictRow, SupportLP, max_value, strict_system_feasible
 from .scalars import rat
 
 # Most row subsets one generator conversion walk may visit.  Each costs at
@@ -255,9 +255,9 @@ def _irredundant(rows: list[Row]) -> tuple[Row, ...]:
     preserves the set at every step and the final system is irredundant.
     The test reads only the maximum of the row's normal over the others, so
     it is ``lp.max_value``'s dual program; the rows are feasible
-    (``_canonical_rows`` checks first), and so is every subset of them.
-    A row with no others is kept: its normal is not zero, so it is
-    unbounded over the empty system.
+    (``_canonical_rows`` checks first), and so is every subset of them, so
+    a None there is +inf.  A row with no others is kept: its normal is not
+    zero, so it is unbounded over the zero-row system.
     """
     survivors = list(rows)
     i = 0
@@ -271,6 +271,14 @@ def _irredundant(rows: list[Row]) -> tuple[Row, ...]:
     return tuple(survivors)
 
 
+def _nonempty_support(rows: Sequence[Row], dim: int) -> SupportLP | None:
+    """A ``SupportLP`` over the rows, or None when they hold no point: the
+    zero objective's maximum is None exactly then (Farkas), and its tableau
+    serves any later maxima warm."""
+    tops = SupportLP(rows, dim)
+    return None if tops.maximum(zero_vec(dim)) is None else tops
+
+
 def _canonical_rows(
     dim: int, rows: Sequence[tuple[Sequence, object, bool]]
 ) -> tuple[tuple[Row, ...], set[Row]] | None:
@@ -281,7 +289,7 @@ def _canonical_rows(
         return None
     closed, strict_rows = screened
     merged = _merge_parallel(closed)
-    if closed_feasible(merged, dim) is None:
+    if _nonempty_support(merged, dim) is None:
         return None
     return _irredundant(merged), strict_rows
 
@@ -313,7 +321,7 @@ def make_set(
         return EmptySet(dim)
     carrier_rows, strict_rows = got
     for normal, offset in sorted(strict_rows.difference(carrier_rows)):
-        if closed_feasible([*carrier_rows, (vneg(normal), -offset)], dim) is not None:
+        if _nonempty_support([*carrier_rows, (vneg(normal), -offset)], dim) is not None:
             raise InvalidSetError(
                 "strict row was redundant for the carrier but its hyperplane "
                 "touches the set; not representable as carrier + strict rows"
@@ -421,22 +429,21 @@ def closed_subset_of(
     even if empty, so no LP runs: comparing a closed set's portable hull,
     which states every carrier row, with the set or the carrier solves none.
     Each other sup is read as a value alone, from one ``lp.SupportLP`` over
-    ``p``'s rows (the n-row dual, re-solved from the last optimal tableau
-    for each further row), once ``closed_feasible`` has found ``p``
-    nonempty as that dual requires.  Sets of different dimensions are
-    refused, empty ones included.
+    ``p``'s rows (the n-row dual), whose zero objective first finds ``p``
+    nonempty; each asked row then re-solves from the last optimal tableau.
+    Sets of different dimensions are refused, empty ones included.
     """
     if p.dim != c.dim:
         raise InputError("dimension mismatch between the two sets")
     if isinstance(p, EmptySet):
         return True
     if isinstance(c, EmptySet):
-        return closed_feasible(p.rows, p.dim) is None
+        return _nonempty_support(p.rows, p.dim) is None
     stated = set(p.rows)
     asked = [i for i, row in enumerate(c.carrier.rows) if i in c.strict_rows or row not in stated]
-    if not asked or closed_feasible(p.rows, p.dim) is None:
+    tops = _nonempty_support(p.rows, p.dim) if asked else None
+    if tops is None:
         return True
-    tops = SupportLP(p.rows, p.dim)
     for i in asked:
         normal, offset = c.carrier.rows[i]
         top = tops.maximum(normal)
@@ -458,7 +465,7 @@ def closed_equal(p: ClosedPolyhedron, q: ClosedPolyhedron) -> bool:
 
 def lineality_space(p: ClosedPolyhedron) -> tuple[Vec, ...]:
     """Basis of the lineality space {d : normal . d = 0 for every row}."""
-    if closed_feasible(p.rows, p.dim) is None:
+    if _nonempty_support(p.rows, p.dim) is None:
         raise InputError("lineality space of the empty set is undefined")
     normals = [normal for normal, _ in p.rows]
     return tuple(nullspace_basis(normals, p.dim))
@@ -602,7 +609,7 @@ def _generators(p: ClosedPolyhedron) -> VRep:
 
 def h_to_v(p: ClosedPolyhedron | EmptySet) -> VRep:
     """Vertices, extreme rays, and lineality of a closed polyhedron."""
-    if isinstance(p, EmptySet) or closed_feasible(p.rows, p.dim) is None:
+    if isinstance(p, EmptySet) or _nonempty_support(p.rows, p.dim) is None:
         return VRep((), (), ())
     return _generators(p)
 
@@ -612,19 +619,15 @@ def v_to_h(v: VRep, dim: int | None = None) -> ClosedPolyhedron | EmptySet:
     if not v.vertices:
         return EmptySet(dim if dim is not None else 1)
     n = len(v.vertices[0])
+    if any(len(g) != n for g in (*v.vertices, *v.rays, *v.lineality)):
+        raise InputError("a generator's dimension differs from the first vertex's")
     # Valid inequalities (a, beta) with a . x <= beta on the whole set form a
     # cone in dimension n+1; its generators are the facets and implicit
     # equalities of the set.
-    m_rows: list[Vec] = []
-    for vert in v.vertices:
-        m_rows.append(tuple(vert) + (Fraction(-1),))
-    for ray in v.rays:
-        if len(ray) != n:
-            raise InputError("ray dimension mismatch in generator form")
-        m_rows.append(tuple(ray) + (Fraction(0),))
+    m_rows = [(*vert, Fraction(-1)) for vert in v.vertices]
+    m_rows += [(*ray, Fraction(0)) for ray in v.rays]
     for line in v.lineality:
-        m_rows.append(tuple(line) + (Fraction(0),))
-        m_rows.append(tuple(vneg(line)) + (Fraction(0),))
+        m_rows += [(*line, Fraction(0)), (*vneg(line), Fraction(0))]
     lin, rays = cone_generators(m_rows, n + 1)
     # ``canonicalize`` merges and sorts the rows, so their order is free.
     out_rows = [(g[:n], g[n]) for g in (*rays, *lin, *map(vneg, lin)) if not is_zero_vec(g[:n])]

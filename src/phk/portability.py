@@ -14,7 +14,7 @@ from operator import mul
 from .errors import InputError
 from .faces import enumerate_faces
 from .linalg import Vec, dot, scaled, vec
-from .lp import SupportLP, closed_feasible, strict_system_feasible
+from .lp import SupportLP, strict_system_feasible
 from .normal_cones import (
     in_normal_cone,
     normal_cone_at,
@@ -181,9 +181,9 @@ def nonsupporting_witness(
     for i, (normal, offset) in enumerate(c.carrier.rows):
         if i in supported:
             continue
-        rows = list(c.carrier.rows)
-        rows.append((tuple(-q for q in normal), -offset))
-        witness = closed_feasible(tuple(rows), c.dim)
+        rows = [(n, o, False) for n, o in c.carrier.rows]
+        rows.append((tuple(-q for q in normal), -offset, False))
+        witness = strict_system_feasible(rows)
         assert witness is not None, "carrier rows are irredundant, every face is nonempty"
         return i, witness
     return None
@@ -319,7 +319,7 @@ def _hull_verdicts(hull: ClosedPolyhedron, c: PartiallyOpenPolyhedron) -> tuple[
     The hull equals the carrier when each such maximum is at most its
     offset, and lies in the set when, in addition, a strict row's maximum
     is below its offset.  The hull holds the set, which is nonempty, so no
-    feasibility LP runs first.
+    zero-objective emptiness query runs first.
     """
     stated = set(hull.rows)
     rows = c.carrier.rows

@@ -315,8 +315,9 @@ def representability_probe(
 
     Refuses non-monotone input.  Every restricted graph pair must attain
     equality; a non-pair grid point attaining it falsifies the candidate,
-    and a clean sweep is reported as verified on this grid only.  Grids
-    whose product exceeds ``PROBE_PAIR_CAP`` are refused before any work.
+    and a clean sweep is reported as verified on this grid only.  A step
+    that is not positive, and grids whose product exceeds
+    ``PROBE_PAIR_CAP``, are refused before any work.
 
     ``rep_value`` of the restricted graph at (x, x*) is the dual of the sup of
     r + <x, u> + <x*, v> over the rows r + <a, u> + <a*, v> <= <a, a*>, one per
@@ -327,6 +328,8 @@ def representability_probe(
     if t.dim != c.dim:
         raise InputError("dimension mismatch")
     grid = grid or GridSpec()
+    if grid.step <= 0:
+        raise InputError("grid step must be positive")
     if not is_monotone(t):
         return ProbeReport("refused-not-monotone", None, 0, 0, 0)
     lo, hi = bounding_box(c)

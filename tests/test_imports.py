@@ -13,8 +13,10 @@ Outside ``lp`` and ``corpus`` no module builds a primal program
 (``LPProblem`` or ``problem``): a maximum whose point nobody reads is asked
 of an ``lp.SupportLP``, or of ``lp.max_value``, its one-shot form, which
 only canonicalization's redundancy test calls; both solve the n-row dual
-instead of the m-row primal tableau.  A point of a system is
-``closed_feasible``'s.
+instead of the m-row primal tableau, and a system is empty exactly when the
+zero objective's maximum is None.  Inside ``lp`` only ``problem``, which
+the corpus calls, and ``strict_system_feasible``, the margin program that
+gives a point of a system, build one.
 
 A cold CLI call does not import the seeded corpora, which only the
 ``selftest`` verb needs.
@@ -212,6 +214,20 @@ def test_the_scan_sees_calls():
     assert "LPProblem" not in called_names("from .lp import LPProblem\n__all__ = ['LPProblem']\n")
 
 
+def functions(source: str) -> list[ast.FunctionDef]:
+    """Top-level functions and the methods of top-level classes."""
+    out = []
+    for node in ast.parse(source).body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        out += [n for n in body if isinstance(n, ast.FunctionDef)]
+    return out
+
+
+def test_the_scan_sees_functions_and_methods():
+    src = "def f():\n    def g(): pass\nclass A:\n    def m(self): pass\nx = 1\n"
+    assert [f.name for f in functions(src)] == ["f", "m"]
+
+
 def test_only_lp_solves_the_primal_for_a_value():
     callers = [
         path.name
@@ -220,6 +236,12 @@ def test_only_lp_solves_the_primal_for_a_value():
         and {"LPProblem", "problem"} & called_names(path.read_text(encoding="utf-8"))
     ]
     assert callers == []
+    builders = [
+        f.name
+        for f in functions((SRC / "lp.py").read_text(encoding="utf-8"))
+        if "LPProblem" in called_names(ast.unparse(f))
+    ]
+    assert builders == ["problem", "strict_system_feasible"]
 
 
 def test_cli_import_leaves_selftest_and_corpus_unloaded():

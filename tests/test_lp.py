@@ -14,7 +14,6 @@ from phk.linalg import dot, vec, zero_vec
 from phk.lp import (
     EqualityLP,
     LPProblem,
-    closed_feasible,
     lp_solve,
     max_value,
     problem,
@@ -26,6 +25,13 @@ from phk.polyhedra import cone, cone_contains
 
 def rows_of(*rs):
     return tuple((vec(n), Fraction(o)) for n, o in rs)
+
+
+def closed_point(rows, dim):
+    """A point of a weak-row system, or None when it is empty: the m-row
+    primal with a zero objective, kept as the reference for the margin
+    program's points and for ``SupportLP``'s zero-objective emptiness."""
+    return lp_solve(LPProblem(zero_vec(dim), tuple(rows))).primal
 
 
 def test_optimal_with_exact_duals():
@@ -145,7 +151,7 @@ def test_row_length_must_match_the_objective():
     with pytest.raises(InputError):
         max_value(vec([1, 0]), [((1,), 1)])
     with pytest.raises(InputError):
-        closed_feasible([((1, 1), 1)], 1)
+        closed_point([((1, 1), 1)], 1)
     with pytest.raises(InputError):
         lp_solve(EqualityLP(vec([1, 0]), rows_of(([1], 1))))
     with pytest.raises(InputError):
@@ -158,7 +164,7 @@ def test_rows_may_hold_list_normals():
     assert out.status == "optimal" and out.value == 1 and out.primal == vec([1])
     assert verify_outcome(p, out)
     rows = [([1, 1], 1)]
-    got = closed_feasible(rows, 2)
+    got = strict_system_feasible([(n, o, False) for n, o in rows])
     assert got is not None and dot([1, 1], got) <= 1
     p = LPProblem(zero_vec(2), tuple(rows))
     out = lp_solve(p)
@@ -189,8 +195,8 @@ def test_strict_feasibility_empty_system_is_an_error():
 def test_strict_matches_closed_when_no_strict_rows():
     rows = [(vec([1, 1]), Fraction(1), False), (vec([-1, 0]), Fraction(0), False)]
     strict = strict_system_feasible(rows)
-    closed = closed_feasible([(n, o) for n, o, _ in rows], 2)
-    assert (strict is None) == (closed is None)
+    closed = closed_point([(n, o) for n, o, _ in rows], 2)
+    assert strict is not None and strict == closed
 
 
 # -- random agreement with the elimination oracle ---------------------------

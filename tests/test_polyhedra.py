@@ -12,7 +12,7 @@ from phk.errors import InputError, InvalidSetError, ScaleLimitError
 from phk.fme import fm_feasible, fm_maximize
 from phk import polyhedra
 from phk.linalg import dot, nullspace_basis, primitive, rowspace_basis, rref, vec, vneg
-from phk.lp import closed_feasible, max_value, strict_system_feasible
+from phk.lp import max_value, strict_system_feasible
 from phk.polyhedra import (
     ClosedPolyhedron,
     EmptySet,
@@ -38,6 +38,8 @@ from phk.polyhedra import (
     whole_set,
 )
 from phk.portability import portable_hull
+
+from test_lp import closed_point
 
 
 def closed(dim, rows):
@@ -188,7 +190,7 @@ def test_a_closed_hull_equals_its_carrier_without_an_lp(monkeypatch):
     def solve(*args):
         raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr(polyhedra, "closed_feasible", solve)
+    monkeypatch.setattr(polyhedra, "_nonempty_support", solve)
     monkeypatch.setattr(polyhedra, "max_value", solve)
     monkeypatch.setattr(polyhedra, "SupportLP", solve)
     assert closed_equal(hull, c.carrier)
@@ -312,6 +314,21 @@ def test_v_to_h_empty_and_unbounded():
     assert quad == closed(2, [([-1, 0], 0), ([0, -1], 0)])
 
 
+@pytest.mark.parametrize(
+    "v",
+    [
+        VRep((vec([0, 0]),), (), (vec([1]),)),
+        VRep((vec([0, 0]),), (vec([1, 0, 0]),), ()),
+        VRep((vec([0, 0]), vec([1])), (), ()),
+        VRep((vec([0]), vec([1, 0])), (), ()),
+    ],
+    ids=["short-line", "long-ray", "short-vertex", "long-vertex"],
+)
+def test_v_to_h_refuses_generators_of_another_length(v):
+    with pytest.raises(InputError):
+        v_to_h(v)
+
+
 def test_is_bounded():
     assert is_bounded(closed(1, [([1], 1), ([-1], 0)]))
     assert not is_bounded(closed(1, [([1], 1)]))
@@ -368,7 +385,7 @@ def test_canonicalize_preserves_the_set(sys_):
     out = canonicalize(n, rows)
     raw = ClosedPolyhedron(n, tuple((vec(a), Fraction(b)) for a, b in rows))
     if isinstance(out, EmptySet):
-        assert closed_feasible(raw.rows, n) is None
+        assert closed_point(raw.rows, n) is None
         return
     assert closed_subset_of(out, closed_as_set(raw))
     assert closed_subset_of(raw, closed_as_set(out))
@@ -494,7 +511,7 @@ def reference_make_set(dim, rows):
         elif strict:
             dropped.append((normal, offset))
     survivors = sorted((n, o, s) for n, (o, s) in best.items())
-    if closed_feasible([(n, o) for n, o, _ in survivors], dim) is None:
+    if closed_point([(n, o) for n, o, _ in survivors], dim) is None:
         return EmptySet(dim)
     i = 0
     while i < len(survivors):
@@ -509,7 +526,7 @@ def reference_make_set(dim, rows):
             i += 1
     carrier = tuple((n, o) for n, o, _ in survivors)
     for normal, offset in dropped:
-        if closed_feasible([*carrier, (vneg(normal), -offset)], dim) is not None:
+        if closed_point([*carrier, (vneg(normal), -offset)], dim) is not None:
             raise InvalidSetError("a dropped strict row touches the carrier")
     strict = frozenset(i for i, r in enumerate(survivors) if r[2])
     c = PartiallyOpenPolyhedron(ClosedPolyhedron(dim, carrier), strict)

@@ -293,7 +293,7 @@ def test_report_places_each_point_and_looks_up_each_dual_once(kind, c, monkeypat
 def test_report_on_a_closed_box_solves_no_containment_lp(monkeypatch):
     units = [tuple(int(i == j) * sign for i in range(3)) for j in range(3) for sign in (1, -1)]
     box = make_set(3, [(u, 1, False) for u in units])
-    solved = counting(monkeypatch, portability, "closed_feasible")
+    solved = counting(monkeypatch, portability, "strict_system_feasible")
     made = counting(monkeypatch, portability, "SupportLP")
     report = portability_report(box, SampleSpec(seed=0, count=8))
     assert solved == made == [] and report.hull_adds_nothing and report.hull_equals_carrier

@@ -531,6 +531,17 @@ class TestProbe:
         with pytest.raises(ScaleLimitError, match="16040033010001"):
             representability_probe(gradient, square, GridSpec(step=F(1, 1000)))
 
+    @pytest.mark.parametrize("step", [F(0), F(-1, 2)])
+    def test_a_step_that_is_not_positive_is_refused(self, step, monkeypatch):
+        # A negative step passes the cap, and its grid would never end.
+        def refuse(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(representability, "rational_grid", refuse)
+        gradient = graph(2, [((0, 0), (0, 0)), ((1, 0), (2, 1)), ((0, 1), (1, 2))])
+        with pytest.raises(InputError, match="grid step must be positive"):
+            representability_probe(gradient, square(), GridSpec(step=step))
+
     def test_oversized_enumeration_is_refused_before_the_walk(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("enumeration walked")

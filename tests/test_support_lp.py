@@ -10,6 +10,12 @@ and lineality (where an artificial stays basic in each dependent row, and
 an objective outside the normals' span is +inf with no pivot),
 lower-dimensional systems (an equality written as two rows), and
 objective sequences with zero, negated and repeated objectives.
+
+The zero objective is the emptiness test: its maximum is None exactly when
+the system holds no point.  A hypothesis test over weak systems, empty ones
+among them, checks it against the m-row primal and against elimination,
+and checks that the margin program, with every row weak, returns the
+primal's point.
 """
 from __future__ import annotations
 
@@ -20,15 +26,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phk import lp
+from phk import lp, polyhedra
 from phk.errors import InputError
-from phk.fme import fm_maximize
+from phk.fme import fm_feasible, fm_maximize
 from phk.linalg import dot, unit_vec, vec, vneg, zero_vec
-from phk.lp import SupportLP, max_value
+from phk.lp import SupportLP, max_value, strict_system_feasible
 from phk.normal_cones import support_level, support_value
 from phk.polyhedra import PartiallyOpenPolyhedron, make_set
 from phk.serialize import parse_set
+
+from test_lp import closed_point
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -216,3 +226,53 @@ def test_the_objective_and_the_rows_must_share_a_dimension():
         SupportLP([(vec([1, 0]), Fraction(1))], 2).maximum(vec([1]))
     empty = SupportLP([], 2)
     assert empty.maximum(zero_vec(2)) == 0 and empty.maximum(vec([0, 1])) is None
+    with pytest.raises(InputError):
+        SupportLP([], 0)
+
+
+rational = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def weak_systems(draw):
+    """At most 7 weak rows in 1-3 D over denominators 1-3, with planted zero
+    normals, duplicated rows, and negated rows at a drawn offset (a slab, a
+    hyperplane or an empty pair), and 1-4 objectives, some of them normals."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows: list = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        plant = draw(st.sampled_from(("fresh", "fresh", "zero", "duplicate", "negated")))
+        if plant == "zero":
+            rows.append((zero_vec(n), draw(rational)))
+        elif plant != "fresh" and rows:
+            normal, offset = draw(st.sampled_from(rows))
+            rows.append((normal, offset) if plant == "duplicate" else (vneg(normal), draw(rational) - offset))
+        else:
+            rows.append((vec(draw(rational) for _ in range(n)), draw(rational)))
+    normals = [normal for normal, _ in rows]
+    free = st.builds(vec, st.lists(rational, min_size=n, max_size=n))
+    objective = st.one_of(free, st.sampled_from(normals)) if normals else free
+    return n, rows, draw(st.lists(objective, min_size=1, max_size=4))
+
+
+@settings(max_examples=200)
+@given(weak_systems())
+def test_the_zero_objective_decides_emptiness_and_the_margin_program_gives_the_point(system):
+    n, rows, asked = system
+    point = closed_point(rows, n)
+    tops = polyhedra._nonempty_support(rows, n)
+    empty = tops is None
+    assert empty == (point is None)
+    if rows:
+        assert empty == (not fm_feasible([(normal, offset, False) for normal, offset in rows]))
+        assert strict_system_feasible([(normal, offset, False) for normal, offset in rows]) == point
+    if empty:
+        cold = SupportLP(rows, n)
+        assert all(cold.maximum(x) is None for x in asked)
+        return
+    # Each maximum re-solves from the zero objective's tableau.
+    for x in asked:
+        status, value = fm_maximize(x, rows)
+        assert tops.maximum(x) == (None if status == "unbounded" else value)

@@ -16,9 +16,11 @@ the CLI's ``main``; its placements are kept by verb.  Its only polar cone
 LP is the ``sum-check`` decomposition's ``cone_contains``, which ``_asker``
 books under the generator expression of ``polyhedra._cone_holds``.  The
 fourth is one grid probe, whose barycentric values are the maxima of one
-``SupportLP``.
+``SupportLP``.  The fifth builds one set of the 3-D row ladder and its
+portable hull; besides its cold solves it pins the most rows of any program
+``lp_solve`` is given, which shows that no m-row primal runs.
 
-Run this file directly to print the LP counts and placements of all four
+Run this file directly to print the LP counts and placements of all five
 plans:
 
     PYTHONPATH=src python tests/test_work_counts.py
@@ -36,7 +38,7 @@ from pathlib import Path
 
 from phk import lp, polyhedra
 from phk.polyhedra import make_set
-from phk.portability import portability_report
+from phk.portability import portability_report, portable_hull
 from phk.representability import GridSpec, representability_probe
 from phk.sampling import SampleSpec
 from phk.serialize import parse_graph, parse_set
@@ -49,8 +51,8 @@ BENCH_STYLE = {
     "normal_cones._hyperplanes_meeting": 10,
     "normal_cones.set_member_witness": 2,
     "normal_cones.support_level": 5,
-    "polyhedra._canonical_rows": 5,
     "polyhedra._irredundant": 25,
+    "polyhedra._nonempty_support": 5,
     "polyhedra.make_set": 3,
     "portability._hull_verdicts": 3,
     "portability.nonsupporting_witness": 3,
@@ -78,8 +80,8 @@ GOLDEN_PLAN = {
     "normal_cones.support_level": 57,
     "normal_cones.support_value": 80,
     "polyhedra.<genexpr>": 1,
-    "polyhedra._canonical_rows": 228,
     "polyhedra._irredundant": 530,
+    "polyhedra._nonempty_support": 228,
     "polyhedra.make_set": 55,
     "portability._hull_verdicts": 4,
     "portability.nonsupporting_witness": 4,
@@ -136,6 +138,10 @@ GOLDEN_PLACED = {
 # ``representability_probe`` of the gradient graph fixture on the unit
 # square at step 1/4: one cold solve, then one warm re-solve per other pair.
 PROBE_PLAN = {"representability.touches": 1, "warm": 7224}
+# ``make_set`` and ``portable_hull`` on the 3-D row ladder at m = 121: one
+# emptiness solve and one redundancy solve per row, each on the 3-row dual.
+LADDER_PLAN = {"polyhedra._irredundant": 121, "polyhedra._nonempty_support": 1}
+LADDER_WIDEST = 3
 
 
 # Python 3.12 runs these inline, in the enclosing function's frame.
@@ -233,6 +239,26 @@ def golden_plan_counts() -> tuple[dict[str, int], dict[str, dict[str, int]]]:
     }
 
 
+def ladder_plan_counts() -> tuple[dict[str, int], int]:
+    """Cold solves of the row ladder at m = 121 (normals (i, j, 1) for
+    |i|, |j| <= 5, offset 100), and the most rows of any program."""
+    rows = [((i, j, 1), 100, False) for i in range(-5, 6) for j in range(-5, 6)]
+    widest = 0
+    real = lp.lp_solve
+
+    def solve(p, *rest):
+        nonlocal widest
+        widest = max(widest, len(p.rows))
+        return real(p, *rest)
+
+    _rebind("lp_solve", real, solve)
+    try:
+        solves, _ = count_work(lambda: portable_hull(make_set(3, rows)))
+    finally:
+        _rebind("lp_solve", solve, real)
+    return solves, widest
+
+
 def probe_plan_counts() -> tuple[dict[str, int], dict[str, int]]:
     def load(name, parse):
         return parse(json.loads((ROOT / "fixtures" / f"{name}.json").read_text(encoding="utf-8")))
@@ -267,6 +293,10 @@ def test_probe_plan_solves_one_cold_lp():
     assert probe_plan_counts()[0] == PROBE_PLAN
 
 
+def test_ladder_plan_solves_no_primal_program():
+    assert ladder_plan_counts() == (LADDER_PLAN, LADDER_WIDEST)
+
+
 def test_counts_do_not_depend_on_the_hash_seed():
     code = (
         "import json, test_work_counts as t; "
@@ -292,4 +322,6 @@ if __name__ == "__main__":
     for name, counts in plans.items():
         solves, placed = counts()
         out[name] = {"lp": solves, "placements": placed}
+    solves, widest = ladder_plan_counts()
+    out["ladder_plan"] = {"lp": solves, "widest": widest}
     print(json.dumps(out, indent=1))
