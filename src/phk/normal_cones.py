@@ -12,6 +12,8 @@ one ``lp.SupportLP``; a valid set is nonempty, so that dual's None is
 +inf, never emptiness.  The duals of one set share the dual program's matrix and costs, so
 each dual after the first re-solves from the last optimal tableau by
 Bland-rule dual simplex pivots, often none, a repeated dual included.
+The supporting rows are the weak rows; a point on a row's hyperplane
+costs one margin LP, ``_on_row``'s program, solved where it is read.
 """
 from __future__ import annotations
 
@@ -87,44 +89,42 @@ def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvalua
 
 
 def supporting_rows(c: PartiallyOpenPolyhedron) -> tuple[int, ...]:
-    """Indices of carrier rows whose hyperplane meets the set itself.
-
-    Every row of a closed set supports, with no LP.  A valid set's carrier
-    is canonical, hence nonempty and irredundant: some point violates row i
-    and no other row, and the segment from it to a point of the set crosses
-    row i's hyperplane inside the set.  A strict row never supports, and
-    only the weak rows of a set with strict rows need their witness LP.
+    """Indices of carrier rows whose hyperplane meets the set itself: the
+    weak rows, with no LP.  A valid set's carrier is canonical, hence
+    nonempty and irredundant: some x' violates row i and no other row.  A
+    point z of the set meets every strict row strictly, and the segment
+    from z to x' crosses row i's hyperplane at (1 - t) z + t x', t < 1.
+    That point meets every other row, every strict row strictly, so it is
+    in the set when row i is weak.  A strict row's hyperplane misses the set.
     """
-    if c.strict_rows:
-        return tuple(i for i, _ in supporting_row_witnesses(c))
     require_valid(c)
-    return tuple(range(len(c.carrier.rows)))
+    return tuple(i for i in range(len(c.carrier.rows)) if i not in c.strict_rows)
 
 
 def supporting_row_witnesses(c: PartiallyOpenPolyhedron) -> tuple[tuple[int, Vec], ...]:
-    """(row index, point of the set on that row's hyperplane) pairs."""
-    record = require_valid(c)
-    if record.witnesses is None:
-        record.witnesses = _hyperplanes_meeting(c, system_of(c))
-    return record.witnesses
+    """(row index, point of the set on that row's hyperplane) pairs, one
+    witness LP per supporting row; nothing is kept."""
+    return _hyperplanes_meeting(c, system_of(c))
 
 
 def _hyperplanes_meeting(c: PartiallyOpenPolyhedron, system) -> tuple[tuple[int, Vec], ...]:
     """(row index, point) for each carrier row whose hyperplane meets the
-    strict ``system``, which holds the set's own rows: one feasibility LP
-    per weak row of ``c``, in row order.  A strict row of ``c`` meets
-    nothing, since the system would hold both ``n . x < o`` and
+    strict ``system``, which holds the set's own rows: one ``_on_row``
+    program per supporting row of ``c``, in row order.  A strict row of
+    ``c`` meets nothing, since the system would hold both ``n . x < o`` and
     ``n . x >= o``."""
     found = []
-    for i, (normal, offset) in enumerate(c.carrier.rows):
-        if i in c.strict_rows:
-            continue
-        witness = strict_system_feasible(
-            system + ((tuple(-q for q in normal), -offset, False),)
-        )
+    for i in supporting_rows(c):
+        witness = strict_system_feasible(_on_row(system, c.carrier.rows[i]))
         if witness is not None:
             found.append((i, witness))
     return tuple(found)
+
+
+def _on_row(system, row) -> tuple:
+    """The witness program: ``system`` and ``n . x >= o`` for its ``row`` (n, o)."""
+    normal, offset = row
+    return (*system, (tuple(-q for q in normal), -offset, False))
 
 
 def in_portable_hull(c: PartiallyOpenPolyhedron | EmptySet, x) -> bool:
@@ -135,9 +135,8 @@ def in_portable_hull(c: PartiallyOpenPolyhedron | EmptySet, x) -> bool:
     p = vec(x, c.dim)
     if isinstance(c, EmptySet):
         return True
-    supported = supporting_rows(c)
     signs = row_signs(c, p)
-    return all(signs[i] <= 0 for i in supported)
+    return all(signs[i] <= 0 for i in supporting_rows(c))
 
 
 def normal_cone_at(c: PartiallyOpenPolyhedron, x) -> GeneratedCone:

@@ -96,18 +96,15 @@ class SetRecord:
     nonempty, kept for ``set_member_witness``).  Closed-form route:
     ``support_lp`` (the ``lp.SupportLP`` over the carrier rows that answers
     every support value: made on first use, it keeps the last optimal
-    tableau, so a later dual re-solves from it by dual simplex), ``witnesses``
-    (supporting-row witnesses: filled when their points are asked for, or
-    by ``supporting_rows`` on a set with strict rows; a closed set's
-    supporting rows need none) and ``integer_rows`` (the carrier rows
-    scaled to integers, one flat row ``(*normal, offset)`` each, read by
-    ``_signs``).  Face route: ``vrep`` and ``faces``.  Nothing is kept per dual.
+    tableau, so a later dual re-solves from it by dual simplex) and
+    ``integer_rows`` (the carrier rows scaled to integers, one flat row
+    ``(*normal, offset)`` each, read by ``_signs``).  Face route: ``vrep``
+    and ``faces``.  Nothing is kept per dual, nor per supporting row.
     """
 
     __slots__ = (
         "validation",
         "member",
-        "witnesses",
         "vrep",
         "faces",
         "support_lp",
@@ -118,7 +115,6 @@ class SetRecord:
     def __init__(self) -> None:
         self.validation: Validation | None = None
         self.member: Vec | None = None
-        self.witnesses: tuple | None = None
         self.vrep: VRep | None = None
         self.faces: tuple | None = None
         self.support_lp: SupportLP | None = None
@@ -130,15 +126,14 @@ class PartiallyOpenPolyhedron:
     """A carrier with some rows made strict, plus its derived data.
 
     ``_record`` holds what has been computed about this object: its
-    ``Validation``, a member point, supporting-row witnesses, the carrier's
-    V-rep, the faces, the support LP and the carrier rows scaled to
-    integers.  It takes no part in ``==``, ``hash`` or ``repr``, and is
-    freed with the set.  The two routes to the coupling value stay independent by reading disjoint
-    fields: the face route (``enumerate_faces`` and its callers) reads only
-    ``vrep`` and ``faces``; the closed-form route (``support_level``,
-    ``support_value``, ``supporting_rows``, ``supporting_row_witnesses``,
-    ``row_signs`` and their callers) reads only ``support_lp``,
-    ``witnesses`` and ``integer_rows``.
+    ``Validation``, a member point, the carrier's V-rep, the faces, the
+    support LP and the carrier rows scaled to integers.  It takes no part in
+    ``==``, ``hash`` or ``repr``, and is freed with the set.  The two routes
+    to the coupling value stay independent by reading disjoint fields: the
+    face route (``enumerate_faces`` and its callers) reads only ``vrep`` and
+    ``faces``; the closed-form route (``support_level``, ``support_value``,
+    ``supporting_rows``, ``supporting_row_witnesses``, ``row_signs`` and
+    their callers) reads only ``support_lp`` and ``integer_rows``.
     """
 
     carrier: ClosedPolyhedron

@@ -20,10 +20,10 @@ from .normal_cones import (
     normal_cone_at,
     support_level,
     support_value,
-    supporting_row_witnesses,
     supporting_rows,
     _active_normals,
     _hyperplanes_meeting,
+    _on_row,
 )
 from .polyhedra import (
     ClosedPolyhedron,
@@ -175,18 +175,17 @@ def nonsupporting_witness(
     """A carrier row missing the set, with a carrier point on its hyperplane.
 
     Such a point lies in the hull but not in the set, so it certifies a
-    portability failure; ``None`` means every row supports.
+    portability failure.  The strict rows miss the set (``supporting_rows``):
+    the first is taken, and ``None`` means every row supports.
     """
-    supported = set(supporting_rows(c))
-    for i, (normal, offset) in enumerate(c.carrier.rows):
-        if i in supported:
-            continue
-        rows = [(n, o, False) for n, o in c.carrier.rows]
-        rows.append((tuple(-q for q in normal), -offset, False))
-        witness = strict_system_feasible(rows)
-        assert witness is not None, "carrier rows are irredundant, every face is nonempty"
-        return i, witness
-    return None
+    require_valid(c)
+    if not c.strict_rows:
+        return None
+    i = min(c.strict_rows)
+    closed = tuple((n, o, False) for n, o in c.carrier.rows)
+    witness = strict_system_feasible(_on_row(closed, c.carrier.rows[i]))
+    assert witness is not None, "carrier rows are irredundant, every face is nonempty"
+    return i, witness
 
 
 def separation_certificate(
@@ -195,15 +194,17 @@ def separation_certificate(
     """Separate x from the set by a supporting half-space, if one is violated.
 
     Requires x outside the set.  ``None`` means no supporting half-space
-    separates, i.e. x already lies in the portable hull.
+    separates, i.e. x already lies in the portable hull.  The first violated
+    supporting row separates, and only its witness LP is solved.
     """
     require_valid(c)
     p = vec(x, c.dim)
     if contains(c, p):
         raise InputError("separation requested for a point of the set")
-    for i, witness in supporting_row_witnesses(c):
+    for i in supporting_rows(c):
         normal, offset = c.carrier.rows[i]
         if dot(normal, p) > offset:
+            witness = strict_system_feasible(_on_row(system_of(c), (normal, offset)))
             return SeparationCertificate(normal, witness, dot(normal, p) - offset)
     return None
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from phk import lp
+from phk.corpus import partially_open_sets
 from phk.errors import InputError, InvalidSetError
 from phk.lp import strict_system_feasible
 from phk.normal_cones import (
@@ -32,7 +33,14 @@ from phk.polyhedra import (
     make_set,
     system_of,
 )
-from phk.portability import nonsupporting_witness, portable_hull_by_faces
+from phk.portability import (
+    is_portable,
+    nonsupporting_witness,
+    portable_hull,
+    portable_hull_by_faces,
+    separation_certificate,
+)
+from phk.sampling import SampleSpec, cloud_points
 from phk.scalars import NEG_INF, POS_INF, fin
 
 F = Fraction
@@ -309,6 +317,15 @@ def shaped_sets(draw):
     return c
 
 
+# ``shaped_sets`` and, by seed, one corpus set with some strict row.
+drawn_sets = st.one_of(
+    shaped_sets(),
+    st.integers(min_value=0, max_value=10**6).map(
+        lambda seed: partially_open_sets(1, seed, force_strict=True)[0]
+    ),
+)
+
+
 def counting_lp(patch):
     """Count ``lp_solve`` calls from here on, through any module."""
     calls = []
@@ -325,14 +342,13 @@ def counting_lp(patch):
 @settings(max_examples=200)
 @given(shaped_sets())
 def test_supporting_rows_agree_with_the_witnesses_and_the_faces(c):
-    m, k = len(c.carrier.rows), len(c.strict_rows)
     with pytest.MonkeyPatch.context() as patch:
         calls = counting_lp(patch)
         rows = supporting_rows(c)
-    # A closed set solves no LP, and a set with strict rows one per weak row.
-    assert len(calls) == 0 if not k else len(calls) <= m - k
-    fresh = PartiallyOpenPolyhedron(c.carrier, c.strict_rows)
-    assert rows == tuple(i for i, _ in supporting_row_witnesses(fresh))
+    # No set solves an LP for its supporting rows.
+    assert calls == []
+    # Every supporting row gets a witness point.
+    assert rows == tuple(i for i, _ in supporting_row_witnesses(c))
     assert portable_hull_by_faces(c).rows == tuple(c.carrier.rows[i] for i in rows)
     # One probe LP per row, strict rows included, as every row was once tested.
     probed = tuple(
@@ -343,13 +359,56 @@ def test_supporting_rows_agree_with_the_witnesses_and_the_faces(c):
     assert rows == probed
 
 
-def test_a_closed_set_finds_its_supporting_rows_without_an_lp(forbid_lp):
+def test_a_set_finds_its_supporting_rows_without_an_lp(forbid_lp):
     line = make_set(2, [((1, 0), 0, False), ((-1, 0), 0, False)])
-    sets = [unit_square(), quadrant(), line, make_set(3, [])]
+    sets = [unit_square(), quadrant(), line, make_set(3, []), half_open_interval()]
+    sets += partially_open_sets(6, seed=5, force_strict=True)
     forbid_lp()
     for c in sets:
-        assert supporting_rows(c) == tuple(range(len(c.carrier.rows)))
-        assert nonsupporting_witness(c) is None
+        weak = tuple(i for i in range(len(c.carrier.rows)) if i not in c.strict_rows)
+        assert supporting_rows(c) == weak
+        assert portable_hull(c).rows == tuple(c.carrier.rows[i] for i in weak)
+        x = (F(2),) * c.dim
+        below = [sum(a * q for a, q in zip(n, x)) <= o for n, o in portable_hull(c).rows]
+        assert in_portable_hull(c, x) == all(below)
+        if not c.strict_rows:
+            assert nonsupporting_witness(c) is None
+
+
+@settings(max_examples=100)
+@given(drawn_sets)
+def test_the_portable_hull_is_the_weak_rows(c):
+    # Two laws of valid sets: the supporting rows are the weak rows, and the
+    # set is portable exactly when it has no strict row.
+    weak = tuple(row for i, row in enumerate(c.carrier.rows) if i not in c.strict_rows)
+    assert portable_hull_by_faces(c).rows == weak
+    assert is_portable(c) == (not c.strict_rows)
+
+
+def reference_certificate(witnesses, c, x):
+    """The first row, in ``supporting_row_witnesses`` order, that x
+    violates: (normal, its witness point, the margin), or None."""
+    for i, w in witnesses:
+        normal, offset = c.carrier.rows[i]
+        value = sum(a * q for a, q in zip(normal, x))
+        if value > offset:
+            return normal, w, value - offset
+    return None
+
+
+@settings(max_examples=60)
+@given(drawn_sets, st.integers(min_value=0, max_value=50))
+def test_separation_solves_one_witness_lp(c, seed):
+    witnesses = supporting_row_witnesses(c)
+    outside = [x for x in cloud_points(c, SampleSpec(seed=seed, count=4)) if not contains(c, x)]
+    for x in outside:
+        with pytest.MonkeyPatch.context() as patch:
+            calls = counting_lp(patch)
+            cert = separation_certificate(c, x)
+        # One LP for the violated row's witness, none when no row separates.
+        assert len(calls) == (cert is not None)
+        got = cert and (cert.normal, cert.support_point, cert.margin)
+        assert got == reference_certificate(witnesses, c, x)
 
 
 def test_strict_rows_cost_no_witness_lp(monkeypatch):

@@ -215,15 +215,13 @@ def test_routes_agree_on_fresh_sets():
                 normal_cone_fitzpatrick_by_faces(by_faces, x, xstar)
             ), (c, x, xstar)
         assert portable_hull(closed_form) == portable_hull_by_faces(by_faces)
-        # Each route filled only its own fields of the record.  A closed set
-        # reads its supporting rows without witnesses.
+        # Each route filled only its own fields of the record.  Supporting
+        # rows are the weak rows, so neither route keeps them.
         assert closed_form._record.support_lp is not None
-        if c.strict_rows:
-            assert closed_form._record.witnesses is not None
         assert closed_form._record.integer_rows is not None
         assert closed_form._record.faces is None and closed_form._record.vrep is None
         assert by_faces._record.faces and by_faces._record.vrep is not None
-        assert by_faces._record.support_lp is None and by_faces._record.witnesses is None
+        assert by_faces._record.support_lp is None
         assert by_faces._record.integer_rows is None
 
 

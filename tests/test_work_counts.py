@@ -48,7 +48,6 @@ ROOT = TESTS.parent
 
 # ``bench_style_sets``, built and reported under the count.
 BENCH_STYLE = {
-    "normal_cones._hyperplanes_meeting": 10,
     "normal_cones.set_member_witness": 2,
     "normal_cones.support_level": 5,
     "polyhedra._irredundant": 25,
@@ -62,9 +61,9 @@ BENCH_STYLE = {
 # once, the cloud each further point, in the set.
 BENCH_STYLE_PLACED = {"portability.portability_report": 329}
 # The benchmark's ``report_plan(101, 12)`` sets, built first; their reports
-# under the count.
+# under the count.  A report reads its supporting rows as the weak rows, so
+# neither plan solves a witness LP in ``_hyperplanes_meeting``.
 REPORT_PLAN = {
-    "normal_cones._hyperplanes_meeting": 216,
     "normal_cones.set_member_witness": 60,
     "normal_cones.support_level": 120,
     "portability._hull_verdicts": 60,
@@ -73,9 +72,12 @@ REPORT_PLAN = {
 }
 
 # The ``golden_cli.json`` cases, each run once through ``cli.main``.
+# ``_hyperplanes_meeting`` solves for the points ``hull`` prints and
+# ``probe-bp`` samples, and for a polyhedron probe's kept rows;
+# ``separate`` solves one witness LP per certificate.
 GOLDEN_PLAN = {
     "faces.enumerate_faces": 99,
-    "normal_cones._hyperplanes_meeting": 342,
+    "normal_cones._hyperplanes_meeting": 298,
     "normal_cones.set_member_witness": 67,
     "normal_cones.support_level": 57,
     "normal_cones.support_value": 80,
@@ -86,6 +88,7 @@ GOLDEN_PLAN = {
     "portability._hull_verdicts": 4,
     "portability.nonsupporting_witness": 4,
     "portability.partial_hull_report": 114,
+    "portability.separation_certificate": 5,
     "representability._sum_solve": 5,
     "representability.rep_value": 6,
     "representability.sum_graph_membership": 5,
@@ -278,7 +281,7 @@ def test_bench_style_sets_place_the_pinned_points():
 def test_report_plan_solves_the_pinned_lps():
     counts, _ = report_plan_counts()
     assert counts == REPORT_PLAN
-    assert sum(counts.values()) - counts["warm"] == 516
+    assert sum(counts.values()) - counts["warm"] == 300
 
 
 def test_golden_plan_solves_the_pinned_lps():
