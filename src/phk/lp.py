@@ -24,8 +24,8 @@ explicit basis inverse: the exact duals are its columns of the reduced-cost
 row.  Equality rows may depend on one another; an artificial left basic at
 zero in a row with no nonzero structural entry stays there for good.
 
-``EqualityLP`` serves the barycentric programs and ``max_value``, which
-answers a maximum whose point nobody reads.  Over a *nonempty* system
+``EqualityLP`` serves the barycentric programs and ``SupportLP``, which
+answers maxima whose point nobody reads.  Over a *nonempty* system
 ``A x <= b`` in n variables and m rows, LP duality (Schrijver, *Theory of
 Linear and Integer Programming*, 1986, section 7.4) gives
 ``sup c . x = min b . y`` subject to ``A^T y = c``, ``y >= 0``: the dual is
@@ -57,6 +57,20 @@ as it was.  Normals that do not span the space leave an artificial basic in
 each dependent row, whose artificial part is orthogonal to every normal: a
 nonzero value there means +inf, before any pivot.
 
+A maximum over the system without some rows fixes their dual variables at
+0 and re-solves from the kept tableau in the same way, with their columns
+barred.  A barred column never enters.  A row whose basic column is barred
+and has a positive value breaks its bound just as a negative row does, and
+the lowest basic index among all such rows leaves; a positive row's column
+enters by the least ratio ``red_j / a_ij`` over ``a_ij > 0``, so every
+eligible reduced cost stays >= 0, and the barred column leaves at its
+bound 0.  No eligible entering column means the sup is +inf.  The pivots
+end: a barred column leaves at most once and never re-enters, and once no
+barred column leaves any more, Bland's rule holds as above.  Such a re-solve
+leaves the kept tableau as it was, so every maximum without rows starts
+from the same one: this is the textbook redundancy LP (Fukuda's FAQ in
+polyhedral computation, "redundancy removal") re-solved warm.
+
 ``strict_system_feasible`` returns a point of a system of mixed strict
 and weak rows, or ``None`` when it is empty; with every row weak it is the
 point of a weak system.
@@ -76,7 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import InputError
 from .linalg import Vec, dot, is_zero_vec, primitive, scaled, vec, zero_vec
@@ -357,8 +371,9 @@ class SupportLP:
     tableau's artificial columns hold ``B^-1`` of the sign-adjusted rows
     ``S A^T``, so an objective's basic values are ``B^-1 S c``, and the last
     entry of the reduced-cost row is ``-pi . S c``, where ``pi`` is the
-    row's artificial part.  Only a re-solve that ends optimal replaces the
-    kept tableau.
+    row's artificial part.  Only a re-solve that ends optimal and bars no
+    column replaces the kept tableau; one without rows bars theirs, as the
+    module docstring describes.
     """
 
     __slots__ = ("dim", "_costs", "_columns", "_kept")
@@ -374,11 +389,21 @@ class SupportLP:
         self._columns = tuple(tuple(normal[t] for normal, _ in rows) for t in range(dim))
         self._kept: tuple | None = None
 
-    def maximum(self, objective: Vec) -> Fraction | None:
+    def maximum(self, objective: Vec, without: Collection[int] = ()) -> Fraction | None:
         """sup of ``objective . x`` over the rows, or None when unbounded or
-        when the rows hold no point."""
+        when the rows hold no point.
+
+        ``without`` names rows, by index, to leave out.  Their columns are
+        barred: the re-solve starts from the kept tableau with them fixed at
+        0, and the kept tableau stays as it was.  So a maximum without rows
+        needs a kept tableau, and is refused before one exists.
+        """
         if len(objective) != self.dim:
             raise InputError(f"objective has {len(objective)} entries, the rows {self.dim}")
+        if without:
+            if self._kept is None:
+                raise InputError("a maximum without rows re-solves from a kept tableau; none is kept")
+            return self._warm(objective, without)
         if not self._costs:
             return None if any(objective) else Fraction(0)
         if self._kept is None:
@@ -390,7 +415,7 @@ class SupportLP:
             return -out.value
         return self._warm(objective)
 
-    def _warm(self, objective: Vec) -> Fraction | None:
+    def _warm(self, objective: Vec, without: Collection[int] = ()) -> Fraction | None:
         kept_tab, kept_dens, basis, signs = self._kept
         nstruct = len(self._costs)
         ints, den = scaled(objective)
@@ -411,18 +436,23 @@ class SupportLP:
             tab.append(row)
             dens.append(d)
         basis = list(basis)
+        eligible = [j for j in range(nstruct) if j not in without] if without else range(nstruct)
         red = tab[-1]
         while True:
+            # A barred basic column above 0 breaks its bound as a negative one does.
             leave = min(
-                (i for i in range(len(basis)) if tab[i][-1] < 0),
+                (i for i in range(len(basis)) if tab[i][-1] < 0 or basis[i] in without and tab[i][-1] > 0),
                 key=basis.__getitem__,
                 default=None,
             )
             if leave is None:
                 break
             row = tab[leave]
+            # Negated, a barred row's positive entries are the negative ones the ratio test reads.
+            if row[-1] > 0:
+                row = [-a for a in row]
             enter = -1
-            for j in range(nstruct):
+            for j in eligible:
                 a = row[j]
                 if a < 0 and (enter < 0 or red[j] * best < red[enter] * -a):
                     enter, best = j, -a
@@ -430,7 +460,8 @@ class SupportLP:
                 return None
             _pivot(tab, dens, basis, leave, enter)
             red = tab[-1]
-        self._kept = (tab, dens, basis, signs)
+        if not without:
+            self._kept = (tab, dens, basis, signs)
         return Fraction(-red[-1], dens[-1])
 
 
@@ -438,7 +469,8 @@ def max_value(objective: Vec, rows: Sequence[Row]) -> Fraction | None:
     """sup of ``objective . x`` over a weak-row system, or None when the
     system is unbounded in that direction or empty; rows in internal form.
 
-    ``SupportLP``'s one-shot use: it solves the dual ``min b . y`` subject to
+    ``SupportLP``'s one-shot use, kept public and read by the tests'
+    reference redundancy pass: it solves the dual ``min b . y`` subject to
     ``A^T y = objective``, ``y >= 0`` as an ``EqualityLP``, one equation per
     coordinate and one column per row.  Over feasible rows the dual is never
     unbounded, and it is infeasible exactly when the primal is unbounded.

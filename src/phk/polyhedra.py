@@ -62,7 +62,7 @@ from .linalg import (
     vneg,
     zero_vec,
 )
-from .lp import Row, StrictRow, SupportLP, max_value, strict_system_feasible
+from .lp import Row, StrictRow, SupportLP, strict_system_feasible
 from .scalars import rat
 
 # Most row subsets one generator conversion walk may visit.  Each costs at
@@ -243,27 +243,27 @@ def _screen_rows(
     return closed, strict_rows
 
 
-def _irredundant(rows: list[Row]) -> tuple[Row, ...]:
+def _irredundant(rows: list[Row], tops: SupportLP) -> tuple[Row, ...]:
     """One sequential pass of exact redundancy removal over the closed rows.
 
     Each row is tested against all other currently surviving rows; removal
     preserves the set at every step and the final system is irredundant.
-    The test reads only the maximum of the row's normal over the others, so
-    it is ``lp.max_value``'s dual program; the rows are feasible
-    (``_canonical_rows`` checks first), and so is every subset of them, so
-    a None there is +inf.  A row with no others is kept: its normal is not
-    zero, so it is unbounded over the zero-row system.
+    The test reads only the maximum of the row's normal over the others.
+    ``tops`` is the rows' ``SupportLP``, whose zero objective found them
+    nonempty, so every test asks it without the row and without the rows
+    already dropped, a warm re-solve from that one kept tableau.  Every
+    subset of the rows is feasible, so a None there is +inf.  A row with no
+    others is kept: its normal is not zero, so it is unbounded over the
+    zero-row system.  The order decides which rows stay when the carrier
+    is lower-dimensional: of two rows that each make the other redundant,
+    the first tested goes.
     """
-    survivors = list(rows)
-    i = 0
-    while i < len(survivors):
-        normal, offset = survivors[i]
-        top = max_value(normal, survivors[:i] + survivors[i + 1 :])
+    dropped: set[int] = set()
+    for i, (normal, offset) in enumerate(rows):
+        top = tops.maximum(normal, without=dropped | {i})
         if top is not None and top <= offset:
-            survivors.pop(i)
-        else:
-            i += 1
-    return tuple(survivors)
+            dropped.add(i)
+    return tuple(row for i, row in enumerate(rows) if i not in dropped)
 
 
 def _nonempty_support(rows: Sequence[Row], dim: int) -> SupportLP | None:
@@ -276,17 +276,20 @@ def _nonempty_support(rows: Sequence[Row], dim: int) -> SupportLP | None:
 
 def _canonical_rows(
     dim: int, rows: Sequence[tuple[Sequence, object, bool]]
-) -> tuple[tuple[Row, ...], set[Row]] | None:
-    """Canonical carrier rows, plus the set of screened rows marked strict;
-    ``None`` when empty."""
+) -> tuple[tuple[Row, ...], set[Row], SupportLP] | None:
+    """Canonical carrier rows, the set of screened rows marked strict, and
+    the ``SupportLP`` over the merged rows, dropped ones included, whose
+    zero objective found them nonempty and whose tableau every redundancy
+    test re-solved from; ``None`` when empty."""
     screened = _screen_rows(dim, rows)
     if screened is None:
         return None
     closed, strict_rows = screened
     merged = _merge_parallel(closed)
-    if _nonempty_support(merged, dim) is None:
+    tops = _nonempty_support(merged, dim)
+    if tops is None:
         return None
-    return _irredundant(merged), strict_rows
+    return _irredundant(merged, tops), strict_rows, tops
 
 
 def canonicalize(dim: int, rows: Sequence[tuple[Sequence, object]]) -> ClosedPolyhedron | EmptySet:
@@ -308,15 +311,19 @@ def make_set(
     other strict row was merged into a tighter parallel row or found
     redundant: if its hyperplane still touches the carrier, the set cannot
     be written as carrier plus strict markings and ``InvalidSetError`` is
-    raised; otherwise the row removes nothing and is dropped.  If the strict
+    raised; otherwise the row removes nothing and is dropped.  The
+    hyperplane touches exactly when the row's normal reaches its offset on
+    the carrier, a plain maximum of the ``SupportLP`` that canonicalization
+    kept: its rows hold the same points as the carrier.  If the strict
     region is empty the value is ``EmptySet``.
     """
     got = _canonical_rows(dim, rows)
     if got is None:
         return EmptySet(dim)
-    carrier_rows, strict_rows = got
+    carrier_rows, strict_rows, tops = got
     for normal, offset in sorted(strict_rows.difference(carrier_rows)):
-        if _nonempty_support([*carrier_rows, (vneg(normal), -offset)], dim) is not None:
+        top = tops.maximum(normal)
+        if top is None or top >= offset:
             raise InvalidSetError(
                 "strict row was redundant for the carrier but its hyperplane "
                 "touches the set; not representable as carrier + strict rows"

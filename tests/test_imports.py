@@ -11,10 +11,11 @@ and reads of a rational's numerator or denominator outside
 ``linalg`` and ``scalars``: clearing denominators is ``linalg.scaled``'s job.
 Outside ``lp`` and ``corpus`` no module builds a primal program
 (``LPProblem`` or ``problem``): a maximum whose point nobody reads is asked
-of an ``lp.SupportLP``, or of ``lp.max_value``, its one-shot form, which
-only canonicalization's redundancy test calls; both solve the n-row dual
-instead of the m-row primal tableau, and a system is empty exactly when the
-zero objective's maximum is None.  Inside ``lp`` only ``problem``, which
+of an ``lp.SupportLP``, which solves the n-row dual instead of the m-row
+primal tableau, and a system is empty exactly when the zero objective's
+maximum is None.  Canonicalization's redundancy tests ask the emptiness
+test's ``SupportLP`` with rows left out; ``lp.max_value``, its one-shot
+form, is public, and only the tests call it.  Inside ``lp`` only ``problem``, which
 the corpus calls, and ``strict_system_feasible``, the margin program that
 gives a point of a system, build one.
 
@@ -142,6 +143,7 @@ UNREAD_IN_SRC = {
     "interior_point_of_carrier": "the paper's interior condition, read by the acceptance tests as its definition",
     "is_bounded": "the paper's boundedness, read by the acceptance tests as its definition",
     "lineality_space": "the paper's lines of a closed set, read by the acceptance tests as its definition",
+    "max_value": "the one-shot maximum, read by the tests' reference redundancy pass",
     "monotonically_related": "the paper's monotone relation, from which the reference report is rebuilt",
     "points_in": "the sampled points of the set, which the sampling and reference tests check the samplers by",
     "rep_sum_value": "public sum value with its certificate, documented in README",

@@ -191,7 +191,6 @@ def test_a_closed_hull_equals_its_carrier_without_an_lp(monkeypatch):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(polyhedra, "_nonempty_support", solve)
-    monkeypatch.setattr(polyhedra, "max_value", solve)
     monkeypatch.setattr(polyhedra, "SupportLP", solve)
     assert closed_equal(hull, c.carrier)
 
@@ -486,6 +485,22 @@ def test_containment_agrees_with_elimination(query):
 # -- make_set against the strict-threading reference ------------------------
 
 
+def reference_irredundant(rows):
+    """``_irredundant`` as it was before the barred re-solve: each row in
+    turn against the rows that survive so far, by a cold ``max_value`` over
+    a new row list.  A row with no others is kept."""
+    survivors = list(rows)
+    i = 0
+    while i < len(survivors):
+        normal, offset = survivors[i]
+        top = max_value(normal, survivors[:i] + survivors[i + 1 :])
+        if top is not None and top <= offset:
+            survivors.pop(i)
+        else:
+            i += 1
+    return tuple(survivors)
+
+
 def reference_make_set(dim, rows):
     """``make_set`` with each row's strict flag carried through merging and
     redundancy removal, every strict row they drop listed for the touching
@@ -510,25 +525,16 @@ def reference_make_set(dim, rows):
             best[normal] = (offset, strict or cur[1])
         elif strict:
             dropped.append((normal, offset))
-    survivors = sorted((n, o, s) for n, (o, s) in best.items())
-    if closed_point([(n, o) for n, o, _ in survivors], dim) is None:
+    merged = sorted((n, o, s) for n, (o, s) in best.items())
+    if closed_point([(n, o) for n, o, _ in merged], dim) is None:
         return EmptySet(dim)
-    i = 0
-    while i < len(survivors):
-        normal, offset, strict = survivors[i]
-        others = [(r[0], r[1]) for j, r in enumerate(survivors) if j != i]
-        top = max_value(normal, others) if others else None
-        if top is not None and top <= offset:
-            if strict:
-                dropped.append((normal, offset))
-            survivors.pop(i)
-        else:
-            i += 1
-    carrier = tuple((n, o) for n, o, _ in survivors)
+    carrier = reference_irredundant([(n, o) for n, o, _ in merged])
+    dropped += [(n, o) for n, o, s in merged if s and (n, o) not in carrier]
     for normal, offset in dropped:
         if closed_point([*carrier, (vneg(normal), -offset)], dim) is not None:
             raise InvalidSetError("a dropped strict row touches the carrier")
-    strict = frozenset(i for i, r in enumerate(survivors) if r[2])
+    marked = {(n, o) for n, o, s in merged if s}
+    strict = frozenset(i for i, r in enumerate(carrier) if r in marked)
     c = PartiallyOpenPolyhedron(ClosedPolyhedron(dim, carrier), strict)
     if strict and strict_system_feasible(system_of(c)) is None:
         return EmptySet(dim)
@@ -583,6 +589,80 @@ def test_make_set_agrees_with_the_strict_threading_reference(sys_):
     closed_ref = reference_make_set(n, [(a, b, False) for a, b, _ in rows])
     want = closed_ref.carrier if isinstance(closed_ref, PartiallyOpenPolyhedron) else closed_ref
     assert canonicalize(n, [(a, b) for a, b, _ in rows]) == want
+
+
+@st.composite
+def feasible_systems(draw):
+    """Weak rows in 1-3 D that hold at a planted point, some of them
+    tightly, with planted redundant rows (the sum of two rows at their
+    summed offset or looser), equality pairs (a row and its negation, both
+    tight) and scaled duplicates, in any order."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    x0 = [Fraction(draw(coef), draw(st.integers(min_value=1, max_value=2))) for _ in range(n)]
+    slack = st.sampled_from((0, 0, 1, 2, Fraction(1, 2)))
+
+    def row(normal, extra):
+        return normal, dot(vec(normal), vec(x0)) + extra
+
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        rows.append(row([draw(coef) for _ in range(n)], draw(slack)))
+    pick = st.integers(min_value=0, max_value=len(rows) - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        (normal, offset), other = rows[draw(pick)], rows[draw(pick)]
+        k = draw(st.integers(min_value=1, max_value=3))
+        plant = draw(st.sampled_from(("sum", "equality", "scaled")))
+        if plant == "sum":
+            rows.append(([a + b for a, b in zip(normal, other[0])], offset + other[1] + draw(slack)))
+        elif plant == "equality":
+            tight = row(normal, 0)
+            rows += [tight, ([-a for a in normal], -tight[1])]
+        else:
+            rows.append(([k * a for a in normal], k * offset))
+    return n, draw(st.permutations(rows))
+
+
+def merged_rows(dim, rows):
+    """The screened, merged rows that ``_irredundant`` is given."""
+    closed, _ = polyhedra._screen_rows(dim, [(a, b, False) for a, b in rows])
+    return polyhedra._merge_parallel(closed)
+
+
+@settings(max_examples=300)
+@given(feasible_systems())
+def test_the_barred_pass_keeps_the_reference_rows_in_order(system):
+    n, rows = system
+    merged = merged_rows(n, rows)
+    tops = polyhedra._nonempty_support(merged, n)
+    assert tops is not None
+    assert polyhedra._irredundant(merged, tops) == reference_irredundant(merged)
+
+
+def test_the_order_decides_which_rows_a_flat_carrier_keeps():
+    # On the line x = 0, y <= 1 and x + y <= 1 each make the other
+    # redundant.  In sorted order y <= 1 is tested first and goes.
+    rows = [([1, 0], 0), ([-1, 0], 0), ([0, 1], 1), ([1, 1], 1)]
+    merged = merged_rows(2, rows)
+    assert [normal for normal, _ in merged] == [vec([-1, 0]), vec([0, 1]), vec([1, 0]), vec([1, 1])]
+    kept = polyhedra._irredundant(merged, polyhedra._nonempty_support(merged, 2))
+    assert kept == reference_irredundant(merged) == (merged[0], merged[2], merged[3])
+    assert canonicalize(2, rows) == ClosedPolyhedron(2, kept)
+
+
+def test_a_dropped_strict_row_is_refused_exactly_when_it_touches():
+    triangle = [([-1, 0], 0, False), ([0, -1], 0, False), ([1, 1], 1, False)]
+    # x < 1 is redundant for the triangle, and its line meets it at the
+    # vertex (1, 0) alone.
+    touching = [*triangle, ([1, 0], 1, True)]
+    with pytest.raises(InvalidSetError):
+        reference_make_set(2, touching)
+    with pytest.raises(InvalidSetError):
+        make_set(2, touching)
+    # x < 2, and the looser strict parallel x + y < 3, miss it.
+    missing = [*triangle, ([1, 0], 2, True), ([2, 2], 3, True)]
+    got = make_set(2, missing)
+    assert got == reference_make_set(2, missing) == make_set(2, triangle)
+    assert not got.strict_rows
 
 
 # -- the generator walk against the subset-by-subset reference ---------------

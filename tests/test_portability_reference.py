@@ -346,9 +346,9 @@ def test_hull_extension_looks_up_each_dual_once(kind, c, monkeypatch):
     asked = []
     real_maximum = SupportLP.maximum
 
-    def maximum(lp, objective):
+    def maximum(lp, objective, without=()):
         asked.append((lp, objective))
-        return real_maximum(lp, objective)
+        return real_maximum(lp, objective, without)
 
     monkeypatch.setattr(portability, "_canonical_as_set", as_set)
     monkeypatch.setattr(SupportLP, "maximum", maximum)

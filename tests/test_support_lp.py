@@ -9,7 +9,11 @@ with the simplex.  The shapes cover bounded and unbounded systems, slabs
 and lineality (where an artificial stays basic in each dependent row, and
 an objective outside the normals' span is +inf with no pivot),
 lower-dimensional systems (an equality written as two rows), and
-objective sequences with zero, negated and repeated objectives.
+objective sequences with zero, negated and repeated objectives.  Maxima
+without some rows, which re-solve with those rows' columns barred, are
+compared with ``max_value`` over the rows left, and must leave the kept
+tableau as it was.  Every warm pivot, barred or not, is checked against
+Bland's rule for the dual simplex.
 
 The zero objective is the emptiness test: its maximum is None exactly when
 the system holds no point.  A hypothesis test over weak systems, empty ones
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from copy import deepcopy
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,13 +106,16 @@ def objectives(rng: random.Random, n: int, rows: list) -> list:
 
 class Paths:
     """Counts of cold solves and of pivots outside them; each pivot outside
-    a cold solve is checked against Bland's rule for the dual simplex."""
+    a cold solve is checked against Bland's rule for the dual simplex, with
+    the columns that the running re-solve bars."""
 
     def __init__(self, patch) -> None:
         self.cold = 0
         self.warm_pivots = 0
+        self.barred_leaves = 0
         self._in_cold = False
-        solve, pivot = lp.lp_solve, lp._pivot
+        self._barred = ()
+        solve, pivot, warm = lp.lp_solve, lp._pivot, lp.SupportLP._warm
 
         def counted_solve(*args):
             self.cold += 1
@@ -117,27 +125,45 @@ class Paths:
             finally:
                 self._in_cold = False
 
+        def barred_warm(tops, objective, without=()):
+            self._barred = without
+            try:
+                return warm(tops, objective, without)
+            finally:
+                self._barred = ()
+
         def counted_pivot(tab, dens, basis, i, j):
             if not self._in_cold:
                 self.warm_pivots += 1
-                assert_bland_dual_pivot(tab, basis, i, j)
+                self.barred_leaves += tab[i][-1] > 0
+                assert_bland_dual_pivot(tab, basis, i, j, self._barred)
             return pivot(tab, dens, basis, i, j)
 
         patch.setattr(lp, "lp_solve", counted_solve)
         patch.setattr(lp, "_pivot", counted_pivot)
+        patch.setattr(lp.SupportLP, "_warm", barred_warm)
 
 
-def assert_bland_dual_pivot(tab, basis, i, j) -> None:
-    """Row ``i`` has the lowest basic index among the rows with a negative
-    right-hand side, and column ``j`` the least ratio ``red_j / |a_ij|``
-    over the structural columns with ``a_ij < 0``, ties to the lowest."""
-    negative = [r for r in range(len(basis)) if tab[r][-1] < 0]
-    assert basis[i] == min(basis[r] for r in negative)
+def assert_bland_dual_pivot(tab, basis, i, j, barred=()) -> None:
+    """Row ``i`` has the lowest basic index among the rows out of bounds:
+    those with a negative right-hand side, and those whose basic column is
+    barred (fixed at 0) with a positive one.  Column ``j`` is not barred,
+    and has the least ratio ``red_j / |a_ij|`` over the structural columns
+    that are not barred with ``a_ij`` of the sign opposite to the
+    right-hand side's, ties to the lowest."""
+    out = [r for r in range(len(basis)) if tab[r][-1] < 0 or (tab[r][-1] > 0 and basis[r] in barred)]
+    assert basis[i] == min(basis[r] for r in out)
     # Structural columns come first; the artificials, one per row, and the
     # right-hand side follow.  A row's denominator cancels in its ratios.
     nstruct = len(tab[0]) - 1 - len(basis)
     red = tab[-1]
-    ratios = {k: Fraction(red[k], -tab[i][k]) for k in range(nstruct) if tab[i][k] < 0}
+    sign = 1 if tab[i][-1] > 0 else -1
+    ratios = {
+        k: Fraction(red[k], abs(tab[i][k]))
+        for k in range(nstruct)
+        if sign * tab[i][k] > 0 and k not in barred
+    }
+    assert j not in barred
     assert j == min(ratios, key=lambda k: (ratios[k], k))
 
 
@@ -217,6 +243,43 @@ def test_a_set_whose_normals_do_not_span_solves_cold_once(name, monkeypatch):
     assert {v.is_finite for v in levels.values()} == {True, False}
     fresh = PartiallyOpenPolyhedron(c.carrier, c.strict_rows)
     assert all(support_value(fresh, x).value == v for x, v in levels.items())
+
+
+def test_a_maximum_without_rows_leaves_the_kept_tableau_as_it_was(monkeypatch):
+    rng = random.Random("support-lp:without")
+    paths = Paths(monkeypatch)
+    seen: Counter = Counter()
+    for _ in range(150):
+        n, rows = random_system(rng, rng.choice(SHAPES))
+        if not rows:
+            continue
+        tops = SupportLP(rows, n)
+        assert tops.maximum(zero_vec(n)) == 0
+        for x in objectives(rng, n, rows):
+            without = set(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
+            rest = [row for i, row in enumerate(rows) if i not in without]
+            kept = tops._kept
+            snapshot = deepcopy(kept)
+            cold, leaves = paths.cold, paths.barred_leaves
+            top = tops.maximum(x, without=without)
+            assert paths.cold == cold and top == max_value(x, rest)
+            assert tops._kept is kept and kept == snapshot
+            seen["barred leave"] += paths.barred_leaves > leaves
+            seen["unbounded" if top is None else "bounded"] += 1
+            # A plain maximum after it re-solves from the kept tableau.
+            assert tops.maximum(x) == max_value(x, rows)
+    assert seen["barred leave"] > 50 and seen["unbounded"] > 50 and seen["bounded"] > 50, seen
+
+
+def test_a_maximum_without_rows_needs_a_kept_tableau():
+    tops = SupportLP([(vec([1]), Fraction(1)), (vec([-1]), Fraction(0))], 1)
+    with pytest.raises(InputError):
+        tops.maximum(vec([1]), without={0})
+    assert tops.maximum(vec([1])) == 1
+    assert tops.maximum(vec([1]), without={0}) is None
+    assert tops.maximum(vec([-1]), without={0}) == 0
+    with pytest.raises(InputError):
+        SupportLP([], 1).maximum(vec([1]), without={0})
 
 
 def test_the_objective_and_the_rows_must_share_a_dimension():

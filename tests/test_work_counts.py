@@ -9,7 +9,9 @@ apart.  It also wraps every module's ``polyhedra._signs`` binding, the
 kernel that places a point against a set's rows, and records each
 placement under the first function outside ``polyhedra`` and ``sampling``
 that asked for it.  The counts below are the claim: a change that moves
-them re-records them and says why.
+them re-records them and says why.  Canonicalization solves one cold LP
+per system, the emptiness test, and each row's redundancy test re-solves
+warm from its tableau, a lone row's included.
 
 The third plan is the 192 ``golden_cli.json`` cases, run in process through
 the CLI's ``main``; its placements are kept by verb.  Its only polar cone
@@ -50,12 +52,11 @@ ROOT = TESTS.parent
 BENCH_STYLE = {
     "normal_cones.set_member_witness": 2,
     "normal_cones.support_level": 5,
-    "polyhedra._irredundant": 25,
     "polyhedra._nonempty_support": 5,
     "polyhedra.make_set": 3,
     "portability._hull_verdicts": 3,
     "portability.nonsupporting_witness": 3,
-    "warm": 55,
+    "warm": 80,
 }
 # Their ``_signs`` placements: the sampler places each candidate point
 # once, the cloud each further point, in the set.
@@ -82,7 +83,6 @@ GOLDEN_PLAN = {
     "normal_cones.support_level": 57,
     "normal_cones.support_value": 80,
     "polyhedra.<genexpr>": 1,
-    "polyhedra._irredundant": 530,
     "polyhedra._nonempty_support": 228,
     "polyhedra.make_set": 55,
     "portability._hull_verdicts": 4,
@@ -93,7 +93,7 @@ GOLDEN_PLAN = {
     "representability.rep_value": 6,
     "representability.sum_graph_membership": 5,
     "representability.touches": 1,
-    "warm": 365,
+    "warm": 933,
 }
 # Their ``_signs`` placements, by verb.  A sampled point is placed once
 # in each set a report asks about it.
@@ -142,8 +142,9 @@ GOLDEN_PLACED = {
 # square at step 1/4: one cold solve, then one warm re-solve per other pair.
 PROBE_PLAN = {"representability.touches": 1, "warm": 7224}
 # ``make_set`` and ``portable_hull`` on the 3-D row ladder at m = 121: one
-# emptiness solve and one redundancy solve per row, each on the 3-row dual.
-LADDER_PLAN = {"polyhedra._irredundant": 121, "polyhedra._nonempty_support": 1}
+# emptiness solve on the 3-row dual, then one redundancy test per row, each
+# re-solved warm from its tableau with the row's column barred.
+LADDER_PLAN = {"polyhedra._nonempty_support": 1, "warm": 121}
 LADDER_WIDEST = 3
 
 
