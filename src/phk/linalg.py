@@ -177,6 +177,17 @@ def primitive(v: Vec) -> Vec:
     return tuple(Fraction(x) for x in _divided(scaled(v)[0]))
 
 
+def primitive_row(normal: Sequence[Fraction], offset: Fraction) -> tuple[tuple[int, ...], Fraction]:
+    """The row ``normal . x <= offset`` scaled by a positive rational so that
+    its normal is coprime integers: ``(ints, offset * t)``.  A zero normal
+    comes back as zeros, its offset as it was."""
+    ints, den = scaled(normal)
+    g = gcd(*ints)
+    if g == 0 or g == den == 1:
+        return tuple(ints), offset
+    return tuple([x // g for x in ints]), Fraction(offset.numerator * den, offset.denominator * g)
+
+
 def primitive_signed(v: Vec) -> Vec:
     """Like :func:`primitive` but flips so the first nonzero entry is positive.
 

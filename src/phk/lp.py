@@ -2,8 +2,9 @@
 
 ``lp_solve`` maximizes a rational linear objective over weak rows
 ``normal . x <= offset`` with free variables (``LPProblem``), or over equality
-rows ``normal . w = offset`` with ``w >= 0`` (``EqualityLP``), and always
-returns a certificate that can be re-verified exactly:
+rows ``normal . w = offset`` with ``w >= 0`` (``EqualityLP``), and returns
+a certificate that can be re-verified exactly (an optimum whose tableau
+``SupportLP`` keeps carries its value alone):
 
 * ``optimal``   carries the primal point, the value, and duals ``y`` with
                 ``b . y = value`` and ``A^T y = c, y >= 0`` (weak rows) or
@@ -218,7 +219,9 @@ def _run_simplex(tab: list[list[int]], dens: list[int], basis: list[int], eligib
 def lp_solve(p: LPProblem | EqualityLP, keep: list | None = None) -> LPOutcome:
     """Solve ``p`` by the two-phase body.  When ``keep`` is a list and the
     outcome is optimal, the final tableau is appended to it as ``(rows,
-    denominators, basis, row signs)``, for ``SupportLP`` to re-solve from."""
+    denominators, basis, row signs)``, for ``SupportLP`` to re-solve from,
+    and the outcome carries the status and the value only: the value is
+    read off the kept tableau, and no primal or dual is built."""
     n = p.dim
     if n < 1:
         raise InputError("LP dimension must be at least 1")
@@ -290,6 +293,8 @@ def lp_solve(p: LPProblem | EqualityLP, keep: list | None = None) -> LPOutcome:
 
     if keep is not None:
         keep.append((tab, dens, basis, signs))
+        # Phase 2's costs are -objective, so the last reduced cost is the value.
+        return LPOutcome("optimal", value=Fraction(tab[-1][-1], dens[-1]))
     zval = [Fraction(0)] * (nstruct + m)
     for i, b in enumerate(basis):
         zval[b] = Fraction(tab[i][-1], dens[i])

@@ -17,6 +17,13 @@ carrier-plus-strict-rows value describes that set.  Canonicalization reads
 closed rows only; ``make_set`` alone decides which strict markings a set
 keeps.
 
+Canonicalization runs on integers, fraction-free as in Bareiss 1968: each
+input row is read once into its primitive integer normal and its offset
+scaled alike (``linalg.primitive_row``).  Parallel rows merge, strict rows
+are matched to the carrier, and the emptiness and redundancy LPs run, all
+on those integer normals; only the kept carrier rows get ``Fraction``
+normals.
+
 Generator form (``VRep``) lists vertices, extreme rays, and a lineality
 basis.  Conversion in both directions is exact: vertices are enumerated as
 feasible rank-n active sets, extreme rays as rank-(n-1) active subsets of the
@@ -56,6 +63,7 @@ from .linalg import (
     is_zero_vec,
     nullspace_basis,
     primitive,
+    primitive_row,
     scaled,
     spaces,
     vec,
@@ -203,40 +211,42 @@ def system_of(c: PartiallyOpenPolyhedron) -> tuple[StrictRow, ...]:
     )
 
 
-def _normalize_row(normal: Vec, offset: Fraction) -> Row:
-    p = primitive(normal)
-    pivot = next((i for i, a in enumerate(normal) if a != 0), None)
-    if pivot is None:
-        return (p, offset)
-    t = p[pivot] / normal[pivot]
-    return (p, offset * t)
+# A screened row: its primitive integer normal and its offset, scaled alike.
+IntRow = tuple[tuple[int, ...], Fraction]
 
 
-def _merge_parallel(rows: list[Row]) -> list[Row]:
-    """Keep the tightest (least) offset per normal direction; rows sorted."""
-    best: dict[Vec, Fraction] = {}
+def _merge_parallel(rows: list[IntRow]) -> list[IntRow]:
+    """Keep the tightest (least) offset per integer normal; rows sorted."""
+    best: dict[tuple[int, ...], Fraction] = {}
     for normal, offset in rows:
-        if normal not in best or offset < best[normal]:
+        cur = best.get(normal)
+        if cur is None or offset < cur:
             best[normal] = offset
     return sorted(best.items())
 
 
 def _screen_rows(
-    dim: int, rows: Sequence[tuple[Sequence, object, bool]]
-) -> tuple[list[Row], set[Row]] | None:
-    """Normalize scales and resolve zero-normal rows: the closed rows, and
-    the set of those marked strict.  ``None`` when a zero-normal row is
-    unsatisfiable (the system is empty)."""
-    closed: list[Row] = []
-    strict_rows: set[Row] = set()
-    for normal, offset, strict in rows:
-        nv = vec(normal, dim)
-        off = rat(offset)  # type: ignore[arg-type]
-        if is_zero_vec(nv):
-            if off < 0 or (strict and off == 0):
+    dim: int, rows: Sequence[Sequence], marked: bool
+) -> tuple[list[IntRow], set[IntRow]] | None:
+    """Read each row once into its primitive integer normal and its offset
+    scaled alike (``linalg.primitive_row``), and resolve zero-normal rows:
+    the closed rows, and the set of those marked strict.  Rows are
+    ``(normal, offset, strict)`` when ``marked``, else weak ``(normal,
+    offset)``.  ``None`` when a zero-normal row is unsatisfiable (the system
+    is empty)."""
+    width = 3 if marked else 2
+    closed: list[IntRow] = []
+    strict_rows: set[IntRow] = set()
+    for k, raw in enumerate(rows):
+        if len(raw) != width:
+            shape = "(normal, offset, strict)" if marked else "(normal, offset)"
+            raise InputError(f"row {k} must be {shape}; its length is {len(raw)}")
+        normal, offset = row = primitive_row(vec(raw[0], dim), rat(raw[1]))
+        strict = marked and raw[2]
+        if not any(normal):
+            if offset < 0 or (strict and offset == 0):
                 return None
             continue
-        row = _normalize_row(nv, off)
         closed.append(row)
         if strict:
             strict_rows.add(row)
@@ -275,13 +285,13 @@ def _nonempty_support(rows: Sequence[Row], dim: int) -> SupportLP | None:
 
 
 def _canonical_rows(
-    dim: int, rows: Sequence[tuple[Sequence, object, bool]]
-) -> tuple[tuple[Row, ...], set[Row], SupportLP] | None:
-    """Canonical carrier rows, the set of screened rows marked strict, and
-    the ``SupportLP`` over the merged rows, dropped ones included, whose
-    zero objective found them nonempty and whose tableau every redundancy
-    test re-solved from; ``None`` when empty."""
-    screened = _screen_rows(dim, rows)
+    dim: int, rows: Sequence[Sequence], marked: bool
+) -> tuple[tuple[IntRow, ...], set[IntRow], SupportLP] | None:
+    """Canonical carrier rows on integer normals, the set of screened rows
+    marked strict, and the ``SupportLP`` over the merged rows, dropped ones
+    included, whose zero objective found them nonempty and whose tableau
+    every redundancy test re-solved from; ``None`` when empty."""
+    screened = _screen_rows(dim, rows, marked)
     if screened is None:
         return None
     closed, strict_rows = screened
@@ -292,12 +302,17 @@ def _canonical_rows(
     return _irredundant(merged, tops), strict_rows, tops
 
 
+def _fraction_rows(rows: Sequence[IntRow]) -> tuple[Row, ...]:
+    """Carrier rows as ``ClosedPolyhedron`` keeps them: ``Fraction`` normals."""
+    return tuple((tuple(map(Fraction, normal)), offset) for normal, offset in rows)
+
+
 def canonicalize(dim: int, rows: Sequence[tuple[Sequence, object]]) -> ClosedPolyhedron | EmptySet:
     """Irredundant canonical form of a weak-row system, or ``EmptySet``."""
-    got = _canonical_rows(dim, [(n, o, False) for n, o in rows])
+    got = _canonical_rows(dim, rows, False)
     if got is None:
         return EmptySet(dim)
-    return ClosedPolyhedron(dim, got[0])
+    return ClosedPolyhedron(dim, _fraction_rows(got[0]))
 
 
 def make_set(
@@ -307,8 +322,8 @@ def make_set(
 
     The carrier is canonicalized from the rows read as weak, so strictness
     never decides which rows survive.  A carrier row is strict when some
-    strict input row, scaled to its primitive normal, equals it.  Every
-    other strict row was merged into a tighter parallel row or found
+    strict input row, scaled to its primitive integer normal, equals it.
+    Every other strict row was merged into a tighter parallel row or found
     redundant: if its hyperplane still touches the carrier, the set cannot
     be written as carrier plus strict markings and ``InvalidSetError`` is
     raised; otherwise the row removes nothing and is dropped.  The
@@ -317,19 +332,22 @@ def make_set(
     kept: its rows hold the same points as the carrier.  If the strict
     region is empty the value is ``EmptySet``.
     """
-    got = _canonical_rows(dim, rows)
+    got = _canonical_rows(dim, rows, True)
     if got is None:
         return EmptySet(dim)
-    carrier_rows, strict_rows, tops = got
-    for normal, offset in sorted(strict_rows.difference(carrier_rows)):
-        top = tops.maximum(normal)
-        if top is None or top >= offset:
-            raise InvalidSetError(
-                "strict row was redundant for the carrier but its hyperplane "
-                "touches the set; not representable as carrier + strict rows"
-            )
-    strict = frozenset(i for i, r in enumerate(carrier_rows) if r in strict_rows)
-    cand = PartiallyOpenPolyhedron(ClosedPolyhedron(dim, carrier_rows), strict)
+    kept, strict_rows, tops = got
+    strict: frozenset[int] = frozenset()
+    # Skipped with no strict row: each test hashes a ``Fraction`` offset.
+    if strict_rows:
+        for normal, offset in sorted(strict_rows.difference(kept)):
+            top = tops.maximum(normal)
+            if top is None or top >= offset:
+                raise InvalidSetError(
+                    "strict row was redundant for the carrier but its hyperplane "
+                    "touches the set; not representable as carrier + strict rows"
+                )
+        strict = frozenset(i for i, r in enumerate(kept) if r in strict_rows)
+    cand = PartiallyOpenPolyhedron(ClosedPolyhedron(dim, _fraction_rows(kept)), strict)
     if strict:
         member = strict_system_feasible(system_of(cand))
         if member is None:

@@ -501,6 +501,14 @@ def reference_irredundant(rows):
     return tuple(survivors)
 
 
+def reference_normalize_row(normal, offset):
+    """A nonzero row scaled on ``Fraction``s to its primitive normal, the
+    offset by the same positive factor, read off the first nonzero entry."""
+    p = primitive(normal)
+    pivot = next(i for i, a in enumerate(normal) if a != 0)
+    return p, offset * (p[pivot] / normal[pivot])
+
+
 def reference_make_set(dim, rows):
     """``make_set`` with each row's strict flag carried through merging and
     redundancy removal, every strict row they drop listed for the touching
@@ -513,7 +521,7 @@ def reference_make_set(dim, rows):
             if off < 0 or (strict and off == 0):
                 return EmptySet(dim)
             continue
-        screened.append((*polyhedra._normalize_row(nv, off), bool(strict)))
+        screened.append((*reference_normalize_row(nv, off), bool(strict)))
     best, dropped = {}, []
     for normal, offset, strict in screened:
         cur = best.get(normal)
@@ -575,20 +583,84 @@ def strict_systems(draw):
     return n, draw(st.permutations(rows))
 
 
-@settings(max_examples=300)
-@given(strict_systems())
-def test_make_set_agrees_with_the_strict_threading_reference(sys_):
-    n, rows = sys_
+def assert_agrees_with_the_reference(n, rows):
+    """``make_set``'s value or ``InvalidSetError``, its strict rows, and
+    ``canonicalize`` of the rows read as weak, against the reference."""
     try:
         want = reference_make_set(n, rows)
     except InvalidSetError:
         with pytest.raises(InvalidSetError):
             make_set(n, rows)
     else:
-        assert make_set(n, rows) == want
+        got = make_set(n, rows)
+        assert got == want
+        if isinstance(want, PartiallyOpenPolyhedron):
+            assert got.strict_rows == want.strict_rows
     closed_ref = reference_make_set(n, [(a, b, False) for a, b, _ in rows])
     want = closed_ref.carrier if isinstance(closed_ref, PartiallyOpenPolyhedron) else closed_ref
     assert canonicalize(n, [(a, b) for a, b, _ in rows]) == want
+
+
+@settings(max_examples=300)
+@given(strict_systems())
+def test_make_set_agrees_with_the_strict_threading_reference(sys_):
+    assert_agrees_with_the_reference(*sys_)
+
+
+ratio = st.builds(Fraction, coef, st.integers(min_value=1, max_value=6))
+
+
+@st.composite
+def rational_systems(draw):
+    """Weak and strict rows in 1-3 D with rational normals and offsets,
+    denominators 1-6.  Planted: copies scaled by a rational of either sign,
+    copies that differ only in strictness, and zero-normal rows that hold
+    (``0 <= 1/2``, ``0 < 1``, ``0 <= 0``), that fail (``0 <= -1/3``) and
+    the strict ``0 < 0``."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        normal = [draw(ratio) for _ in range(n)]
+        rows.append((normal, abs(draw(ratio)) + draw(st.integers(min_value=-1, max_value=2)), draw(st.booleans())))
+    pick = st.integers(min_value=0, max_value=len(rows) - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        normal, offset, strict = rows[draw(pick)]
+        k = draw(ratio.filter(bool))
+        rows.append(
+            draw(st.sampled_from([([k * a for a in normal], k * offset, strict), (normal, offset, not strict)]))
+        )
+    zero = [Fraction(0)] * n
+    zeros = [(zero, Fraction(1, 2), False), (zero, 1, True), (zero, 0, False), (zero, Fraction(-1, 3), False), (zero, 0, True)]
+    rows += draw(st.lists(st.sampled_from(zeros), max_size=2))
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=300)
+@given(rational_systems())
+def test_rational_rows_agree_with_the_fraction_reference(sys_):
+    assert_agrees_with_the_reference(*sys_)
+
+
+def test_canonicalize_clears_rational_rows_to_integer_normals():
+    # (2/3, -4/9) . x <= 1/2, times 9/2.
+    p = closed(2, [(["2/3", "-4/9"], "1/2")])
+    assert p.rows == ((vec([3, -2]), Fraction(9, 4)),)
+    c = make_set(2, [([Fraction(2, 3), Fraction(-4, 9)], Fraction(1, 2), True)])
+    assert c.carrier == p and c.strict_rows == {0}
+    # The carrier's normals are ``Fraction``s, as every reader of its rows expects.
+    assert all(type(a) is Fraction for normal, _ in p.rows + c.carrier.rows for a in normal)
+
+
+@pytest.mark.parametrize("row", [([1],), ([1], 1, False, 0)])
+def test_make_set_refuses_a_row_of_the_wrong_length(row):
+    with pytest.raises(InputError, match="row 1 must be"):
+        make_set(1, [([-1], 0, False), row])
+
+
+@pytest.mark.parametrize("row", [([1],), ([1], 1, False)])
+def test_canonicalize_refuses_a_row_of_the_wrong_length(row):
+    with pytest.raises(InputError, match="row 1 must be"):
+        canonicalize(1, [([-1], 0), row])
 
 
 @st.composite
@@ -623,9 +695,16 @@ def feasible_systems(draw):
 
 
 def merged_rows(dim, rows):
-    """The screened, merged rows that ``_irredundant`` is given."""
-    closed, _ = polyhedra._screen_rows(dim, [(a, b, False) for a, b in rows])
-    return polyhedra._merge_parallel(closed)
+    """The screened, merged rows that ``_irredundant`` is given, on
+    ``Fraction``s: the tightest offset per primitive normal, sorted.  The
+    rows hold somewhere, so a zero-normal row among them holds everywhere."""
+    best = {}
+    for normal, offset in rows:
+        nv = vec(normal, dim)
+        if any(nv):
+            normal, offset = reference_normalize_row(nv, Fraction(offset))
+            best[normal] = min(offset, best.get(normal, offset))
+    return sorted(best.items())
 
 
 @settings(max_examples=300)

@@ -20,9 +20,12 @@ books under the generator expression of ``polyhedra._cone_holds``.  The
 fourth is one grid probe, whose barycentric values are the maxima of one
 ``SupportLP``.  The fifth builds one set of the 3-D row ladder and its
 portable hull; besides its cold solves it pins the most rows of any program
-``lp_solve`` is given, which shows that no m-row primal runs.
+``lp_solve`` is given, which shows that no m-row primal runs.  The sixth
+builds the benchmark's ``sum_plan(1, 12)`` boxes, one emptiness solve and a
+warm redundancy test per row each, so a change to how fast canonicalization
+runs shows whether it did less LP work.
 
-Run this file directly to print the LP counts and placements of all five
+Run this file directly to print the LP counts and placements of all six
 plans:
 
     PYTHONPATH=src python tests/test_work_counts.py
@@ -146,6 +149,9 @@ PROBE_PLAN = {"representability.touches": 1, "warm": 7224}
 # re-solved warm from its tableau with the row's column barred.
 LADDER_PLAN = {"polyhedra._nonempty_support": 1, "warm": 121}
 LADDER_WIDEST = 3
+# ``make_set`` on the 48 boxes of ``sum_plan(1, 12)``, 1-D and 2-D: one
+# emptiness solve per box, then one warm redundancy test per row.
+SUM_PLAN = {"polyhedra._nonempty_support": 48, "warm": 144}
 
 
 # Python 3.12 runs these inline, in the enclosing function's frame.
@@ -216,13 +222,18 @@ def bench_style_counts() -> tuple[dict[str, int], dict[str, int]]:
     return count_work(run)
 
 
-def report_plan_counts() -> tuple[dict[str, int], dict[str, int]]:
+def bench_gen():
+    """The benchmark's input generator, ``bench/gen.py``."""
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import gen
     finally:
         sys.path.remove(str(ROOT / "bench"))
-    sets = [make_set(dim, rows) for dim, rows in gen.report_plan(101, 12)]
+    return gen
+
+
+def report_plan_counts() -> tuple[dict[str, int], dict[str, int]]:
+    sets = [make_set(dim, rows) for dim, rows in bench_gen().report_plan(101, 12)]
     spec = SampleSpec(seed=101, count=8)
     return count_work(lambda: [portability_report(c, spec) for c in sets])
 
@@ -263,6 +274,11 @@ def ladder_plan_counts() -> tuple[dict[str, int], int]:
     return solves, widest
 
 
+def sum_plan_counts() -> tuple[dict[str, int], dict[str, int]]:
+    plan = bench_gen().sum_plan(1, 12)
+    return count_work(lambda: [make_set(q["dim"], q["rows"]) for q in plan])
+
+
 def probe_plan_counts() -> tuple[dict[str, int], dict[str, int]]:
     def load(name, parse):
         return parse(json.loads((ROOT / "fixtures" / f"{name}.json").read_text(encoding="utf-8")))
@@ -301,6 +317,10 @@ def test_ladder_plan_solves_no_primal_program():
     assert ladder_plan_counts() == (LADDER_PLAN, LADDER_WIDEST)
 
 
+def test_sum_plan_builds_on_the_pinned_lps():
+    assert sum_plan_counts()[0] == SUM_PLAN
+
+
 def test_counts_do_not_depend_on_the_hash_seed():
     code = (
         "import json, test_work_counts as t; "
@@ -321,6 +341,7 @@ if __name__ == "__main__":
         "report_plan": report_plan_counts,
         "golden_plan": golden_plan_counts,
         "probe_plan": probe_plan_counts,
+        "sum_plan": sum_plan_counts,
     }
     out = {}
     for name, counts in plans.items():
