@@ -27,7 +27,6 @@ from .fitzpatrick import (
     normal_cone_fitzpatrick,
     normal_cone_fitzpatrick_by_faces,
 )
-from .fme import fm_feasible, fm_maximize
 from .lp import (
     EqualityLP,
     LPOutcome,
@@ -110,12 +109,15 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # ``selftest`` and the seeded ``corpus`` it runs load on first use, so a
-    # cold CLI call does not import them.
-    if name in ("selftest", "corpus"):
+    # Only ``selftest`` and the tests run the seeded ``corpus`` and the
+    # Fourier-Motzkin oracle ``fme``, so these load on first use: a cold CLI
+    # call imports none of them.
+    if name in ("selftest", "corpus", "fme"):
         return importlib.import_module(f"{__name__}.{name}")
     if name == "run_selftest":
         return __getattr__("selftest").run_selftest
+    if name in ("fm_feasible", "fm_maximize"):
+        return getattr(__getattr__("fme"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -16,9 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InputError, ScaleLimitError
 from .faces import FACE_DIM_CAP
@@ -343,8 +342,7 @@ def _selftest(inputs, args, checks):
     return report, {}
 
 
-@dataclass(frozen=True)
-class Verb:
+class Verb(NamedTuple):
     """One CLI verb.
 
     ``inputs`` are parsed in this order and echoed under ``"inputs"``;

@@ -8,7 +8,7 @@ computation instead of a walk over row subsets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ScaleLimitError
 from .linalg import Vec, dot
@@ -24,8 +24,7 @@ from .polyhedra import (
 FACE_DIM_CAP = 3
 
 
-@dataclass(frozen=True, slots=True)
-class Face:
+class Face(NamedTuple):
     """One closed face of the carrier, with its trace on the set."""
 
     active: frozenset[int]

@@ -9,7 +9,7 @@ over the closed faces of the carrier, used to cross-check the closed form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .faces import enumerate_faces
@@ -19,8 +19,7 @@ from .polyhedra import EmptySet, PartiallyOpenPolyhedron
 from .scalars import ExtValue, NEG_INF, POS_INF, fin, sup_ext
 
 
-@dataclass(frozen=True, slots=True)
-class MonotoneGraph:
+class MonotoneGraph(NamedTuple):
     """A finite set of (point, dual point) pairs in matching dimension."""
 
     dim: int

@@ -88,10 +88,9 @@ tableau would make; results become ``Fraction`` only in the returned
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .errors import InputError
 from .linalg import Vec, dot, is_zero_vec, primitive, scaled, vec, zero_vec
@@ -101,8 +100,7 @@ Row = tuple[Vec, Fraction]
 StrictRow = tuple[Vec, Fraction, bool]
 
 
-@dataclass(frozen=True, slots=True)
-class LPProblem:
+class LPProblem(NamedTuple):
     """Maximize ``objective . x`` subject to ``normal . x <= offset`` per row."""
 
     objective: Vec
@@ -113,8 +111,7 @@ class LPProblem:
         return len(self.objective)
 
 
-@dataclass(frozen=True, slots=True)
-class EqualityLP:
+class EqualityLP(NamedTuple):
     """Maximize ``objective . w`` subject to ``normal . w = offset`` per row, ``w >= 0``."""
 
     objective: Vec
@@ -133,8 +130,7 @@ def problem(objective: Sequence, rows: Sequence[tuple[Sequence, object]]) -> LPP
     return LPProblem(obj, rs)
 
 
-@dataclass(frozen=True, slots=True)
-class LPOutcome:
+class LPOutcome(NamedTuple):
     status: str  # "optimal" | "unbounded" | "infeasible"
     value: Fraction | None = None
     primal: Vec | None = None

@@ -17,8 +17,8 @@ costs one margin LP, ``_on_row``'s program, solved where it is read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError
 from .linalg import Vec, dot, vec
@@ -36,8 +36,7 @@ from .polyhedra import (
 from .scalars import ExtValue, NEG_INF, POS_INF, fin
 
 
-@dataclass(frozen=True, slots=True)
-class SupportEvaluation:
+class SupportEvaluation(NamedTuple):
     """Value of the support function at one direction, with attainment data."""
 
     value: ExtValue

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InvalidSetError, ScaleLimitError
 from .linalg import (
@@ -82,14 +82,12 @@ from .scalars import rat
 CONVERSION_SUBSET_CAP = 100_000
 
 
-@dataclass(frozen=True, slots=True)
-class ClosedPolyhedron:
+class ClosedPolyhedron(NamedTuple):
     dim: int
     rows: tuple[Row, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class EmptySet:
+class EmptySet(NamedTuple):
     """The distinguished empty set.  Carries an ambient dimension for ops
     whose result depends on it (the JSON shorthand leaves it implicit)."""
 
@@ -155,21 +153,18 @@ class PartiallyOpenPolyhedron:
         return self.carrier.dim
 
 
-@dataclass(frozen=True, slots=True)
-class VRep:
+class VRep(NamedTuple):
     vertices: tuple[Vec, ...]
     rays: tuple[Vec, ...]
     lineality: tuple[Vec, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratedCone:
+class GeneratedCone(NamedTuple):
     dim: int
     generators: tuple[Vec, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Validation:
+class Validation(NamedTuple):
     nonempty: bool
     closure_is_carrier: bool
 
@@ -235,13 +230,18 @@ def _screen_rows(
     offset)``.  ``None`` when a zero-normal row is unsatisfiable (the system
     is empty)."""
     width = 3 if marked else 2
+    shape = "(normal, offset, strict)" if marked else "(normal, offset)"
     closed: list[IntRow] = []
     strict_rows: set[IntRow] = set()
     for k, raw in enumerate(rows):
-        if len(raw) != width:
-            shape = "(normal, offset, strict)" if marked else "(normal, offset)"
-            raise InputError(f"row {k} must be {shape}; its length is {len(raw)}")
-        normal, offset = row = primitive_row(vec(raw[0], dim), rat(raw[1]))
+        try:
+            if len(raw) != width:
+                raise InputError(f"row {k} must be {shape}; its length is {len(raw)}")
+            normal = vec(raw[0], dim)
+        except TypeError:
+            # A row, or its normal, that is not a sequence.
+            raise InputError(f"row {k} must be {shape}, its normal a sequence of rationals") from None
+        normal, offset = row = primitive_row(normal, rat(raw[1]))
         strict = marked and raw[2]
         if not any(normal):
             if offset < 0 or (strict and offset == 0):

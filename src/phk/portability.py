@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InputError
 from .faces import enumerate_faces
@@ -52,8 +53,7 @@ from .sampling import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class FinitePointSet:
+class FinitePointSet(NamedTuple):
     dim: int
     points: tuple[Vec, ...]
 
@@ -64,8 +64,7 @@ def point_set(dim: int, points) -> FinitePointSet:
     return FinitePointSet(dim, tuple(sorted({vec(p, dim) for p in points})))
 
 
-@dataclass(frozen=True, slots=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     """A supporting half-space violated by the queried point."""
 
     normal: Vec

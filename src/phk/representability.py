@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, ScaleLimitError
 from .fitzpatrick import MonotoneGraph, is_monotone, vec_check
@@ -39,8 +39,7 @@ from .sampling import bounding_box, grid_size, rational_grid
 from .scalars import ExtValue, POS_INF, fin
 
 
-@dataclass(frozen=True, slots=True)
-class PsiEvaluation:
+class PsiEvaluation(NamedTuple):
     """Value plus the data that certifies it: barycentric weights over the
     graph pairs and, for operator sums, the dual vector handed to the
     half-space part."""
@@ -76,14 +75,12 @@ PROBE_PAIR_CAP = 100_000
 ENUMERATION_SUBSET_CAP = 100_000
 
 
-@dataclass(frozen=True, slots=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     step: Fraction = Fraction(1, 2)
     halfwidth: int = 2
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     verdict: str
     witness: tuple[Vec, Vec] | None
     grid_points: int

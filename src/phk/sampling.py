@@ -20,11 +20,11 @@ needs no key of its own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ScaleLimitError
 from .faces import FACE_DIM_CAP, enumerate_faces
@@ -44,8 +44,7 @@ from .polyhedra import (
 SAMPLE_COUNT_CAP = 400
 
 
-@dataclass(frozen=True, slots=True)
-class SampleSpec:
+class SampleSpec(NamedTuple):
     seed: int = 0
     count: int = 40
 

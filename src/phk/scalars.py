@@ -10,19 +10,19 @@ fixes the arithmetic conventions used throughout this package:
 
 The first convention makes indicator-plus-support sums absorb correctly, the
 second makes suprema over empty graphs come out right without special cases
-at the call sites.  The order is the one ``dataclass(order=True)`` generates
-from the fields ``(kind, num)``, so it compares ``ExtValue``s only; coerce a
-bare rational with :func:`fin` first.
+at the call sites.  An ``ExtValue`` is a ``NamedTuple``, ordered as the
+tuple ``(kind, num)``; compare it with ``ExtValue``s only, and coerce a bare
+rational with :func:`fin` first.  It refuses ``*``, so no product of an
+extended value is ever a tuple repetition.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import log10
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import InputError, ScaleLimitError
 
@@ -120,16 +120,17 @@ def _digits(n: int) -> int:
     return d - (10 ** (d - 1) > n) + (10**d <= n)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class ExtValue:
+class ExtValue(NamedTuple):
     """A rational extended with -inf and +inf.
 
     Instances are immutable; build them through :func:`fin`, or use the module
-    constants ``NEG_INF`` / ``POS_INF``.  The order compares the tuple
+    constants ``NEG_INF`` / ``POS_INF``.  The order is the tuple order of
     ``(kind, num)``: the infinities keep ``num=None``, and their ``kind``
     differs from every finite value's, so the comparison never reaches
-    ``None``.  Comparisons are between ``ExtValue``s only.  Addition, which
-    also takes a bare rational, keeps (+inf) + (-inf) = +inf.
+    ``None``.  Compare ``ExtValue``s only.  Addition, which also takes a
+    bare rational, keeps (+inf) + (-inf) = +inf.  ``*`` is refused: the
+    only product is :meth:`scale` by a positive rational, and a tuple's
+    repetition would be no product at all.
     """
 
     kind: int
@@ -160,6 +161,11 @@ class ExtValue:
         return ExtValue(_FIN, self.num + o.num)
 
     __radd__ = __add__
+
+    def __mul__(self, other: object):
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def scale(self, t: RationalLike) -> "ExtValue":
         """Multiply by a strictly positive rational (positive homogeneity)."""

@@ -173,6 +173,8 @@ def jsonable(x):
         return fmt_set(x)
     if isinstance(x, MonotoneGraph):
         return fmt_graph(x)
+    if isinstance(x, tuple) and hasattr(x, "_fields"):
+        return {_camel(name): jsonable(value) for name, value in zip(x._fields, x)}
     if is_dataclass(x) and not isinstance(x, type):
         return {
             _camel(f.name): jsonable(getattr(x, f.name)) for f in fields(x)

@@ -19,8 +19,10 @@ form, is public, and only the tests call it.  Inside ``lp`` only ``problem``, wh
 the corpus calls, and ``strict_system_feasible``, the margin program that
 gives a point of a system, build one.
 
-A cold CLI call does not import the seeded corpora, which only the
-``selftest`` verb needs.
+A cold CLI call does not import the seeded corpora or the
+Fourier-Motzkin oracle, which only the ``selftest`` verb needs.  Records
+are ``NamedTuple``s, whose classes cost no generated code at import; the
+few dataclasses left are listed with their reasons.
 """
 from __future__ import annotations
 
@@ -247,7 +249,10 @@ def test_only_lp_solves_the_primal_for_a_value():
 
 
 def test_cli_import_leaves_selftest_and_corpus_unloaded():
-    code = "import sys, phk.cli; print([m for m in ('phk.selftest', 'phk.corpus') if m in sys.modules])"
+    code = (
+        "import sys, phk.cli; "
+        "print([m for m in ('phk.selftest', 'phk.corpus', 'phk.fme') if m in sys.modules])"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert got.stdout.strip() == "[]"
@@ -261,5 +266,40 @@ def test_run_selftest_is_served_on_first_use():
     assert phk.selftest.run_selftest is run_selftest
     assert phk.corpus.random_polytopes
     assert "run_selftest" in phk.__all__
+    from phk.fme import fm_feasible, fm_maximize
+
+    assert phk.fm_feasible is fm_feasible and phk.fm_maximize is fm_maximize
+    assert {"fm_feasible", "fm_maximize"} <= set(phk.__all__)
     with pytest.raises(AttributeError):
         phk.no_such_name
+
+
+# The classes in ``src/phk`` still built by ``@dataclass``, each with why it is
+# not a ``NamedTuple``.  Each dataclass ``exec``s its generated methods at
+# import, several times a NamedTuple's cost.
+KEPT_DATACLASSES = {
+    "PartiallyOpenPolyhedron": "its ``_record`` takes no part in ==, hash or repr, which a tuple field cannot do",
+    "PortabilityReport": "the benchmark's tests build wrong answers from it with ``dataclasses.replace``",
+    "SumMembership": "the benchmark's tests build wrong answers from it with ``dataclasses.replace``",
+}
+
+
+def dataclass_names(source: str) -> list[str]:
+    """Classes decorated with ``dataclass`` or ``dataclass(...)``."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(d).split("(")[0].endswith("dataclass") for d in node.decorator_list)
+    ]
+
+
+def test_the_scan_sees_dataclasses():
+    src = "@dataclass\nclass A: pass\n@dataclasses.dataclass(frozen=True)\nclass B: pass\n" \
+          "class C(NamedTuple): pass\n@other\nclass D: pass\n"
+    assert dataclass_names(src) == ["A", "B"]
+
+
+def test_only_the_kept_classes_are_dataclasses():
+    found = {name for path in MODULES for name in dataclass_names(path.read_text(encoding="utf-8"))}
+    assert found == set(KEPT_DATACLASSES)

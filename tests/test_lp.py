@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from time import perf_counter
 
@@ -97,40 +96,40 @@ def test_verify_outcome_rejects_each_tampered_field():
     opt_p = problem([1, 1], rows)
     opt = lp_solve(opt_p)
     assert (opt.status, opt.value, opt.primal) == ("optimal", 2, vec([1, 1]))
-    good_dual = replace(opt, dual=vec([1, 1, 0, 0]))
+    good_dual = opt._replace(dual=vec([1, 1, 0, 0]))
     unb_p = problem([1, 0], [([-1, 0], 0), ([0, 1], 1)])
     unb = lp_solve(unb_p)
     assert unb.status == "unbounded"
     inf_p = problem([1], [([1], 0), ([-1], -1), ([1], 2)])
     inf = lp_solve(inf_p)
     assert inf.status == "infeasible"
-    good_farkas = replace(inf, farkas=vec([1, 1, 0]))
+    good_farkas = inf._replace(farkas=vec([1, 1, 0]))
     for p, o in ((opt_p, opt), (opt_p, good_dual), (unb_p, unb), (inf_p, inf), (inf_p, good_farkas)):
         assert verify_outcome(p, o)
     half = Fraction(1, 2)
     tampered = [
-        (opt_p, replace(good_dual, dual=vec([0, 1, 0, -1]))),  # negative, yet gives c and pays 2
-        (opt_p, replace(good_dual, dual=vec([1, 1, 0]))),
-        (opt_p, replace(good_dual, dual=vec([1, 1, 0, 0, 0]))),
-        (opt_p, replace(good_dual, dual=vec([half, half, half, 0]))),  # pays 2 + 1/2
-        (opt_p, replace(good_dual, dual=vec([1 + half, half, 0, 0]))),  # combines to (3/2, 1/2)
-        (opt_p, replace(good_dual, primal=vec([1 + half, half]))),  # value 2, breaks x <= 1
-        (opt_p, replace(good_dual, value=2 + half)),
-        (opt_p, replace(good_dual, dual=None)),
-        (opt_p, replace(good_dual, primal=None)),
-        (opt_p, replace(good_dual, value=None)),
-        (unb_p, replace(unb, ray=vec([1, 1]))),  # A d > 0 on y <= 1
-        (unb_p, replace(unb, ray=vec([0, -1]))),  # c . d = 0
-        (unb_p, replace(unb, ray=vec([0, 0]))),
-        (unb_p, replace(unb, ray=None)),
-        (inf_p, replace(good_farkas, farkas=vec([2, 1, -1]))),  # negative, yet 0 and pays -3
-        (inf_p, replace(good_farkas, farkas=vec([1, 1]))),
-        (inf_p, replace(good_farkas, farkas=vec([1, 1, 0, 0]))),
-        (inf_p, replace(good_farkas, farkas=vec([1 + half, 1, 0]))),  # combines to 1/2
-        (inf_p, replace(good_farkas, farkas=vec([0, half, half]))),  # pays 1/2
-        (inf_p, replace(good_farkas, farkas=None)),
-        (opt_p, replace(good_dual, status="maybe")),
-        (opt_p, replace(good_dual, status="infeasible")),
+        (opt_p, good_dual._replace(dual=vec([0, 1, 0, -1]))),  # negative, yet gives c and pays 2
+        (opt_p, good_dual._replace(dual=vec([1, 1, 0]))),
+        (opt_p, good_dual._replace(dual=vec([1, 1, 0, 0, 0]))),
+        (opt_p, good_dual._replace(dual=vec([half, half, half, 0]))),  # pays 2 + 1/2
+        (opt_p, good_dual._replace(dual=vec([1 + half, half, 0, 0]))),  # combines to (3/2, 1/2)
+        (opt_p, good_dual._replace(primal=vec([1 + half, half]))),  # value 2, breaks x <= 1
+        (opt_p, good_dual._replace(value=2 + half)),
+        (opt_p, good_dual._replace(dual=None)),
+        (opt_p, good_dual._replace(primal=None)),
+        (opt_p, good_dual._replace(value=None)),
+        (unb_p, unb._replace(ray=vec([1, 1]))),  # A d > 0 on y <= 1
+        (unb_p, unb._replace(ray=vec([0, -1]))),  # c . d = 0
+        (unb_p, unb._replace(ray=vec([0, 0]))),
+        (unb_p, unb._replace(ray=None)),
+        (inf_p, good_farkas._replace(farkas=vec([2, 1, -1]))),  # negative, yet 0 and pays -3
+        (inf_p, good_farkas._replace(farkas=vec([1, 1]))),
+        (inf_p, good_farkas._replace(farkas=vec([1, 1, 0, 0]))),
+        (inf_p, good_farkas._replace(farkas=vec([1 + half, 1, 0]))),  # combines to 1/2
+        (inf_p, good_farkas._replace(farkas=vec([0, half, half]))),  # pays 1/2
+        (inf_p, good_farkas._replace(farkas=None)),
+        (opt_p, good_dual._replace(status="maybe")),
+        (opt_p, good_dual._replace(status="infeasible")),
     ]
     for p, o in tampered:
         assert not verify_outcome(p, o), o

@@ -663,6 +663,18 @@ def test_canonicalize_refuses_a_row_of_the_wrong_length(row):
         canonicalize(1, [([-1], 0), row])
 
 
+@pytest.mark.parametrize("row", [5, (5, 1, False)], ids=["row", "normal"])
+def test_make_set_refuses_a_row_that_is_not_a_sequence(row):
+    with pytest.raises(InputError, match="row 1 must be"):
+        make_set(1, [([-1], 0, False), row])
+
+
+@pytest.mark.parametrize("row", [5, (5, 1)], ids=["row", "normal"])
+def test_canonicalize_refuses_a_row_that_is_not_a_sequence(row):
+    with pytest.raises(InputError, match="row 1 must be"):
+        canonicalize(1, [([-1], 0), row])
+
+
 @st.composite
 def feasible_systems(draw):
     """Weak rows in 1-3 D that hold at a planted point, some of them

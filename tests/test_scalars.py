@@ -141,9 +141,22 @@ def test_total_order():
     assert NEG_INF < fin(-(10**9)) < fin(0) < fin(10**9) < POS_INF
     assert fin(1) <= fin(1)
     assert not POS_INF < POS_INF
-    # The generated order compares ExtValues only.
+    # The tuple order compares ExtValues only.
     with pytest.raises(TypeError):
         _ = fin(1) < 2
+
+
+@given(rationals)
+def test_every_finite_value_lies_between_the_infinities(q):
+    assert NEG_INF < fin(q) < POS_INF
+    assert POS_INF + NEG_INF == POS_INF
+
+
+def test_extvalues_refuse_multiplication():
+    # An ExtValue is a tuple, and a tuple times an int would be its repetition.
+    for product in (lambda: 2 * fin(3), lambda: fin(3) * 2, lambda: POS_INF * POS_INF):
+        with pytest.raises(TypeError):
+            product()
 
 
 extvalues = st.one_of(st.just(NEG_INF), st.just(POS_INF), rationals.map(fin))

@@ -12,13 +12,15 @@ from phk.polyhedra import (
     ClosedPolyhedron,
     EmptySet,
     PartiallyOpenPolyhedron,
+    Validation,
     cone,
     h_to_v,
     make_set,
     whole_set,
 )
-from phk.portability import point_set
-from phk.representability import sum_graph_membership
+from phk.portability import SeparationCertificate, point_set
+from phk.representability import GridSpec, sum_graph_membership
+from phk.sampling import SampleSpec
 from phk.serialize import (
     dumps,
     fmt_closed,
@@ -309,6 +311,14 @@ class TestFormatting:
         doc = jsonable(m)
         assert "conePart" in doc and "lhs" in doc
         assert doc["value"] == "2"
+
+    def test_jsonable_writes_records_as_camel_case_objects(self):
+        # Records are NamedTuples, so each must be read by its fields, not as a list.
+        assert jsonable(Validation(True, False)) == {"nonempty": True, "closureIsCarrier": False}
+        assert jsonable(SampleSpec(3, 7)) == {"seed": 3, "count": 7}
+        assert jsonable(GridSpec()) == {"step": "1/2", "halfwidth": 2}
+        cert = SeparationCertificate((F(1), F(0)), (F(1), F(1, 2)), F(3, 2))
+        assert jsonable(cert) == {"normal": ["1", "0"], "supportPoint": ["1", "1/2"], "margin": "3/2"}
 
     def test_dumps_is_stable(self):
         doc = {"b": F(1, 2), "a": [point_set(1, [(0,)])]}
@@ -697,8 +707,6 @@ REPLAYED = [
 def plant_failing_check(monkeypatch, verb: str) -> list[dict]:
     """Make ``verb``'s compute function also add a failing check; returns
     the list of the inputs it is called with."""
-    from dataclasses import replace
-
     from phk.cli import VERBS
 
     seen = []
@@ -709,7 +717,7 @@ def plant_failing_check(monkeypatch, verb: str) -> list[dict]:
         checks.add("planted", False)
         return real(inputs, args, checks)
 
-    monkeypatch.setitem(VERBS, verb, replace(VERBS[verb], compute=planted))
+    monkeypatch.setitem(VERBS, verb, VERBS[verb]._replace(compute=planted))
     return seen
 
 
