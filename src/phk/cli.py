@@ -40,7 +40,6 @@ from .normal_cones import (
 from .polyhedra import (
     EmptySet,
     _canonical_as_set,
-    closed_as_set,
     closed_equal,
     closed_subset_of,
     cone_contains,
@@ -190,7 +189,7 @@ def _partial_hull(inputs, args, checks):
     # The partial hull's rows are distinct carrier rows, in carrier order.
     index = {row: i for i, row in enumerate(c.carrier.rows)}
     witnesses = {"keptRows": [index[row] for row in partial.rows]}
-    checks.add("contains-full-hull", closed_subset_of(hull, closed_as_set(partial)))
+    checks.add("contains-full-hull", closed_subset_of(hull, partial))
     checks.add("partial-hull-collapse", report["collapse"])
     checks.add("restriction-biconditional", report["restrictionBiconditional"])
     return partial, witnesses

@@ -17,7 +17,6 @@ from .polyhedra import (
     PartiallyOpenPolyhedron,
     VRep,
     carrier_vrep,
-    require_valid,
     system_of,
 )
 
@@ -39,7 +38,7 @@ def enumerate_faces(c: PartiallyOpenPolyhedron) -> tuple[Face, ...]:
     Capped at dimension 3: the count grows too fast beyond that for the
     exact arithmetic used here.
     """
-    record = require_valid(c)
+    record = c._record
     if c.dim > FACE_DIM_CAP:
         raise ScaleLimitError(
             f"face enumeration supports dimension <= {FACE_DIM_CAP}, got {c.dim}"

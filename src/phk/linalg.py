@@ -10,6 +10,7 @@ denominator), except in ``dot``, whose own loop is about twice as fast.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -22,10 +23,26 @@ Vec = tuple[Fraction, ...]
 
 def vec(xs: Iterable[RationalLike], dim: int | None = None) -> Vec:
     """Coerce to a tuple of Fractions, checking the length when ``dim`` is given."""
-    out = tuple(rat(x) for x in xs)
+    try:
+        entries = _entries(xs)
+    except TypeError:
+        raise InputError(f"a vector must be a sequence of rationals, not {type(xs).__name__}") from None
+    out = tuple(map(rat, entries))
     if dim is not None and len(out) != dim:
         raise InputError(f"vector has dimension {len(out)}, expected {dim}")
     return out
+
+
+def _entries(xs: Iterable[RationalLike]) -> Iterable[RationalLike]:
+    """A vector's entries: ``TypeError`` for a non-iterable, and for text and
+    mappings, which would iterate as characters and keys.  Tuples and lists
+    pass first, as the check of an abstract class costs more than ``vec``'s
+    other work."""
+    if isinstance(xs, (tuple, list)):
+        return xs
+    if isinstance(xs, (str, bytes, bytearray, Mapping)):
+        raise TypeError("text and mappings are not vectors")
+    return iter(xs)
 
 
 def zero_vec(n: int) -> Vec:

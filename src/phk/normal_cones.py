@@ -28,7 +28,6 @@ from .polyhedra import (
     GeneratedCone,
     PartiallyOpenPolyhedron,
     contains,
-    require_valid,
     row_signs,
     signs_inside,
     system_of,
@@ -55,7 +54,7 @@ def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
     x = vec(xstar, c.dim)
     if isinstance(c, EmptySet):
         return NEG_INF
-    record = require_valid(c)
+    record = c._record
     if record.support_lp is None:
         # A valid set is nonempty, so a None below is +inf.
         record.support_lp = SupportLP(c.carrier.rows, c.dim)
@@ -96,7 +95,6 @@ def supporting_rows(c: PartiallyOpenPolyhedron) -> tuple[int, ...]:
     That point meets every other row, every strict row strictly, so it is
     in the set when row i is weak.  A strict row's hyperplane misses the set.
     """
-    require_valid(c)
     return tuple(i for i in range(len(c.carrier.rows)) if i not in c.strict_rows)
 
 
@@ -140,7 +138,6 @@ def in_portable_hull(c: PartiallyOpenPolyhedron | EmptySet, x) -> bool:
 
 def normal_cone_at(c: PartiallyOpenPolyhedron, x) -> GeneratedCone:
     """Cone generated by the normals of the rows active at a point of the set."""
-    require_valid(c)
     signs = row_signs(c, vec(x, c.dim))
     if not signs_inside(c, signs):
         raise InputError("normal cone requested at a point outside the set")
@@ -155,7 +152,6 @@ def _active_normals(c: PartiallyOpenPolyhedron, signs) -> tuple[Vec, ...]:
 
 def in_normal_cone(c: PartiallyOpenPolyhedron, x, xstar) -> bool:
     """Graph membership: x in the set and <xstar, x> equals the support value."""
-    require_valid(c)
     p = vec(x, c.dim)
     d = vec(xstar, c.dim)
     if not contains(c, p):
@@ -171,7 +167,6 @@ def in_range(c: PartiallyOpenPolyhedron, xstar) -> bool:
 
 def interior_point_of_carrier(c: PartiallyOpenPolyhedron) -> Vec | None:
     """A point satisfying every carrier row strictly, if one exists."""
-    require_valid(c)
     rows = tuple((normal, offset, True) for normal, offset in c.carrier.rows)
     if not rows:
         return tuple(Fraction(0) for _ in range(c.dim))
@@ -185,7 +180,7 @@ def strictly_inside(c: PartiallyOpenPolyhedron, x) -> bool:
 def set_member_witness(c: PartiallyOpenPolyhedron) -> Vec:
     """Some point of a valid (hence nonempty) set: the strict-region point
     ``make_set`` kept, or else the same LP's point, solved here."""
-    record = require_valid(c)
+    record = c._record
     if record.member is not None:
         return record.member
     if not c.carrier.rows:

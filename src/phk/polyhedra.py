@@ -9,13 +9,14 @@ whole space is the zero-row system; the empty set is the distinguished
 A ``PartiallyOpenPolyhedron`` marks a subset of carrier rows as strict.  For a
 canonical carrier the strict region, when nonempty, is automatically dense in
 the carrier (faces are extreme, so removing a union of faces keeps convexity
-and density), hence the closure of the set is exactly the carrier.  The
-constructor enforces this: systems whose strict region is empty collapse to
-``EmptySet``, and a strict row that is not a carrier row while its
-hyperplane still touches the carrier is refused, because no
-carrier-plus-strict-rows value describes that set.  Canonicalization reads
-closed rows only; ``make_set`` alone decides which strict markings a set
-keeps.
+and density), hence the closure of the set is exactly the carrier.  A set
+is valid when built, so no operation checks it: built field by field it
+runs ``validate``.  ``make_set`` collapses an empty strict region to
+``EmptySet``, and refuses a strict row that is not a carrier row while its
+hyperplane still touches the carrier, because no carrier-plus-strict-rows
+value describes that set; its sets, like the hulls, are proven valid and
+skip the check.  Canonicalization reads closed rows only; ``make_set``
+alone decides which strict markings a set keeps.
 
 Canonicalization runs on integers, fraction-free as in Bareiss 1968: each
 input row is read once into its primitive integer normal and its offset
@@ -57,6 +58,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import InputError, InvalidSetError, ScaleLimitError
 from .linalg import (
     Vec,
+    _entries,
     dot,
     eliminate,
     integer_rows,
@@ -97,9 +99,9 @@ class EmptySet(NamedTuple):
 class SetRecord:
     """Derived data of one set, each field filled on first use.
 
-    Shared: ``validation`` and ``member`` (a point of a set with strict
-    rows: the one ``make_set`` solved for to find the strict region
-    nonempty, kept for ``set_member_witness``).  Closed-form route:
+    Shared: ``member`` (a point of a set with strict rows: the one
+    ``make_set`` solved for to find the strict region nonempty, kept for
+    ``set_member_witness``).  Closed-form route:
     ``support_lp`` (the ``lp.SupportLP`` over the carrier rows that answers
     every support value: made on first use, it keeps the last optimal
     tableau, so a later dual re-solves from it by dual simplex) and
@@ -109,7 +111,6 @@ class SetRecord:
     """
 
     __slots__ = (
-        "validation",
         "member",
         "vrep",
         "faces",
@@ -119,7 +120,6 @@ class SetRecord:
     )
 
     def __init__(self) -> None:
-        self.validation: Validation | None = None
         self.member: Vec | None = None
         self.vrep: VRep | None = None
         self.faces: tuple | None = None
@@ -131,9 +131,13 @@ class SetRecord:
 class PartiallyOpenPolyhedron:
     """A carrier with some rows made strict, plus its derived data.
 
-    ``_record`` holds what has been computed about this object: its
-    ``Validation``, a member point, the carrier's V-rep, the faces, the
-    support LP and the carrier rows scaled to integers.  It takes no part in
+    Built, or copied by ``dataclasses.replace``, it raises
+    ``InvalidSetError`` unless ``validate`` finds it nonempty with the
+    carrier as its closure (``InputError`` for a strict index past the
+    rows), under ``python -O`` too.  ``_record`` holds what has been
+    computed about it: a member point, the carrier's V-rep, the faces, the
+    support LP and the carrier rows scaled to integers.  It is no init
+    argument, so a copy starts afresh.  It takes no part in
     ``==``, ``hash`` or ``repr``, and is freed with the set.  The two routes
     to the coupling value stay independent by reading disjoint fields: the
     face route (``enumerate_faces`` and its callers) reads only ``vrep`` and
@@ -147,6 +151,11 @@ class PartiallyOpenPolyhedron:
     _record: SetRecord = field(
         default_factory=SetRecord, init=False, repr=False, compare=False, hash=False
     )
+
+    def __post_init__(self) -> None:
+        v = validate(self)
+        if not (v.nonempty and v.closure_is_carrier):
+            raise InvalidSetError("a set must be nonempty, with its canonical carrier as its closure")
 
     @property
     def dim(self) -> int:
@@ -176,19 +185,24 @@ def space(n: int) -> ClosedPolyhedron:
 
 
 def whole_set(n: int) -> PartiallyOpenPolyhedron:
-    return _known_valid(PartiallyOpenPolyhedron(space(n), frozenset()))
+    return _valid_set(space(n))
 
 
-def _known_valid(c: PartiallyOpenPolyhedron) -> PartiallyOpenPolyhedron:
-    c._record.validation = Validation(True, True)
+def _valid_set(carrier: ClosedPolyhedron, strict_rows=frozenset()) -> PartiallyOpenPolyhedron:
+    """A set its caller has proven valid, built without ``__init__``, whose
+    ``validate`` would repeat the proof."""
+    c = object.__new__(PartiallyOpenPolyhedron)
+    object.__setattr__(c, "carrier", carrier)
+    object.__setattr__(c, "strict_rows", strict_rows)
+    object.__setattr__(c, "_record", SetRecord())
     return c
 
 
 def closed_as_set(p: ClosedPolyhedron) -> PartiallyOpenPolyhedron:
     """Wrap a closed polyhedron as a partially open one with no strict rows.
 
-    The result is validated on its first use, like any set not built by
-    ``make_set``."""
+    Validated when built: a non-canonical or empty ``p`` raises
+    ``InvalidSetError``.  ``closed_subset_of`` takes ``p`` unwrapped."""
     return PartiallyOpenPolyhedron(p, frozenset())
 
 
@@ -196,7 +210,7 @@ def _canonical_as_set(p: ClosedPolyhedron) -> PartiallyOpenPolyhedron:
     """``closed_as_set`` for ``canonicalize`` or ``portable_hull`` output,
     which is nonempty and canonical: exactly what ``validate`` would find,
     so it is not run."""
-    return _known_valid(closed_as_set(p))
+    return _valid_set(p)
 
 
 def system_of(c: PartiallyOpenPolyhedron) -> tuple[StrictRow, ...]:
@@ -237,7 +251,7 @@ def _screen_rows(
         try:
             if len(raw) != width:
                 raise InputError(f"row {k} must be {shape}; its length is {len(raw)}")
-            normal = vec(raw[0], dim)
+            normal = vec(_entries(raw[0]), dim)
         except TypeError:
             # A row, or its normal, that is not a sequence.
             raise InputError(f"row {k} must be {shape}, its normal a sequence of rationals") from None
@@ -347,19 +361,20 @@ def make_set(
                     "touches the set; not representable as carrier + strict rows"
                 )
         strict = frozenset(i for i, r in enumerate(kept) if r in strict_rows)
-    cand = PartiallyOpenPolyhedron(ClosedPolyhedron(dim, _fraction_rows(kept)), strict)
+    # A feasible, irredundant carrier, and below a nonempty strict region:
+    # what ``validate`` would find again.
+    cand = _valid_set(ClosedPolyhedron(dim, _fraction_rows(kept)), strict)
     if strict:
         member = strict_system_feasible(system_of(cand))
         if member is None:
             return EmptySet(dim)
         cand._record.member = member
-    # The carrier is feasible and irredundant, and the strict region is
-    # nonempty: exactly what ``validate`` would find again.
-    return _known_valid(cand)
+    return cand
 
 
 def validate(c: PartiallyOpenPolyhedron | EmptySet) -> Validation:
-    """Diagnostic check: is the set nonempty, and is its closure the carrier?"""
+    """Is the set nonempty, and is its closure the carrier?  The check of
+    every set built field by field."""
     if isinstance(c, EmptySet):
         return Validation(False, False)
     if any(i < 0 or i >= len(c.carrier.rows) for i in c.strict_rows):
@@ -370,24 +385,6 @@ def validate(c: PartiallyOpenPolyhedron | EmptySet) -> Validation:
     nonempty = strict_system_feasible(rows) is not None
     canonical = canonicalize(c.dim, c.carrier.rows) == c.carrier
     return Validation(nonempty, nonempty and canonical)
-
-
-def require_valid(c: PartiallyOpenPolyhedron | EmptySet) -> SetRecord | None:
-    """The set's record, once its stored validation passes.
-
-    A set not built by ``make_set`` or ``whole_set`` is validated on first
-    use and the outcome is kept, so an invalid set raises on every use.
-    """
-    if isinstance(c, EmptySet):
-        return None
-    record = c._record
-    if record.validation is None:
-        record.validation = validate(c)
-    if not (record.validation.nonempty and record.validation.closure_is_carrier):
-        raise InvalidSetError(
-            "operation requires a validated set (nonempty, closure equal to carrier)"
-        )
-    return record
 
 
 def closed_contains(p: ClosedPolyhedron, x: Sequence) -> bool:
@@ -436,9 +433,10 @@ def contains(c: PartiallyOpenPolyhedron | EmptySet, x: Sequence) -> bool:
 
 
 def closed_subset_of(
-    p: ClosedPolyhedron | EmptySet, c: PartiallyOpenPolyhedron | EmptySet
+    p: ClosedPolyhedron | EmptySet, c: PartiallyOpenPolyhedron | ClosedPolyhedron | EmptySet
 ) -> bool:
-    """Exact containment of a closed polyhedron in a partially open one.
+    """Exact containment of a closed polyhedron in a partially open one, or
+    in a closed one: all rows weak, canonical or not.
 
     Per row the criterion is a support-value comparison: weak rows need
     ``sup <= offset``, strict rows need ``sup < offset`` (a nonempty closed
@@ -459,17 +457,18 @@ def closed_subset_of(
         return True
     if isinstance(c, EmptySet):
         return _nonempty_support(p.rows, p.dim) is None
+    rows, strict = (c.rows, ()) if isinstance(c, ClosedPolyhedron) else (c.carrier.rows, c.strict_rows)
     stated = set(p.rows)
-    asked = [i for i, row in enumerate(c.carrier.rows) if i in c.strict_rows or row not in stated]
+    asked = [i for i, row in enumerate(rows) if i in strict or row not in stated]
     tops = _nonempty_support(p.rows, p.dim) if asked else None
     if tops is None:
         return True
     for i in asked:
-        normal, offset = c.carrier.rows[i]
+        normal, offset = rows[i]
         top = tops.maximum(normal)
         if top is None:
             return False
-        if i in c.strict_rows:
+        if i in strict:
             if top >= offset:
                 return False
         elif top > offset:
@@ -480,7 +479,7 @@ def closed_subset_of(
 def closed_equal(p: ClosedPolyhedron, q: ClosedPolyhedron) -> bool:
     """Do two closed polyhedra hold the same points?  Containment both ways,
     ``p`` in ``q`` first."""
-    return closed_subset_of(p, closed_as_set(q)) and closed_subset_of(q, closed_as_set(p))
+    return closed_subset_of(p, q) and closed_subset_of(q, p)
 
 
 def lineality_space(p: ClosedPolyhedron) -> tuple[Vec, ...]:
@@ -656,9 +655,9 @@ def v_to_h(v: VRep, dim: int | None = None) -> ClosedPolyhedron | EmptySet:
 
 def carrier_vrep(c: PartiallyOpenPolyhedron) -> VRep:
     """Generators of the set's carrier, converted once per set."""
-    record = require_valid(c)
+    record = c._record
     if record.vrep is None:
-        # ``require_valid`` found the set nonempty: no emptiness LP.
+        # A set is nonempty: no emptiness LP.
         record.vrep = _generators(c.carrier)
     return record.vrep
 

@@ -36,7 +36,6 @@ from .polyhedra import (
     closed_equal,
     closed_subset_of,
     contains,
-    require_valid,
     row_signs,
     signs_inside,
     space,
@@ -131,7 +130,6 @@ def partial_supporting_rows(
 
 def _partial_rows(c: PartiallyOpenPolyhedron, s) -> tuple[tuple[int, ...], list | None]:
     """``partial_supporting_rows``, with a point-set probe's ``row_signs`` (else None)."""
-    require_valid(c)
     if s.dim != c.dim:
         raise InputError("probe set dimension mismatch")
     if isinstance(s, EmptySet):
@@ -139,7 +137,6 @@ def _partial_rows(c: PartiallyOpenPolyhedron, s) -> tuple[tuple[int, ...], list 
     if isinstance(s, FinitePointSet):
         signs = [row_signs(c, p) for p in s.points]
         return _rows_met(c, signs), signs
-    require_valid(s)
     return tuple(i for i, _ in _hyperplanes_meeting(c, system_of(c) + system_of(s))), None
 
 
@@ -177,7 +174,6 @@ def nonsupporting_witness(
     portability failure.  The strict rows miss the set (``supporting_rows``):
     the first is taken, and ``None`` means every row supports.
     """
-    require_valid(c)
     if not c.strict_rows:
         return None
     i = min(c.strict_rows)
@@ -196,7 +192,6 @@ def separation_certificate(
     separates, i.e. x already lies in the portable hull.  The first violated
     supporting row separates, and only its witness LP is solved.
     """
-    require_valid(c)
     p = vec(x, c.dim)
     if contains(c, p):
         raise InputError("separation requested for a point of the set")
@@ -493,7 +488,6 @@ def line_free_report(
     is portable, the support function is finite exactly on the directions
     attained by some point, and boundedness attains every direction.
     """
-    require_valid(c)
     if c.strict_rows:
         raise InputError("these checks apply to closed sets only")
     g = carrier_vrep(c)
@@ -534,7 +528,6 @@ def boundary_support_report(
     c: PartiallyOpenPolyhedron, spec: SampleSpec = SampleSpec()
 ) -> dict:
     """Probe: every sampled boundary point of the set is a support point."""
-    require_valid(c)
     sampled = 0
     all_support = True
     witness = None

@@ -30,7 +30,6 @@ from .polyhedra import (
     EmptySet,
     PartiallyOpenPolyhedron,
     contains,
-    require_valid,
     row_signs,
     signs_inside,
 )
@@ -133,7 +132,6 @@ def restrict_graph(
         if c.dim != g.dim:
             raise InputError("dimension mismatch")
         return MonotoneGraph(g.dim, ())
-    require_valid(c)
     if c.dim != g.dim:
         raise InputError("dimension mismatch")
     return MonotoneGraph(g.dim, tuple(p for p in g.pairs if contains(c, p[0])))
@@ -157,7 +155,6 @@ def _sum_program(t: MonotoneGraph, c: PartiallyOpenPolyhedron, x, xstar):
     which hull rows a point of the set meets (``_rows_met``).  The interior
     pair lies in the set, so the restricted graph is never empty.
     """
-    require_valid(c)
     if t.dim != c.dim:
         raise InputError("dimension mismatch")
     p, d = vec_check(c.dim, x, xstar)
@@ -321,7 +318,6 @@ def representability_probe(
     pair, which hold (min <a, a*>, 0, 0): one ``SupportLP`` answers every pair,
     and its None is the +inf off the graph's hull.
     """
-    require_valid(c)
     if t.dim != c.dim:
         raise InputError("dimension mismatch")
     grid = grid or GridSpec()

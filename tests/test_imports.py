@@ -19,6 +19,10 @@ form, is public, and only the tests call it.  Inside ``lp`` only ``problem``, wh
 the corpus calls, and ``strict_system_feasible``, the margin program that
 gives a point of a system, build one.
 
+Sets are valid when built: ``PartiallyOpenPolyhedron`` checks itself, no
+module guards a set at its use (``require_valid``), no record stores a
+validation outcome, and only ``polyhedra`` builds a set field by field.
+
 A cold CLI call does not import the seeded corpora or the
 Fourier-Motzkin oracle, which only the ``selftest`` verb needs.  Records
 are ``NamedTuple``s, whose classes cost no generated code at import; the
@@ -138,6 +142,7 @@ def test_the_scan_sees_module_level_names():
 # why it stays.  Code only the tests call belongs in the tests: a new name
 # here needs a reason of the same kind.
 UNREAD_IN_SRC = {
+    "closed_as_set": "public wrap of a closed polyhedron as a set; ``closed_subset_of`` takes the polyhedron itself",
     "cone": "public constructor of a generated cone from raw generators",
     "cones_equal": "public cone comparison, documented in README",
     "graph_pairs": "the sampled normal-cone graph the acceptance and reference tests rebuild reports from",
@@ -246,6 +251,33 @@ def test_only_lp_solves_the_primal_for_a_value():
         if "LPProblem" in called_names(ast.unparse(f))
     ]
     assert builders == ["problem", "strict_system_feasible"]
+
+
+def test_sets_are_checked_when_built_not_when_used():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    guards = [
+        name
+        for name, source in sources.items()
+        if "require_valid" in {*defined_names(source), *loaded_names(source)}
+    ]
+    assert guards == []
+    record = next(
+        node
+        for node in ast.parse(sources["polyhedra.py"]).body
+        if isinstance(node, ast.ClassDef) and node.name == "SetRecord"
+    )
+    slots = next(
+        ast.literal_eval(node.value)
+        for node in record.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__slots__"
+    )
+    assert "member" in slots and "validation" not in slots
+    builders = [
+        name
+        for name, source in sources.items()
+        if name != "polyhedra.py" and "PartiallyOpenPolyhedron" in called_names(source)
+    ]
+    assert builders == []
 
 
 def test_cli_import_leaves_selftest_and_corpus_unloaded():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phk.errors import InputError
+from phk.fitzpatrick import graph
 from phk.linalg import (
     dot,
     nullspace_basis,
@@ -18,6 +19,9 @@ from phk.linalg import (
     scaled,
     vec,
 )
+from phk.normal_cones import normal_cone_at, support_value
+from phk.polyhedra import contains, make_set
+from phk.portability import point_set, separation_certificate
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -29,6 +33,37 @@ def test_vec_checks_the_dimension_when_asked():
     with pytest.raises(InputError, match="vector has dimension 3, expected 2"):
         vec([1, 2, 3], 2)
     assert vec([1, 2, 3]) == vec([1, 2, 3], 3)
+
+
+@pytest.mark.parametrize("xs", [5, None, "1", b"1", bytearray(b"1"), {1: 2}], ids=repr)
+def test_vec_refuses_what_is_not_a_sequence(xs):
+    # Text iterates as characters and a mapping as its keys: "1" is not (1,).
+    with pytest.raises(InputError, match="a vector must be a sequence of rationals"):
+        vec(xs, 1)
+
+
+def test_vec_reads_any_iterable_of_rationals():
+    assert vec(iter([1, "2/3"])) == vec((x for x in (1, "2/3"))) == (Fraction(1), Fraction(2, 3))
+
+
+HALF_OPEN = make_set(1, [((-1,), 0, True), ((1,), 1, False)])  # (0, 1]
+
+# Each public function that reads a vector, called with a bad one.
+NOT_VECTORS = {
+    "contains": lambda x: contains(HALF_OPEN, x),
+    "support_value": lambda x: support_value(HALF_OPEN, x),
+    "normal_cone_at": lambda x: normal_cone_at(HALF_OPEN, x),
+    "separation_certificate": lambda x: separation_certificate(HALF_OPEN, x),
+    "point_set": lambda x: point_set(1, [x]),
+    "graph": lambda x: graph(1, [(x, x)]),
+}
+
+
+@pytest.mark.parametrize("name", NOT_VECTORS)
+@pytest.mark.parametrize("x", [5, "1", {1: 0}], ids=repr)
+def test_api_refuses_a_vector_that_is_not_a_sequence(name, x):
+    with pytest.raises(InputError, match="a vector must be a sequence of rationals"):
+        NOT_VECTORS[name](x)
 
 
 def test_nullspace_orthogonal_to_rows():

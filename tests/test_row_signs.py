@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import phk
 from phk import fme, lp, polyhedra
 from phk.corpus import line_free_closed_sets, partially_open_sets
-from phk.errors import InputError
+from phk.errors import InputError, InvalidSetError
 from phk.fitzpatrick import normal_cone_fitzpatrick, normal_cone_fitzpatrick_by_faces
 from phk.normal_cones import (
     in_portable_hull,
@@ -81,16 +81,14 @@ def scaled_by_hand(c: PartiallyOpenPolyhedron, rng: random.Random) -> PartiallyO
     """The same set with every row multiplied by a positive fraction.
 
     The normals become fractional and non-primitive, so validation would
-    refuse the carrier as non-canonical; the set is marked valid by hand,
-    which it is in every respect but its written form.
+    refuse the carrier as non-canonical; the set is built around the check,
+    as valid in every respect but its written form.
     """
     rows = []
     for n, o in c.carrier.rows:
         t = F(rng.randint(1, 9), rng.randint(2, 11))
         rows.append((tuple(t * q for q in n), t * o))
-    hand = PartiallyOpenPolyhedron(ClosedPolyhedron(c.dim, tuple(rows)), c.strict_rows)
-    hand._record.validation = polyhedra.Validation(True, True)
-    return hand
+    return polyhedra._valid_set(ClosedPolyhedron(c.dim, tuple(rows)), c.strict_rows)
 
 
 def sample_points(c, idx: int):
@@ -135,21 +133,25 @@ def test_mixed_denominator_points(idx, data):
 
 
 def test_unvalidated_fractional_rows():
-    # 2/3 x + 4/3 y < 5/7 and -1/2 x <= 1/3 and -3/4 y <= 1/6: built by hand,
-    # never validated, reached by the two calls that do not validate.
-    rows = (
-        ((F(2, 3), F(4, 3)), F(5, 7)),
-        ((F(-1, 2), F(0)), F(1, 3)),
-        ((F(0), F(-3, 4)), F(1, 6)),
+    # 2/3 x + 4/3 y < 5/7 and -1/2 x <= 1/3 and -3/4 y <= 1/6: not
+    # canonical, so refused when built, and built around the check instead.
+    carrier = ClosedPolyhedron(
+        2,
+        (
+            ((F(2, 3), F(4, 3)), F(5, 7)),
+            ((F(-1, 2), F(0)), F(1, 3)),
+            ((F(0), F(-3, 4)), F(1, 6)),
+        ),
     )
-    c = PartiallyOpenPolyhedron(ClosedPolyhedron(2, rows), frozenset({0}))
+    with pytest.raises(InvalidSetError):
+        PartiallyOpenPolyhedron(carrier, frozenset({0}))
+    c = polyhedra._valid_set(carrier, frozenset({0}))
     grid = [F(a, d) for a in range(-4, 5) for d in (1, 2, 3, 5, 7)]
     points = [(a, b) for a in grid for b in grid]
     points += [(F(15, 14), F(0)), (F(0), F(15, 28)), (F(-2, 3), F(-2, 9))]
     for x in points:
         assert contains(c, x) == ref_contains(c, x), x
         assert strictly_inside(c, x) == ref_strictly_inside(c, x), x
-    assert c._record.validation is None
     assert contains(c, (F(-2, 3), F(-2, 9)))
     assert not contains(c, (F(15, 14), F(0)))  # on the strict row
 

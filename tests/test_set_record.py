@@ -1,6 +1,7 @@
-"""The per-set record: validation once, derived data on the set, no state per dual."""
+"""The per-set record: validation when built, derived data on the set, no state per dual."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -18,7 +19,7 @@ from phk.corpus import (
     random_polytopes,
     sum_instances,
 )
-from phk.errors import InvalidSetError
+from phk.errors import InputError, InvalidSetError
 from phk.fitzpatrick import normal_cone_fitzpatrick, normal_cone_fitzpatrick_by_faces
 from phk.lp import SupportLP
 from phk.normal_cones import set_member_witness, support_level, support_value
@@ -67,17 +68,10 @@ def fresh(c: PartiallyOpenPolyhedron) -> PartiallyOpenPolyhedron:
     return PartiallyOpenPolyhedron(c.carrier, c.strict_rows)
 
 
-def empty_carrier() -> PartiallyOpenPolyhedron:
-    # x >= 0 and x <= -1: no point at all.
-    rows = (((F(-1),), F(0)), ((F(1),), F(-1)))
-    return PartiallyOpenPolyhedron(ClosedPolyhedron(1, rows), frozenset())
-
-
 def test_constructed_sets_pass_validation():
     sets = corpus_sets() + fixture_sets() + [whole_set(n) for n in (1, 2, 3)]
     assert len(sets) > 60
     for c in sets:
-        assert c._record.validation is not None, c
         v = validate(c)
         assert v.nonempty and v.closure_is_carrier, c
 
@@ -117,8 +111,7 @@ def test_hull_sets_are_not_revalidated(monkeypatch, capsys):
     assert calls == []
 
 
-def test_hand_built_set_is_validated_once(monkeypatch):
-    c = closed_as_set(ClosedPolyhedron(1, (((F(-1),), F(0)), ((F(1),), F(1)))))
+def test_hand_built_set_is_validated_when_built(monkeypatch):
     calls = []
     real = polyhedra.validate
 
@@ -127,19 +120,59 @@ def test_hand_built_set_is_validated_once(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(polyhedra, "validate", counting)
+    c = closed_as_set(ClosedPolyhedron(1, (((F(-1),), F(0)), ((F(1),), F(1)))))
+    assert len(calls) == 1
     assert support_value(c, (F(1),)).value.finite_value == 1
     assert portable_hull(c) == c.carrier
     assert len(calls) == 1
 
 
-def test_invalid_hand_built_set_raises_on_every_use():
-    c = empty_carrier()
-    for _ in range(2):
-        with pytest.raises(InvalidSetError):
-            support_value(c, (F(1),))
-        with pytest.raises(InvalidSetError):
-            portable_hull(c)
-    assert c._record.validation == polyhedra.Validation(False, False)
+def carrier(dim, rows) -> ClosedPolyhedron:
+    return ClosedPolyhedron(dim, tuple((tuple(map(F, n)), F(o)) for n, o in rows))
+
+
+UNIT_SQUARE = [((-1, 0), 0), ((0, -1), 0), ((0, 1), 1), ((1, 0), 1)]
+
+# Each carrier and strict marking breaks one part of the contract.
+REFUSED = {
+    # x >= 0 and x <= -1: no point at all.
+    "empty carrier": (carrier(1, [((-1,), 0), ((1,), -1)]), frozenset()),
+    "unsorted rows": (carrier(2, UNIT_SQUARE[::-1]), frozenset()),
+    "non-primitive normal": (carrier(1, [((-1,), 0), ((2,), 2)]), frozenset()),
+    "redundant row": (carrier(2, sorted(UNIT_SQUARE + [((1, 1), 3)])), frozenset()),
+    "parallel pair": (carrier(1, [((-1,), 0), ((1,), 1), ((1,), 2)]), frozenset()),
+    # The point x = 0 with x < 0 strict.
+    "empty strict region": (carrier(1, [((-1,), 0), ((1,), 0)]), frozenset({1})),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_invalid_hand_built_set_raises_when_built(name):
+    rows, strict = REFUSED[name]
+    with pytest.raises(InvalidSetError):
+        PartiallyOpenPolyhedron(rows, strict)
+
+
+def test_out_of_range_strict_index_raises_when_built():
+    with pytest.raises(InputError, match="out of range"):
+        PartiallyOpenPolyhedron(carrier(1, [((-1,), 0), ((1,), 1)]), frozenset({2}))
+
+
+def test_replace_checks_the_new_value():
+    c = make_set(1, [((-1,), 0, True), ((1,), 1, False)])
+    support_value(c, (F(1),))
+    with pytest.raises(InvalidSetError):
+        dataclasses.replace(c, carrier=REFUSED["empty carrier"][0])
+    closed = dataclasses.replace(c, strict_rows=frozenset())
+    assert closed == make_set(1, [((-1,), 0, False), ((1,), 1, False)])
+    # The copy starts its own record.
+    assert closed._record is not c._record and closed._record.support_lp is None
+
+
+def test_the_readme_set_is_accepted():
+    rows = ClosedPolyhedron(1, (((F(-1),), F(0)), ((F(1),), F(1))))
+    half_open = PartiallyOpenPolyhedron(rows, frozenset({0}))
+    assert half_open == make_set(1, [((-1,), 0, True), ((1,), 1, False)])
 
 
 def test_record_is_not_part_of_the_value():
