@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .faces import enumerate_faces
-from .linalg import Vec, dot, vec
+from .linalg import Vec, _entries, dot, items, vec
 from .normal_cones import in_portable_hull, support_level
 from .polyhedra import EmptySet, PartiallyOpenPolyhedron
 from .scalars import ExtValue, NEG_INF, POS_INF, fin, sup_ext
@@ -30,7 +30,13 @@ def graph(dim: int, pairs) -> MonotoneGraph:
     """Build a graph with deduplicated, deterministically ordered pairs."""
     if dim < 1:
         raise InputError(f"dimension must be positive, got {dim}")
-    out = {(vec(a, dim), vec(astar, dim)) for a, astar in pairs}
+    out = set()
+    for k, pair in enumerate(items(pairs, "pairs")):
+        try:
+            a, astar = _entries(pair)
+        except (TypeError, ValueError):
+            raise InputError(f"pairs must hold (a, astar) pairs; pair {k} does not") from None
+        out.add((vec(a, dim), vec(astar, dim)))
     return MonotoneGraph(dim, tuple(sorted(out)))
 
 

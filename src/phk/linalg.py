@@ -6,6 +6,11 @@ form with leftmost-pivot selection, nullspace and rowspace bases, and
 primitive integer scaling used to canonicalize rays.  Every
 denominator in the package is cleared by ``scaled`` (integers over one common
 denominator), except in ``dot``, whose own loop is about twice as fast.
+
+The echelon form and the two bases run on integer rows from start to end,
+fraction-free as in Bareiss 1968: ``echelon`` eliminates by ``eliminate``,
+and ``spaces`` returns primitive integer tuples.  ``nullspace_basis`` is
+the nullspace in ``Fraction``s, made by ``unscaled``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,26 @@ def vec(xs: Iterable[RationalLike], dim: int | None = None) -> Vec:
     if dim is not None and len(out) != dim:
         raise InputError(f"vector has dimension {len(out)}, expected {dim}")
     return out
+
+
+def exact_entries(xs: Iterable[RationalLike], dim: int) -> list[int | Fraction]:
+    """``vec(xs, dim)``'s entries with each ``int`` kept as it is: the same
+    checks and messages, but no ``Fraction`` per integer entry, for a caller
+    that scales the vector to integers at once (``scaled`` reads both).  A
+    non-iterable raises ``TypeError`` for the caller to name."""
+    out = [x if type(x) is int else rat(x) for x in _entries(xs)]
+    if len(out) != dim:
+        raise InputError(f"vector has dimension {len(out)}, expected {dim}")
+    return out
+
+
+def items(xs: Iterable, name: str) -> Iterable:
+    """The items of the argument ``name``, a sequence of vectors or rows:
+    ``InputError`` naming it for a non-iterable, text or a mapping."""
+    try:
+        return _entries(xs)
+    except TypeError:
+        raise InputError(f"{name} must be a sequence, not {type(xs).__name__}") from None
 
 
 def _entries(xs: Iterable[RationalLike]) -> Iterable[RationalLike]:
@@ -100,6 +125,18 @@ def scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [q.numerator * (den // q.denominator) for q in v], den
 
 
+def unscaled(ints: Sequence[int], den: int = 1) -> Vec:
+    """The vector ``ints / den`` as ``Fraction``s: ``scaled`` undone."""
+    return tuple([Fraction(a, den) for a in ints])
+
+
+def lowest(ints: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The vector ``ints / den``, ``den`` positive, in lowest terms: its
+    integers and denominator divided by their gcd."""
+    g = gcd(den, *ints)
+    return (tuple(ints), den) if g == 1 else (tuple([a // g for a in ints]), den // g)
+
+
 def int_key(v: Sequence[Fraction]) -> tuple[tuple[int, int], ...]:
     """Each entry's ``(numerator, denominator)``: equal exactly for equal
     vectors, as a ``Fraction`` is kept in lowest terms, and several times
@@ -137,20 +174,18 @@ def eliminate(mat: list[list[int]], r: int, c: int) -> list[list[int]]:
     return out
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column indices).
-
-    Gauss-Jordan by ``eliminate`` on integer rows kept divided by their gcd
-    (fraction-free, as in Bareiss 1968); pivot rows become ``Fraction``s only
-    on return.
-    """
-    mat = integer_rows(rows)
+def echelon(mat: Sequence[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of integer rows, fraction-free as in Bareiss
+    1968: Gauss-Jordan by ``eliminate``, leftmost pivot first.  Returns the
+    nonzero rows and their pivot columns.  Each row is zero in every other
+    row's pivot column, and its own pivot entry is nonzero, of either sign;
+    divided by it, the rows are the ``Fraction`` reduced form."""
+    mat = list(mat)
     if not mat:
         return [], []
-    ncols = len(mat[0])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0])):
         pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
@@ -160,33 +195,35 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         r += 1
         if r == len(mat):
             break
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(mat, pivots)], pivots
+    return mat[:r], pivots
 
 
-def spaces(rows: Sequence[Sequence[Fraction]], n: int) -> tuple[list[Vec], list[Vec]]:
-    """Bases of the nullspace {x in Q^n : rows @ x = 0} and of the row
-    space, both read off one ``rref``, deterministic and primitive."""
-    reduced, pivots = rref(rows) if rows else ([], [])
-    free_cols = [c for c in range(n) if c not in pivots]
-    null: list[Vec] = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        null.append(primitive_signed(tuple(v)))
-    return null, [primitive_signed(tuple(r)) for r in reduced]
+def spaces(mat: Sequence[list[int]], n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Bases of the nullspace {x in Q^n : mat @ x = 0} and of the row space
+    of integer rows, both read off one ``echelon``: deterministic, each
+    vector ``primitive_signed``.  The nullspace vector of a free column
+    ``f`` is 1 there, 0 in the other free columns, and ``-row[f] /
+    row[pivot]`` in each pivot column, scaled to integers by the least
+    common multiple of the pivot entries it divides by."""
+    reduced, pivots = echelon(mat)
+    pivot_set = set(pivots)
+    null = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        used = [(row, c) for row, c in zip(reduced, pivots) if row[f]]
+        t = lcm(*[row[c] for row, c in used])
+        v = [0] * n
+        v[f] = t
+        for row, c in used:
+            v[c] = -row[f] * (t // row[c])
+        null.append(primitive_signed(v))
+    return null, [primitive_signed(row) for row in reduced]
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[Vec]:
-    """Basis of {x in Q^n : rows @ x = 0}: ``spaces``' first part."""
-    return spaces(rows, n)[0]
-
-
-def rowspace_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Basis of the row space: ``spaces``' second part (n = 0 asks for no
-    nullspace)."""
-    return spaces(rows, 0)[1]
+    """Basis of {x in Q^n : rows @ x = 0} in ``Fraction``s: ``spaces``' first part."""
+    return [unscaled(v) for v in spaces(integer_rows(rows), n)[0]]
 
 
 def primitive(v: Vec) -> Vec:
@@ -205,14 +242,11 @@ def primitive_row(normal: Sequence[Fraction], offset: Fraction) -> tuple[tuple[i
     return tuple([x // g for x in ints]), Fraction(offset.numerator * den, offset.denominator * g)
 
 
-def primitive_signed(v: Vec) -> Vec:
-    """Like :func:`primitive` but flips so the first nonzero entry is positive.
-
-    Used for lineality directions and nullspace bases, where a vector and its
-    negation describe the same line.
-    """
-    p = primitive(v)
-    for x in p:
-        if x != 0:
-            return p if x > 0 else vneg(p)
-    return p
+def primitive_signed(ints: Sequence[int]) -> tuple[int, ...]:
+    """Integers divided by their gcd, and negated unless the first nonzero
+    entry is positive: one vector per line through 0.  Used for lineality
+    directions and nullspace bases, where a vector and its negation describe
+    the same line.  A zero vector stays zeros."""
+    ints = _divided(list(ints))
+    first = next((x for x in ints if x), 0)
+    return tuple(ints) if first >= 0 else tuple([-x for x in ints])

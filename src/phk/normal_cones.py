@@ -18,7 +18,7 @@ costs one margin LP, ``_on_row``'s program, solved where it is read.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .linalg import Vec, dot, vec
@@ -54,12 +54,19 @@ def support_level(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> ExtValue:
     x = vec(xstar, c.dim)
     if isinstance(c, EmptySet):
         return NEG_INF
+    top = support_top(c, x)
+    return POS_INF if top is None else fin(top)
+
+
+def support_top(c: PartiallyOpenPolyhedron, xstar: Sequence) -> Fraction | None:
+    """``support_level`` of a valid set without the ``ExtValue``: the
+    ``Fraction`` sup, or None for +inf.  ``xstar`` has the set's dimension,
+    its entries ``Fraction``s or ``int``s, read as they are."""
     record = c._record
     if record.support_lp is None:
-        # A valid set is nonempty, so a None below is +inf.
+        # A valid set is nonempty, so a None from it is +inf.
         record.support_lp = SupportLP(c.carrier.rows, c.dim)
-    top = record.support_lp.maximum(x)
-    return POS_INF if top is None else fin(top)
+    return record.support_lp.maximum(xstar)
 
 
 def support_value(c: PartiallyOpenPolyhedron | EmptySet, xstar) -> SupportEvaluation:

@@ -37,6 +37,16 @@ is checked against every row by the sign of one integer entry.  A walk over
 more than ``CONVERSION_SUBSET_CAP`` row subsets, counted as C(m, size)
 before any step, is refused before it starts.
 
+The conversion stays on integers from the rows to the end: the lineality
+and row-space bases come from ``linalg.spaces`` as primitive integer
+tuples, the rows are projected onto the row space and the walks' results
+lifted back by integer sums (a full-dimensional polyhedron needs neither),
+and the result is an ``IntVRep``: vertices over one least common
+denominator, rays and lines primitive.  A set's record keeps that form,
+which the samplers read as it is.  ``h_to_v``, ``carrier_vrep``,
+``cone_generators`` and ``lineality_space`` return ``Fraction``s, made at
+that edge on each call.
+
 Membership runs on integers: ``row_signs`` clears a point of its
 denominators once by ``linalg.scaled`` and hands it to the kernel
 ``_signs``, which compares integers over one denominator with the carrier
@@ -51,23 +61,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InvalidSetError, ScaleLimitError
 from .linalg import (
     Vec,
-    _entries,
+    _divided,
     dot,
     eliminate,
+    exact_entries,
     integer_rows,
     is_zero_vec,
+    items,
+    lowest,
     nullspace_basis,
-    primitive,
     primitive_row,
     scaled,
     spaces,
+    unscaled,
     vec,
     vneg,
     zero_vec,
@@ -107,7 +120,10 @@ class SetRecord:
     tableau, so a later dual re-solves from it by dual simplex) and
     ``integer_rows`` (the carrier rows scaled to integers, one flat row
     ``(*normal, offset)`` each, read by ``_signs``).  Face route: ``vrep``
-    and ``faces``.  Nothing is kept per dual, nor per supporting row.
+    (the carrier's ``IntVRep``, its generators on integers, which the
+    samplers read as they are and ``carrier_vrep`` turns into ``Fraction``s
+    on each call) and ``faces``.  Nothing is kept per dual, nor per
+    supporting row.
     """
 
     __slots__ = (
@@ -121,7 +137,7 @@ class SetRecord:
 
     def __init__(self) -> None:
         self.member: Vec | None = None
-        self.vrep: VRep | None = None
+        self.vrep: IntVRep | None = None
         self.faces: tuple | None = None
         self.support_lp: SupportLP | None = None
         self.integer_rows: tuple[list[int], ...] | None = None
@@ -134,10 +150,12 @@ class PartiallyOpenPolyhedron:
     Built, or copied by ``dataclasses.replace``, it raises
     ``InvalidSetError`` unless ``validate`` finds it nonempty with the
     carrier as its closure (``InputError`` for a strict index past the
-    rows), under ``python -O`` too.  ``_record`` holds what has been
-    computed about it: a member point, the carrier's V-rep, the faces, the
-    support LP and the carrier rows scaled to integers.  It is no init
-    argument, so a copy starts afresh.  It takes no part in
+    rows, and for strict rows that are not a ``frozenset`` of ``int``s,
+    which would leave the set unhashable or open to change after its
+    check), under ``python -O`` too.  ``_record`` holds what has been
+    computed about it: a member point, the carrier's integer V-rep, the
+    faces, the support LP and the carrier rows scaled to integers.  It is
+    no init argument, so a copy starts afresh.  It takes no part in
     ``==``, ``hash`` or ``repr``, and is freed with the set.  The two routes
     to the coupling value stay independent by reading disjoint fields: the
     face route (``enumerate_faces`` and its callers) reads only ``vrep`` and
@@ -153,6 +171,9 @@ class PartiallyOpenPolyhedron:
     )
 
     def __post_init__(self) -> None:
+        strict = self.strict_rows
+        if type(strict) is not frozenset or any(type(i) is not int for i in strict):
+            raise InputError("strict rows must be a frozenset of row indices")
         v = validate(self)
         if not (v.nonempty and v.closure_is_carrier):
             raise InvalidSetError("a set must be nonempty, with its canonical carrier as its closure")
@@ -166,6 +187,17 @@ class VRep(NamedTuple):
     vertices: tuple[Vec, ...]
     rays: tuple[Vec, ...]
     lineality: tuple[Vec, ...]
+
+
+class IntVRep(NamedTuple):
+    """A ``VRep`` on integers: the vertices over one common denominator
+    ``den``, the least positive one, in ``VRep``'s sorted order; the rays
+    and the lineality basis as primitive integer tuples."""
+
+    vertices: tuple[tuple[int, ...], ...]
+    den: int
+    rays: tuple[tuple[int, ...], ...]
+    lineality: tuple[tuple[int, ...], ...]
 
 
 class GeneratedCone(NamedTuple):
@@ -247,11 +279,11 @@ def _screen_rows(
     shape = "(normal, offset, strict)" if marked else "(normal, offset)"
     closed: list[IntRow] = []
     strict_rows: set[IntRow] = set()
-    for k, raw in enumerate(rows):
+    for k, raw in enumerate(items(rows, "rows")):
         try:
             if len(raw) != width:
                 raise InputError(f"row {k} must be {shape}; its length is {len(raw)}")
-            normal = vec(_entries(raw[0]), dim)
+            normal = exact_entries(raw[0], dim)
         except TypeError:
             # A row, or its normal, that is not a sequence.
             raise InputError(f"row {k} must be {shape}, its normal a sequence of rationals") from None
@@ -504,40 +536,63 @@ def _check_walk(rows: int, size: int) -> None:
 
 def cone_generators(m_rows: Sequence[Vec], k: int) -> tuple[list[Vec], list[Vec]]:
     """Lineality basis and extreme rays of the cone {y : M y <= 0}."""
-    lin, w = spaces(m_rows, k)
-    return lin, _rays([tuple(dot(row, wj) for wj in w) for row in m_rows], w)
+    mat = integer_rows(m_rows)
+    lin, w = spaces(mat, k)
+    rays = _cone_rays(_project(mat, w) if lin and w else mat, lin, w)
+    return [unscaled(v) for v in lin], [unscaled(r) for r in rays]
 
 
-def _rays(reduced: Sequence[Vec], w: list[Vec]) -> list[Vec]:
-    """Extreme rays of the cone {y : M y <= 0}, sorted, given a basis ``w``
-    of M's row space and M's rows projected onto it (``row . wj`` per basis
-    vector).  The projected cone is pointed, so its rays are walked there
-    and mapped back by ``_combine``; without lineality ``w`` is the unit
-    basis, and the projected rows are M's own."""
+def _project(mat: list[list[int]], w: list[tuple[int, ...]]) -> list[list[int]]:
+    """Integer rows, each ``(*normal, *rest)``, with the normal replaced by
+    its products with the basis ``w`` (``normal . wj`` per basis vector)."""
+    n = len(w[0])
+    return [[*[sum(map(mul, row, wj)) for wj in w], *row[n:]] for row in mat]
+
+
+def _lift(w: list[tuple[int, ...]], coeffs: Sequence[int]) -> list[int]:
+    """``sum(coeffs[j] * w[j])``, on integers."""
+    return [sum(map(mul, coeffs, column)) for column in zip(*w)]
+
+
+def _cone_rays(mat: list[list[int]], lin: list, w: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Extreme rays of a cone {y : M y <= 0}, sorted, as primitive integer
+    tuples, given M's ``spaces`` ``lin`` and ``w`` and its integer rows
+    projected onto ``w`` (``_project``).  The projected cone is pointed, so
+    its rays are walked there and lifted back; without lineality ``w`` is
+    the unit basis, and the projected rows are M's own."""
     k = len(w)
     if k == 0:
         return []
-    rays: set[Vec] = set()
-    _check_walk(len(reduced), k - 1)
-    for mat, chosen in _independent_rows(integer_rows(reduced), k, k - 1):
+    rays = _rays([row[:k] for row in mat], k)
+    if lin:
+        rays = {tuple(_divided(_lift(w, r))) for r in rays}
+    return sorted(rays)
+
+
+def _rays(mat: list[list[int]], k: int) -> set[tuple[int, ...]]:
+    """Extreme rays of the pointed cone {y in Q^k : M y <= 0}, as primitive
+    integer tuples, given M's rows on integers."""
+    rays: set[tuple[int, ...]] = set()
+    _check_walk(len(mat), k - 1)
+    for rows, chosen in _independent_rows(mat, k, k - 1):
         # The chosen rows leave one column free, and their nullspace is the
         # line of d with d[free] = 1: any other row's product with d has the
         # sign of its entry in that column.
         pivots = {j for _, j in chosen}
         free = next(j for j in range(k) if j not in pivots)
-        signs = {(v > 0) - (v < 0) for v in _entries_after(mat, chosen, free)}
+        signs = {(v > 0) - (v < 0) for v in _entries_after(rows, chosen, free)}
         if 1 in signs and -1 in signs:
             continue
-        d = [Fraction(0)] * k
-        d[free] = Fraction(1)
-        for row, (_, j) in zip(_chosen_reduced(mat, chosen), chosen):
-            d[j] = Fraction(-row[free], row[j])
-        ray = primitive(_combine(w, d))
+        # That d, times t > 0: d[j] = -row[free] / row[j] per chosen row.
+        x, t = _solved(rows, chosen, free, k)
+        d = [-a for a in x]
+        d[free] = t
+        ray = tuple(_divided(d))
         if 1 not in signs:
             rays.add(ray)
         if -1 not in signs:
-            rays.add(vneg(ray))
-    return sorted(rays)
+            rays.add(tuple([-x for x in ray]))
+    return rays
 
 
 def _independent_rows(mat: list[list[int]], width: int, size: int):
@@ -552,7 +607,7 @@ def _independent_rows(mat: list[list[int]], width: int, size: int):
     no such entry it depends on them, and every superset that adds it is
     skipped.  The last row of a set is not eliminated from the whole
     matrix: the callers read one entry of each other row
-    (``_entries_after``) and the chosen rows (``_chosen_reduced``).
+    (``_entries_after``) and solve the chosen rows (``_solved``).
     """
 
     def extend(mat: list[list[int]], chosen: list[tuple[int, int]], start: int):
@@ -589,48 +644,68 @@ def _entries_after(mat: list[list[int]], chosen: list[tuple[int, int]], col: int
     )
 
 
-def _chosen_reduced(mat: list[list[int]], chosen: list[tuple[int, int]]) -> list[list[int]]:
-    """The chosen rows in reduced echelon form, in ``chosen`` order."""
+def _solved(mat: list[list[int]], chosen: list[tuple[int, int]], col: int, k: int) -> tuple[list[int], int]:
+    """``x[j] = row[col] / row[j]`` for each chosen row in reduced echelon
+    form and its pivot column ``j``, and 0 in the other of ``k`` entries:
+    ``x`` as integers over the least common multiple of the pivots."""
     rows = [mat[i] for i, _ in chosen]
-    return eliminate(rows, len(rows) - 1, chosen[-1][1]) if rows else rows
+    reduced = eliminate(rows, len(rows) - 1, chosen[-1][1]) if rows else rows
+    den = lcm(*[row[j] for row, (_, j) in zip(reduced, chosen)])
+    x = [0] * k
+    for row, (_, j) in zip(reduced, chosen):
+        x[j] = row[col] * (den // row[j])
+    return x, den
 
 
-def _combine(basis: Sequence[Vec], coeffs: Vec) -> Vec:
-    """``sum(c * b)`` over the basis, one ``dot`` per coordinate."""
-    return tuple(dot(coeffs, column) for column in zip(*basis))
-
-
-def _pointed_vertices(normals: Sequence[Vec], offsets: Sequence[Fraction], k: int) -> list[Vec]:
-    verts: set[Vec] = set()
-    _check_walk(len(normals), k)
-    rows = integer_rows([(*normal, offset) for normal, offset in zip(normals, offsets)])
-    for mat, chosen in _independent_rows(rows, k, k):
+def _pointed_vertices(mat: list[list[int]], k: int) -> set[tuple[tuple[int, ...], int]]:
+    """Vertices of the pointed polyhedron {y in Q^k : normal . y <= offset},
+    given its rows ``(*normal, offset)`` on integers, each vertex as
+    ``lowest`` integers over a positive denominator."""
+    verts = set()
+    _check_walk(len(mat), k)
+    for rows, chosen in _independent_rows(mat, k, k):
         # Every other row ends as (0, ..., 0, t (b - a . x)) with t > 0.
-        if all(v >= 0 for v in _entries_after(mat, chosen, k)):
-            x = [Fraction(0)] * k
-            for row, (_, j) in zip(_chosen_reduced(mat, chosen), chosen):
-                x[j] = Fraction(row[-1], row[j])
-            verts.add(tuple(x))
-    return sorted(verts)
+        if all(v >= 0 for v in _entries_after(rows, chosen, k)):
+            verts.add(lowest(*_solved(rows, chosen, k, k)))
+    return verts
 
 
-def _generators(p: ClosedPolyhedron) -> VRep:
-    normals = [normal for normal, _ in p.rows]
-    offsets = [offset for _, offset in p.rows]
-    lin, w = spaces(normals, p.dim)
+def _generators(p: ClosedPolyhedron) -> IntVRep:
+    """Generators of a nonempty closed polyhedron, on integers from its rows
+    to the end.  Both walks run on the rows projected onto the row space of
+    the normals, where the polyhedron is pointed, and their results are
+    lifted back; a full-dimensional one needs neither, as its basis ``w`` is
+    the unit basis.  The whole space has the origin as its vertex and the
+    unit vectors, in order, as its lineality."""
+    mat = integer_rows([(*normal, offset) for normal, offset in p.rows])
+    lin, w = spaces([row[:-1] for row in mat], p.dim)
     if not w:
-        return VRep((zero_vec(p.dim),), (), tuple(lin))
+        return IntVRep(((0,) * p.dim,), 1, (), tuple(lin))
+    if lin:
+        mat = _project(mat, w)
     # Vertices first, so an over-budget conversion names the vertex walk.
-    reduced = [tuple(dot(nr, wj) for wj in w) for nr in normals]
-    verts = sorted(_combine(w, v) for v in _pointed_vertices(reduced, offsets, len(w)))
-    return VRep(tuple(verts), tuple(_rays(reduced, w)), tuple(sorted(lin)))
+    verts = _pointed_vertices(mat, len(w))
+    if lin:
+        verts = {lowest(_lift(w, y), den) for y, den in verts}
+    den = lcm(*[d for _, d in verts])
+    vertices = sorted(ints if d == den else tuple([a * (den // d) for a in ints]) for ints, d in verts)
+    return IntVRep(tuple(vertices), den, tuple(_cone_rays(mat, lin, w)), tuple(sorted(lin)))
+
+
+def _fraction_vrep(g: IntVRep) -> VRep:
+    """The ``VRep`` of integer generators: ``Fraction``s at the API edge."""
+    return VRep(
+        tuple([unscaled(v, g.den) for v in g.vertices]),
+        tuple(map(unscaled, g.rays)),
+        tuple(map(unscaled, g.lineality)),
+    )
 
 
 def h_to_v(p: ClosedPolyhedron | EmptySet) -> VRep:
     """Vertices, extreme rays, and lineality of a closed polyhedron."""
     if isinstance(p, EmptySet) or _nonempty_support(p.rows, p.dim) is None:
         return VRep((), (), ())
-    return _generators(p)
+    return _fraction_vrep(_generators(p))
 
 
 def v_to_h(v: VRep, dim: int | None = None) -> ClosedPolyhedron | EmptySet:
@@ -653,13 +728,19 @@ def v_to_h(v: VRep, dim: int | None = None) -> ClosedPolyhedron | EmptySet:
     return canonicalize(n, out_rows)
 
 
-def carrier_vrep(c: PartiallyOpenPolyhedron) -> VRep:
-    """Generators of the set's carrier, converted once per set."""
+def carrier_generators(c: PartiallyOpenPolyhedron) -> IntVRep:
+    """Integer generators of the set's carrier, converted once per set."""
     record = c._record
     if record.vrep is None:
         # A set is nonempty: no emptiness LP.
         record.vrep = _generators(c.carrier)
     return record.vrep
+
+
+def carrier_vrep(c: PartiallyOpenPolyhedron) -> VRep:
+    """Generators of the set's carrier in ``Fraction``s, made on each call
+    from ``carrier_generators``."""
+    return _fraction_vrep(carrier_generators(c))
 
 
 def is_bounded(p: ClosedPolyhedron) -> bool:
@@ -672,7 +753,7 @@ def is_bounded(p: ClosedPolyhedron) -> bool:
 
 def cone(dim: int, generators: Iterable[Sequence]) -> GeneratedCone:
     gens = []
-    for g in generators:
+    for g in items(generators, "generators"):
         gv = vec(g, dim)
         if not is_zero_vec(gv):
             gens.append(gv)

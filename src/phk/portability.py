@@ -14,12 +14,13 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .faces import enumerate_faces
-from .linalg import Vec, dot, scaled, vec
+from .linalg import Vec, dot, items, scaled, unscaled, vec
 from .lp import SupportLP, strict_system_feasible
 from .normal_cones import (
     in_normal_cone,
     normal_cone_at,
     support_level,
+    support_top,
     support_value,
     supporting_rows,
     _active_normals,
@@ -46,7 +47,6 @@ from .sampling import (
     _cloud_from,
     _duals_at,
     _filtered_points_in,
-    _point,
     boundary_points,
     dual_vectors,
 )
@@ -60,7 +60,7 @@ class FinitePointSet(NamedTuple):
 def point_set(dim: int, points) -> FinitePointSet:
     if dim < 1:
         raise InputError(f"dimension must be positive, got {dim}")
-    return FinitePointSet(dim, tuple(sorted({vec(p, dim) for p in points})))
+    return FinitePointSet(dim, tuple(sorted({vec(p, dim) for p in items(points, "points")})))
 
 
 class SeparationCertificate(NamedTuple):
@@ -237,7 +237,7 @@ def portability_report(
     x* = 0.  Each distinct point is placed once, in the set; its signs on
     the supporting rows place it in the hull.  The witness is placed only
     when no sample has its integers and denominator.  Each distinct dual
-    paired with a point of the hull is looked up once, by ``support_level``,
+    paired with a point of the hull is looked up once, by ``support_top``,
     for this call only.  The coupling is sigma(x*) on the hull and +inf off
     it; sigma + iota_C is sigma(x*) on the set and +inf off it.  The pair
     is related when the coupling is at most <x, x*>, and in the graph when
@@ -300,7 +300,7 @@ def portability_report(
         hull=hull,
         related_pairs_checked=related,
         identity_pairs_checked=sum(len(duals) for _, duals in groups),
-        failure_pair=failure and (_point(*failure[:2]), _point(failure[2])),
+        failure_pair=failure and (unscaled(*failure[:2]), unscaled(failure[2])),
     )
 
 
@@ -335,15 +335,12 @@ def _level(
     c: PartiallyOpenPolyhedron, levels: dict, dual: tuple[int, ...]
 ) -> tuple[int, int] | None:
     """sigma(x*) on the set, for the integer dual x*, as integers ``(num,
-    den)``, or None for +inf; ``support_level`` is asked once per dual and
-    ``levels`` map, which is keyed by the dual."""
+    den)``, or None for +inf; ``support_top`` is asked once per dual and
+    ``levels`` map, which is keyed by the dual.  The set's ``SupportLP``
+    reads the integers as they are."""
     if dual not in levels:
-        sigma = support_level(c, dual)
-        if sigma.is_finite:
-            (num,), den = scaled((sigma.finite_value,))
-            levels[dual] = num, den
-        else:
-            levels[dual] = None
+        top = support_top(c, dual)
+        levels[dual] = None if top is None else top.as_integer_ratio()
     return levels[dual]
 
 
@@ -392,7 +389,7 @@ def hull_extension_report(
         "graphExtendedOnSamples": extended,
         "conesChecked": len(inside),
         "pairsChecked": sum(len(ds) for ds in duals),
-        "witness": witness and _point(*witness),
+        "witness": witness and unscaled(*witness),
         "ok": idempotent and portable and contains_set and preserved and extended,
     }
 
@@ -451,7 +448,7 @@ def partial_hull_report(
         samples = [(got, row_signs(c, got))] if got is not None else []
         for ints, den, sg in _filtered_points_in(c, spec):
             if signs_inside(s, _signs(s, ints, den)):
-                samples.append((_point(ints, den), sg))
+                samples.append((unscaled(ints, den), sg))
     trace_equal = trace_witness is None
 
     cones_agree = True

@@ -6,35 +6,36 @@ test suite reproducible.  Samples are exact rationals built from the
 vertex/ray description of the carrier where that is available.
 
 The samplers behind ``points_in``, ``cloud_points`` and ``graph_pairs`` run
-on integers, fraction-free as in Bareiss 1968: the witness and the
-carrier's generators are scaled once to integers over one denominator,
-each point and dual is built by integer arithmetic, and each point is
-placed by ``polyhedra._signs`` on the integers it already has.  They hand
-out one record per point, its integers and denominator in lowest terms
-with its row signs, and each dual as its tuple of integers; ``_point``
-alone makes ``Fraction``s of either.  They drop repeated points by the
-integers and denominator; the other samplers by ``linalg.int_key``.  A
-point's graph duals are kept with the point, which is distinct, so a pair
-needs no key of its own.
+on integers, fraction-free as in Bareiss 1968: they read the carrier's
+generators as the set's record keeps them, on integers
+(``polyhedra.IntVRep``), and put the witness and the vertices over one
+denominator by one ``lcm``.  Each point and dual is built by integer
+arithmetic, and each point is placed by ``polyhedra._signs`` on the
+integers it already has.  They hand out one record per point, its integers
+and denominator in lowest terms with its row signs, and each dual as its
+tuple of integers; ``linalg.unscaled`` alone makes ``Fraction``s of either.
+They drop repeated points by the integers and denominator; the other
+samplers by ``linalg.int_key``.  A point's graph duals are kept with the
+point, which is distinct, so a pair needs no key of its own.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import lcm
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import ScaleLimitError
 from .faces import FACE_DIM_CAP, enumerate_faces
-from .linalg import Vec, int_key, scaled, unit_vec, vadd, smul, zero_vec
+from .linalg import Vec, int_key, lowest, scaled, smul, unit_vec, unscaled, vadd, zero_vec
 from .normal_cones import set_member_witness, supporting_row_witnesses
 from .polyhedra import (
+    IntVRep,
     PartiallyOpenPolyhedron,
-    VRep,
     _signs,
-    carrier_vrep,
+    carrier_generators,
     contains,
     signs_inside,
 )
@@ -70,17 +71,18 @@ def _dedupe(points: list) -> list:
     return out
 
 
-def _carrier_geometry(c: PartiallyOpenPolyhedron) -> VRep:
+def _carrier_geometry(c: PartiallyOpenPolyhedron) -> IntVRep:
+    """The carrier's integer generators, or none past the conversion cap."""
     try:
-        return carrier_vrep(c)
+        return carrier_generators(c)
     except ScaleLimitError:
-        return VRep((), (), ())
+        return IntVRep((), 1, (), ())
 
 
 def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Deterministic points of the set: a witness, surviving vertices and
     midpoints, then seeded convex combinations (plus recession pokes)."""
-    return [_point(ints, den) for ints, den, _ in _filtered_points_in(c, spec)]
+    return [unscaled(ints, den) for ints, den, _ in _filtered_points_in(c, spec)]
 
 
 # A sampled point and how it was placed, ``(ints, den, signs)``: the point
@@ -89,48 +91,36 @@ def points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
 _Placed = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
-def _point(ints: tuple[int, ...], den: int = 1) -> Vec:
-    """The sampled point or dual ``ints / den`` as ``Fraction``s."""
-    return tuple([Fraction(a, den) for a in ints])
-
-
-def _lowest(ints: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    g = gcd(den, *ints)
-    return (tuple(ints), den) if g == 1 else (tuple([a // g for a in ints]), den // g)
-
-
 def _add(c: PartiallyOpenPolyhedron, out: list, seen: set, ints: list[int], den: int) -> None:
     """Append the point ``ints / den``, placed, unless ``seen`` holds it."""
-    key = _lowest(ints, den)
+    key = lowest(ints, den)
     if key not in seen:
         seen.add(key)
         ints, den = key
         out.append((ints, den, _signs(c, ints, den)))
 
 
-def _integers(c: PartiallyOpenPolyhedron, *vectors: Vec) -> tuple[list[list[int]], int]:
-    """The vectors as integers over one common denominator."""
-    flat, den = scaled([q for v in vectors for q in v])
-    return [flat[i : i + c.dim] for i in range(0, len(flat), c.dim)], den
+def _over(ints: Sequence[int], den: int, common: int) -> list[int]:
+    """The integers of ``ints / den`` over ``common``, a multiple of ``den``."""
+    return list(ints) if den == common else [a * (common // den) for a in ints]
 
 
 def _filtered_points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[_Placed]:
     """``points_in``'s points, each as its ``_Placed`` record.
 
-    The witness, the vertices, rays and lines are scaled to integers over
-    one denominator d, so a midpoint is (a + b) / 2d and a combination
-    sum(w * f) / (2d * total) over the kept features f, each over 2d.  Each
-    candidate is placed once by ``_signs`` on those integers.
+    The witness and the vertices are put over one denominator d, the lcm
+    of the witness's and of the carrier's ``IntVRep``, whose rays and lines
+    are integers already.  So a midpoint is (a + b) / 2d, a combination
+    sum(w * f) / (2d * total) over the kept features f, each over 2d, and
+    a ray or line poke (w + t r) / d with t r over d.  Each candidate is
+    placed once by ``_signs`` on those integers.
     """
     rng = _rng(spec, "in")
-    inner = set_member_witness(c)
+    w, wd = scaled(set_member_witness(c))
     geo = _carrier_geometry(c)
-    ints, d = _integers(c, inner, *geo.vertices, *geo.rays, *geo.lineality)
-    it = iter(ints)
-    w = next(it)
-    verts = [next(it) for _ in geo.vertices]
-    rays = [next(it) for _ in geo.rays]
-    lines = list(it)
+    d = lcm(wd, geo.den)
+    w = _over(w, wd, d)
+    verts = [_over(v, geo.den, d) for v in geo.vertices]
     # The witness leads the list and is in the set; each distinct vertex
     # and midpoint is placed once and kept if it is in the set too.
     candidates = [[2 * a for a in f] for f in (w, *verts)]
@@ -145,7 +135,7 @@ def _filtered_points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[_P
         sg = _signs(c, f, 2 * d)
         if i == 0 or signs_inside(c, sg):
             base.append(f)
-            out.append((*_lowest(f, 2 * d), sg))
+            out.append((*lowest(f, 2 * d), sg))
     seen = {(ints, den) for ints, den, _ in out}
     for _ in range(spec.count):
         weights = [rng.randint(0, 4) for _ in base]
@@ -154,19 +144,19 @@ def _filtered_points_in(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[_P
             continue
         point = [sum(k * f[j] for k, f in zip(weights, base)) for j in range(c.dim)]
         _add(c, out, seen, point, 2 * d * total)
-    for r in rays:
+    for r in geo.rays:
         a, b = rng.randint(1, 3), rng.choice((1, 2))
-        _add(c, out, seen, [b * p + a * q for p, q in zip(w, r)], b * d)
-    for l in lines:
-        _add(c, out, seen, [p + q for p, q in zip(w, l)], d)
-        _add(c, out, seen, [p - q for p, q in zip(w, l)], d)
+        _add(c, out, seen, [b * p + a * d * q for p, q in zip(w, r)], b * d)
+    for l in geo.lineality:
+        _add(c, out, seen, [p + d * q for p, q in zip(w, l)], d)
+        _add(c, out, seen, [p - d * q for p, q in zip(w, l)], d)
     return out
 
 
 def cloud_points(c: PartiallyOpenPolyhedron, spec: SampleSpec) -> list[Vec]:
     """Points in and around the set, membership not guaranteed."""
     cloud = _cloud_from(c, spec, _filtered_points_in(c, spec))
-    return [_point(ints, den) for ints, den, _ in cloud]
+    return [unscaled(ints, den) for ints, den, _ in cloud]
 
 
 def _cloud_from(
@@ -180,7 +170,10 @@ def _cloud_from(
     geo = _carrier_geometry(c)
     out = list(inside)
     seen = {(ints, den) for ints, den, _ in inside}
-    (w, *verts), d = _integers(c, _point(*inside[0][:2]), *geo.vertices)
+    w, wd, _ = inside[0]
+    d = lcm(wd, geo.den)
+    w = _over(w, wd, d)
+    verts = [_over(v, geo.den, d) for v in geo.vertices]
     for v in verts:
         _add(c, out, seen, [2 * a - b for a, b in zip(v, w)], d)
         for j in range(c.dim):
@@ -218,7 +211,7 @@ def graph_pairs(
     """Pairs (x, x*) with x in the set and x* in the cone of active normals."""
     inside = _filtered_points_in(c, spec)
     duals = _duals_at(c, spec, [sg for _, _, sg in inside])
-    return [(_point(x, den), _point(d)) for (x, den, _), ds in zip(inside, duals) for d in ds]
+    return [(unscaled(x, den), unscaled(d)) for (x, den, _), ds in zip(inside, duals) for d in ds]
 
 
 def _duals_at(
@@ -293,7 +286,8 @@ def rational_grid(lo: Vec, hi: Vec, step: Fraction) -> list[Vec]:
 
 def bounding_box(c: PartiallyOpenPolyhedron) -> tuple[Vec, Vec]:
     """The smallest box around the carrier's vertices (rays ignored)."""
-    vs = _carrier_geometry(c).vertices or (zero_vec(c.dim),)
-    lo = tuple(min(v[j] for v in vs) for j in range(c.dim))
-    hi = tuple(max(v[j] for v in vs) for j in range(c.dim))
+    geo = _carrier_geometry(c)
+    vs = geo.vertices or ((0,) * c.dim,)
+    lo = tuple(Fraction(min(v[j] for v in vs), geo.den) for j in range(c.dim))
+    hi = tuple(Fraction(max(v[j] for v in vs), geo.den) for j in range(c.dim))
     return lo, hi

@@ -154,7 +154,6 @@ UNREAD_IN_SRC = {
     "monotonically_related": "the paper's monotone relation, from which the reference report is rebuilt",
     "points_in": "the sampled points of the set, which the sampling and reference tests check the samplers by",
     "rep_sum_value": "public sum value with its certificate, documented in README",
-    "rowspace_basis": "the row-space half of ``spaces``, read by the tests' reference generator walk",
     "strictly_inside": "public interior test, documented in README",
     "vsub": "the counterpart of ``vadd``, read by the reference tests",
 }

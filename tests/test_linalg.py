@@ -11,16 +11,18 @@ from phk.errors import InputError
 from phk.fitzpatrick import graph
 from phk.linalg import (
     dot,
+    echelon,
+    integer_rows,
     nullspace_basis,
     primitive,
     primitive_signed,
-    rowspace_basis,
-    rref,
     scaled,
+    spaces,
+    unscaled,
     vec,
 )
 from phk.normal_cones import normal_cone_at, support_value
-from phk.polyhedra import contains, make_set
+from phk.polyhedra import cone, contains, make_set
 from phk.portability import point_set, separation_certificate
 
 
@@ -66,6 +68,23 @@ def test_api_refuses_a_vector_that_is_not_a_sequence(name, x):
         NOT_VECTORS[name](x)
 
 
+# A constructor given a collection argument that is not one, with the
+# argument's name.
+NOT_COLLECTIONS = {
+    "graph": (lambda: graph(1, [5]), "pairs"),
+    "point_set": (lambda: point_set(1, 5), "points"),
+    "make_set": (lambda: make_set(1, 5), "rows"),
+    "cone": (lambda: cone(1, 5), "generators"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_COLLECTIONS)
+def test_constructors_name_an_argument_that_is_not_a_collection(name):
+    build, argument = NOT_COLLECTIONS[name]
+    with pytest.raises(InputError, match=f"^{argument} must "):
+        build()
+
+
 def test_nullspace_orthogonal_to_rows():
     rows = [vec([1, 2, 3]), vec([0, 1, 1])]
     basis = nullspace_basis(rows, 3)
@@ -89,7 +108,8 @@ def test_rank_nullity(rows):
 def test_primitive_scaling():
     assert primitive(vec(["2/3", "4/3"])) == vec([1, 2])
     assert primitive(vec([-2, 4])) == vec([-1, 2])
-    assert primitive_signed(vec([-2, 4])) == vec([1, -2])
+    assert primitive_signed([-2, 4]) == (1, -2)
+    assert primitive_signed([0, -3, 6]) == (0, 1, -2)
     assert primitive(vec([0, 0])) == vec([0, 0])
 
 
@@ -148,6 +168,20 @@ def test_scaled_writes_integers_over_the_least_common_denominator(v):
 
 def test_scaled_of_the_empty_vector():
     assert scaled(()) == ([], 1)
+
+
+def rref(rows):
+    """Reduced row echelon form in ``Fraction``s: ``linalg.echelon`` of the
+    rows scaled to integers, each row divided by its pivot entry.  Returns
+    (nonzero rows, pivot column indices)."""
+    mat, pivots = echelon(integer_rows(rows))
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(mat, pivots)], pivots
+
+
+def rowspace_basis(rows):
+    """Basis of the row space in ``Fraction``s: ``spaces``' second part
+    (n = 0 asks for no nullspace)."""
+    return [unscaled(v) for v in spaces(integer_rows(rows), 0)[1]]
 
 
 def fraction_rref(rows):
@@ -210,3 +244,24 @@ def test_rref_on_more_rows_than_columns_and_no_rows():
     rows = [vec(r) for r in (["1/2", 1], [1, 2], [0, 0], ["1/3", "-1/5"], [2, 4])]
     assert rref(rows) == fraction_rref(rows) == ([[1, 0], [0, 1]], [0, 1])
     assert rref([]) == ([], [])
+
+
+@settings(max_examples=200)
+@given(matrices)
+def test_integer_spaces_match_the_fraction_reference(rows):
+    """``spaces`` against the nullspace and row space read off
+    ``fraction_rref``, each vector scaled to primitive integers with its
+    first nonzero entry positive."""
+    n = len(rows[0])
+    reduced, pivots = fraction_rref(rows)
+    null = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f]
+        null.append(v)
+    want = [[primitive_signed(scaled(v)[0]) for v in vs] for vs in (null, reduced)]
+    got = spaces(integer_rows(rows), n)
+    assert [list(vs) for vs in got] == want
+    assert all(type(x) is int for vs in got for v in vs for x in v)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from phk.errors import InputError, InvalidSetError, ScaleLimitError
 from phk.fme import fm_feasible, fm_maximize
 from phk import polyhedra
-from phk.linalg import dot, nullspace_basis, primitive, rowspace_basis, rref, vec, vneg
+from phk.linalg import dot, nullspace_basis, primitive, vec, vneg, zero_vec
 from phk.lp import max_value, strict_system_feasible
 from phk.polyhedra import (
     ClosedPolyhedron,
@@ -39,6 +39,7 @@ from phk.polyhedra import (
 )
 from phk.portability import portable_hull
 
+from test_linalg import fraction_rref, rowspace_basis
 from test_lp import closed_point
 
 
@@ -763,9 +764,15 @@ def test_a_dropped_strict_row_is_refused_exactly_when_it_touches():
 # -- the generator walk against the subset-by-subset reference ---------------
 
 
+def combine(basis, coeffs):
+    """``sum(coeffs[j] * basis[j])`` on ``Fraction``s."""
+    return tuple(dot(coeffs, column) for column in zip(*basis))
+
+
 def reference_cone_generators(m_rows, k):
     """``cone_generators`` as it was before the depth-first walk: every
-    (k-1)-subset by ``combinations``, its nullspace solved from scratch."""
+    (k-1)-subset by ``combinations``, its nullspace solved from scratch, on
+    ``Fraction``s."""
     lin = nullspace_basis(m_rows, k)
     if lin:
         w = rowspace_basis(m_rows)
@@ -773,7 +780,7 @@ def reference_cone_generators(m_rows, k):
             return lin, []
         reduced = [tuple(dot(row, wj) for wj in w) for row in m_rows]
         _, inner_rays = reference_cone_generators(reduced, len(w))
-        return lin, [primitive(polyhedra._combine(w, r)) for r in inner_rays]
+        return lin, sorted(primitive(combine(w, r)) for r in inner_rays)
     if k == 0:
         return [], []
     rays = set()
@@ -793,7 +800,7 @@ def solve_square(a_rows, b):
     if k == 0:
         return ()
     aug = [list(r) + [bb] for r, bb in zip(a_rows, b)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = fraction_rref(aug)
     if pivots != list(range(k)):
         # Rank-deficient A, or the right-hand side became a pivot column.
         return None
@@ -820,21 +827,33 @@ def reference_pointed_vertices(normals, offsets, k):
     return sorted(verts)
 
 
-def reference_rays(reduced, w):
-    """``polyhedra._rays`` by the subset-by-subset reference, on the
-    projected rows, each ray mapped back onto the basis ``w``."""
+def reference_h_to_v(p):
+    """``h_to_v`` as it was before the walks ran on integers, each walk by
+    subsets on ``Fraction``s: the vertices and rays of the rows projected
+    onto the row space, lifted back by ``combine``."""
+    if isinstance(p, EmptySet) or max_value(zero_vec(p.dim), p.rows) is None:
+        return VRep((), (), ())
+    normals = [normal for normal, _ in p.rows]
+    offsets = [offset for _, offset in p.rows]
+    lin = nullspace_basis(normals, p.dim)
+    w = rowspace_basis(normals)
+    if not w:
+        return VRep((zero_vec(p.dim),), (), tuple(lin))
+    reduced = [tuple(dot(nr, wj) for wj in w) for nr in normals]
+    verts = sorted(combine(w, v) for v in reference_pointed_vertices(reduced, offsets, len(w)))
     _, inner_rays = reference_cone_generators(reduced, len(w))
-    return sorted(primitive(polyhedra._combine(w, r)) for r in inner_rays)
+    rays = sorted(primitive(combine(w, r)) for r in inner_rays)
+    return VRep(tuple(verts), tuple(rays), tuple(sorted(lin)))
 
 
 def reference_generators(convert, arg):
-    """``convert(arg)`` (``h_to_v`` or ``v_to_h``) with both walks replaced
-    by the subset-by-subset reference."""
+    """``convert(arg)`` (``h_to_v`` or ``v_to_h``) by the subset-by-subset
+    reference on ``Fraction``s: ``reference_h_to_v``, or ``v_to_h`` with
+    ``reference_cone_generators`` for its cone."""
+    if convert is h_to_v:
+        return reference_h_to_v(arg)
     with pytest.MonkeyPatch.context() as patch:
-        # ``cone_generators`` and ``_generators`` both walk the rays through
-        # ``_rays``, on the rows projected onto the row-space basis ``w``.
-        patch.setattr(polyhedra, "_rays", reference_rays)
-        patch.setattr(polyhedra, "_pointed_vertices", reference_pointed_vertices)
+        patch.setattr(polyhedra, "cone_generators", reference_cone_generators)
         return convert(arg)
 
 

@@ -36,7 +36,7 @@ from phk import normal_cones, polyhedra, portability, sampling
 from phk.corpus import line_free_closed_sets, partially_open_sets
 from phk.errors import InvalidSetError
 from phk.fitzpatrick import monotonically_related, normal_cone_fitzpatrick
-from phk.linalg import int_key, scaled, smul, vadd, vsub, zero_vec
+from phk.linalg import int_key, scaled, smul, unscaled, vadd, vsub, zero_vec
 from phk.lp import SupportLP
 from phk.normal_cones import (
     _active_normals,
@@ -52,6 +52,7 @@ from phk.polyhedra import (
     ClosedPolyhedron,
     PartiallyOpenPolyhedron,
     canonicalize,
+    carrier_vrep,
     closed_as_set,
     closed_contains,
     closed_equal,
@@ -208,7 +209,7 @@ def test_each_report_samples_the_set_once(monkeypatch):
     # The graph pairs and the cloud grow from the list without changing it.
     again = real(c, spec)
     assert handed == [again, again]
-    assert [sampling._point(ints, den) for ints, den, _ in again] == points_in(c, spec)
+    assert [unscaled(ints, den) for ints, den, _ in again] == points_in(c, spec)
 
 
 def counting(monkeypatch, module, name) -> list:
@@ -277,7 +278,7 @@ def test_report_places_each_point_and_looks_up_each_dual_once(kind, c, monkeypat
         pairs.append((witness[1], zero))
     inside = set(points_in(fresh(c), spec))
     sampled, placed, _ = placements(monkeypatch)
-    looked = counting(monkeypatch, portability, "support_level")
+    looked = counting(monkeypatch, portability, "support_top")
     portability_report(c, spec)
     # The sampler places each candidate in the set once, and hands the
     # report the records of the points it keeps; the cloud and the witness
@@ -499,7 +500,7 @@ def fraction_filtered_points_in(c, spec: SampleSpec) -> list:
     None."""
     rng = sampling._rng(spec, "in")
     inner = set_member_witness(c)
-    geo = sampling._carrier_geometry(c)
+    geo = carrier_vrep(c)
     mids = [smul(F(1, 2), vadd(a, b)) for a, b in combinations(geo.vertices, 2)]
     features = [(inner, row_signs(c, inner))]
     for x in sampling._dedupe([inner, *geo.vertices, *mids])[1:]:
@@ -543,7 +544,7 @@ def fraction_cloud_from(c, spec: SampleSpec, inside: list) -> list:
     """``sampling._cloud_from``'s points on ``Fraction``s, around a
     ``points_in`` list."""
     rng = sampling._rng(spec, "cloud")
-    geo = sampling._carrier_geometry(c)
+    geo = carrier_vrep(c)
     out = list(inside)
     inner = out[0]
     for v in geo.vertices:
@@ -579,13 +580,13 @@ def fraction_duals_at(c, spec: SampleSpec, signs: list) -> list:
 def assert_samplers_match_the_reference(c, spec: SampleSpec) -> None:
     got = sampling._filtered_points_in(c, spec)
     points, signs = fraction_placed_points_in(fresh(c), spec)
-    xs = [sampling._point(ints, den) for ints, den, _ in got]
+    xs = [unscaled(ints, den) for ints, den, _ in got]
     assert xs == points and repr(xs) == repr(points)
     assert [sg for _, _, sg in got] == signs
     cloud = sampling._cloud_from(c, spec, got)
     want = fraction_cloud_from(c, spec, points)
     assert cloud[: len(got)] == got
-    xs = [sampling._point(ints, den) for ints, den, _ in cloud]
+    xs = [unscaled(ints, den) for ints, den, _ in cloud]
     assert xs == want and repr(xs) == repr(want)
     for x, (ints, den, sg) in zip(want, cloud):
         # Each record is the point in lowest terms, and places it.
@@ -593,7 +594,7 @@ def assert_samplers_match_the_reference(c, spec: SampleSpec) -> None:
         assert tuple(F(a, den) for a in ints) == x and sg == row_signs(c, x)
     duals = sampling._duals_at(c, spec, signs)
     want = fraction_duals_at(c, spec, signs)
-    got_duals = [[sampling._point(d) for d in ds] for ds in duals]
+    got_duals = [[unscaled(d) for d in ds] for ds in duals]
     assert got_duals == want and repr(got_duals) == repr(want)
     # Each dual is its own integers.
     assert all(type(a) is int for ds in duals for d in ds for a in d)
@@ -638,7 +639,7 @@ def term_by_term_points_in(c, spec: SampleSpec) -> list:
     integer combinations."""
     rng = sampling._rng(spec, "in")
     inner = set_member_witness(c)
-    geo = sampling._carrier_geometry(c)
+    geo = carrier_vrep(c)
     features = [inner]
     features += [v for v in geo.vertices if contains(c, v)]
     for a, b in combinations(geo.vertices, 2):
@@ -742,13 +743,13 @@ def test_shortcut_sets_have_rays_and_lines():
 def test_each_support_lookup_solves_one_support_lp(kind, c, monkeypatch):
     c = fresh(c)
     asked = []
-    real_level = portability.support_level
+    real_top = portability.support_top
 
     def recording(s, x):
         asked.append(x)
-        return real_level(s, x)
+        return real_top(s, x)
 
-    monkeypatch.setattr(portability, "support_level", recording)
+    monkeypatch.setattr(portability, "support_top", recording)
     portability_report(c, SampleSpec(seed=5, count=8))
     monkeypatch.undo()
     duals = list(dict.fromkeys(asked))

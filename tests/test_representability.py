@@ -19,7 +19,7 @@ from phk import polyhedra, representability
 from phk.errors import InputError, ScaleLimitError
 from phk.fitzpatrick import MonotoneGraph, graph
 from phk.fme import fm_maximize
-from phk.linalg import eliminate, rref
+from phk.linalg import eliminate
 from phk.lp import SupportLP
 from phk.polyhedra import EmptySet, cone_contains, make_set
 from phk.representability import (
@@ -35,6 +35,7 @@ from phk.normal_cones import normal_cone_at, strictly_inside
 from phk.portability import partial_portable_hull, point_set
 from phk.sampling import grid_size, rational_grid
 from phk.scalars import POS_INF, fin
+from test_linalg import rref
 
 F = Fraction
 

@@ -131,6 +131,47 @@ def test_loose_set_documents_are_refused(name, capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+# Each refusal of the document readers and of ``jsonable``, with its message.
+REFUSED_DOCUMENTS = {
+    "set-not-object": (parse_set, [], "a set description must be a JSON object"),
+    "set-no-rows": (parse_set, {"dim": 1}, 'a set description needs "dim" and "rows"'),
+    "rows-not-list": (parse_set, {"dim": 1, "rows": {}}, '"rows" must be a list'),
+    "row-not-object": (parse_set, {"dim": 1, "rows": [[1]]}, 'each row needs "normal" and "offset"'),
+    "row-no-offset": (parse_set, {"dim": 1, "rows": [{"normal": [1]}]}, 'each row needs "normal" and "offset"'),
+    "strict-not-bool": (
+        parse_set,
+        {"dim": 1, "rows": [{"normal": [1], "offset": 0, "strict": 1}]},
+        '"strict" must be a boolean',
+    ),
+    "points-missing": (parse_points, {"dim": 1}, 'a point set needs "points"'),
+    "points-empty": (parse_points, {"points": []}, '"points" must be a nonempty list'),
+    "pairs-not-list": (parse_graph, {"dim": 1, "pairs": {}}, '"pairs" must be a list'),
+    "pair-no-astar": (parse_graph, {"dim": 1, "pairs": [{"a": [0]}]}, 'each pair needs "a" and "astar"'),
+    "vector-empty": (parse_vector, [], "vectors must have at least one coordinate"),
+    "unserializable": (jsonable, {1, 2}, "cannot serialize set"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_DOCUMENTS))
+def test_each_document_refusal_gives_its_message(name):
+    read, doc, message = REFUSED_DOCUMENTS[name]
+    with pytest.raises(InputError) as got:
+        read(doc)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("step", ["0", "-1/2"])
+def test_a_grid_step_that_is_not_positive_is_refused(capsys, step):
+    argv = (
+        "sum-check", str(FIXTURES / "staircase_graph.json"), str(FIXTURES / "closed_interval.json"),
+        "--point", '["1"]', "--dual", '["1"]', f"--grid={step}",
+    )
+    with pytest.raises(SystemExit) as got:
+        main(list(argv))
+    assert got.value.code == 2  # argparse owns argument errors
+    assert capsys.readouterr().err.endswith("argument --grid: grid step must be positive\n")
+
+
 def test_numbers_too_long_for_int_str_end_in_one_error_line(capsys, tmp_path):
     # Python refuses int <-> str conversions past 4300 digits.  A support
     # value b^2 of 6001 digits cannot be written, and a 5000-digit JSON

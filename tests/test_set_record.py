@@ -158,6 +158,21 @@ def test_out_of_range_strict_index_raises_when_built():
         PartiallyOpenPolyhedron(carrier(1, [((-1,), 0), ((1,), 1)]), frozenset({2}))
 
 
+@pytest.mark.parametrize(
+    "strict", [{0}, [0], (0,), frozenset({"0"}), frozenset({0.0}), frozenset({True})], ids=repr
+)
+def test_strict_rows_must_be_a_frozenset_of_ints(strict):
+    # A set of strict rows would leave the set unhashable, and could be
+    # changed after its check; a copy by ``replace`` is refused alike.
+    rows = carrier(1, [((-1,), 0), ((1,), 1)])
+    with pytest.raises(InputError, match="strict rows must be a frozenset"):
+        PartiallyOpenPolyhedron(rows, strict)
+    c = PartiallyOpenPolyhedron(rows, frozenset({0}))
+    with pytest.raises(InputError, match="strict rows must be a frozenset"):
+        dataclasses.replace(c, strict_rows=strict)
+    assert hash(c) == hash(make_set(1, [((-1,), 0, True), ((1,), 1, False)]))
+
+
 def test_replace_checks_the_new_value():
     c = make_set(1, [((-1,), 0, True), ((1,), 1, False)])
     support_value(c, (F(1),))

@@ -54,7 +54,7 @@ ROOT = TESTS.parent
 # ``bench_style_sets``, built and reported under the count.
 BENCH_STYLE = {
     "normal_cones.set_member_witness": 2,
-    "normal_cones.support_level": 5,
+    "normal_cones.support_top": 5,
     "polyhedra._nonempty_support": 5,
     "polyhedra.make_set": 3,
     "portability._hull_verdicts": 3,
@@ -69,7 +69,7 @@ BENCH_STYLE_PLACED = {"portability.portability_report": 329}
 # neither plan solves a witness LP in ``_hyperplanes_meeting``.
 REPORT_PLAN = {
     "normal_cones.set_member_witness": 60,
-    "normal_cones.support_level": 120,
+    "normal_cones.support_top": 120,
     "portability._hull_verdicts": 60,
     "portability.nonsupporting_witness": 60,
     "warm": 1448,
@@ -83,7 +83,7 @@ GOLDEN_PLAN = {
     "faces.enumerate_faces": 99,
     "normal_cones._hyperplanes_meeting": 298,
     "normal_cones.set_member_witness": 67,
-    "normal_cones.support_level": 57,
+    "normal_cones.support_top": 57,
     "normal_cones.support_value": 80,
     "polyhedra.<genexpr>": 1,
     "polyhedra._nonempty_support": 228,
